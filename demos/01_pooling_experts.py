@@ -29,19 +29,19 @@ H = encode(encoder, example.token_ids).H
 print("\ncontextualized matrix H:", H.shape)
 
 bank = ExpertBank.init(d, n_filters=4, rng=rng)
-outputs = run_all_experts(bank, H, example.cue_positions, example.contrast_positions)
+vectors = run_all_experts(bank, H, example.cue_positions, example.contrast_positions)
 print("\nexpert outputs (first 4 dims):")
-for name, vec in zip(outputs.names, outputs.vectors):
+for name, vec in zip(EXPERT_NAMES, vectors):
     print(f"  {name:<15} {np.round(vec[:4], 3)}")
 
 # the attention expert exposes its token weights; they live on the simplex
-alpha = attention_weights(bank, H)
+alpha, _ = attention_weights(bank, H)
 print("\nattention weights over tokens (sum = %.12f):" % alpha.sum())
 for tok, a in zip(example.tokens, alpha):
     print(f"  {tok:<10} {a:.4f}")
 
 # amplifying the contrast token makes the contrast expert's input grow;
 # an empty contrast mask would collapse it to the zero vector instead
-no_contrast = run_all_experts(bank, H, example.cue_positions, frozenset())
-print("\ncontrast expert with empty mask:", no_contrast.by_name("contrast")[:4])
+no_contrast = run_all_experts(bank, H, example.cue_positions, frozenset(), ("contrast",))
+print("\ncontrast expert with empty mask:", no_contrast[0][:4])
 print("all six experts:", EXPERT_NAMES)

@@ -19,7 +19,7 @@ gate = LinearParams.init(6, d, rng)
 classifier = LinearParams.init(3, d, rng)
 
 H = rng.normal(size=(5, d))
-outputs = run_all_experts(bank, H, cue_positions={2}, contrast_positions={3})
+vectors = run_all_experts(bank, H, cue_positions={2}, contrast_positions={3})
 
 # two different CLS vectors route the same experts differently
 for label, h_cls in (("cls A", rng.normal(size=d)), ("cls B", rng.normal(size=d))):
@@ -27,7 +27,7 @@ for label, h_cls in (("cls A", rng.normal(size=d)), ("cls B", rng.normal(size=d)
     print(f"{label}: gate = {np.round(g, 3)}  (sum {g.sum():.9f})")
 
 g = gate_forward(gate, H[0])
-h_moe = fuse(g, outputs.vectors)
+h_moe = fuse(g, vectors)
 logits, probs = classify(classifier, h_moe)
 print("\nfused representation:", np.round(h_moe[:4], 3), "...")
 print("logits:", np.round(logits, 3))
@@ -37,10 +37,10 @@ for name, p in zip(CLASS_DISPLAY, probs):
 # a one-hot gate degenerates the mixture into a single expert
 one_hot = np.zeros(6)
 one_hot[1] = 1.0
-np.testing.assert_array_equal(fuse(one_hot, outputs.vectors), outputs.vectors[1])
+np.testing.assert_array_equal(fuse(one_hot, vectors), vectors[1])
 print("\none-hot gate selects expert 2 exactly")
 
 # the fused vector always stays inside the experts' per-dimension envelope
-E = np.array(outputs.vectors)
+E = np.array(vectors)
 assert np.all(h_moe >= E.min(axis=0)) and np.all(h_moe <= E.max(axis=0))
 print("fused vector lies in the convex hull of the expert outputs")

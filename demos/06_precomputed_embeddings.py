@@ -14,7 +14,6 @@ import numpy as np
 from stancemoe.encoder import (
     ToyEncoderParams,
     encode,
-    load_precomputed,
     read_embedding_store,
     write_embedding_store,
 )
@@ -38,9 +37,9 @@ with tempfile.TemporaryDirectory() as td:
     print(f"wrote {n} records to {store_path}")
 
     store, width = read_embedding_store(store_path)
-    one = load_precomputed(store_path, examples[0].id)
-    print(f"store width d={width}; record {examples[0].id!r} has shape {one.H.shape}")
-    print("float32 on disk, float64 in memory:", one.H.dtype)
+    one = store[examples[0].id]
+    print(f"store width d={width}; record {examples[0].id!r} has shape {one.shape}")
+    print("float32 on disk, float64 in memory:", one.dtype)
 
     config = TrainConfig(encoder="precomputed", k=3, epochs=40, hidden_dim=d,
                          batch_size=16, seed=42)

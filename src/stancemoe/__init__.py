@@ -1,8 +1,8 @@
 from . import ablation, checkpoint, encoder, experts, head, metrics, model, ops, synthetic, text, train
 
-from .encoder import EncoderOutput, ToyEncoderParams, encode, load_precomputed
+from .encoder import EncoderOutput, ToyEncoderParams, encode, read_embedding_store
 from .experts import EXPERT_NAMES, ExpertBank, run_all_experts
-from .head import HeadOutput, classify, fuse, gate_forward
+from .head import classify, fuse, gate_forward
 from .metrics import MetricsReport, confusion, macro_metrics
 from .model import ModelParams, model_forward
 from .ops import LinearParams, grad_check, softmax
@@ -11,7 +11,7 @@ from .train import (
     EnsembleModel,
     FoldArtifact,
     TrainConfig,
-    ensemble_predict,
+    ensemble_forward,
     fold_weights,
     label_smoothed_ce,
     run_kfold,

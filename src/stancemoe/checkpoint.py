@@ -22,6 +22,7 @@ from .text import CueLexicon, Vocab
 from .train import EnsembleModel, FoldArtifact, TrainConfig
 
 CHECKPOINT_MAGIC = b"SMCK1\0"
+CHECKPOINT_FORMAT = 1  # the metadata "format" value this module writes and reads
 
 
 class CheckpointFormatError(ValueError):
@@ -39,7 +40,7 @@ class LoadedCheckpoint:
 def save_checkpoint(path, ensemble: EnsembleModel, config: TrainConfig,
                     vocab: Vocab, lexicon: CueLexicon) -> None:
     meta = {
-        "format": 1,
+        "format": CHECKPOINT_FORMAT,
         "config": config.to_dict(),
         "vocab": vocab.tail,
         "cue_tokens": sorted(lexicon.cue_tokens),
@@ -80,6 +81,11 @@ def load_checkpoint(path) -> LoadedCheckpoint:
             raise CheckpointFormatError(f"bad magic {magic!r}; not an SMCK1 checkpoint")
         (meta_len,) = struct.unpack("<I", _read_exact(fh, 4, "header"))
         meta = json.loads(_read_exact(fh, meta_len, "metadata").decode("utf-8"))
+        if meta.get("format") != CHECKPOINT_FORMAT:
+            raise CheckpointFormatError(
+                f"unsupported checkpoint format {meta.get('format')!r}; "
+                f"expected {CHECKPOINT_FORMAT}"
+            )
         (n_records,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
         tensors: dict[str, np.ndarray] = {}
         for _ in range(n_records):

@@ -85,9 +85,8 @@ class ToyEncoderParams:
             yield f"{prefix}/{name}/bias", lin.bias, lin.grad_bias
 
     def zero_grads(self) -> None:
-        self.grad_embedding[:] = 0.0
-        for lin in (self.query, self.key, self.value):
-            lin.zero_grads()
+        for _, _, grad in self.named_params():
+            grad[:] = 0.0
 
 
 def _clip_ids(params: ToyEncoderParams, token_ids) -> np.ndarray:
@@ -213,12 +212,3 @@ def read_embedding_store(path) -> tuple[dict[str, np.ndarray], int]:
                 raise StoreFormatError(f"duplicate record id {example_id!r}")
             out[example_id] = H32.astype(np.float64)
     return out, d
-
-
-def load_precomputed(path, example_id: str) -> EncoderOutput:
-    """Fetch one stored record as an EncoderOutput (CLS = row 0)."""
-    store, _ = read_embedding_store(path)
-    if example_id not in store:
-        raise KeyError(f"id {example_id!r} not found in embedding store {path}")
-    H = store[example_id]
-    return EncoderOutput(H=H, h_cls=H[0])

@@ -13,11 +13,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import LinearParams, affine, affine_backward, softmax, softmax_backward
+from .ops import (
+    LinearParams,
+    affine,
+    affine_backward,
+    conv1d_valid,
+    conv1d_valid_backward,
+    softmax,
+    softmax_backward,
+)
 
 logger = logging.getLogger(__name__)
 
-EXPERT_NAMES = ("mean", "max", "self_attention", "cnn", "cue", "contrast")
+
+@dataclass(frozen=True)
+class ExpertSpec:
+    """One expert: its name, the names of its forward and backward functions
+    in this module, and the position mask it reads (None, "cue" or
+    "contrast").  The functions are looked up by name on every call, so a
+    wrapper installed on this module (a profiler, a test double) sees the
+    calls made through the table."""
+
+    name: str
+    forward: str
+    backward: str
+    mask: str | None = None
+
+
+EXPERTS = (
+    ExpertSpec("mean", "expert_mean", "expert_mean_backward"),
+    ExpertSpec("max", "expert_max", "expert_max_backward"),
+    ExpertSpec("self_attention", "expert_selfattn", "expert_selfattn_backward"),
+    ExpertSpec("cnn", "expert_cnn", "expert_cnn_backward"),
+    ExpertSpec("cue", "expert_cue", "expert_cue_backward", "cue"),
+    ExpertSpec("contrast", "expert_contrast", "expert_contrast_backward", "contrast"),
+)
+EXPERT_NAMES = tuple(spec.name for spec in EXPERTS)
 KERNEL_SIZES = (2, 3, 4, 5)
 
 
@@ -80,13 +111,8 @@ class ExpertBank:
         yield f"{prefix}/cnn_feature_proj/bias", self.cnn_proj.bias, self.cnn_proj.grad_bias
 
     def zero_grads(self) -> None:
-        for lin in self.proj.values():
-            lin.zero_grads()
-        self.grad_attn_vector[:] = 0.0
-        for k in KERNEL_SIZES:
-            self.grad_kernels[k][:] = 0.0
-            self.grad_kernel_biases[k][:] = 0.0
-        self.cnn_proj.zero_grads()
+        for _, _, grad in self.named_params():
+            grad[:] = 0.0
 
 
 # --- mean pooling -------------------------------------------------------
@@ -119,24 +145,21 @@ def expert_max_backward(bank: ExpertBank, H: np.ndarray, de: np.ndarray) -> np.n
 
 # --- self-attention pooling ---------------------------------------------
 
-def _attn_weights(bank: ExpertBank, H: np.ndarray):
+def attention_weights(bank: ExpertBank, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Token weights alpha_i = softmax_i(s_i), which sum to one, and the
+    scores s_i = tanh(h_i . v) they are taken over."""
     scores = np.tanh(H @ bank.attn_vector)
-    return scores, softmax(scores)
-
-
-def attention_weights(bank: ExpertBank, H: np.ndarray) -> np.ndarray:
-    """Token weights alpha_i = softmax_i(tanh(h_i . v)); sums to one."""
-    return _attn_weights(bank, H)[1]
+    return softmax(scores), scores
 
 
 def expert_selfattn(bank: ExpertBank, H: np.ndarray) -> np.ndarray:
     """Project the attention-weighted row sum of H."""
-    alpha = attention_weights(bank, H)
+    alpha, _ = attention_weights(bank, H)
     return affine(bank.proj["self_attention"], alpha @ H)
 
 
 def expert_selfattn_backward(bank: ExpertBank, H: np.ndarray, de: np.ndarray) -> np.ndarray:
-    scores, alpha = _attn_weights(bank, H)
+    alpha, scores = attention_weights(bank, H)
     pooled = alpha @ H
     du = affine_backward(bank.proj["self_attention"], pooled, de)
     dalpha = H @ du
@@ -148,59 +171,44 @@ def expert_selfattn_backward(bank: ExpertBank, H: np.ndarray, de: np.ndarray) ->
 
 # --- multi-kernel CNN ----------------------------------------------------
 
-def _conv_block(bank: ExpertBank, H: np.ndarray, k: int) -> np.ndarray | None:
-    """Pre-activation conv outputs (L, n_f) for kernel size k, None if T < k."""
-    T = H.shape[0]
-    if T < k:
-        return None
-    L = T - k + 1
-    kern = bank.kernels[k]  # (n_f, k, d)
-    out = np.tile(bank.kernel_biases[k], (L, 1))
-    for j in range(k):
-        out += H[j : j + L] @ kern[:, j, :].T
-    return out
+def cnn_features(bank: ExpertBank, H: np.ndarray) -> tuple[np.ndarray, list]:
+    """Concatenated mean-pooled ReLU conv features, one block per kernel size,
+    and the (L, n_f) pre-activation conv outputs they pool.
 
-
-def cnn_features(bank: ExpertBank, H: np.ndarray) -> np.ndarray:
-    """Concatenated mean-pooled ReLU conv features, one block per kernel size.
-
-    Kernel sizes longer than the sequence contribute a zero block, so the
-    output always has length len(KERNEL_SIZES) * n_filters.
+    Kernel sizes longer than the sequence contribute a zero block and a
+    None pre-activation, so the features always have length
+    len(KERNEL_SIZES) * n_filters.
     """
-    blocks = []
-    for k in KERNEL_SIZES:
-        pre = _conv_block(bank, H, k)
-        if pre is None:
-            blocks.append(np.zeros(bank.n_filters))
-        else:
-            blocks.append(np.maximum(pre, 0.0).mean(axis=0))
-    return np.concatenate(blocks)
+    T = H.shape[0]
+    pres = [conv1d_valid(H, bank.kernels[k], bank.kernel_biases[k]) if T >= k else None
+            for k in KERNEL_SIZES]
+    feats = np.concatenate([np.zeros(bank.n_filters) if pre is None
+                            else np.maximum(pre, 0.0).mean(axis=0) for pre in pres])
+    return feats, pres
 
 
 def expert_cnn(bank: ExpertBank, H: np.ndarray) -> np.ndarray:
     """Project the multi-kernel CNN feature vector."""
-    return affine(bank.proj["cnn"], affine(bank.cnn_proj, cnn_features(bank, H)))
+    feats, _ = cnn_features(bank, H)
+    return affine(bank.proj["cnn"], affine(bank.cnn_proj, feats))
 
 
 def expert_cnn_backward(bank: ExpertBank, H: np.ndarray, de: np.ndarray) -> np.ndarray:
-    feats = cnn_features(bank, H)
+    feats, pres = cnn_features(bank, H)
     inner = affine(bank.cnn_proj, feats)
     dinner = affine_backward(bank.proj["cnn"], inner, de)
     dfeats = affine_backward(bank.cnn_proj, feats, dinner)
     dH = np.zeros_like(H)
     n_f = bank.n_filters
-    for bi, k in enumerate(KERNEL_SIZES):
-        pre = _conv_block(bank, H, k)
+    for bi, (k, pre) in enumerate(zip(KERNEL_SIZES, pres)):
         if pre is None:
             continue
-        L = pre.shape[0]
         dpool = dfeats[bi * n_f : (bi + 1) * n_f]
-        dpre = np.where(pre > 0.0, 1.0, 0.0) * (dpool / L)  # (L, n_f)
-        bank.grad_kernel_biases[k] += dpre.sum(axis=0)
-        kern = bank.kernels[k]
-        for j in range(k):
-            bank.grad_kernels[k][:, j, :] += dpre.T @ H[j : j + L]
-            dH[j : j + L] += dpre @ kern[:, j, :]
+        dpre = np.where(pre > 0.0, 1.0, 0.0) * (dpool / pre.shape[0])  # (L, n_f)
+        dHk, dkernels, dbias = conv1d_valid_backward(H, bank.kernels[k], dpre)
+        dH += dHk
+        bank.grad_kernels[k] += dkernels
+        bank.grad_kernel_biases[k] += dbias
     return dH
 
 
@@ -262,68 +270,33 @@ def expert_contrast_backward(bank, H, contrast_positions, de: np.ndarray) -> np.
 
 # --- dispatch --------------------------------------------------------------
 
-@dataclass
-class ExpertOutputs:
-    """Active expert vectors in canonical order."""
-
-    names: tuple[str, ...]
-    vectors: list[np.ndarray]
-
-    def by_name(self, name: str) -> np.ndarray:
-        return self.vectors[self.names.index(name)]
+def _active_specs(active) -> list[ExpertSpec]:
+    specs = [spec for spec in EXPERTS if spec.name in active]
+    if not specs:
+        raise ValueError("at least one expert must be active")
+    return specs
 
 
-def mask_from_names(active_names) -> tuple[bool, ...]:
-    """Turn a collection of expert names into a 6-flag mask."""
-    unknown = set(active_names) - set(EXPERT_NAMES)
-    if unknown:
-        raise ValueError(f"unknown expert name(s): {sorted(unknown)}")
-    return tuple(name in set(active_names) for name in EXPERT_NAMES)
+def _mask_args(cue_positions, contrast_positions) -> dict:
+    return {None: (), "cue": (cue_positions,), "contrast": (contrast_positions,)}
 
 
 def run_all_experts(bank: ExpertBank, H, cue_positions, contrast_positions,
-                    active=None) -> ExpertOutputs:
-    """Evaluate the active experts; inactive slots are simply absent.
-
-    ``active`` is a 6-flag mask aligned with EXPERT_NAMES (None = all six).
-    Output order is always the canonical expert order.
-    """
-    if active is None:
-        active = (True,) * len(EXPERT_NAMES)
-    if len(active) != len(EXPERT_NAMES):
-        raise ValueError(f"active mask must have {len(EXPERT_NAMES)} flags")
-    if not any(active):
-        raise ValueError("at least one expert must be active")
-    names: list[str] = []
-    vectors: list[np.ndarray] = []
-    for flag, name in zip(active, EXPERT_NAMES):
-        if not flag:
-            continue
-        names.append(name)
-        vectors.append(_FORWARD[name](bank, H, cue_positions, contrast_positions))
-    return ExpertOutputs(names=tuple(names), vectors=vectors)
+                    active=EXPERT_NAMES) -> list[np.ndarray]:
+    """Evaluate the experts named in ``active``; returns their vectors in the
+    canonical EXPERT_NAMES order."""
+    masks = _mask_args(cue_positions, contrast_positions)
+    fns = globals()
+    return [fns[spec.forward](bank, H, *masks[spec.mask]) for spec in _active_specs(active)]
 
 
-def expert_backward(bank, name, H, cue_positions, contrast_positions,
-                    de: np.ndarray) -> np.ndarray:
-    """Backward pass of one named expert; returns its dL/dH contribution."""
-    return _BACKWARD[name](bank, H, cue_positions, contrast_positions, de)
-
-
-_FORWARD = {
-    "mean": lambda b, H, C, D: expert_mean(b, H),
-    "max": lambda b, H, C, D: expert_max(b, H),
-    "self_attention": lambda b, H, C, D: expert_selfattn(b, H),
-    "cnn": lambda b, H, C, D: expert_cnn(b, H),
-    "cue": lambda b, H, C, D: expert_cue(b, H, C),
-    "contrast": lambda b, H, C, D: expert_contrast(b, H, D),
-}
-
-_BACKWARD = {
-    "mean": lambda b, H, C, D, de: expert_mean_backward(b, H, de),
-    "max": lambda b, H, C, D, de: expert_max_backward(b, H, de),
-    "self_attention": lambda b, H, C, D, de: expert_selfattn_backward(b, H, de),
-    "cnn": lambda b, H, C, D, de: expert_cnn_backward(b, H, de),
-    "cue": lambda b, H, C, D, de: expert_cue_backward(b, H, C, de),
-    "contrast": lambda b, H, C, D, de: expert_contrast_backward(b, H, D, de),
-}
+def run_all_experts_backward(bank: ExpertBank, H, cue_positions, contrast_positions,
+                             active, dvecs) -> np.ndarray:
+    """Backward pass of :func:`run_all_experts` for dL/de_i in ``dvecs``;
+    accumulates expert gradients and returns the summed dL/dH."""
+    masks = _mask_args(cue_positions, contrast_positions)
+    fns = globals()
+    dH = np.zeros_like(H)
+    for spec, de in zip(_active_specs(active), dvecs):
+        dH += fns[spec.backward](bank, H, *masks[spec.mask], de)
+    return dH

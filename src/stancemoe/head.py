@@ -1,22 +1,10 @@
-"""Context-aware gating, expert fusion, and the 3-way classifier, plus the
-stacked and fixed-fusion baseline heads."""
+"""Context-aware gating, expert fusion, and the 3-way classifier."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .experts import ExpertBank, run_all_experts
 from .ops import LinearParams, affine, affine_backward, softmax, softmax_backward
-
-
-@dataclass
-class HeadOutput:
-    gate_weights: np.ndarray  # (n_active,), on the simplex
-    fused: np.ndarray  # (d,)
-    logits: np.ndarray  # (3,)
-    probs: np.ndarray  # (3,), softmax of logits
 
 
 def gate_forward(gate: LinearParams, h_cls: np.ndarray) -> np.ndarray:
@@ -52,44 +40,3 @@ def classify(classifier: LinearParams, h: np.ndarray) -> tuple[np.ndarray, np.nd
 def classify_backward(classifier: LinearParams, h, dlogits) -> np.ndarray:
     """Accumulate classifier gradients; returns dL/dh."""
     return affine_backward(classifier, h, dlogits)
-
-
-def uniform_gate(n: int) -> np.ndarray:
-    """Placeholder gate vector for heads without adaptive weighting."""
-    return np.full(n, 1.0 / n)
-
-
-def moe_forward(bank: ExpertBank, gate: LinearParams, classifier: LinearParams,
-                H, cue_positions, contrast_positions, active=None) -> HeadOutput:
-    """Gated mixture head: gate on the CLS row, fuse, classify."""
-    outputs = run_all_experts(bank, H, cue_positions, contrast_positions, active)
-    g = gate_forward(gate, H[0])
-    fused = fuse(g, outputs.vectors)
-    logits, probs = classify(classifier, fused)
-    return HeadOutput(gate_weights=g, fused=fused, logits=logits, probs=probs)
-
-
-def stacked_forward(bank: ExpertBank, classifier: LinearParams,
-                    H, cue_positions, contrast_positions) -> HeadOutput:
-    """Sequential baseline: run all six experts and add their outputs in
-    canonical order (a residual additive chain), then classify the sum.
-    The reported gate vector is a uniform placeholder."""
-    outputs = run_all_experts(bank, H, cue_positions, contrast_positions)
-    fused = np.zeros(bank.d)
-    for e in outputs.vectors:
-        fused = fused + e
-    logits, probs = classify(classifier, fused)
-    return HeadOutput(gate_weights=uniform_gate(len(outputs.vectors)),
-                      fused=fused, logits=logits, probs=probs)
-
-
-def fusion_forward(bank: ExpertBank, fusion_proj: LinearParams, classifier: LinearParams,
-                   H, cue_positions, contrast_positions) -> HeadOutput:
-    """Fixed-fusion baseline: concatenate all six expert outputs, project the
-    6d vector back to d with one linear layer, then classify.  No gate."""
-    outputs = run_all_experts(bank, H, cue_positions, contrast_positions)
-    concat = np.concatenate(outputs.vectors)
-    fused = affine(fusion_proj, concat)
-    logits, probs = classify(classifier, fused)
-    return HeadOutput(gate_weights=uniform_gate(len(outputs.vectors)),
-                      fused=fused, logits=logits, probs=probs)

@@ -8,22 +8,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import ToyEncoderParams, encode, encode_backward
-from .experts import EXPERT_NAMES, ExpertBank, expert_backward, mask_from_names, run_all_experts
+from .experts import EXPERT_NAMES, ExpertBank, run_all_experts, run_all_experts_backward
 from .head import (
-    HeadOutput,
     classify,
     classify_backward,
     fuse,
     fuse_backward,
     gate_backward,
     gate_forward,
-    uniform_gate,
 )
 from .ops import LinearParams, affine, affine_backward
 from .text import N_CLASSES, TokenizedExample
 
 HEAD_KINDS = ("moe", "stacked", "fusion")
 ENCODER_MODES = ("toy", "precomputed")
+
+
+def canonical_experts(head: str, active_experts) -> tuple[str, ...]:
+    """The active expert names in canonical order.  Rejects unknown names, an
+    empty selection, and a stacked or fusion head without all six experts."""
+    unknown = set(active_experts) - set(EXPERT_NAMES)
+    if unknown:
+        raise ValueError(f"unknown expert name(s): {sorted(unknown)}")
+    active = tuple(n for n in EXPERT_NAMES if n in set(active_experts))
+    if not active:
+        raise ValueError("at least one expert must be active")
+    if head != "moe" and active != EXPERT_NAMES:
+        raise ValueError(f"the {head} head requires all six experts active")
+    return active
 
 
 class ModelParams:
@@ -38,11 +50,8 @@ class ModelParams:
                  classifier, freeze_encoder=False):
         if head not in HEAD_KINDS:
             raise ValueError(f"unknown head kind {head!r}")
-        if head != "moe" and tuple(active_experts) != EXPERT_NAMES:
-            raise ValueError(f"the {head} head requires all six experts active")
         self.d = d
-        self.active_experts = tuple(active_experts)
-        self.active_mask = mask_from_names(self.active_experts)
+        self.active_experts = canonical_experts(head, active_experts)
         self.head = head
         self.encoder = encoder
         self.bank = bank
@@ -61,9 +70,7 @@ class ModelParams:
         generator reproduces the same model bit for bit."""
         if encoder_mode not in ENCODER_MODES:
             raise ValueError(f"unknown encoder mode {encoder_mode!r}")
-        active = tuple(n for n in EXPERT_NAMES if n in set(active_experts))
-        if not active:
-            raise ValueError("at least one expert must be active")
+        active = canonical_experts(head, active_experts)
         encoder = None
         if encoder_mode == "toy":
             encoder = ToyEncoderParams.init(vocab_size, d, max_len, rng)
@@ -108,30 +115,30 @@ class ModelOutput:
 
     H: np.ndarray
     h_cls: np.ndarray
-    expert_names: tuple[str, ...]
-    expert_vectors: list[np.ndarray]
+    expert_vectors: list[np.ndarray]  # in params.active_experts order
     gate_weights: np.ndarray
     fused: np.ndarray
     logits: np.ndarray
     probs: np.ndarray
-
-    def head_output(self) -> HeadOutput:
-        return HeadOutput(gate_weights=self.gate_weights, fused=self.fused,
-                          logits=self.logits, probs=self.probs)
 
 
 def model_forward(params: ModelParams, example: TokenizedExample,
                   H_override: np.ndarray | None = None) -> ModelOutput:
     """Run the whole model on one example.
 
-    ``H_override`` supplies a precomputed (T, d) token matrix (row 0 = CLS);
-    otherwise the toy encoder produces it.
+    ``H_override`` supplies a precomputed (T, d) token matrix (row 0 = CLS),
+    one row per token of the example; otherwise the toy encoder produces it.
     """
     if H_override is not None:
         H = H_override
         if H.ndim != 2 or H.shape[1] != params.d:
             raise ValueError(
                 f"precomputed embeddings have width {H.shape[-1]}, model expects {params.d}"
+            )
+        if H.shape[0] != len(example.token_ids):
+            raise ValueError(
+                f"precomputed embeddings for {example.id!r} have {H.shape[0]} rows, "
+                f"but the example has {len(example.token_ids)} tokens"
             )
     else:
         if params.encoder is None:
@@ -141,30 +148,28 @@ def model_forward(params: ModelParams, example: TokenizedExample,
 
     C, D = example.cue_positions, example.contrast_positions
     _check_positions(H.shape[0], C, D)
-    outputs = run_all_experts(params.bank, H, C, D, params.active_mask)
+    vectors = run_all_experts(params.bank, H, C, D, params.active_experts)
 
     if params.head == "moe":
         g = gate_forward(params.gate, h_cls)
-        fused = fuse(g, outputs.vectors)
-    elif params.head == "stacked":
-        g = uniform_gate(len(outputs.vectors))
-        fused = np.sum(outputs.vectors, axis=0)
-    else:  # fusion
-        g = uniform_gate(len(outputs.vectors))
-        fused = affine(params.fusion_proj, np.concatenate(outputs.vectors))
+        fused = fuse(g, vectors)
+    else:  # stacked and fusion report a uniform placeholder gate
+        g = np.full(len(vectors), 1.0 / len(vectors))
+        if params.head == "stacked":
+            fused = np.sum(vectors, axis=0)
+        else:
+            fused = affine(params.fusion_proj, np.concatenate(vectors))
     logits, probs = classify(params.classifier, fused)
-    return ModelOutput(H=H, h_cls=h_cls, expert_names=outputs.names,
-                       expert_vectors=outputs.vectors, gate_weights=g,
+    return ModelOutput(H=H, h_cls=h_cls, expert_vectors=vectors, gate_weights=g,
                        fused=fused, logits=logits, probs=probs)
 
 
 def model_backward(params: ModelParams, example: TokenizedExample,
-                   out: ModelOutput, dlogits: np.ndarray,
-                   encoder_grad: bool = True) -> None:
+                   out: ModelOutput, dlogits: np.ndarray) -> None:
     """Accumulate gradients for dL/dlogits through the whole model.
 
-    Set ``encoder_grad=False`` when H came from a store or the encoder is
-    frozen; expert and head gradients still accumulate.
+    The encoder receives no gradient when it is frozen or absent
+    (precomputed embeddings); expert and head gradients still accumulate.
     """
     dfused = classify_backward(params.classifier, out.fused, dlogits)
 
@@ -179,13 +184,11 @@ def model_backward(params: ModelParams, example: TokenizedExample,
         dconcat = affine_backward(params.fusion_proj, concat, dfused)
         dvecs = list(dconcat.reshape(len(out.expert_vectors), params.d))
 
-    C, D = example.cue_positions, example.contrast_positions
-    dH = np.zeros_like(out.H)
-    for name, de in zip(out.expert_names, dvecs):
-        dH += expert_backward(params.bank, name, out.H, C, D, de)
+    dH = run_all_experts_backward(params.bank, out.H, example.cue_positions,
+                                  example.contrast_positions, params.active_experts, dvecs)
     dH[0] += dh_cls
 
-    if encoder_grad and params.encoder is not None and not params.freeze_encoder:
+    if params.encoder is not None and not params.freeze_encoder:
         encode_backward(params.encoder, example.token_ids, dH)
 
 

@@ -133,43 +133,39 @@ def softmax_rows_backward(S: np.ndarray, dS: np.ndarray) -> np.ndarray:
     return S * (dS - (S * dS).sum(axis=1, keepdims=True))
 
 
-def conv1d_valid(H: np.ndarray, kernel: np.ndarray, bias: float = 0.0) -> np.ndarray:
-    """Valid 1-d convolution of a (T, d) sequence with a (k, d) kernel.
+def conv1d_valid(H: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Valid 1-d convolution of a (T, d) sequence with an (n_f, k, d) kernel stack.
 
-    Output position t is ``bias + sum_j kernel[j] . H[t+j]``, evaluated only
-    where the kernel fits entirely inside the sequence, so the result has
-    length T - k + 1.  No padding.
+    Output row t, column f is ``bias[f] + sum_j kernels[f, j] . H[t+j]``,
+    evaluated only where the kernel fits entirely inside the sequence, so
+    the result has shape (T - k + 1, n_f).  No padding.
     """
-    H = np.asarray(H, dtype=np.float64)
-    kernel = np.asarray(kernel, dtype=np.float64)
-    if H.ndim != 2 or kernel.ndim != 2:
-        raise ValueError("conv1d_valid expects 2-d H and kernel")
-    if H.shape[1] != kernel.shape[1]:
-        raise ValueError(
-            f"feature dims differ: H has {H.shape[1]}, kernel has {kernel.shape[1]}"
-        )
-    T, k = H.shape[0], kernel.shape[0]
+    T, d = H.shape  # unpacking rejects arrays of the wrong rank
+    _, k, kernel_d = kernels.shape
+    if d != kernel_d:
+        raise ValueError(f"feature dims differ: H has {d}, kernels have {kernel_d}")
     if T < k:
         raise ValueError(f"sequence length {T} shorter than kernel size {k}")
     L = T - k + 1
-    out = np.full(L, float(bias))
+    out = np.tile(bias, (L, 1))
     for j in range(k):
-        out += H[j : j + L] @ kernel[j]
+        out += H[j : j + L] @ kernels[:, j, :].T
     return out
 
 
 def conv1d_valid_backward(
-    H: np.ndarray, kernel: np.ndarray, dout: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Gradients of conv1d_valid; returns (dH, dkernel, dbias)."""
-    T, k = H.shape[0], kernel.shape[0]
-    L = T - k + 1
+    H: np.ndarray, kernels: np.ndarray, dout: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of conv1d_valid for dL/dout of shape (L, n_f); returns
+    (dH, dkernels, dbias)."""
+    k = kernels.shape[1]
+    L = dout.shape[0]
     dH = np.zeros_like(H)
-    dkernel = np.zeros_like(kernel)
+    dkernels = np.empty_like(kernels)
     for j in range(k):
-        dkernel[j] = dout @ H[j : j + L]
-        dH[j : j + L] += np.outer(dout, kernel[j])
-    return dH, dkernel, float(dout.sum())
+        dkernels[:, j, :] = dout.T @ H[j : j + L]
+        dH[j : j + L] += dout @ kernels[:, j, :]
+    return dH, dkernels, dout.sum(axis=0)
 
 
 class GradCheckError(RuntimeError):

@@ -12,7 +12,8 @@ import numpy as np
 
 from .experts import EXPERT_NAMES
 from .metrics import MetricsReport, metrics_from_labels
-from .model import ENCODER_MODES, HEAD_KINDS, ModelParams, model_backward, model_forward
+from .model import (ENCODER_MODES, HEAD_KINDS, ModelParams, canonical_experts,
+                    model_backward, model_forward)
 from .text import N_CLASSES, TokenizedExample, Vocab, stratified_kfold
 
 logger = logging.getLogger(__name__)
@@ -73,13 +74,7 @@ class TrainConfig:
             raise ValueError(f"head must be one of {HEAD_KINDS}, got {self.head!r}")
         if self.encoder not in ENCODER_MODES:
             raise ValueError(f"encoder must be one of {ENCODER_MODES}, got {self.encoder!r}")
-        unknown = set(self.active_experts) - set(EXPERT_NAMES)
-        if unknown:
-            raise ValueError(f"unknown expert name(s): {sorted(unknown)}")
-        if not self.active_experts:
-            raise ValueError("active_experts must name at least one expert")
-        if self.head != "moe" and set(self.active_experts) != set(EXPERT_NAMES):
-            raise ValueError(f"the {self.head} head requires all six experts")
+        canonical_experts(self.head, self.active_experts)
         if self.warmup_steps < 0 or self.weight_decay < 0:
             raise ValueError("warmup_steps and weight_decay must be non-negative")
         if self.grad_clip is not None and self.grad_clip <= 0:
@@ -362,13 +357,6 @@ def ensemble_forward(ensemble: EnsembleModel, example: TokenizedExample, store=N
     e = np.exp(logits - m)
     probs = e / e.sum()
     return logits, probs, int(logits.argmax()), gate
-
-
-def ensemble_predict(ensemble: EnsembleModel, example: TokenizedExample, store=None
-                     ) -> tuple[np.ndarray, np.ndarray, int]:
-    """(logits, probs, class) of the F1-weighted logit average."""
-    logits, probs, cls, _ = ensemble_forward(ensemble, example, store)
-    return logits, probs, cls
 
 
 def evaluate_ensemble(ensemble: EnsembleModel, examples, store=None

@@ -30,7 +30,7 @@ from stancemoe.text import TokenizedExample, load_dataset, stratified_kfold
 from stancemoe.train import (
     EnsembleModel,
     TrainConfig,
-    ensemble_predict,
+    ensemble_forward,
     evaluate_model,
     fold_weights,
     head_loss_fn,
@@ -218,7 +218,7 @@ def test_criterion_6_kfold_and_ensemble_mechanics(corpus90):
     equal = EnsembleModel(folds=arts, weights=fold_weights([0.8, 0.8, 0.8]))
     for ex in examples[:10]:
         per_fold = np.array([predict_logits(a.params, [ex])[0] for a in arts])
-        logits, _, _ = ensemble_predict(equal, ex)
+        logits, _, _ = ensemble_forward(equal, ex)[:3]
         assert np.abs(logits - per_fold.mean(axis=0)).max() <= 1e-12
 
     w = fold_weights([0.9, 0.6, 0.3])

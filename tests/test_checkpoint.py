@@ -71,3 +71,13 @@ class TestFormatErrors:
         path.write_bytes(raw[: int(len(raw) * 0.7)])
         with pytest.raises(CheckpointFormatError, match="truncated"):
             load_checkpoint(path)
+
+    def test_unknown_format_version(self, trained, lexicon, tmp_path):
+        examples, vocab, cfg, ensemble = trained
+        path = tmp_path / "model.smck"
+        save_checkpoint(path, ensemble, cfg, vocab, lexicon)
+        raw = path.read_bytes()
+        assert raw.count(b'"format": 1') == 1
+        path.write_bytes(raw.replace(b'"format": 1', b'"format": 7'))
+        with pytest.raises(CheckpointFormatError, match="format 7"):
+            load_checkpoint(path)

@@ -7,12 +7,18 @@ from stancemoe.encoder import (
     embed_sequence,
     encode,
     encode_backward,
-    load_precomputed,
     read_embedding_store,
     sinusoidal_positions,
     write_embedding_store,
 )
+from stancemoe.model import ModelParams, model_forward
 from stancemoe.ops import LinearParams, grad_check
+from stancemoe.train import predict_logits
+from conftest import toy_example
+
+
+def precomputed_model(d):
+    return ModelParams.init(8, d, 10, np.random.default_rng(0), encoder_mode="precomputed")
 
 
 def zero_encoder(vocab_size=8, d=4, max_len=10):
@@ -128,15 +134,20 @@ class TestEmbeddingStore:
         records = self.roundtrip_data(rng)
         path = tmp_path / "emb.smeb"
         write_embedding_store(path, records)
-        out = load_precomputed(path, "ex2")
+        store, d = read_embedding_store(path)
+        H = store["ex2"]
+        example = toy_example(range(H.shape[0]), example_id="ex2")
+        out = model_forward(precomputed_model(d), example, H_override=H)
         np.testing.assert_array_equal(out.H, records[2][1])
         np.testing.assert_array_equal(out.h_cls, records[2][1][0])
 
     def test_missing_id_is_lookup_error(self, tmp_path):
         path = tmp_path / "emb.smeb"
         write_embedding_store(path, [("only", np.zeros((2, 3), np.float32))])
+        store, d = read_embedding_store(path)
         with pytest.raises(KeyError, match="nope"):
-            load_precomputed(path, "nope")
+            predict_logits(precomputed_model(d), [toy_example([1, 2], example_id="nope")],
+                           store)
 
     def test_truncated_file_is_format_error(self, tmp_path):
         path = tmp_path / "emb.smeb"

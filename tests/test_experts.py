@@ -8,16 +8,17 @@ from stancemoe.experts import (
     ExpertBank,
     attention_weights,
     cnn_features,
-    expert_backward,
     expert_cnn,
     expert_contrast,
     expert_cue,
     expert_max,
+    expert_max_backward,
     expert_mean,
     expert_selfattn,
-    mask_from_names,
     run_all_experts,
+    run_all_experts_backward,
 )
+from stancemoe.model import ModelParams
 from stancemoe.ops import grad_check
 
 
@@ -81,7 +82,7 @@ class TestMaxExpert:
         bank = make_bank(d=1)
         identity_proj(bank, "max")
         H = np.array([[2.0], [2.0], [1.0]])
-        dH = expert_backward(bank, "max", H, frozenset(), frozenset(), np.array([1.0]))
+        dH = expert_max_backward(bank, H, np.array([1.0]))
         np.testing.assert_array_equal(dH, [[1.0], [0.0], [0.0]])
 
     def test_monotonicity_of_pooled_entries(self):
@@ -100,7 +101,7 @@ class TestSelfAttentionExpert:
         bank = make_bank(d=3, seed=4)
         bank.attn_vector[:] = 0.0
         H = np.random.default_rng(4).normal(size=(5, 3))
-        alpha = attention_weights(bank, H)
+        alpha, _ = attention_weights(bank, H)
         np.testing.assert_allclose(alpha, np.full(5, 0.2), atol=1e-15)
         p = bank.proj["self_attention"]
         np.testing.assert_allclose(
@@ -120,7 +121,7 @@ class TestSelfAttentionExpert:
         identity_proj(bank, "self_attention")
         bank.attn_vector[:] = 1.0
         H = np.array([[0.0], [1.0]])
-        alpha = attention_weights(bank, H)
+        alpha, _ = attention_weights(bank, H)
         np.testing.assert_allclose(
             alpha, [0.3183002578054738, 0.6816997421945262], atol=1e-12
         )
@@ -131,7 +132,7 @@ class TestSelfAttentionExpert:
         rng = np.random.default_rng(7)
         bank = make_bank(d=4, seed=7)
         for _ in range(100):
-            alpha = attention_weights(bank, rng.normal(size=(rng.integers(1, 9), 4)))
+            alpha, _ = attention_weights(bank, rng.normal(size=(rng.integers(1, 9), 4)))
             assert np.all(alpha >= 0.0)
             assert abs(alpha.sum() - 1.0) <= 1e-12
 
@@ -154,14 +155,14 @@ class TestCnnExpert:
         bank.kernels[2][:] = 1.0
         c = np.array([0.5, 1.0, -0.25])
         H = np.tile(c, (5, 1))
-        feats = cnn_features(bank, H)
+        feats, _ = cnn_features(bank, H)
         expected = max(2.0 * c.sum(), 0.0)
         np.testing.assert_allclose(feats, [expected, 0.0, 0.0, 0.0], atol=1e-12)
 
     def test_short_sequence_zero_blocks(self):
         bank = make_bank(d=2, n_filters=2, seed=10)
         H = np.random.default_rng(10).normal(size=(3, 2))
-        feats = cnn_features(bank, H)
+        feats, _ = cnn_features(bank, H)
         assert feats.shape == (8,)
         # k=4 and k=5 blocks must be exactly zero for T=3
         np.testing.assert_array_equal(feats[4:], np.zeros(4))
@@ -244,39 +245,55 @@ class TestPermutationInvariance:
             np.testing.assert_allclose(fn(bank, H), fn(bank, H[perm]), atol=1e-12)
 
 
+def direct_outputs(bank, H, C, D, names=EXPERT_NAMES):
+    """Each named expert called directly, in the order given."""
+    fwd = {
+        "mean": lambda: expert_mean(bank, H),
+        "max": lambda: expert_max(bank, H),
+        "self_attention": lambda: expert_selfattn(bank, H),
+        "cnn": lambda: expert_cnn(bank, H),
+        "cue": lambda: expert_cue(bank, H, C),
+        "contrast": lambda: expert_contrast(bank, H, D),
+    }
+    return [fwd[name]() for name in names]
+
+
 class TestRunAllExperts:
     def test_all_flags_on(self):
         bank = make_bank(d=3, seed=20)
         H = np.random.default_rng(20).normal(size=(4, 3))
-        out = run_all_experts(bank, H, {1}, {2})
-        assert out.names == EXPERT_NAMES
-        assert len(out.vectors) == 6
-        assert all(np.all(np.isfinite(v)) for v in out.vectors)
+        vectors = run_all_experts(bank, H, {1}, {2})
+        for got, want in zip(vectors, direct_outputs(bank, H, {1}, {2}), strict=True):
+            np.testing.assert_array_equal(got, want)
+        assert len(vectors) == 6
+        assert all(np.all(np.isfinite(v)) for v in vectors)
 
     def test_single_expert(self):
         bank = make_bank(d=3, seed=21)
         H = np.random.default_rng(21).normal(size=(4, 3))
-        out = run_all_experts(bank, H, set(), set(), mask_from_names(["mean"]))
-        assert out.names == ("mean",)
-        np.testing.assert_array_equal(out.vectors[0], expert_mean(bank, H))
+        vectors = run_all_experts(bank, H, set(), set(), ("mean",))
+        assert len(vectors) == 1
+        np.testing.assert_array_equal(vectors[0], expert_mean(bank, H))
 
     def test_without_self_attention(self):
         bank = make_bank(d=3, seed=22)
         H = np.random.default_rng(22).normal(size=(4, 3))
-        active = mask_from_names([n for n in EXPERT_NAMES if n != "self_attention"])
-        out = run_all_experts(bank, H, {1}, {2}, active)
-        assert len(out.vectors) == 5
-        assert "self_attention" not in out.names
-        assert out.names == tuple(n for n in EXPERT_NAMES if n != "self_attention")
+        names = tuple(n for n in EXPERT_NAMES if n != "self_attention")
+        # an unordered request still comes back in canonical order
+        vectors = run_all_experts(bank, H, {1}, {2}, set(names))
+        assert len(vectors) == 5
+        for got, want in zip(vectors, direct_outputs(bank, H, {1}, {2}, names), strict=True):
+            np.testing.assert_array_equal(got, want)
 
     def test_all_flags_off_rejected(self):
         bank = make_bank()
         with pytest.raises(ValueError):
-            run_all_experts(bank, np.zeros((2, 4)), set(), set(), (False,) * 6)
+            run_all_experts(bank, np.zeros((2, 4)), set(), set(), ())
 
     def test_unknown_expert_name_rejected(self):
-        with pytest.raises(ValueError):
-            mask_from_names(["mean", "pooler9000"])
+        with pytest.raises(ValueError, match="pooler9000"):
+            ModelParams.init(20, 4, 8, np.random.default_rng(0),
+                             active_experts=("mean", "pooler9000"))
 
 
 class TestExpertGradients:
@@ -287,19 +304,11 @@ class TestExpertGradients:
         H = rng.normal(size=(5, 4))
         gH = np.zeros_like(H)
         C, D = frozenset({1, 3}), frozenset({2, 4})
-        fwd = {
-            "mean": lambda: expert_mean(bank, H),
-            "max": lambda: expert_max(bank, H),
-            "self_attention": lambda: expert_selfattn(bank, H),
-            "cnn": lambda: expert_cnn(bank, H),
-            "cue": lambda: expert_cue(bank, H, C),
-            "contrast": lambda: expert_contrast(bank, H, D),
-        }[name]
 
         def f():
             bank.zero_grads()
-            e = fwd()
-            gH[:] = expert_backward(bank, name, H, C, D, e)
+            (e,) = direct_outputs(bank, H, C, D, (name,))
+            gH[:] = run_all_experts_backward(bank, H, C, D, (name,), [e])
             return 0.5 * float(e @ e)
 
         params = [("H", H, gH)] + list(bank.named_params())

@@ -3,17 +3,10 @@ import pytest
 
 import straightline as sl
 from stancemoe.experts import EXPERT_NAMES, ExpertBank, run_all_experts
-from stancemoe.head import (
-    classify,
-    fuse,
-    fusion_forward,
-    gate_forward,
-    stacked_forward,
-    uniform_gate,
-)
+from stancemoe.head import classify, fuse, gate_forward
 from stancemoe.model import ModelParams, model_forward
 from stancemoe.ops import LinearParams
-from conftest import random_example
+from conftest import random_example, toy_example
 
 
 def lin(weight, bias):
@@ -26,6 +19,17 @@ def make_parts(d=4, n_filters=2, seed=0, n_experts=6):
     gate = LinearParams.init(n_experts, d, rng)
     classifier = LinearParams.init(3, d, rng)
     return bank, gate, classifier
+
+
+def head_forward(head, bank, classifier, H, cue, contrast, fusion_proj=None):
+    """model_forward of a head over all six experts on a precomputed H."""
+    params = ModelParams(bank.d, EXPERT_NAMES, head, None, bank, None, fusion_proj,
+                         classifier)
+    example = toy_example(range(H.shape[0]), cue, contrast)
+    return model_forward(params, example, H_override=H)
+
+
+UNIFORM_GATE = np.full(6, 1.0 / 6)
 
 
 class TestGate:
@@ -115,13 +119,13 @@ class TestSelectorProperty:
     def test_one_hot_gate_equals_single_expert_prediction(self):
         bank, _, classifier = make_parts(seed=7)
         H = np.random.default_rng(7).normal(size=(5, 4))
-        outputs = run_all_experts(bank, H, {1}, {2})
+        vectors = run_all_experts(bank, H, {1}, {2})
         for j in range(6):
             g = np.zeros(6)
             g[j] = 1.0
-            fused = fuse(g, outputs.vectors)
+            fused = fuse(g, vectors)
             logits_moe, _ = classify(classifier, fused)
-            logits_single, _ = classify(classifier, outputs.vectors[j])
+            logits_single, _ = classify(classifier, vectors[j])
             np.testing.assert_array_equal(logits_moe, logits_single)
 
 
@@ -134,7 +138,7 @@ class TestStackedHead:
         bank.cnn_proj.bias[:] = 0.0
         classifier.bias[:] = 0.0
         H = np.random.default_rng(8).normal(size=(4, 4))
-        out = stacked_forward(bank, classifier, H, {1}, {2})
+        out = head_forward("stacked", bank, classifier, H, {1}, {2})
         np.testing.assert_allclose(out.probs, np.full(3, 1 / 3), atol=1e-15)
 
     def test_only_mean_nonzero(self):
@@ -145,18 +149,19 @@ class TestStackedHead:
                 bank.proj[name].bias[:] = 0.0
         bank.cnn_proj.bias[:] = 0.0
         H = np.random.default_rng(9).normal(size=(4, 4))
-        out = stacked_forward(bank, classifier, H, set(), set())
+        out = head_forward("stacked", bank, classifier, H, set(), set())
         np.testing.assert_allclose(
-            out.fused, run_all_experts(bank, H, set(), set()).by_name("mean"), atol=1e-12
+            out.fused, run_all_experts(bank, H, set(), set())[EXPERT_NAMES.index("mean")],
+            atol=1e-12,
         )
 
     def test_equals_unweighted_sum(self):
         bank, _, classifier = make_parts(seed=10)
         H = np.random.default_rng(10).normal(size=(6, 4))
-        outputs = run_all_experts(bank, H, {2}, {3})
-        out = stacked_forward(bank, classifier, H, {2}, {3})
-        np.testing.assert_allclose(out.fused, np.sum(outputs.vectors, axis=0), atol=1e-12)
-        np.testing.assert_allclose(out.gate_weights, uniform_gate(6), atol=1e-15)
+        vectors = run_all_experts(bank, H, {2}, {3})
+        out = head_forward("stacked", bank, classifier, H, {2}, {3})
+        np.testing.assert_allclose(out.fused, np.sum(vectors, axis=0), atol=1e-12)
+        np.testing.assert_allclose(out.gate_weights, UNIFORM_GATE, atol=1e-15)
 
 
 class TestFusionHead:
@@ -169,16 +174,15 @@ class TestFusionHead:
             bank.proj[name].bias[:] = 0.0
         bank.cnn_proj.bias[:] = 0.0
         H = rng.normal(size=(4, 4))
-        out = fusion_forward(bank, proj, classifier, H, set(), set())
+        out = head_forward("fusion", bank, classifier, H, set(), set(), proj)
         np.testing.assert_allclose(out.fused, proj.bias, atol=1e-15)
 
     def test_block_identity_projection_is_scaled_uniform_gate(self):
         bank, _, classifier = make_parts(seed=12)
         proj = lin(np.hstack([np.eye(4)] * 6), np.zeros(4))
         H = np.random.default_rng(12).normal(size=(5, 4))
-        out = fusion_forward(bank, proj, classifier, H, {1}, {2})
-        outputs = run_all_experts(bank, H, {1}, {2})
-        uniform_fused = fuse(uniform_gate(6), outputs.vectors)
+        out = head_forward("fusion", bank, classifier, H, {1}, {2}, proj)
+        uniform_fused = fuse(UNIFORM_GATE, run_all_experts(bank, H, {1}, {2}))
         np.testing.assert_allclose(out.fused, 6.0 * uniform_fused, atol=1e-12)
 
     def test_matches_straightline_concat_project(self):
@@ -186,8 +190,8 @@ class TestFusionHead:
         rng = np.random.default_rng(13)
         proj = LinearParams.init(4, 24, rng)
         H = rng.normal(size=(5, 4))
-        out = fusion_forward(bank, proj, classifier, H, {1}, {3})
-        concat = np.concatenate(run_all_experts(bank, H, {1}, {3}).vectors)
+        out = head_forward("fusion", bank, classifier, H, {1}, {3}, proj)
+        concat = np.concatenate(run_all_experts(bank, H, {1}, {3}))
         expected_fused = sl.sl_affine(proj.weight, proj.bias, concat)
         logits, probs = sl.sl_classify(classifier.weight, classifier.bias, expected_fused)
         np.testing.assert_allclose(out.fused, expected_fused, atol=1e-12)

@@ -122,43 +122,44 @@ class TestSoftmax:
 
 
 class TestConv1dValid:
+    # one filter (n_f = 1): kernel stacks are (1, k, d), outputs (L, 1)
     def test_all_ones_on_constants(self):
-        out = conv1d_valid(np.ones((3, 1)), np.ones((2, 1)), 0.0)
-        np.testing.assert_array_equal(out, [2.0, 2.0])
+        out = conv1d_valid(np.ones((3, 1)), np.ones((1, 2, 1)), np.zeros(1))
+        np.testing.assert_array_equal(out[:, 0], [2.0, 2.0])
 
     def test_bias_only(self):
         out = conv1d_valid(np.random.default_rng(0).normal(size=(5, 2)),
-                           np.zeros((2, 2)), 3.0)
-        np.testing.assert_array_equal(out, np.full(4, 3.0))
+                           np.zeros((1, 2, 2)), np.array([3.0]))
+        np.testing.assert_array_equal(out[:, 0], np.full(4, 3.0))
 
     def test_hand_dot_products(self):
         H = np.array([[1.0], [2.0], [3.0]])
-        kernel = np.array([[1.0], [-1.0]])
-        np.testing.assert_allclose(conv1d_valid(H, kernel, 0.0), [-1.0, -1.0])
+        kernel = np.array([[[1.0], [-1.0]]])
+        np.testing.assert_allclose(conv1d_valid(H, kernel, np.zeros(1))[:, 0], [-1.0, -1.0])
 
     def test_short_sequence_raises(self):
         with pytest.raises(ValueError):
-            conv1d_valid(np.ones((2, 3)), np.ones((4, 3)), 0.0)
+            conv1d_valid(np.ones((2, 3)), np.ones((1, 4, 3)), np.zeros(1))
         with pytest.raises(ValueError):
-            conv1d_valid(np.ones((4, 3)), np.ones((2, 2)), 0.0)
+            conv1d_valid(np.ones((4, 3)), np.ones((1, 2, 2)), np.zeros(1))
 
     def test_constant_sequence_yields_constant_output(self):
         rng = np.random.default_rng(6)
         row = rng.normal(size=4)
         H = np.tile(row, (7, 1))
-        out = conv1d_valid(H, rng.normal(size=(3, 4)), rng.normal())
+        out = conv1d_valid(H, rng.normal(size=(1, 3, 4)), np.array([rng.normal()]))
         assert np.ptp(out) <= 1e-12
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         H = rng.normal(size=(6, 3))
-        kernel = rng.normal(size=(2, 3))
+        kernel = rng.normal(size=(1, 2, 3))
         bias = np.array([0.3])
         gH, gk, gb = np.zeros_like(H), np.zeros_like(kernel), np.zeros(1)
-        weights = rng.normal(size=5)
+        weights = rng.normal(size=(5, 1))
 
         def f():
-            out = conv1d_valid(H, kernel, bias[0])
+            out = conv1d_valid(H, kernel, bias)
             dout = weights * out  # loss = 0.5 sum w_t out_t^2
             dh, dk, db = conv1d_valid_backward(H, kernel, dout)
             gH[:] = dh

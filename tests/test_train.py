@@ -8,7 +8,6 @@ from stancemoe.train import (
     NonFiniteGradientError,
     TrainConfig,
     ensemble_forward,
-    ensemble_predict,
     evaluate_model,
     fold_weights,
     label_smoothed_ce,
@@ -240,7 +239,7 @@ class TestRunKfoldAndEnsemble:
                          len(vocab), seed=1)
         ensemble = EnsembleModel(folds=[art], weights=np.array([1.0]))
         for ex in examples[60:65]:
-            logits, probs, cls = ensemble_predict(ensemble, ex)
+            logits, probs, cls = ensemble_forward(ensemble, ex)[:3]
             np.testing.assert_array_equal(logits, predict_logits(art.params, [ex])[0])
             assert cls == int(logits.argmax())
 
@@ -258,7 +257,7 @@ class TestRunKfoldAndEnsemble:
         for ex in examples[:5]:
             la = predict_logits(ensemble.folds[0].params, [ex])[0]
             lb = predict_logits(ensemble.folds[1].params, [ex])[0]
-            logits, _, _ = ensemble_predict(ensemble, ex)
+            logits, _, _ = ensemble_forward(ensemble, ex)[:3]
             np.testing.assert_allclose(logits, 0.8 * la + 0.2 * lb, atol=1e-12)
 
     def test_equal_weights_are_plain_mean(self, corpus90):
@@ -266,7 +265,7 @@ class TestRunKfoldAndEnsemble:
         for ex in examples[:5]:
             la = predict_logits(ensemble.folds[0].params, [ex])[0]
             lb = predict_logits(ensemble.folds[1].params, [ex])[0]
-            logits, _, _ = ensemble_predict(ensemble, ex)
+            logits, _, _ = ensemble_forward(ensemble, ex)[:3]
             np.testing.assert_allclose(logits, (la + lb) / 2.0, atol=1e-12)
 
     def test_ensemble_logits_inside_fold_envelope(self, corpus90):
@@ -274,7 +273,7 @@ class TestRunKfoldAndEnsemble:
         for ex in examples[:10]:
             la = predict_logits(ensemble.folds[0].params, [ex])[0]
             lb = predict_logits(ensemble.folds[1].params, [ex])[0]
-            logits, _, _ = ensemble_predict(ensemble, ex)
+            logits, _, _ = ensemble_forward(ensemble, ex)[:3]
             assert np.all(logits >= np.minimum(la, lb) - 1e-12)
             assert np.all(logits <= np.maximum(la, lb) + 1e-12)
 
@@ -284,7 +283,7 @@ class TestRunKfoldAndEnsemble:
             la = predict_logits(ensemble.folds[0].params, [ex])[0]
             lb = predict_logits(ensemble.folds[1].params, [ex])[0]
             if la.argmax() == lb.argmax():
-                _, _, cls = ensemble_predict(ensemble, ex)
+                _, _, cls = ensemble_forward(ensemble, ex)[:3]
                 assert cls == la.argmax()
 
 
@@ -314,6 +313,17 @@ class TestPrecomputedEmbeddings:
 
         with pytest.raises(ValueError, match="5.*12"):
             model_forward(params, examples[0], H_override=bad_H)
+
+    def test_row_count_mismatch_names_id_and_both_lengths(self, corpus90):
+        examples, vocab = corpus90
+        params = small_config(encoder="precomputed").build_model(
+            len(vocab), np.random.default_rng(0))
+        ex = examples[0]
+        T = len(ex.token_ids)
+        from stancemoe.model import model_forward
+
+        with pytest.raises(ValueError, match=rf"{ex.id}.*{T + 6} rows.*{T} tokens"):
+            model_forward(params, ex, H_override=np.zeros((T + 6, 12)))
 
     def test_missing_id_reported(self, corpus90):
         examples, vocab = corpus90
