@@ -70,32 +70,46 @@ def save_checkpoint(path, ensemble: EnsembleModel, config: TrainConfig,
 def _read_exact(fh, n: int, what: str) -> bytes:
     buf = fh.read(n)
     if len(buf) != n:
-        raise CheckpointFormatError(f"truncated checkpoint while reading {what}")
+        raise CheckpointFormatError(f"{fh.name}: truncated checkpoint while reading {what}")
     return buf
+
+
+def _read_utf8(fh, n: int, what: str) -> str:
+    try:
+        return _read_exact(fh, n, what).decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise CheckpointFormatError(f"{fh.name}: {what} is not valid UTF-8: {err}") from err
 
 
 def load_checkpoint(path) -> LoadedCheckpoint:
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
-            raise CheckpointFormatError(f"bad magic {magic!r}; not an SMCK1 checkpoint")
+            raise CheckpointFormatError(f"{path}: bad magic {magic!r}; not an SMCK1 checkpoint")
         (meta_len,) = struct.unpack("<I", _read_exact(fh, 4, "header"))
-        meta = json.loads(_read_exact(fh, meta_len, "metadata").decode("utf-8"))
+        meta_text = _read_utf8(fh, meta_len, "metadata")
+        try:
+            meta = json.loads(meta_text)
+        except json.JSONDecodeError as err:
+            raise CheckpointFormatError(f"{path}: metadata is not valid JSON: {err}") from err
         if meta.get("format") != CHECKPOINT_FORMAT:
             raise CheckpointFormatError(
-                f"unsupported checkpoint format {meta.get('format')!r}; "
+                f"{path}: unsupported checkpoint format {meta.get('format')!r}; "
                 f"expected {CHECKPOINT_FORMAT}"
             )
         (n_records,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
         tensors: dict[str, np.ndarray] = {}
         for _ in range(n_records):
             (key_len,) = struct.unpack("<H", _read_exact(fh, 2, "tensor key length"))
-            key = _read_exact(fh, key_len, "tensor key").decode("utf-8")
+            key = _read_utf8(fh, key_len, "tensor key")
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "tensor rank"))
             dims = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "tensor shape"))
             size = int(np.prod(dims)) if ndim else 1
             raw = _read_exact(fh, 8 * size, f"tensor {key!r} payload")
             tensors[key] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+        if fh.read(1):
+            raise CheckpointFormatError(
+                f"{path}: trailing bytes after the last of {n_records} tensors")
 
     config = TrainConfig.from_dict(meta["config"])
     vocab = Vocab(meta["vocab"])
@@ -110,18 +124,17 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         for name, value, _ in params.named_params():
             key = f"fold{j}/{name}"
             if key not in tensors:
-                raise CheckpointFormatError(f"checkpoint is missing tensor {key!r}")
+                raise CheckpointFormatError(f"{path}: checkpoint is missing tensor {key!r}")
             stored = tensors[key]
             if stored.shape != value.shape:
                 raise CheckpointFormatError(
-                    f"tensor {key!r} has shape {stored.shape}, expected {value.shape}"
+                    f"{path}: tensor {key!r} has shape {stored.shape}, expected {value.shape}"
                 )
             value[:] = stored
         report = MetricsReport.from_dict(metrics_dict)
-        folds.append(FoldArtifact(fold_index=j, params=params, val_metrics=report,
-                                  val_macro_f1=report.macro_f1))
+        folds.append(FoldArtifact(fold_index=j, params=params, val_metrics=report))
     if len(folds) != len(weights):
-        raise CheckpointFormatError("fold count and weight count disagree")
+        raise CheckpointFormatError(f"{path}: fold count and weight count disagree")
     ensemble = EnsembleModel(folds=folds, weights=weights)
     return LoadedCheckpoint(ensemble=ensemble, config=config, vocab=vocab,
                             lexicon=lexicon)

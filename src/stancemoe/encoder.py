@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import (
-    LinearParams,
-    affine_rows,
-    affine_rows_backward,
-    as_f64,
-    softmax_rows,
-    softmax_rows_backward,
-)
+from .ops import LinearParams, affine, affine_backward, as_f64, softmax, softmax_backward
 from .text import UNK_ID
 
 
@@ -106,11 +99,11 @@ def embed_sequence(params: ToyEncoderParams, token_ids) -> np.ndarray:
 
 
 def _attend(params: ToyEncoderParams, X: np.ndarray):
-    Q = affine_rows(params.query, X)
-    K = affine_rows(params.key, X)
-    V = affine_rows(params.value, X)
+    Q = affine(params.query, X)
+    K = affine(params.key, X)
+    V = affine(params.value, X)
     S = (Q @ K.T) / np.sqrt(params.d)
-    A = softmax_rows(S)
+    A = softmax(S)
     return Q, K, V, A
 
 
@@ -133,13 +126,13 @@ def encode_backward(params: ToyEncoderParams, token_ids, dH: np.ndarray) -> None
 
     dV = A.T @ dH
     dA = dH @ V.T
-    dS = softmax_rows_backward(A, dA)
+    dS = softmax_backward(A, dA)
     dQ = (dS @ K) * scale
     dK = (dS.T @ Q) * scale
 
-    dX = affine_rows_backward(params.query, X, dQ)
-    dX += affine_rows_backward(params.key, X, dK)
-    dX += affine_rows_backward(params.value, X, dV)
+    dX = affine_backward(params.query, X, dQ)
+    dX += affine_backward(params.key, X, dK)
+    dX += affine_backward(params.value, X, dV)
     np.add.at(params.grad_embedding, ids, dX)
 
 
@@ -190,8 +183,15 @@ def write_embedding_store(path, records) -> int:
 def _read_exact(fh, n: int, what: str) -> bytes:
     buf = fh.read(n)
     if len(buf) != n:
-        raise StoreFormatError(f"truncated embedding store while reading {what}")
+        raise StoreFormatError(f"{fh.name}: truncated embedding store while reading {what}")
     return buf
+
+
+def _read_utf8(fh, n: int, what: str) -> str:
+    try:
+        return _read_exact(fh, n, what).decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise StoreFormatError(f"{fh.name}: {what} is not valid UTF-8: {err}") from err
 
 
 def read_embedding_store(path) -> tuple[dict[str, np.ndarray], int]:
@@ -199,16 +199,18 @@ def read_embedding_store(path) -> tuple[dict[str, np.ndarray], int]:
     with open(path, "rb") as fh:
         magic = fh.read(len(STORE_MAGIC))
         if magic != STORE_MAGIC:
-            raise StoreFormatError(f"bad magic {magic!r}; not an SMEB1 embedding store")
+            raise StoreFormatError(f"{path}: bad magic {magic!r}; not an SMEB1 embedding store")
         d, count = struct.unpack("<II", _read_exact(fh, 8, "header"))
         out: dict[str, np.ndarray] = {}
         for _ in range(count):
             (id_len,) = struct.unpack("<H", _read_exact(fh, 2, "record id length"))
-            example_id = _read_exact(fh, id_len, "record id").decode("utf-8")
+            example_id = _read_utf8(fh, id_len, "record id")
             (T,) = struct.unpack("<I", _read_exact(fh, 4, "record length"))
             raw = _read_exact(fh, 4 * T * d, f"record {example_id!r} payload")
             H32 = np.frombuffer(raw, dtype="<f4").reshape(T, d)
             if example_id in out:
-                raise StoreFormatError(f"duplicate record id {example_id!r}")
+                raise StoreFormatError(f"{path}: duplicate record id {example_id!r}")
             out[example_id] = H32.astype(np.float64)
+        if fh.read(1):
+            raise StoreFormatError(f"{path}: trailing bytes after the last of {count} records")
     return out, d

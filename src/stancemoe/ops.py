@@ -3,7 +3,9 @@
 Array conventions used throughout the package: matrices are C-contiguous
 float64 arrays of shape (rows, cols), vectors are float64 arrays of shape
 (dim,).  A token sequence of length T in a model of width d travels as a
-(T, d) matrix, one token representation per row.
+(T, d) matrix, one token representation per row.  The affine map and the
+softmax act on the last axis, so a vector, a (T, d) matrix and a (B, T, d)
+stack all go through the same function.
 
 Every differentiable operation comes as a forward / ``*_backward`` pair.
 Backward passes are hand-derived, accumulate parameter gradients in place
@@ -21,10 +23,9 @@ __all__ = [
     "LinearParams",
     "affine",
     "affine_backward",
-    "affine_rows",
-    "affine_rows_backward",
     "softmax",
     "softmax_backward",
+    "log_softmax",
     "conv1d_valid",
     "conv1d_valid_backward",
     "grad_check",
@@ -79,58 +80,56 @@ class LinearParams:
 
 
 def affine(p: LinearParams, x: np.ndarray) -> np.ndarray:
-    """W x + b for a single input vector."""
-    if x.shape != (p.in_dim,):
-        raise ValueError(f"affine expects input of shape ({p.in_dim},), got {x.shape}")
-    return p.weight @ x + p.bias
+    """W x + b along the last axis: (..., in_dim) -> (..., out_dim).
+
+    A vector is one row; a (B, T, in_dim) stack maps every row at once.
+    """
+    if x.shape[-1:] != (p.in_dim,):
+        raise ValueError(f"affine expects input of shape (..., {p.in_dim}), got {x.shape}")
+    return x @ p.weight.T + p.bias
 
 
 def affine_backward(p: LinearParams, x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Accumulate dW += dy xᵀ, db += dy; return dx = Wᵀ dy."""
-    p.grad_weight += np.outer(dy, x)
-    p.grad_bias += dy
-    return p.weight.T @ dy
+    """Accumulate dW += dyᵀ x and db += dy, each summed over the leading
+    axes; return dx = dy W, shaped like x."""
+    if x.ndim == 1:
+        # the outer product is the cheapest weight gradient for one row
+        p.grad_weight += np.outer(dy, x)
+        p.grad_bias += dy
+    else:
+        dY = dy.reshape(-1, p.out_dim)
+        p.grad_weight += dY.T @ x.reshape(-1, p.in_dim)
+        p.grad_bias += dY.sum(axis=0)
+    return dy @ p.weight
 
 
-def affine_rows(p: LinearParams, X: np.ndarray) -> np.ndarray:
-    """Apply the affine map to each row of X: (T, in) -> (T, out)."""
-    if X.ndim != 2 or X.shape[1] != p.in_dim:
-        raise ValueError(f"affine_rows expects (T, {p.in_dim}), got {X.shape}")
-    return X @ p.weight.T + p.bias
-
-
-def affine_rows_backward(p: LinearParams, X: np.ndarray, dY: np.ndarray) -> np.ndarray:
-    """Row-stacked counterpart of :func:`affine_backward`; returns dX."""
-    p.grad_weight += dY.T @ X
-    p.grad_bias += dY.sum(axis=0)
-    return dY @ p.weight
+def _shifted(z: np.ndarray) -> np.ndarray:
+    """z minus its maximum over the last axis: the stable-softmax shift."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim == 0 or z.shape[-1] == 0:
+        raise ValueError(f"softmax expects a non-empty last axis, got shape {z.shape}")
+    return z - z.max(axis=-1, keepdims=True)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax of a vector (max-subtracted)."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1 or z.size == 0:
-        raise ValueError(f"softmax expects a non-empty vector, got shape {z.shape}")
-    e = np.exp(z - z.max())
-    return e / e.sum()
-
-
-def softmax_rows(Z: np.ndarray) -> np.ndarray:
-    """Stable softmax applied independently to each row of a matrix."""
-    if Z.ndim != 2 or Z.shape[1] == 0:
-        raise ValueError(f"softmax_rows expects a (T, n) matrix, got shape {Z.shape}")
-    E = np.exp(Z - Z.max(axis=1, keepdims=True))
-    return E / E.sum(axis=1, keepdims=True)
+    """Numerically stable (max-subtracted) softmax over the last axis."""
+    e = np.exp(_shifted(z))
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def softmax_backward(s: np.ndarray, ds: np.ndarray) -> np.ndarray:
-    """Given s = softmax(z) and ds = dL/ds, return dL/dz = s * (ds - s.ds)."""
-    return s * (ds - float(s @ ds))
+    """Given s = softmax(z) and ds = dL/ds, return dL/dz = s * (ds - s.ds),
+    the dot product taken over the last axis."""
+    return s * (ds - (s * ds).sum(axis=-1, keepdims=True))
 
 
-def softmax_rows_backward(S: np.ndarray, dS: np.ndarray) -> np.ndarray:
-    """Row-wise counterpart of :func:`softmax_backward`."""
-    return S * (dS - (S * dS).sum(axis=1, keepdims=True))
+def log_softmax(z: np.ndarray) -> np.ndarray:
+    """log(softmax(z)) over the last axis, computed as z - logsumexp(z) so
+    exact zeros in the softmax never reach a log."""
+    shifted = _shifted(z)
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
 
 
 def conv1d_valid(H: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from .experts import EXPERT_NAMES
 from .metrics import MetricsReport, metrics_from_labels
 from .model import (ENCODER_MODES, HEAD_KINDS, ModelParams, canonical_experts,
                     model_backward, model_forward)
+from .ops import log_softmax, softmax
 from .text import N_CLASSES, TokenizedExample, Vocab, stratified_kfold
 
 logger = logging.getLogger(__name__)
@@ -120,23 +121,17 @@ def smoothed_targets(gold: int, alpha: float, n_classes: int = N_CLASSES) -> np.
 
 def label_smoothed_ce(logits: np.ndarray, gold: int, alpha: float) -> float:
     """Cross entropy against the smoothed target, computed in logit space
-    via log-sum-exp so exact zeros in the softmax never reach a log."""
-    z = np.asarray(logits, dtype=np.float64)
-    m = z.max()
-    log_probs = z - (m + np.log(np.exp(z - m).sum()))
-    return float(-(smoothed_targets(gold, alpha, z.size) @ log_probs))
+    (log-softmax) so exact zeros in the softmax never reach a log."""
+    log_probs = log_softmax(logits)
+    return float(-(smoothed_targets(gold, alpha, log_probs.size) @ log_probs))
 
 
 def label_smoothed_ce_grad(logits: np.ndarray, gold: int, alpha: float
                            ) -> tuple[float, np.ndarray]:
     """Loss and its gradient w.r.t. the logits (softmax(z) - smoothed target)."""
-    z = np.asarray(logits, dtype=np.float64)
-    m = z.max()
-    e = np.exp(z - m)
-    probs = e / e.sum()
-    y = smoothed_targets(gold, alpha, z.size)
-    log_probs = z - (m + np.log(e.sum()))
-    return float(-(y @ log_probs)), probs - y
+    log_probs = log_softmax(logits)
+    y = smoothed_targets(gold, alpha, log_probs.size)
+    return float(-(y @ log_probs)), softmax(logits) - y
 
 
 # --- optimizer -------------------------------------------------------------
@@ -202,8 +197,11 @@ class FoldArtifact:
     fold_index: int
     params: ModelParams
     val_metrics: MetricsReport
-    val_macro_f1: float
     epoch_losses: list[float] = field(default_factory=list)
+
+    @property
+    def val_macro_f1(self) -> float:
+        return self.val_metrics.macro_f1
 
 
 @dataclass
@@ -249,7 +247,8 @@ def train_fold(config: TrainConfig, train_examples, val_examples, vocab_size: in
 
     Mini-batches are drawn from a seeded shuffle each epoch; the last
     partial batch is trained, not dropped.  Fully deterministic for a
-    fixed seed.
+    fixed seed.  A non-finite gradient raises NonFiniteGradientError naming
+    the fold, epoch, optimizer step and parameter.
     """
     if not train_examples or not val_examples:
         raise ValueError("train and validation splits must be non-empty")
@@ -264,7 +263,6 @@ def train_fold(config: TrainConfig, train_examples, val_examples, vocab_size: in
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            params.zero_grads()
             inv = 1.0 / len(batch)
             for i in batch:
                 ex = train_examples[i]
@@ -278,7 +276,11 @@ def train_fold(config: TrainConfig, train_examples, val_examples, vocab_size: in
                 clip_gradients(params.trainable_params(), config.grad_clip)
             step += 1
             scale = min(1.0, step / config.warmup_steps) if config.warmup_steps else 1.0
-            adam.step(lr_scale=scale)
+            try:
+                adam.step(lr_scale=scale)  # also zeroes the gradients for the next batch
+            except NonFiniteGradientError as err:
+                raise NonFiniteGradientError(
+                    f"fold {fold_index}, epoch {epoch}, step {step}: {err}") from err
         epoch_losses.append(epoch_loss)
         logger.debug("fold %d epoch %d: mean loss %.4f", fold_index, epoch, epoch_loss)
 
@@ -289,8 +291,7 @@ def train_fold(config: TrainConfig, train_examples, val_examples, vocab_size: in
                        fold_index, N_CLASSES - len(val_labels))
     val_metrics = evaluate_model(params, val_examples, store)
     return FoldArtifact(fold_index=fold_index, params=params,
-                        val_metrics=val_metrics, val_macro_f1=val_metrics.macro_f1,
-                        epoch_losses=epoch_losses)
+                        val_metrics=val_metrics, epoch_losses=epoch_losses)
 
 
 def fold_weights(f1s) -> np.ndarray:
@@ -306,9 +307,8 @@ def fold_weights(f1s) -> np.ndarray:
 
 
 def _fold_job(args):
-    config_dict, train_ex, val_ex, vocab_size, seed, store, j = args
-    cfg = TrainConfig.from_dict(config_dict)
-    return train_fold(cfg, train_ex, val_ex, vocab_size, seed, store, fold_index=j)
+    config, train_ex, val_ex, vocab_size, seed, store, j = args
+    return train_fold(config, train_ex, val_ex, vocab_size, seed, store, fold_index=j)
 
 
 def run_kfold(config: TrainConfig, examples, vocab: Vocab, store=None,
@@ -318,7 +318,7 @@ def run_kfold(config: TrainConfig, examples, vocab: Vocab, store=None,
     specs = []
     for j, (train_idx, val_idx) in enumerate(splits):
         specs.append((
-            config.to_dict(),
+            config,
             [examples[i] for i in train_idx],
             [examples[i] for i in val_idx],
             len(vocab),
@@ -353,10 +353,7 @@ def ensemble_forward(ensemble: EnsembleModel, example: TokenizedExample, store=N
         out = model_forward(art.params, example, H)
         logits += w * out.logits
         gate = w * out.gate_weights if gate is None else gate + w * out.gate_weights
-    m = logits.max()
-    e = np.exp(logits - m)
-    probs = e / e.sum()
-    return logits, probs, int(logits.argmax()), gate
+    return logits, softmax(logits), int(logits.argmax()), gate
 
 
 def evaluate_ensemble(ensemble: EnsembleModel, examples, store=None

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,18 @@ class TestRoundtrip:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def _set_byte(raw: bytes, offset: int) -> bytes:
+    """Overwrite one byte with 0xff, which is never valid UTF-8."""
+    return raw[:offset] + b"\xff" + raw[offset + 1:]
+
+
+def _first_key_offset(raw: bytes) -> int:
+    """Offset of the first tensor key byte: magic (6), u32 metadata length,
+    the metadata, u32 tensor count, u16 key length."""
+    (meta_len,) = struct.unpack("<I", raw[6:10])
+    return 10 + meta_len + 4 + 2
+
+
 class TestFormatErrors:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.smck"
@@ -63,14 +77,20 @@ class TestFormatErrors:
         with pytest.raises(CheckpointFormatError, match="magic"):
             load_checkpoint(path)
 
-    def test_truncation(self, trained, lexicon, tmp_path):
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda raw: raw[: int(len(raw) * 0.7)], "truncated"),
+        (lambda raw: raw + b"\x00\x01\x02", "trailing bytes"),
+        (lambda raw: _set_byte(raw, 10), "metadata is not valid UTF-8"),  # first metadata byte
+        (lambda raw: _set_byte(raw, _first_key_offset(raw)), "tensor key is not valid UTF-8"),
+    ], ids=["truncated", "trailing-bytes", "metadata-not-utf8", "key-not-utf8"])
+    def test_corrupt_file(self, trained, lexicon, tmp_path, corrupt, message):
         examples, vocab, cfg, ensemble = trained
         path = tmp_path / "model.smck"
         save_checkpoint(path, ensemble, cfg, vocab, lexicon)
-        raw = path.read_bytes()
-        path.write_bytes(raw[: int(len(raw) * 0.7)])
-        with pytest.raises(CheckpointFormatError, match="truncated"):
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(CheckpointFormatError, match=message) as excinfo:
             load_checkpoint(path)
+        assert str(path) in str(excinfo.value)
 
     def test_unknown_format_version(self, trained, lexicon, tmp_path):
         examples, vocab, cfg, ensemble = trained

@@ -149,13 +149,19 @@ class TestEmbeddingStore:
             predict_logits(precomputed_model(d), [toy_example([1, 2], example_id="nope")],
                            store)
 
-    def test_truncated_file_is_format_error(self, tmp_path):
+    # the id byte of record "a" follows the 6-byte magic, 8-byte header and u16 id length
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda raw: raw[: len(raw) - 7], "truncated"),
+        (lambda raw: raw + b"\x00\x01", "trailing bytes"),
+        (lambda raw: raw[:16] + b"\xff" + raw[17:], "record id is not valid UTF-8"),
+    ], ids=["truncated", "trailing-bytes", "id-not-utf8"])
+    def test_corrupt_file_is_format_error(self, tmp_path, corrupt, message):
         path = tmp_path / "emb.smeb"
         write_embedding_store(path, [("a", np.ones((4, 3), np.float32))])
-        raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) - 7])
-        with pytest.raises(StoreFormatError, match="truncated"):
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(StoreFormatError, match=message) as excinfo:
             read_embedding_store(path)
+        assert str(path) in str(excinfo.value)
 
     def test_bad_magic_is_format_error(self, tmp_path):
         path = tmp_path / "emb.smeb"

@@ -9,9 +9,13 @@ from stancemoe.ops import (
     conv1d_valid,
     conv1d_valid_backward,
     grad_check,
+    log_softmax,
     softmax,
     softmax_backward,
 )
+
+# leading shapes for the last-axis ops: one vector, a (T, n) matrix, a (B, T, n) stack
+LEADING = pytest.mark.parametrize("lead", [(), (5,), (2, 3)], ids=["vector", "rows", "stack"])
 
 
 def lin(weight, bias):
@@ -45,11 +49,12 @@ class TestAffine:
             affine(p, a * x + b * y), a * affine(p, x) + b * affine(p, y), atol=1e-12
         )
 
-    def test_backward_matches_finite_differences(self):
+    @LEADING
+    def test_backward_matches_finite_differences(self, lead):
         rng = np.random.default_rng(1)
         p = LinearParams.init(3, 4, rng)
-        x = rng.normal(size=4)
-        target = rng.normal(size=3)
+        x = rng.normal(size=lead + (4,))
+        target = rng.normal(size=lead + (3,))
 
         def f():
             p.zero_grads()
@@ -89,6 +94,15 @@ class TestSoftmax:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             softmax(np.array([]))
+        with pytest.raises(ValueError):
+            log_softmax(np.zeros((3, 0)))
+
+    def test_log_softmax_is_log_of_softmax_and_finite_where_it_underflows(self):
+        rng = np.random.default_rng(8)
+        z = rng.normal(size=(4, 6))
+        np.testing.assert_allclose(log_softmax(z), np.log(softmax(z)), atol=1e-12)
+        extreme = np.array([0.0, -1e3, 1e3])
+        np.testing.assert_allclose(log_softmax(extreme), [-1e3, -2e3, 0.0], atol=1e-12)
 
     def test_simplex_up_to_magnitude_1e3(self):
         rng = np.random.default_rng(3)
@@ -106,11 +120,12 @@ class TestSoftmax:
             c = rng.uniform(-50, 50)
             np.testing.assert_allclose(softmax(z + c), softmax(z), atol=1e-12)
 
-    def test_backward_matches_finite_differences(self):
+    @LEADING
+    def test_backward_matches_finite_differences(self, lead):
         rng = np.random.default_rng(5)
-        z = rng.normal(size=5)
+        z = rng.normal(size=lead + (5,))
         gz = np.zeros_like(z)
-        target = rng.normal(size=5)
+        target = rng.normal(size=lead + (5,))
 
         def f():
             s = softmax(z)
@@ -119,6 +134,41 @@ class TestSoftmax:
 
         rep = grad_check(f, [("z", z, gz)])
         assert rep.max_rel_err < 1e-6
+
+
+class TestBatchedMatchesRows:
+    """A (B, T, n) call of each last-axis op equals its calls on every row."""
+
+    def test_affine_forward_and_backward(self):
+        rng = np.random.default_rng(9)
+        batched = LinearParams.init(3, 4, rng)
+        rows = LinearParams(batched.weight, batched.bias)
+        X = rng.normal(size=(2, 5, 4))
+        dY = rng.normal(size=(2, 5, 3))
+        Y = affine(batched, X)
+        dX = affine_backward(batched, X, dY)
+        assert Y.shape == dY.shape and dX.shape == X.shape
+        for b in range(2):
+            for t in range(5):
+                np.testing.assert_allclose(Y[b, t], affine(rows, X[b, t]), atol=1e-12)
+                np.testing.assert_allclose(dX[b, t], affine_backward(rows, X[b, t], dY[b, t]),
+                                           atol=1e-12)
+        np.testing.assert_allclose(batched.grad_weight, rows.grad_weight, atol=1e-12)
+        np.testing.assert_allclose(batched.grad_bias, rows.grad_bias, atol=1e-12)
+
+    def test_softmax_family(self):
+        rng = np.random.default_rng(10)
+        Z = rng.normal(size=(2, 5, 6))
+        dS = rng.normal(size=(2, 5, 6))
+        S = softmax(Z)
+        dZ = softmax_backward(S, dS)
+        L = log_softmax(Z)
+        for b in range(2):
+            for t in range(5):
+                s = softmax(Z[b, t])
+                np.testing.assert_allclose(S[b, t], s, atol=1e-12)
+                np.testing.assert_allclose(dZ[b, t], softmax_backward(s, dS[b, t]), atol=1e-12)
+                np.testing.assert_allclose(L[b, t], log_softmax(Z[b, t]), atol=1e-12)
 
 
 class TestConv1dValid:

@@ -233,6 +233,20 @@ class TestRunKfoldAndEnsemble:
         for art in ensemble.folds:
             assert art.val_metrics.confusion.sum() == 9
 
+    def test_parallel_folds_match_serial_bitwise(self, corpus90):
+        examples, vocab = corpus90
+        cfg = small_config(k=3, epochs=1, hidden_dim=8)
+        serial = run_kfold(cfg, examples[:30], vocab, jobs=1)
+        parallel = run_kfold(cfg, examples[:30], vocab, jobs=2)
+        np.testing.assert_array_equal(parallel.weights, serial.weights)
+        for a, b in zip(serial.folds, parallel.folds, strict=True):
+            assert a.epoch_losses == b.epoch_losses
+            for (name_a, val_a, _), (name_b, val_b, _) in zip(
+                a.params.named_params(), b.params.named_params(), strict=True
+            ):
+                assert name_a == name_b
+                np.testing.assert_array_equal(val_a, val_b)
+
     def test_single_fold_ensemble_is_exact(self, corpus90):
         examples, vocab = corpus90
         art = train_fold(small_config(epochs=1), examples[:60], examples[60:],
@@ -303,6 +317,19 @@ class TestPrecomputedEmbeddings:
         assert logits.shape == (3,)
         assert abs(probs.sum() - 1.0) <= 1e-9
         assert gate.shape == (6,)
+
+    def test_nan_record_names_fold_epoch_step_and_parameter(self, corpus90):
+        examples, vocab = corpus90
+        rng = np.random.default_rng(21)
+        store = {ex.id: rng.normal(size=(len(ex.token_ids), 12)) for ex in examples}
+        store[examples[0].id][1, 3] = np.nan
+        cfg = small_config(encoder="precomputed", epochs=1)
+        with pytest.raises(NonFiniteGradientError,
+                           match=r"^fold 2, epoch 0, step \d+: non-finite gradient in \S+/"
+                           ) as excinfo:
+            train_fold(cfg, examples[:60], examples[60:], len(vocab), seed=1, store=store,
+                       fold_index=2)
+        assert isinstance(excinfo.value.__cause__, NonFiniteGradientError)
 
     def test_width_mismatch_has_both_dims_in_message(self, corpus90):
         examples, vocab = corpus90
