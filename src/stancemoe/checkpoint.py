@@ -23,6 +23,8 @@ from .train import EnsembleModel, FoldArtifact, TrainConfig
 
 CHECKPOINT_MAGIC = b"SMCK1\0"
 CHECKPOINT_FORMAT = 1  # the metadata "format" value this module writes and reads
+METADATA_KEYS = ("config", "vocab", "cue_tokens", "contrast_tokens", "weights",
+                 "fold_val_metrics")  # read by load_checkpoint, besides "format"
 
 
 class CheckpointFormatError(ValueError):
@@ -92,11 +94,17 @@ def load_checkpoint(path) -> LoadedCheckpoint:
             meta = json.loads(meta_text)
         except json.JSONDecodeError as err:
             raise CheckpointFormatError(f"{path}: metadata is not valid JSON: {err}") from err
+        if not isinstance(meta, dict):
+            raise CheckpointFormatError(
+                f"{path}: metadata is a JSON {type(meta).__name__}, not an object")
         if meta.get("format") != CHECKPOINT_FORMAT:
             raise CheckpointFormatError(
                 f"{path}: unsupported checkpoint format {meta.get('format')!r}; "
                 f"expected {CHECKPOINT_FORMAT}"
             )
+        missing = [key for key in METADATA_KEYS if key not in meta]
+        if missing:
+            raise CheckpointFormatError(f"{path}: metadata is missing key(s) {missing}")
         (n_records,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
         tensors: dict[str, np.ndarray] = {}
         for _ in range(n_records):

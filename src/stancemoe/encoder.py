@@ -3,8 +3,10 @@
 The trainable toy encoder maps token ids to (embedding + fixed sinusoidal
 position) vectors and mixes them with a single scaled dot-product
 self-attention layer, producing a (T, d) matrix H whose row 0 is the
-sequence-level CLS representation.  The SMEB1 store lets externally
-produced embeddings drive the classification head instead.
+sequence-level CLS representation.  A Padded stack of id sequences is
+encoded in one pass, with padded keys masked out of the attention.  The
+SMEB1 store lets externally produced embeddings drive the classification
+head instead.
 """
 
 from __future__ import annotations
@@ -14,14 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import LinearParams, affine, affine_backward, as_f64, softmax, softmax_backward
+from .ops import (LinearParams, Padded, affine, affine_backward, as_f64, softmax,
+                  softmax_backward)
 from .text import UNK_ID
 
 
 @dataclass
 class EncoderOutput:
-    H: np.ndarray  # (T, d) contextualized token representations
-    h_cls: np.ndarray  # (d,) row 0 of H
+    H: np.ndarray | Padded  # (T, d) rows of one sequence, or a Padded stack of them
+    h_cls: np.ndarray  # row 0 of each sequence: (d,), or (B, d) for a stack
 
 
 def sinusoidal_positions(max_len: int, d: int) -> np.ndarray:
@@ -82,58 +85,82 @@ class ToyEncoderParams:
             grad[:] = 0.0
 
 
+def _id_stack(token_ids) -> Padded:
+    """The ids as a Padded stack: one sequence of T ids is data (T,) with a
+    0-d length; a Padded (B, T) stack passes through."""
+    if isinstance(token_ids, Padded):
+        return token_ids
+    ids = np.asarray(token_ids, dtype=np.intp)
+    if ids.size == 0:
+        raise ValueError("cannot encode an empty sequence")
+    return Padded(ids, np.intp(ids.size))
+
+
 def _clip_ids(params: ToyEncoderParams, token_ids) -> np.ndarray:
     ids = np.asarray(token_ids, dtype=np.intp)
     return np.where((ids >= 0) & (ids < params.vocab_size), ids, UNK_ID)
 
 
 def embed_sequence(params: ToyEncoderParams, token_ids) -> np.ndarray:
-    """Pre-attention input rows: embedding lookup plus position row."""
-    ids = _clip_ids(params, token_ids)
-    T = len(ids)
+    """Pre-attention input rows: embedding lookup plus position row.
+
+    A sequence of T ids gives (T, d); a Padded id stack gives its shape
+    plus d, with zero rows on padding.  Out-of-vocabulary ids become UNK.
+    """
+    padded = isinstance(token_ids, Padded)
+    ids = _clip_ids(params, token_ids.data if padded else token_ids)
+    T = ids.shape[-1]
     if T > params.positions.shape[0]:
         raise ValueError(
             f"sequence length {T} exceeds position table size {params.positions.shape[0]}"
         )
-    return params.embedding[ids] + params.positions[:T]
+    X = params.embedding[ids] + params.positions[:T]
+    if padded and token_ids.ragged:
+        X *= token_ids.valid[..., None]
+    return X
 
 
-def _attend(params: ToyEncoderParams, X: np.ndarray):
+def _attend(params: ToyEncoderParams, X: np.ndarray, ids: Padded):
     Q = affine(params.query, X)
     K = affine(params.key, X)
     V = affine(params.value, X)
-    S = (Q @ K.T) / np.sqrt(params.d)
-    A = softmax(S)
+    S = (Q @ K.swapaxes(-1, -2)) / np.sqrt(params.d)
+    A = softmax(S + ids.fill[..., None, :] if ids.ragged else S)  # padded keys get no weight
     return Q, K, V, A
 
 
 def encode(params: ToyEncoderParams, token_ids) -> EncoderOutput:
-    """Contextualize a token-id sequence; out-of-vocabulary ids become UNK."""
-    if len(token_ids) == 0:
-        raise ValueError("cannot encode an empty sequence")
-    X = embed_sequence(params, token_ids)
-    _, _, V, A = _attend(params, X)
+    """Contextualize token ids: a sequence of T ids gives a (T, d) H; a
+    Padded (B, T) id stack gives a Padded (B, T, d) H, zero on padding."""
+    ids = _id_stack(token_ids)
+    X = embed_sequence(params, ids)
+    _, _, V, A = _attend(params, X, ids)
     H = A @ V
-    return EncoderOutput(H=H, h_cls=H[0])
+    if ids.ragged:
+        H *= ids.valid[..., None]
+    return EncoderOutput(H=ids.like(H) if isinstance(token_ids, Padded) else H,
+                         h_cls=H[..., 0, :])
 
 
 def encode_backward(params: ToyEncoderParams, token_ids, dH: np.ndarray) -> None:
-    """Accumulate encoder gradients for dL/dH (CLS gradient folded into row 0)."""
-    ids = _clip_ids(params, token_ids)
-    X = embed_sequence(params, token_ids)
-    Q, K, V, A = _attend(params, X)
+    """Accumulate encoder gradients for dL/dH (CLS gradient folded into row 0),
+    shaped like the H that :func:`encode` returned for these ids."""
+    ids = _id_stack(token_ids)
+    X = embed_sequence(params, ids)
+    Q, K, V, A = _attend(params, X, ids)
     scale = 1.0 / np.sqrt(params.d)
 
-    dV = A.T @ dH
-    dA = dH @ V.T
-    dS = softmax_backward(A, dA)
-    dQ = (dS @ K) * scale
-    dK = (dS.T @ Q) * scale
-
-    dX = affine_backward(params.query, X, dQ)
-    dX += affine_backward(params.key, X, dK)
+    if ids.ragged:
+        dH = dH * ids.valid[..., None]
+    dV = A.swapaxes(-1, -2) @ dH
+    dS = softmax_backward(A, dH @ V.swapaxes(-1, -2))
+    # each gradient is consumed as soon as it exists, which keeps the peak
+    # memory of a (B, T, d) stack low
+    dX = affine_backward(params.query, X, (dS @ K) * scale)
+    dX += affine_backward(params.key, X, (dS.swapaxes(-1, -2) @ Q) * scale)
     dX += affine_backward(params.value, X, dV)
-    np.add.at(params.grad_embedding, ids, dX)
+    np.add.at(params.grad_embedding, _clip_ids(params, ids.data).ravel(),
+              dX.reshape(-1, params.d))
 
 
 # --- SMEB1 precomputed-embedding store ---------------------------------

@@ -15,6 +15,7 @@ import numpy as np
 
 from .ops import (
     LinearParams,
+    Padded,
     affine,
     affine_backward,
     conv1d_valid,
@@ -56,10 +57,17 @@ class ExpertBank:
     """All trainable expert parameters for one model.
 
     Holds the six output projections (each d -> d), the attention vector
-    for self-attention pooling, one kernel stack per CNN kernel size, and
-    the inner projection that maps the concatenated CNN features back to d.
-    ``contrast_scale`` multiplies contrast-marked rows; ``eps`` keeps the
-    masked-mean denominators away from zero.
+    for self-attention pooling, the CNN kernels and the inner projection
+    that maps the concatenated CNN features back to d.  ``contrast_scale``
+    multiplies contrast-marked rows; ``eps`` keeps the masked-mean
+    denominators away from zero.
+
+    The CNN kernels of all sizes live in one (len(KERNEL_SIZES) * n_f,
+    max(KERNEL_SIZES), d) stack, each size's (n_f, k, d) kernels zero-padded
+    to the widest size, so the convolution runs once for all sizes.  The
+    per-size ``kernels[k]`` and ``kernel_biases[k]`` (and their gradients)
+    are views into the stacks; the padding taps are no parameter and stay
+    zero.
     """
 
     def __init__(self, d, proj, attn_vector, kernels, kernel_biases, cnn_proj,
@@ -70,10 +78,14 @@ class ExpertBank:
         self.proj = proj  # dict name -> LinearParams, in EXPERT_NAMES order
         self.attn_vector = attn_vector  # (d,)
         self.grad_attn_vector = np.zeros_like(attn_vector)
-        self.kernels = kernels  # dict k -> (n_f, k, d)
-        self.kernel_biases = kernel_biases  # dict k -> (n_f,)
-        self.grad_kernels = {k: np.zeros_like(v) for k, v in kernels.items()}
-        self.grad_kernel_biases = {k: np.zeros_like(v) for k, v in kernel_biases.items()}
+        n_f = kernels[KERNEL_SIZES[0]].shape[0]
+        self.cnn_kernels = np.zeros((len(KERNEL_SIZES) * n_f, KERNEL_SIZES[-1], d))
+        self.cnn_biases = np.zeros(len(KERNEL_SIZES) * n_f)
+        self.grad_cnn_kernels = np.zeros_like(self.cnn_kernels)
+        self.grad_cnn_biases = np.zeros_like(self.cnn_biases)
+        for k in KERNEL_SIZES:
+            self.kernels[k][...] = kernels[k]
+            self.kernel_biases[k][...] = kernel_biases[k]
         self.cnn_proj = cnn_proj  # LinearParams len(KERNEL_SIZES)*n_f -> d
         self.contrast_scale = float(contrast_scale)
         self.eps = float(eps)
@@ -96,7 +108,32 @@ class ExpertBank:
 
     @property
     def n_filters(self) -> int:
-        return self.kernels[KERNEL_SIZES[0]].shape[0]
+        return self.cnn_biases.shape[0] // len(KERNEL_SIZES)
+
+    def _per_size(self, stack: np.ndarray) -> dict[int, np.ndarray]:
+        """{k: view of kernel size k's rows, and of its k taps, in a CNN stack}."""
+        n_f = self.n_filters
+        views = {}
+        for i, k in enumerate(KERNEL_SIZES):
+            rows = stack[i * n_f : (i + 1) * n_f]
+            views[k] = rows[:, :k] if rows.ndim == 3 else rows
+        return views
+
+    @property
+    def kernels(self) -> dict[int, np.ndarray]:
+        return self._per_size(self.cnn_kernels)
+
+    @property
+    def kernel_biases(self) -> dict[int, np.ndarray]:
+        return self._per_size(self.cnn_biases)
+
+    @property
+    def grad_kernels(self) -> dict[int, np.ndarray]:
+        return self._per_size(self.grad_cnn_kernels)
+
+    @property
+    def grad_kernel_biases(self) -> dict[int, np.ndarray]:
+        return self._per_size(self.grad_cnn_biases)
 
     def named_params(self, prefix: str = "experts"):
         for name in EXPERT_NAMES:
@@ -104,9 +141,11 @@ class ExpertBank:
             yield f"{prefix}/{name}_proj/weight", lin.weight, lin.grad_weight
             yield f"{prefix}/{name}_proj/bias", lin.bias, lin.grad_bias
         yield f"{prefix}/attn_vector", self.attn_vector, self.grad_attn_vector
+        kernels, biases = self.kernels, self.kernel_biases
+        grad_kernels, grad_biases = self.grad_kernels, self.grad_kernel_biases
         for k in KERNEL_SIZES:
-            yield f"{prefix}/cnn/k{k}/kernels", self.kernels[k], self.grad_kernels[k]
-            yield f"{prefix}/cnn/k{k}/bias", self.kernel_biases[k], self.grad_kernel_biases[k]
+            yield f"{prefix}/cnn/k{k}/kernels", kernels[k], grad_kernels[k]
+            yield f"{prefix}/cnn/k{k}/bias", biases[k], grad_biases[k]
         yield f"{prefix}/cnn_feature_proj/weight", self.cnn_proj.weight, self.cnn_proj.grad_weight
         yield f"{prefix}/cnn_feature_proj/bias", self.cnn_proj.bias, self.cnn_proj.grad_bias
 
@@ -115,157 +154,217 @@ class ExpertBank:
             grad[:] = 0.0
 
 
+# --- shared plumbing ------------------------------------------------------
+#
+# Every expert acts on the last two axes of H: a (T, d) matrix of one
+# sequence, or a Padded (B, T, d) stack of B sequences, with position masks
+# to match (a set of row indices, or a (B, T) 0/1 indicator).  The same
+# code serves both; a stack just carries a leading axis through.
+
+def _rows(H) -> tuple[np.ndarray, Padded]:
+    """The (..., T, d) rows of H and the Padded stack carrying their lengths
+    and masks."""
+    if isinstance(H, Padded):
+        return H.data, H
+    return H, Padded(H, np.intp(H.shape[0]))
+
+
+def _indicator(positions, stack: Padded) -> np.ndarray:
+    """(..., T) 0/1 indicator of mask positions given as a set of row
+    indices (one sequence) or already as an indicator."""
+    if isinstance(positions, np.ndarray):
+        return positions
+    ind = np.zeros(stack.valid.shape)
+    ind[sorted(positions)] = 1.0
+    return ind
+
+
+def _pool(w: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Row-weighted sums: (..., T) weights and (..., T, d) rows give (..., d)."""
+    return (w[..., None, :] @ X)[..., 0, :]
+
+
+def _pool_backward(w: np.ndarray, du: np.ndarray) -> np.ndarray:
+    return w[..., :, None] * du[..., None, :]
+
+
 # --- mean pooling -------------------------------------------------------
 
-def expert_mean(bank: ExpertBank, H: np.ndarray) -> np.ndarray:
+def _mean_weights(stack: Padded) -> np.ndarray:
+    return stack.valid / stack.lengths[..., None]
+
+
+def expert_mean(bank: ExpertBank, H) -> np.ndarray:
     """Project the unweighted row mean of H."""
-    return affine(bank.proj["mean"], H.mean(axis=0))
+    X, stack = _rows(H)
+    return affine(bank.proj["mean"], _pool(_mean_weights(stack), X))
 
 
-def expert_mean_backward(bank: ExpertBank, H: np.ndarray, de: np.ndarray) -> np.ndarray:
-    du = affine_backward(bank.proj["mean"], H.mean(axis=0), de)
-    return np.tile(du / H.shape[0], (H.shape[0], 1))
+def expert_mean_backward(bank: ExpertBank, H, de: np.ndarray) -> np.ndarray:
+    X, stack = _rows(H)
+    w = _mean_weights(stack)
+    du = affine_backward(bank.proj["mean"], _pool(w, X), de)
+    return _pool_backward(w, du)
 
 
 # --- max pooling --------------------------------------------------------
 
-def expert_max(bank: ExpertBank, H: np.ndarray) -> np.ndarray:
+def expert_max(bank: ExpertBank, H) -> np.ndarray:
     """Project the columnwise max over rows of H."""
-    return affine(bank.proj["max"], H.max(axis=0))
+    X, stack = _rows(H)
+    masked = X + stack.fill[..., None] if stack.ragged else X
+    return affine(bank.proj["max"], masked.max(axis=-2))
 
 
-def expert_max_backward(bank: ExpertBank, H: np.ndarray, de: np.ndarray) -> np.ndarray:
+def expert_max_backward(bank: ExpertBank, H, de: np.ndarray) -> np.ndarray:
+    X, stack = _rows(H)
+    masked = X + stack.fill[..., None] if stack.ragged else X
     # ties route to the lowest row index (argmax picks the first maximum)
-    arg = H.argmax(axis=0)
-    du = affine_backward(bank.proj["max"], H.max(axis=0), de)
-    dH = np.zeros_like(H)
-    dH[arg, np.arange(H.shape[1])] = du
+    arg = masked.argmax(axis=-2)[..., None, :]
+    du = affine_backward(bank.proj["max"], masked.max(axis=-2), de)
+    dH = np.zeros_like(X)
+    np.put_along_axis(dH, arg, du[..., None, :], axis=-2)
     return dH
 
 
 # --- self-attention pooling ---------------------------------------------
 
-def attention_weights(bank: ExpertBank, H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Token weights alpha_i = softmax_i(s_i), which sum to one, and the
-    scores s_i = tanh(h_i . v) they are taken over."""
-    scores = np.tanh(H @ bank.attn_vector)
-    return softmax(scores), scores
+def _attention(bank: ExpertBank, X: np.ndarray, stack: Padded):
+    scores = np.tanh(X @ bank.attn_vector)
+    return softmax(scores + stack.fill if stack.ragged else scores), scores
 
 
-def expert_selfattn(bank: ExpertBank, H: np.ndarray) -> np.ndarray:
+def attention_weights(bank: ExpertBank, H) -> tuple[np.ndarray, np.ndarray]:
+    """Token weights alpha_i = softmax_i(s_i), which sum to one over each
+    sequence's rows, and the scores s_i = tanh(h_i . v) they are taken over."""
+    X, stack = _rows(H)
+    return _attention(bank, X, stack)
+
+
+def expert_selfattn(bank: ExpertBank, H) -> np.ndarray:
     """Project the attention-weighted row sum of H."""
-    alpha, _ = attention_weights(bank, H)
-    return affine(bank.proj["self_attention"], alpha @ H)
+    X, stack = _rows(H)
+    alpha, _ = _attention(bank, X, stack)
+    return affine(bank.proj["self_attention"], _pool(alpha, X))
 
 
-def expert_selfattn_backward(bank: ExpertBank, H: np.ndarray, de: np.ndarray) -> np.ndarray:
-    alpha, scores = attention_weights(bank, H)
-    pooled = alpha @ H
-    du = affine_backward(bank.proj["self_attention"], pooled, de)
-    dalpha = H @ du
+def expert_selfattn_backward(bank: ExpertBank, H, de: np.ndarray) -> np.ndarray:
+    X, stack = _rows(H)
+    alpha, scores = _attention(bank, X, stack)
+    du = affine_backward(bank.proj["self_attention"], _pool(alpha, X), de)
+    dalpha = (X @ du[..., :, None])[..., 0]
     dscores = softmax_backward(alpha, dalpha)
     dpre = dscores * (1.0 - scores**2)  # through tanh
-    bank.grad_attn_vector += H.T @ dpre
-    return np.outer(alpha, du) + np.outer(dpre, bank.attn_vector)
+    bank.grad_attn_vector += dpre.reshape(-1) @ X.reshape(-1, bank.d)
+    return _pool_backward(alpha, du) + dpre[..., None] * bank.attn_vector
 
 
 # --- multi-kernel CNN ----------------------------------------------------
+#
+# All kernel sizes run as one convolution over the bank's zero-padded
+# kernel stack of width K = max(KERNEL_SIZES).  The rows get K - 1 zero rows
+# appended, so there is one output window per row; window t counts for
+# kernel size k when t + k <= length, and each size mean-pools its own
+# valid windows.
 
-def cnn_features(bank: ExpertBank, H: np.ndarray) -> tuple[np.ndarray, list]:
-    """Concatenated mean-pooled ReLU conv features, one block per kernel size,
-    and the (L, n_f) pre-activation conv outputs they pool.
+def cnn_features(bank: ExpertBank, H) -> tuple[np.ndarray, tuple]:
+    """Concatenated mean-pooled ReLU conv features, one block of n_f per
+    kernel size, and the cache the backward pass reads.
 
-    Kernel sizes longer than the sequence contribute a zero block and a
-    None pre-activation, so the features always have length
-    len(KERNEL_SIZES) * n_filters.
+    Kernel sizes longer than a sequence contribute a zero block, so the
+    features always have length len(KERNEL_SIZES) * n_filters.
     """
-    T = H.shape[0]
-    pres = [conv1d_valid(H, bank.kernels[k], bank.kernel_biases[k]) if T >= k else None
-            for k in KERNEL_SIZES]
-    feats = np.concatenate([np.zeros(bank.n_filters) if pre is None
-                            else np.maximum(pre, 0.0).mean(axis=0) for pre in pres])
-    return feats, pres
+    X, stack = _rows(H)
+    T = X.shape[-2]
+    padded = np.zeros(X.shape[:-2] + (T + KERNEL_SIZES[-1] - 1, bank.d))
+    padded[..., :T, :] = X
+    pre = conv1d_valid(padded, bank.cnn_kernels, bank.cnn_biases)  # (..., T, n_f * sizes)
+    # windows per sequence and kernel size; 1/count weights each valid window
+    counts = stack.lengths[..., None] - np.repeat(KERNEL_SIZES, bank.n_filters) + 1
+    weights = ((np.arange(T)[:, None] < counts[..., None, :])
+               / np.maximum(counts, 1)[..., None, :])
+    feats = (np.maximum(pre, 0.0) * weights).sum(axis=-2)
+    return feats, (padded, pre, weights)
 
 
-def expert_cnn(bank: ExpertBank, H: np.ndarray) -> np.ndarray:
+def expert_cnn(bank: ExpertBank, H) -> np.ndarray:
     """Project the multi-kernel CNN feature vector."""
     feats, _ = cnn_features(bank, H)
     return affine(bank.proj["cnn"], affine(bank.cnn_proj, feats))
 
 
-def expert_cnn_backward(bank: ExpertBank, H: np.ndarray, de: np.ndarray) -> np.ndarray:
-    feats, pres = cnn_features(bank, H)
+def expert_cnn_backward(bank: ExpertBank, H, de: np.ndarray) -> np.ndarray:
+    feats, (padded, pre, weights) = cnn_features(bank, H)
     inner = affine(bank.cnn_proj, feats)
     dinner = affine_backward(bank.proj["cnn"], inner, de)
     dfeats = affine_backward(bank.cnn_proj, feats, dinner)
-    dH = np.zeros_like(H)
+    dpre = np.where(pre > 0.0, weights, 0.0) * dfeats[..., None, :]
+    dpadded, dkernels, dbias = conv1d_valid_backward(padded, bank.cnn_kernels, dpre)
     n_f = bank.n_filters
-    for bi, (k, pre) in enumerate(zip(KERNEL_SIZES, pres)):
-        if pre is None:
-            continue
-        dpool = dfeats[bi * n_f : (bi + 1) * n_f]
-        dpre = np.where(pre > 0.0, 1.0, 0.0) * (dpool / pre.shape[0])  # (L, n_f)
-        dHk, dkernels, dbias = conv1d_valid_backward(H, bank.kernels[k], dpre)
-        dH += dHk
-        bank.grad_kernels[k] += dkernels
-        bank.grad_kernel_biases[k] += dbias
-    return dH
+    for i, k in enumerate(KERNEL_SIZES):
+        dkernels[i * n_f : (i + 1) * n_f, k:] = 0.0  # padding taps are no parameter
+    bank.grad_cnn_kernels += dkernels
+    bank.grad_cnn_biases += dbias
+    return dpadded[..., : pre.shape[-2], :]
 
 
 # --- lexical-cue pooling --------------------------------------------------
 
-def _masked_mean(H: np.ndarray, positions, eps: float) -> np.ndarray:
-    idx = sorted(positions)
-    total = H[idx].sum(axis=0) if idx else np.zeros(H.shape[1])
-    return total / (len(idx) + eps)
+def _cue_weights(bank: ExpertBank, H, cue_positions) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and the eps-regularized mean weights over the cue positions."""
+    X, stack = _rows(H)
+    ind = _indicator(cue_positions, stack)
+    return X, ind / (ind.sum(axis=-1, keepdims=True) + bank.eps)
 
 
-def expert_cue(bank: ExpertBank, H: np.ndarray, cue_positions) -> np.ndarray:
+def expert_cue(bank: ExpertBank, H, cue_positions) -> np.ndarray:
     """Project the eps-regularized mean of rows at the cue positions."""
-    return affine(bank.proj["cue"], _masked_mean(H, cue_positions, bank.eps))
+    X, w = _cue_weights(bank, H, cue_positions)
+    return affine(bank.proj["cue"], _pool(w, X))
 
 
 def expert_cue_backward(bank, H, cue_positions, de: np.ndarray) -> np.ndarray:
-    u = _masked_mean(H, cue_positions, bank.eps)
-    du = affine_backward(bank.proj["cue"], u, de)
-    dH = np.zeros_like(H)
-    idx = sorted(cue_positions)
-    if idx:
-        dH[idx] = du / (len(idx) + bank.eps)
-    return dH
+    X, w = _cue_weights(bank, H, cue_positions)
+    du = affine_backward(bank.proj["cue"], _pool(w, X), de)
+    return _pool_backward(w, du)
 
 
 # --- contrast-amplified pooling --------------------------------------------
 
-def _contrast_weights(bank: ExpertBank, T: int, contrast_positions) -> np.ndarray:
-    w = np.ones(T)
-    w[sorted(contrast_positions)] = bank.contrast_scale
-    return w
+def _contrast_weights(bank: ExpertBank, stack: Padded, ind: np.ndarray):
+    """Row weights (contrast rows amplified, normalized by the mask size)
+    and the (..., 1) 0/1 flag of a non-empty mask."""
+    n = ind.sum(axis=-1, keepdims=True)
+    w = (stack.valid + (bank.contrast_scale - 1.0) * ind) / (n + bank.eps)
+    return w, (n > 0).astype(np.float64)
 
 
-def expert_contrast(bank: ExpertBank, H: np.ndarray, contrast_positions) -> np.ndarray:
+def expert_contrast(bank: ExpertBank, H, contrast_positions) -> np.ndarray:
     """Sum all rows with contrast rows amplified, normalized by the mask size.
 
-    An empty contrast mask returns the zero vector: dividing the full-row
+    An empty contrast mask gives the zero vector: dividing the full-row
     sum by eps alone would blow the output up by ~1e8, so the degenerate
     case is clamped and logged instead.
     """
-    if not contrast_positions:
+    X, stack = _rows(H)
+    ind = _indicator(contrast_positions, stack)
+    if not ind.any():
         logger.debug("contrast expert: empty mask, emitting zero vector")
-        return np.zeros(bank.d)
-    w = _contrast_weights(bank, H.shape[0], contrast_positions)
-    u = (w[:, None] * H).sum(axis=0) / (len(contrast_positions) + bank.eps)
-    return affine(bank.proj["contrast"], u)
+        return np.zeros(X.shape[:-2] + (bank.d,))
+    w, nonempty = _contrast_weights(bank, stack, ind)
+    if not nonempty.all():
+        logger.debug("contrast expert: empty mask, emitting zero vector")
+    return affine(bank.proj["contrast"], _pool(w, X)) * nonempty
 
 
 def expert_contrast_backward(bank, H, contrast_positions, de: np.ndarray) -> np.ndarray:
-    if not contrast_positions:
-        return np.zeros_like(H)
-    w = _contrast_weights(bank, H.shape[0], contrast_positions)
-    denom = len(contrast_positions) + bank.eps
-    u = (w[:, None] * H).sum(axis=0) / denom
-    du = affine_backward(bank.proj["contrast"], u, de)
-    return np.outer(w / denom, du)
+    X, stack = _rows(H)
+    ind = _indicator(contrast_positions, stack)
+    if not ind.any():
+        return np.zeros_like(X)
+    w, nonempty = _contrast_weights(bank, stack, ind)
+    du = affine_backward(bank.proj["contrast"], _pool(w, X), de * nonempty)
+    return _pool_backward(w, du)
 
 
 # --- dispatch --------------------------------------------------------------
@@ -293,10 +392,12 @@ def run_all_experts(bank: ExpertBank, H, cue_positions, contrast_positions,
 def run_all_experts_backward(bank: ExpertBank, H, cue_positions, contrast_positions,
                              active, dvecs) -> np.ndarray:
     """Backward pass of :func:`run_all_experts` for dL/de_i in ``dvecs``;
-    accumulates expert gradients and returns the summed dL/dH."""
+    accumulates expert gradients and returns the summed dL/dH, shaped like
+    the rows of H."""
     masks = _mask_args(cue_positions, contrast_positions)
     fns = globals()
-    dH = np.zeros_like(H)
-    for spec, de in zip(_active_specs(active), dvecs):
+    specs = _active_specs(active)
+    dH = fns[specs[0].backward](bank, H, *masks[specs[0].mask], dvecs[0])
+    for spec, de in zip(specs[1:], dvecs[1:]):
         dH += fns[spec.backward](bank, H, *masks[spec.mask], de)
     return dH

@@ -1,4 +1,8 @@
-"""Context-aware gating, expert fusion, and the 3-way classifier."""
+"""Context-aware gating, expert fusion, and the 3-way classifier.
+
+Each function acts on rows: a vector for one example, or a (B, ...) stack
+of B examples with the same code.
+"""
 
 from __future__ import annotations
 
@@ -19,16 +23,21 @@ def gate_backward(gate: LinearParams, h_cls, g, dg) -> np.ndarray:
 
 
 def fuse(g: np.ndarray, vectors) -> np.ndarray:
-    """Weighted sum of expert vectors: h = sum_i g_i e_i."""
-    if len(g) != len(vectors):
-        raise ValueError(f"{len(g)} gate weights for {len(vectors)} expert outputs")
-    return g @ np.asarray(vectors)
+    """Weighted sum of expert vectors: h = sum_i g_i e_i, row by row."""
+    if g.shape[-1] != len(vectors):
+        raise ValueError(f"{g.shape[-1]} gate weights for {len(vectors)} expert outputs")
+    return (g[..., None, :] @ _expert_axis_last_but_one(vectors))[..., 0, :]
 
 
 def fuse_backward(g, vectors, dh) -> tuple[np.ndarray, list[np.ndarray]]:
     """Returns (dg, [de_i]) for the weighted sum."""
-    E = np.asarray(vectors)
-    return E @ dh, [gi * dh for gi in g]
+    dg = (_expert_axis_last_but_one(vectors) @ dh[..., None])[..., 0]
+    return dg, list(np.swapaxes(g[..., None] * dh[..., None, :], 0, -2))
+
+
+def _expert_axis_last_but_one(vectors) -> np.ndarray:
+    """The n expert vectors (each (d,) or (B, d)) as an (n, d) or (B, n, d) view."""
+    return np.swapaxes(np.asarray(vectors), 0, -2)
 
 
 def classify(classifier: LinearParams, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ from .head import (
     gate_backward,
     gate_forward,
 )
-from .ops import LinearParams, affine, affine_backward
+from .ops import LinearParams, Padded, affine, affine_backward
 from .text import N_CLASSES, TokenizedExample
 
 HEAD_KINDS = ("moe", "stacked", "fusion")
@@ -47,10 +47,11 @@ class ModelParams:
     """
 
     def __init__(self, d, active_experts, head, encoder, bank, gate, fusion_proj,
-                 classifier, freeze_encoder=False):
+                 classifier, freeze_encoder=False, max_len=128):
         if head not in HEAD_KINDS:
             raise ValueError(f"unknown head kind {head!r}")
         self.d = d
+        self.max_len = max_len  # longest input it is built for; caps sub-batch size
         self.active_experts = canonical_experts(head, active_experts)
         self.head = head
         self.encoder = encoder
@@ -80,7 +81,7 @@ class ModelParams:
                        if head == "fusion" else None)
         classifier = LinearParams.init(N_CLASSES, d, rng)
         return cls(d, active, head, encoder, bank, gate, fusion_proj, classifier,
-                   freeze_encoder)
+                   freeze_encoder, max_len)
 
     def named_params(self):
         """All (path, value, grad) triples, in a fixed order."""
@@ -109,87 +110,148 @@ class ModelParams:
 
 
 @dataclass
+class Batch:
+    """Examples as padded stacks: token ids, cue and contrast indicators, and
+    the precomputed token matrices when the model has no encoder.  A list
+    of B examples gives (B, T, ...) stacks; one example the same without
+    the leading axis."""
+
+    ids: Padded  # (..., T) token ids
+    cue: np.ndarray  # (..., T) 0/1
+    contrast: np.ndarray  # (..., T) 0/1
+    H: Padded | None = None  # (..., T, d) precomputed rows
+
+    @property
+    def single(self) -> bool:
+        """One example, with no leading batch axis."""
+        return self.ids.data.ndim == 1
+
+
+def make_batch(params: ModelParams, examples, H_overrides=None) -> Batch:
+    """Stack one example or a list of them, with their precomputed (T_i, d)
+    matrices (row 0 = CLS, one row per token) when given."""
+    single = isinstance(examples, TokenizedExample)
+    if single:
+        examples = [examples]
+        H_overrides = None if H_overrides is None else [H_overrides]
+    for b, ex in enumerate(examples):
+        _check_positions(len(ex.token_ids), ex.cue_positions, ex.contrast_positions)
+        if H_overrides is not None:
+            _check_rows(params, ex, H_overrides[b])
+    if single:
+        ids = Padded(np.asarray(examples[0].token_ids, dtype=np.intp),
+                     np.intp(len(examples[0].token_ids)))
+        H = None if H_overrides is None else ids.like(H_overrides[0])
+    else:
+        ids = Padded.stack([ex.token_ids for ex in examples], dtype=np.intp)
+        H = None if H_overrides is None else ids.like(Padded.stack(H_overrides).data)
+    cue = np.zeros((len(examples), ids.shape[-1]))
+    contrast = np.zeros((len(examples), ids.shape[-1]))
+    for b, ex in enumerate(examples):
+        if ex.cue_positions:
+            cue[b, list(ex.cue_positions)] = 1.0
+        if ex.contrast_positions:
+            contrast[b, list(ex.contrast_positions)] = 1.0
+    if single:
+        return Batch(ids, cue[0], contrast[0], H)
+    return Batch(ids, cue, contrast, H)
+
+
+def _check_rows(params: ModelParams, example: TokenizedExample, H: np.ndarray) -> None:
+    if H.ndim != 2 or H.shape[1] != params.d:
+        raise ValueError(
+            f"precomputed embeddings have width {H.shape[-1]}, model expects {params.d}"
+        )
+    if H.shape[0] != len(example.token_ids):
+        raise ValueError(
+            f"precomputed embeddings for {example.id!r} have {H.shape[0]} rows, "
+            f"but the example has {len(example.token_ids)} tokens"
+        )
+
+
+@dataclass
 class ModelOutput:
     """Forward-pass record: final prediction plus the intermediates the
-    backward pass consumes."""
+    backward pass consumes.  For a list of B examples every field has a
+    leading B axis (H is the Padded stack); for one example it has none."""
 
-    H: np.ndarray
+    H: np.ndarray | Padded
     h_cls: np.ndarray
     expert_vectors: list[np.ndarray]  # in params.active_experts order
     gate_weights: np.ndarray
     fused: np.ndarray
     logits: np.ndarray
     probs: np.ndarray
+    batch: Batch
 
 
-def model_forward(params: ModelParams, example: TokenizedExample,
-                  H_override: np.ndarray | None = None) -> ModelOutput:
-    """Run the whole model on one example.
+def model_forward(params: ModelParams, examples, H_override=None) -> ModelOutput:
+    """Run the whole model on one example or on a list of examples.
 
-    ``H_override`` supplies a precomputed (T, d) token matrix (row 0 = CLS),
-    one row per token of the example; otherwise the toy encoder produces it.
+    ``H_override`` supplies precomputed token matrices (row 0 = CLS, one
+    row per token of the example): a (T, d) matrix for one example, a list
+    of them for a list; otherwise the toy encoder produces them.  A
+    :class:`Batch` from :func:`make_batch` may stand in for the examples
+    and their matrices, so models of the same width can share one.
     """
-    if H_override is not None:
-        H = H_override
-        if H.ndim != 2 or H.shape[1] != params.d:
-            raise ValueError(
-                f"precomputed embeddings have width {H.shape[-1]}, model expects {params.d}"
-            )
-        if H.shape[0] != len(example.token_ids):
-            raise ValueError(
-                f"precomputed embeddings for {example.id!r} have {H.shape[0]} rows, "
-                f"but the example has {len(example.token_ids)} tokens"
-            )
-    else:
-        if params.encoder is None:
-            raise ValueError("model has no encoder; precomputed embeddings required")
-        H = encode(params.encoder, example.token_ids).H
-    h_cls = H[0]
-
-    C, D = example.cue_positions, example.contrast_positions
-    _check_positions(H.shape[0], C, D)
-    vectors = run_all_experts(params.bank, H, C, D, params.active_experts)
+    batch = (examples if isinstance(examples, Batch)
+             else make_batch(params, examples, H_override))
+    if batch.H is None and params.encoder is None:
+        raise ValueError("model has no encoder; precomputed embeddings required")
+    H = batch.H if batch.H is not None else encode(params.encoder, batch.ids).H
+    h_cls = H.data[..., 0, :]
+    vectors = run_all_experts(params.bank, H, batch.cue, batch.contrast, params.active_experts)
 
     if params.head == "moe":
         g = gate_forward(params.gate, h_cls)
         fused = fuse(g, vectors)
     else:  # stacked and fusion report a uniform placeholder gate
-        g = np.full(len(vectors), 1.0 / len(vectors))
+        g = np.full(h_cls.shape[:-1] + (len(vectors),), 1.0 / len(vectors))
         if params.head == "stacked":
             fused = np.sum(vectors, axis=0)
         else:
-            fused = affine(params.fusion_proj, np.concatenate(vectors))
+            fused = affine(params.fusion_proj, np.concatenate(vectors, axis=-1))
     logits, probs = classify(params.classifier, fused)
-    return ModelOutput(H=H, h_cls=h_cls, expert_vectors=vectors, gate_weights=g,
-                       fused=fused, logits=logits, probs=probs)
+    return ModelOutput(H=H.data if batch.single else H,
+                       h_cls=h_cls, expert_vectors=vectors, gate_weights=g, fused=fused,
+                       logits=logits, probs=probs, batch=batch)
 
 
-def model_backward(params: ModelParams, example: TokenizedExample,
-                   out: ModelOutput, dlogits: np.ndarray) -> None:
+def model_backward(params: ModelParams, examples, out: ModelOutput,
+                   dlogits: np.ndarray) -> None:
     """Accumulate gradients for dL/dlogits through the whole model.
 
-    The encoder receives no gradient when it is frozen or absent
-    (precomputed embeddings); expert and head gradients still accumulate.
+    ``examples`` and ``out`` are the input and the record of one
+    :func:`model_forward` call, whose stacks the backward pass reuses.  The
+    encoder receives no gradient when it is frozen or absent (precomputed
+    embeddings); expert and head gradients still accumulate.
     """
+    batch = out.batch
+    if not isinstance(examples, Batch):
+        single = isinstance(examples, TokenizedExample)
+        if single != batch.single or (not single and len(examples) != len(out.logits)):
+            raise ValueError("the examples are not those of this forward record")
     dfused = classify_backward(params.classifier, out.fused, dlogits)
 
-    dh_cls = np.zeros(params.d)
+    dh_cls = None
     if params.head == "moe":
         dg, dvecs = fuse_backward(out.gate_weights, out.expert_vectors, dfused)
         dh_cls = gate_backward(params.gate, out.h_cls, out.gate_weights, dg)
     elif params.head == "stacked":
         dvecs = [dfused] * len(out.expert_vectors)
     else:  # fusion
-        concat = np.concatenate(out.expert_vectors)
+        concat = np.concatenate(out.expert_vectors, axis=-1)
         dconcat = affine_backward(params.fusion_proj, concat, dfused)
-        dvecs = list(dconcat.reshape(len(out.expert_vectors), params.d))
+        dvecs = np.split(dconcat, len(out.expert_vectors), axis=-1)
 
-    dH = run_all_experts_backward(params.bank, out.H, example.cue_positions,
-                                  example.contrast_positions, params.active_experts, dvecs)
-    dH[0] += dh_cls
+    H = out.H if isinstance(out.H, Padded) else batch.ids.like(out.H)
+    dH = run_all_experts_backward(params.bank, H, batch.cue, batch.contrast,
+                                  params.active_experts, dvecs)
+    if dh_cls is not None:
+        dH[..., 0, :] += dh_cls
 
     if params.encoder is not None and not params.freeze_encoder:
-        encode_backward(params.encoder, example.token_ids, dH)
+        encode_backward(params.encoder, batch.ids, dH)
 
 
 def _check_positions(T: int, cue_positions, contrast_positions) -> None:

@@ -3,9 +3,11 @@
 Array conventions used throughout the package: matrices are C-contiguous
 float64 arrays of shape (rows, cols), vectors are float64 arrays of shape
 (dim,).  A token sequence of length T in a model of width d travels as a
-(T, d) matrix, one token representation per row.  The affine map and the
-softmax act on the last axis, so a vector, a (T, d) matrix and a (B, T, d)
-stack all go through the same function.
+(T, d) matrix, one token representation per row; B sequences of different
+lengths travel as a :class:`Padded` (B, T, d) stack with a length mask.
+The affine map, the softmax and the convolution act on the last axes, so a
+vector, a (T, d) matrix and a (B, T, d) stack all go through the same
+function.
 
 Every differentiable operation comes as a forward / ``*_backward`` pair.
 Backward passes are hand-derived, accumulate parameter gradients in place
@@ -26,6 +28,7 @@ __all__ = [
     "softmax",
     "softmax_backward",
     "log_softmax",
+    "Padded",
     "conv1d_valid",
     "conv1d_valid_backward",
     "grad_check",
@@ -104,67 +107,134 @@ def affine_backward(p: LinearParams, x: np.ndarray, dy: np.ndarray) -> np.ndarra
 
 
 def _shifted(z: np.ndarray) -> np.ndarray:
-    """z minus its maximum over the last axis: the stable-softmax shift."""
+    """z minus its maximum over the last axis: the stable-softmax shift.
+    A vector reduces to a scalar maximum, which numpy broadcasts faster
+    than a keepdims (1,) array."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim == 0 or z.shape[-1] == 0:
         raise ValueError(f"softmax expects a non-empty last axis, got shape {z.shape}")
+    if z.ndim == 1:
+        return z - z.max()
     return z - z.max(axis=-1, keepdims=True)
 
 
+def _sum_last(x: np.ndarray):
+    """Sum over the last axis: a scalar for a vector, else kept as a length-1 axis."""
+    return x.sum() if x.ndim == 1 else x.sum(axis=-1, keepdims=True)
+
+
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Numerically stable (max-subtracted) softmax over the last axis."""
+    """Numerically stable (max-subtracted) softmax over the last axis.
+    Entries of -inf (masked positions) get probability zero, provided each
+    row keeps at least one finite entry."""
     e = np.exp(_shifted(z))
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= _sum_last(e)
     return e
 
 
 def softmax_backward(s: np.ndarray, ds: np.ndarray) -> np.ndarray:
     """Given s = softmax(z) and ds = dL/ds, return dL/dz = s * (ds - s.ds),
     the dot product taken over the last axis."""
-    return s * (ds - (s * ds).sum(axis=-1, keepdims=True))
+    return s * (ds - _sum_last(s * ds))
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
     """log(softmax(z)) over the last axis, computed as z - logsumexp(z) so
     exact zeros in the softmax never reach a log."""
     shifted = _shifted(z)
-    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted -= np.log(_sum_last(np.exp(shifted)))
     return shifted
 
 
+class Padded:
+    """Sequences of different lengths stacked into one array.
+
+    ``data`` has shape (B, T, ...) for B sequences padded to the longest
+    length T, with zero rows past each sequence's end; ``lengths`` holds
+    the B lengths.  One sequence is the same with no leading axis: data
+    (T, ...) and a 0-d length.  ``valid`` is the (..., T) float mask (1 on
+    real rows, 0 on padding) and ``fill`` the additive mask (0 on real
+    rows, -inf on padding) that keeps padding out of a max or a softmax;
+    ``ragged`` is False when no sequence is padded, so the masks are no-ops
+    and callers skip them.  ``shape`` and ``len`` are those of ``data``.
+    """
+
+    __slots__ = ("data", "lengths", "valid", "fill", "ragged")
+
+    def __init__(self, data: np.ndarray, lengths):
+        self.data = data
+        self.lengths = lengths = np.asarray(lengths)
+        T = data.shape[lengths.ndim]
+        self.ragged = bool((lengths < T).any())
+        real = np.arange(T) < lengths[..., None]
+        self.valid = real.astype(np.float64)
+        self.fill = np.where(real, 0.0, -np.inf)
+
+    @classmethod
+    def stack(cls, sequences, dtype=np.float64) -> "Padded":
+        """Zero-pad a list of arrays of shape (T_i, ...) into one stack."""
+        lengths = np.fromiter(map(len, sequences), np.intp, len(sequences))
+        T = int(lengths.max())
+        if lengths.min() == T:
+            return cls(np.array(sequences, dtype=dtype), lengths)
+        data = np.zeros((len(sequences), T) + np.shape(sequences[0])[1:], dtype=dtype)
+        for row, seq, n in zip(data, sequences, lengths):
+            row[:n] = seq
+        return cls(data, lengths)
+
+    def like(self, data: np.ndarray) -> "Padded":
+        """Another stack of the same sequences and lengths, holding ``data``."""
+        out = object.__new__(Padded)
+        out.data, out.lengths, out.valid, out.fill = data, self.lengths, self.valid, self.fill
+        out.ragged = self.ragged
+        return out
+
+    @property
+    def shape(self) -> tuple:
+        return self.data.shape
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+
 def conv1d_valid(H: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Valid 1-d convolution of a (T, d) sequence with an (n_f, k, d) kernel stack.
+    """Valid 1-d convolution of (..., T, d) sequences with an (n_f, k, d) kernel stack.
 
     Output row t, column f is ``bias[f] + sum_j kernels[f, j] . H[t+j]``,
     evaluated only where the kernel fits entirely inside the sequence, so
-    the result has shape (T - k + 1, n_f).  No padding.
+    the result has shape (..., T - k + 1, n_f).  No padding.  One matmul
+    applies every tap of every kernel to every row, then k shifted adds
+    line the taps up.
     """
-    T, d = H.shape  # unpacking rejects arrays of the wrong rank
-    _, k, kernel_d = kernels.shape
+    T, d = H.shape[-2:]
+    n_f, k, kernel_d = kernels.shape
     if d != kernel_d:
         raise ValueError(f"feature dims differ: H has {d}, kernels have {kernel_d}")
     if T < k:
         raise ValueError(f"sequence length {T} shorter than kernel size {k}")
     L = T - k + 1
-    out = np.tile(bias, (L, 1))
-    for j in range(k):
-        out += H[j : j + L] @ kernels[:, j, :].T
+    taps = (H @ kernels.reshape(n_f * k, d).T).reshape(H.shape[:-1] + (n_f, k))
+    out = taps[..., 0:L, :, 0] + bias
+    for j in range(1, k):
+        out += taps[..., j : j + L, :, j]
     return out
 
 
 def conv1d_valid_backward(
     H: np.ndarray, kernels: np.ndarray, dout: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of conv1d_valid for dL/dout of shape (L, n_f); returns
-    (dH, dkernels, dbias)."""
-    k = kernels.shape[1]
-    L = dout.shape[0]
-    dH = np.zeros_like(H)
-    dkernels = np.empty_like(kernels)
+    """Gradients of conv1d_valid for dL/dout of shape (..., L, n_f); returns
+    (dH, dkernels, dbias), the kernel and bias gradients summed over the
+    leading axes."""
+    n_f, k, d = kernels.shape
+    L = dout.shape[-2]
+    dtaps = np.zeros(H.shape[:-1] + (n_f, k))
     for j in range(k):
-        dkernels[:, j, :] = dout.T @ H[j : j + L]
-        dH[j : j + L] += dout @ kernels[:, j, :]
-    return dH, dkernels, dout.sum(axis=0)
+        dtaps[..., j : j + L, :, j] = dout
+    dtaps = dtaps.reshape(H.shape[:-1] + (n_f * k,))
+    flat = kernels.reshape(n_f * k, d)
+    dkernels = (dtaps.reshape(-1, n_f * k).T @ H.reshape(-1, d)).reshape(n_f, k, d)
+    return dtaps @ flat, dkernels, dout.reshape(-1, n_f).sum(axis=0)
 
 
 class GradCheckError(RuntimeError):

@@ -101,3 +101,15 @@ class TestFormatErrors:
         path.write_bytes(raw.replace(b'"format": 1', b'"format": 7'))
         with pytest.raises(CheckpointFormatError, match="format 7"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("metadata,match", [
+        (b"[]", "JSON list, not an object"),
+        (b'{"format": 1}', r"missing key\(s\) \['config', 'vocab'"),
+    ], ids=["not-an-object", "missing-keys"])
+    def test_malformed_metadata(self, tmp_path, metadata, match):
+        path = tmp_path / "model.smck"
+        path.write_bytes(b"SMCK1\0" + struct.pack("<I", len(metadata)) + metadata
+                         + struct.pack("<I", 0))
+        with pytest.raises(CheckpointFormatError, match=match) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)

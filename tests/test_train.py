@@ -123,6 +123,36 @@ class TestAdam:
         with pytest.raises(NonFiniteGradientError, match="layer/weight"):
             opt.step()
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_flat_step_matches_per_tensor_reference_bitwise(self, weight_decay):
+        # shapes span a vectorization chunk boundary of the flat buffers
+        rng = np.random.default_rng(3)
+        shapes = [(3, 4), (7,), (100, 100), (2, 3, 5)]
+        values = [rng.normal(size=s) for s in shapes]
+        grads = [np.zeros(s) for s in shapes]
+        ref = [v.copy() for v in values]
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        opt = Adam([(f"p{i}", x, g) for i, (x, g) in enumerate(zip(values, grads))],
+                   lr=0.01, weight_decay=weight_decay)
+        for t in range(1, 6):
+            step_grads = [rng.normal(size=s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
+            for g, new in zip(grads, step_grads):
+                g[...] = new
+            opt.step(lr_scale=0.5)
+            lr = 0.01 * 0.5
+            for i, g in enumerate(step_grads):
+                m[i] = 0.9 * m[i] + (1.0 - 0.9) * g
+                v[i] = 0.999 * v[i] + (1.0 - 0.999) * g**2
+                m_hat = m[i] / (1.0 - 0.9**t)
+                v_hat = v[i] / (1.0 - 0.999**t)
+                ref[i] -= lr * (m_hat / (np.sqrt(v_hat) + 1e-8))
+                if weight_decay:
+                    ref[i] -= lr * weight_decay * ref[i]
+            for got, want in zip(values, ref, strict=True):
+                np.testing.assert_array_equal(got, want)
+            assert not any(g.any() for g in grads)
+
     def test_gradients_zeroed_after_step(self):
         triples = self.param(0.0, 1.0)
         opt = Adam(triples, lr=0.1)
