@@ -119,13 +119,16 @@ def load_checkpoint(path) -> LoadedCheckpoint:
             raise CheckpointFormatError(
                 f"{path}: trailing bytes after the last of {n_records} tensors")
 
-    config = TrainConfig.from_dict(meta["config"])
-    vocab = Vocab(meta["vocab"])
-    lexicon = CueLexicon(
-        cue_tokens=frozenset(meta["cue_tokens"]),
-        contrast_tokens=frozenset(meta["contrast_tokens"]),
-    )
-    weights = np.asarray(meta["weights"], dtype=np.float64)
+    try:
+        config = TrainConfig.from_dict(meta["config"])
+        vocab = Vocab(meta["vocab"])
+        lexicon = CueLexicon(
+            cue_tokens=frozenset(meta["cue_tokens"]),
+            contrast_tokens=frozenset(meta["contrast_tokens"]),
+        )
+        weights = np.asarray(meta["weights"], dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        raise CheckpointFormatError(f"{path}: malformed metadata: {err}") from err
     folds = []
     for j, metrics_dict in enumerate(meta["fold_val_metrics"]):
         params = config.build_model(len(vocab), np.random.default_rng(0))
@@ -143,6 +146,9 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         folds.append(FoldArtifact(fold_index=j, params=params, val_metrics=report))
     if len(folds) != len(weights):
         raise CheckpointFormatError(f"{path}: fold count and weight count disagree")
-    ensemble = EnsembleModel(folds=folds, weights=weights)
+    try:
+        ensemble = EnsembleModel(folds=folds, weights=weights)
+    except ValueError as err:
+        raise CheckpointFormatError(f"{path}: {err}") from err
     return LoadedCheckpoint(ensemble=ensemble, config=config, vocab=vocab,
                             lexicon=lexicon)

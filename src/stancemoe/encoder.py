@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import (LinearParams, Padded, affine, affine_backward, as_f64, softmax,
-                  softmax_backward)
+from .ops import (LinearParams, Padded, affine, affine_backward, as_f64, fold_stack,
+                  softmax, softmax_backward)
 from .text import UNK_ID
 
 
@@ -66,13 +66,23 @@ class ToyEncoderParams:
             value=LinearParams.init(d, d, rng),
         )
 
+    @classmethod
+    def stack(cls, parts) -> "ToyEncoderParams":
+        """K encoders of one shape as one fold-stacked encoder (see
+        :func:`stancemoe.ops.fold_stack`); the fixed position table is
+        shared."""
+        out = fold_stack(parts, {"embedding": "grad_embedding"})
+        for name in ("query", "key", "value"):
+            setattr(out, name, LinearParams.stack([getattr(p, name) for p in parts]))
+        return out
+
     @property
     def d(self) -> int:
-        return self.embedding.shape[1]
+        return self.embedding.shape[-1]
 
     @property
     def vocab_size(self) -> int:
-        return self.embedding.shape[0]
+        return self.embedding.shape[-2]
 
     def named_params(self, prefix: str = "encoder"):
         yield f"{prefix}/embedding", self.embedding, self.grad_embedding
@@ -105,7 +115,8 @@ def embed_sequence(params: ToyEncoderParams, token_ids) -> np.ndarray:
     """Pre-attention input rows: embedding lookup plus position row.
 
     A sequence of T ids gives (T, d); a Padded id stack gives its shape
-    plus d, with zero rows on padding.  Out-of-vocabulary ids become UNK.
+    plus d, with zero rows on padding.  A fold-stacked encoder puts its
+    fold axis first.  Out-of-vocabulary ids become UNK.
     """
     padded = isinstance(token_ids, Padded)
     ids = _clip_ids(params, token_ids.data if padded else token_ids)
@@ -114,7 +125,7 @@ def embed_sequence(params: ToyEncoderParams, token_ids) -> np.ndarray:
         raise ValueError(
             f"sequence length {T} exceeds position table size {params.positions.shape[0]}"
         )
-    X = params.embedding[ids] + params.positions[:T]
+    X = np.take(params.embedding, ids, axis=-2) + params.positions[:T]
     if padded and token_ids.ragged:
         X *= token_ids.valid[..., None]
     return X
@@ -124,7 +135,8 @@ def _attend(params: ToyEncoderParams, X: np.ndarray, ids: Padded):
     Q = affine(params.query, X)
     K = affine(params.key, X)
     V = affine(params.value, X)
-    S = (Q @ K.swapaxes(-1, -2)) / np.sqrt(params.d)
+    S = Q @ K.swapaxes(-1, -2)
+    S /= np.sqrt(params.d)
     A = softmax(S + ids.fill[..., None, :] if ids.ragged else S)  # padded keys get no weight
     return Q, K, V, A
 

@@ -20,6 +20,7 @@ from .ops import (
     affine_backward,
     conv1d_valid,
     conv1d_valid_backward,
+    fold_stack,
     softmax,
     softmax_backward,
 )
@@ -106,17 +107,33 @@ class ExpertBank:
         return cls(d, proj, attn_vector, kernels, kernel_biases, cnn_proj,
                    contrast_scale, eps)
 
+    @classmethod
+    def stack(cls, parts) -> "ExpertBank":
+        """K banks of one shape as one fold-stacked bank; see
+        :func:`stancemoe.ops.fold_stack`."""
+        out = fold_stack(parts, {"attn_vector": "grad_attn_vector",
+                                 "cnn_kernels": "grad_cnn_kernels",
+                                 "cnn_biases": "grad_cnn_biases"})
+        out.proj = {name: LinearParams.stack([p.proj[name] for p in parts])
+                    for name in out.proj}
+        out.cnn_proj = LinearParams.stack([p.cnn_proj for p in parts])
+        return out
+
     @property
     def n_filters(self) -> int:
-        return self.cnn_biases.shape[0] // len(KERNEL_SIZES)
+        return self.cnn_biases.shape[-1] // len(KERNEL_SIZES)
 
     def _per_size(self, stack: np.ndarray) -> dict[int, np.ndarray]:
-        """{k: view of kernel size k's rows, and of its k taps, in a CNN stack}."""
+        """{k: view of kernel size k's rows, and of its k taps, in a CNN stack}
+        (None for the gradient buffers a fold-stacked bank does not have)."""
+        if stack is None:
+            return dict.fromkeys(KERNEL_SIZES)
         n_f = self.n_filters
+        kernels = stack.ndim == self.cnn_kernels.ndim
         views = {}
         for i, k in enumerate(KERNEL_SIZES):
-            rows = stack[i * n_f : (i + 1) * n_f]
-            views[k] = rows[:, :k] if rows.ndim == 3 else rows
+            rows = slice(i * n_f, (i + 1) * n_f)
+            views[k] = stack[..., rows, :k, :] if kernels else stack[..., rows]
         return views
 
     @property
@@ -230,7 +247,7 @@ def expert_max_backward(bank: ExpertBank, H, de: np.ndarray) -> np.ndarray:
 # --- self-attention pooling ---------------------------------------------
 
 def _attention(bank: ExpertBank, X: np.ndarray, stack: Padded):
-    scores = np.tanh(X @ bank.attn_vector)
+    scores = np.tanh((X @ bank.attn_vector[..., None])[..., 0])
     return softmax(scores + stack.fill if stack.ragged else scores), scores
 
 

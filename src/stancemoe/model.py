@@ -3,6 +3,7 @@ hand-derived backward pass from classifier logits down to the embeddings."""
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,9 @@ class ModelParams:
 
     ``encoder`` is None in precomputed-embedding mode.  ``gate`` exists only
     for the moe head (its output width equals the number of active experts)
-    and ``fusion_proj`` only for the fusion head.
+    and ``fusion_proj`` only for the fusion head.  A fold-stacked model
+    (:meth:`stack`) holds K models of one architecture, each tensor with a
+    leading fold axis.
     """
 
     def __init__(self, d, active_experts, head, encoder, bank, gate, fusion_proj,
@@ -83,6 +86,38 @@ class ModelParams:
         return cls(d, active, head, encoder, bank, gate, fusion_proj, classifier,
                    freeze_encoder, max_len)
 
+    @classmethod
+    def stack(cls, models) -> "ModelParams":
+        """K models of one architecture as one fold-stacked model, whose
+        forward pass on one example gives the K models' outputs along a
+        leading fold axis.  Each tensor is held once, as a (K, ...) array;
+        the models' tensors become views into it.  Rejects models that
+        differ in a setting or in the path or shape of a tensor, naming the
+        model's index."""
+        if not models:
+            raise ValueError("cannot stack zero models")
+        _check_same_architecture(models)
+
+        def each(part):
+            return [getattr(m, part) for m in models]
+
+        out = copy.copy(models[0])
+        if out.encoder is not None:
+            out.encoder = ToyEncoderParams.stack(each("encoder"))
+        out.bank = ExpertBank.stack(each("bank"))
+        if out.gate is not None:
+            out.gate = LinearParams.stack(each("gate"))
+        if out.fusion_proj is not None:
+            out.fusion_proj = LinearParams.stack(each("fusion_proj"))
+        out.classifier = LinearParams.stack(each("classifier"))
+        return out
+
+    @property
+    def n_folds(self) -> int | None:
+        """K for a fold-stacked model, None for one model."""
+        weight = self.classifier.weight
+        return weight.shape[0] if weight.ndim == 3 else None
+
     def named_params(self):
         """All (path, value, grad) triples, in a fixed order."""
         if self.encoder is not None:
@@ -107,6 +142,28 @@ class ModelParams:
     def zero_grads(self) -> None:
         for _, _, grad in self.named_params():
             grad[:] = 0.0
+
+
+def _settings(params: ModelParams) -> dict:
+    return {"head": params.head, "active experts": params.active_experts,
+            "max_len": params.max_len, "contrast_scale": params.bank.contrast_scale,
+            "eps": params.bank.eps}
+
+
+def _check_same_architecture(models) -> None:
+    ref_settings = _settings(models[0])
+    ref_shapes = {name: value.shape for name, value, _ in models[0].named_params()}
+    for j, m in enumerate(models[1:], start=1):
+        for what, value in _settings(m).items():
+            if value != ref_settings[what]:
+                raise ValueError(f"fold {j}: {what} is {value!r}, "
+                                 f"but {ref_settings[what]!r} in fold 0")
+        shapes = {name: value.shape for name, value, _ in m.named_params()}
+        for name in [*ref_shapes, *(shapes.keys() - ref_shapes.keys())]:
+            if shapes.get(name) != ref_shapes.get(name):
+                raise ValueError(
+                    f"fold {j}: parameter {name} has shape {shapes.get(name, 'none')}, "
+                    f"but {ref_shapes.get(name, 'none')} in fold 0")
 
 
 @dataclass
@@ -193,12 +250,22 @@ def model_forward(params: ModelParams, examples, H_override=None) -> ModelOutput
     of them for a list; otherwise the toy encoder produces them.  A
     :class:`Batch` from :func:`make_batch` may stand in for the examples
     and their matrices, so models of the same width can share one.
+
+    A fold-stacked model (:meth:`ModelParams.stack`) takes one example and
+    gives every field a leading fold axis, with the K models' outputs.
     """
     batch = (examples if isinstance(examples, Batch)
              else make_batch(params, examples, H_override))
     if batch.H is None and params.encoder is None:
         raise ValueError("model has no encoder; precomputed embeddings required")
-    H = batch.H if batch.H is not None else encode(params.encoder, batch.ids).H
+    if params.n_folds and not batch.single:
+        raise ValueError("a fold-stacked model runs one example at a time")
+    if batch.H is None:
+        H = encode(params.encoder, batch.ids).H
+    elif params.n_folds:  # every fold reads the same precomputed rows
+        H = batch.H.like(np.broadcast_to(batch.H.data, (params.n_folds,) + batch.H.shape))
+    else:
+        H = batch.H
     h_cls = H.data[..., 0, :]
     vectors = run_all_experts(params.bank, H, batch.cue, batch.contrast, params.active_experts)
 
@@ -224,8 +291,11 @@ def model_backward(params: ModelParams, examples, out: ModelOutput,
     ``examples`` and ``out`` are the input and the record of one
     :func:`model_forward` call, whose stacks the backward pass reuses.  The
     encoder receives no gradient when it is frozen or absent (precomputed
-    embeddings); expert and head gradients still accumulate.
+    embeddings); expert and head gradients still accumulate.  A
+    fold-stacked model has no backward pass.
     """
+    if params.n_folds:
+        raise ValueError("a fold-stacked model is forward-only; run each fold's backward")
     batch = out.batch
     if not isinstance(examples, Batch):
         single = isinstance(examples, TokenizedExample)

@@ -8,6 +8,11 @@ lengths travel as a :class:`Padded` (B, T, d) stack with a length mask.
 The affine map, the softmax and the convolution act on the last axes, so a
 vector, a (T, d) matrix and a (B, T, d) stack all go through the same
 function.
+Each model's parameters can also be held as a fold stack: K models of one
+architecture whose every parameter is one (K, ...) array (see
+:func:`fold_stack`).  The affine map and the convolution then apply
+parameter entry k to entry k of the data's leading axis, so the same
+functions run K models in one pass.
 
 Every differentiable operation comes as a forward / ``*_backward`` pair.
 Backward passes are hand-derived, accumulate parameter gradients in place
@@ -17,12 +22,14 @@ so callers chain them in reverse order without a tape.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "LinearParams",
+    "fold_stack",
     "affine",
     "affine_backward",
     "softmax",
@@ -48,7 +55,9 @@ class LinearParams:
 
     ``weight`` has shape (out_dim, in_dim) and ``bias`` shape (out_dim,).
     Gradient buffers always shape-match their parameters and accumulate
-    across backward calls until :meth:`zero_grads`.
+    across backward calls until :meth:`zero_grads`.  A fold-stacked map
+    (:meth:`stack`) has a leading fold axis on both parameters and no
+    gradient buffers.
     """
 
     def __init__(self, weight, bias):
@@ -69,27 +78,61 @@ class LinearParams:
         limit = 1.0 / np.sqrt(in_dim)
         return cls(rng.uniform(-limit, limit, size=(out_dim, in_dim)), np.zeros(out_dim))
 
+    @classmethod
+    def stack(cls, parts) -> "LinearParams":
+        """K maps of one shape as one fold-stacked map; see :func:`fold_stack`."""
+        return fold_stack(parts, {"weight": "grad_weight", "bias": "grad_bias"})
+
     @property
     def out_dim(self) -> int:
-        return self.weight.shape[0]
+        return self.weight.shape[-2]
 
     @property
     def in_dim(self) -> int:
-        return self.weight.shape[1]
+        return self.weight.shape[-1]
 
     def zero_grads(self) -> None:
         self.grad_weight[:] = 0.0
         self.grad_bias[:] = 0.0
 
 
+def fold_stack(parts, params: dict[str, str]):
+    """A shallow copy of ``parts[0]`` whose array attributes named by the
+    keys of ``params`` are (K, ...) stacks over the K same-shaped parts.
+    Each part's attribute becomes a view of its entry in the stack, so
+    every value is held once and a write through either is seen by both.
+    The copy is forward-only: the gradient buffers named by the values of
+    ``params`` stay with the parts and are None on the copy."""
+    out = copy.copy(parts[0])
+    for name, grad in params.items():
+        stack = np.stack([getattr(p, name) for p in parts])
+        for p, view in zip(parts, stack):
+            setattr(p, name, view)
+        setattr(out, name, stack)
+        setattr(out, grad, None)
+    return out
+
+
 def affine(p: LinearParams, x: np.ndarray) -> np.ndarray:
     """W x + b along the last axis: (..., in_dim) -> (..., out_dim).
 
-    A vector is one row; a (B, T, in_dim) stack maps every row at once.
+    A vector is one row; a (B, T, in_dim) stack maps every row at once.  A
+    fold-stacked map applies map k to entry k of x's leading axis, for
+    (K, in_dim) vectors and (K, T, in_dim) rows alike.
     """
-    if x.shape[-1:] != (p.in_dim,):
+    W = p.weight
+    if x.shape[-1:] != W.shape[-1:]:
         raise ValueError(f"affine expects input of shape (..., {p.in_dim}), got {x.shape}")
-    return x @ p.weight.T + p.bias
+    if W.ndim == 2:
+        y = x @ W.T
+        y += p.bias
+    elif x.ndim == 2:  # (K, in_dim) vectors, one per map
+        y = (x[:, None, :] @ W.swapaxes(-1, -2))[:, 0, :]
+        y += p.bias
+    else:
+        y = x @ W.swapaxes(-1, -2)
+        y += p.bias[:, None, :]
+    return y
 
 
 def affine_backward(p: LinearParams, x: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -127,7 +170,8 @@ def softmax(z: np.ndarray) -> np.ndarray:
     """Numerically stable (max-subtracted) softmax over the last axis.
     Entries of -inf (masked positions) get probability zero, provided each
     row keeps at least one finite entry."""
-    e = np.exp(_shifted(z))
+    e = _shifted(z)
+    np.exp(e, out=e)
     e /= _sum_last(e)
     return e
 
@@ -204,17 +248,19 @@ def conv1d_valid(H: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.nda
     evaluated only where the kernel fits entirely inside the sequence, so
     the result has shape (..., T - k + 1, n_f).  No padding.  One matmul
     applies every tap of every kernel to every row, then k shifted adds
-    line the taps up.
+    line the taps up.  A fold stack of (K, n_f, k, d) kernels and (K, n_f)
+    biases convolves entry k of H's leading axis with kernels k.
     """
     T, d = H.shape[-2:]
-    n_f, k, kernel_d = kernels.shape
+    n_f, k, kernel_d = kernels.shape[-3:]
     if d != kernel_d:
         raise ValueError(f"feature dims differ: H has {d}, kernels have {kernel_d}")
     if T < k:
         raise ValueError(f"sequence length {T} shorter than kernel size {k}")
     L = T - k + 1
-    taps = (H @ kernels.reshape(n_f * k, d).T).reshape(H.shape[:-1] + (n_f, k))
-    out = taps[..., 0:L, :, 0] + bias
+    taps = H @ kernels.reshape(kernels.shape[:-3] + (n_f * k, d)).swapaxes(-1, -2)
+    taps = taps.reshape(taps.shape[:-1] + (n_f, k))
+    out = taps[..., 0:L, :, 0] + bias[..., None, :]
     for j in range(1, k):
         out += taps[..., j : j + L, :, j]
     return out

@@ -13,7 +13,7 @@ import numpy as np
 from .experts import EXPERT_NAMES
 from .metrics import MetricsReport, metrics_from_labels
 from .model import (ENCODER_MODES, HEAD_KINDS, ModelParams, canonical_experts,
-                    make_batch, model_backward, model_forward)
+                    model_backward, model_forward)
 from .ops import log_softmax, softmax
 from .text import N_CLASSES, TokenizedExample, Vocab, stratified_kfold
 
@@ -242,15 +242,31 @@ class FoldArtifact:
 
 @dataclass
 class EnsembleModel:
-    """All fold artifacts with their normalized logit-averaging weights."""
+    """All fold artifacts with their normalized logit-averaging weights.
+
+    Building an ensemble stacks its folds: ``stacked`` is the fold-stacked
+    model (:meth:`ModelParams.stack`) that :func:`ensemble_forward` runs,
+    holding each parameter once as a (K, ...) array, and every fold's
+    tensors become views into it, so a write to a fold is seen by the next
+    prediction.  A fold belongs to one ensemble at a time: building another
+    from the same folds re-points them to the new stack.
+    """
 
     folds: list[FoldArtifact]
     weights: np.ndarray
+    stacked: ModelParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        if len(self.weights) != len(self.folds):
+        if not self.folds:
+            raise ValueError("an ensemble needs at least one fold")
+        if self.weights.shape != (len(self.folds),):
             raise ValueError("one weight per fold required")
+        if not (np.isfinite(self.weights).all() and (self.weights >= 0).all()
+                and self.weights.any()):
+            raise ValueError("fold weights must be finite, non-negative and not all "
+                             f"zero, got {self.weights.tolist()}")
+        self.stacked = ModelParams.stack([art.params for art in self.folds])
 
 
 def _example_H(example: TokenizedExample, store) -> np.ndarray | None:
@@ -409,19 +425,14 @@ def ensemble_forward(ensemble: EnsembleModel, example: TokenizedExample, store=N
                      ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """Weighted-logit ensemble prediction for one example.
 
-    Returns (logits, probs, predicted class, weight-averaged gate vector).
-    Argmax ties resolve to the lowest class index.
+    One forward pass of the fold-stacked model gives every fold's logits
+    and gate weights.  Returns (logits, probs, predicted class,
+    weight-averaged gate vector).  Argmax ties resolve to the lowest class
+    index.
     """
-    if not ensemble.folds:
-        raise ValueError("empty ensemble")
-    batch = make_batch(ensemble.folds[0].params, example, _example_H(example, store))
-    logits = np.zeros(N_CLASSES)
-    gate = None
-    for w, art in zip(ensemble.weights, ensemble.folds):
-        out = model_forward(art.params, batch)
-        logits += w * out.logits
-        gate = w * out.gate_weights if gate is None else gate + w * out.gate_weights
-    return logits, softmax(logits), int(logits.argmax()), gate
+    out = model_forward(ensemble.stacked, example, _example_H(example, store))
+    logits = ensemble.weights @ out.logits
+    return logits, softmax(logits), int(logits.argmax()), ensemble.weights @ out.gate_weights
 
 
 def evaluate_ensemble(ensemble: EnsembleModel, examples, store=None

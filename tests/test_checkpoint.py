@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -8,7 +9,7 @@ from stancemoe.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from stancemoe.train import TrainConfig, evaluate_ensemble, run_kfold
+from stancemoe.train import TrainConfig, ensemble_forward, evaluate_ensemble, run_kfold
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +51,19 @@ class TestRoundtrip:
         _, logits_b = evaluate_ensemble(ckpt.ensemble, examples[:20])
         np.testing.assert_array_equal(logits_a, logits_b)
 
+    def test_ensemble_forward_identical_after_reload(self, trained, lexicon, tmp_path):
+        examples, vocab, cfg, ensemble = trained
+        path = tmp_path / "model.smck"
+        save_checkpoint(path, ensemble, cfg, vocab, lexicon)
+        ckpt = load_checkpoint(path)
+        for ex in examples[:20]:
+            logits_a, probs_a, cls_a, gate_a = ensemble_forward(ensemble, ex)
+            logits_b, probs_b, cls_b, gate_b = ensemble_forward(ckpt.ensemble, ex)
+            np.testing.assert_array_equal(logits_a, logits_b)
+            np.testing.assert_array_equal(probs_a, probs_b)
+            np.testing.assert_array_equal(gate_a, gate_b)
+            assert cls_a == cls_b
+
     def test_save_is_deterministic(self, trained, lexicon, tmp_path):
         examples, vocab, cfg, ensemble = trained
         p1, p2 = tmp_path / "a.smck", tmp_path / "b.smck"
@@ -68,6 +82,14 @@ def _first_key_offset(raw: bytes) -> int:
     the metadata, u32 tensor count, u16 key length."""
     (meta_len,) = struct.unpack("<I", raw[6:10])
     return 10 + meta_len + 4 + 2
+
+
+def _metadata(**changes) -> bytes:
+    """Metadata with every key present and no folds, updated with ``changes``."""
+    meta = {"format": 1, "config": TrainConfig().to_dict(), "vocab": [],
+            "cue_tokens": ["claims"], "contrast_tokens": ["but"], "weights": [],
+            "fold_val_metrics": []}
+    return json.dumps({**meta, **changes}).encode("utf-8")
 
 
 class TestFormatErrors:
@@ -105,7 +127,11 @@ class TestFormatErrors:
     @pytest.mark.parametrize("metadata,match", [
         (b"[]", "JSON list, not an object"),
         (b'{"format": 1}', r"missing key\(s\) \['config', 'vocab'"),
-    ], ids=["not-an-object", "missing-keys"])
+        (_metadata(weights=["x", 1.0]), "malformed metadata: could not convert string"),
+        (_metadata(cue_tokens=[]), "malformed metadata: cue lexicon is empty"),
+        (_metadata(), "at least one fold"),
+    ], ids=["not-an-object", "missing-keys", "weights-not-numbers", "empty-cue-lexicon",
+            "zero-folds"])
     def test_malformed_metadata(self, tmp_path, metadata, match):
         path = tmp_path / "model.smck"
         path.write_bytes(b"SMCK1\0" + struct.pack("<I", len(metadata)) + metadata
