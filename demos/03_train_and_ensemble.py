@@ -1,6 +1,9 @@
 """End-to-end training: stratified K-fold, F1-weighted logit ensembling,
 and evaluation on held-out data.
 
+Every ensemble prediction runs the fold-stacked model: on one example, or
+on a whole list in length-bucketed batches; the two agree within rounding.
+
 Runs on a small synthetic corpus whose classes are determined by planted
 slogan, contrast, and reporting-cue tokens, so a few epochs suffice.
 """
@@ -34,9 +37,13 @@ for art, w in zip(ensemble.folds, ensemble.weights):
     print(f"  fold {art.fold_index}: F1 {art.val_macro_f1:.4f}  weight {w:.4f}")
 print(f"weights sum to {ensemble.weights.sum():.12f}")
 
-report, _ = evaluate_ensemble(ensemble, test_examples)
+report, _ = evaluate_ensemble(ensemble, test_examples)  # the list form, as metrics
 print("\nheld-out ensemble metrics:")
 print(report_text(report))
+
+all_logits, all_probs, classes, gates = ensemble_forward(ensemble, test_examples)
+print(f"list call: logits {all_logits.shape}, classes {classes.shape}, "
+      f"gates {gates.shape}")
 
 ex = test_examples[0]
 logits, probs, cls, gate = ensemble_forward(ensemble, ex)
@@ -46,3 +53,5 @@ print("  probs:", [round(float(p), 4) for p in probs])
 print("  weight-averaged gate:",
       {name: round(float(g), 3)
        for name, g in zip(ensemble.folds[0].params.active_experts, gate)})
+print(f"  one example vs its row of the list call: max |logit diff| "
+      f"{np.abs(logits - all_logits[0]).max():.1e}, same class: {cls == classes[0]}")

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .experts import EXPERT_NAMES
-from .metrics import MetricsReport
+from .metrics import MetricsReport, metrics_from_labels
 from .text import CLASS_DISPLAY
-from .train import EnsembleModel, TrainConfig, evaluate_ensemble, evaluate_model, run_kfold
+from .train import EnsembleModel, TrainConfig, predict_logits, run_kfold
 
 FULL_MODEL_LABEL = "StanceMoE"
 
@@ -61,18 +61,22 @@ class VariantResult:
 def ablate(config: TrainConfig, train_examples, vocab, test_examples, store=None,
            jobs: int = 1) -> list[VariantResult]:
     """Run the seven ablation variants; test_examples drive all reported
-    numbers (per-fold and ensemble)."""
+    numbers (per-fold and ensemble).  One prediction of the fold-stacked
+    model per variant gives every fold's test logits; the ensemble's are
+    their weighted average."""
     if config.head != "moe":
         raise ValueError("ablation requires the moe head")
+    golds = [ex.label for ex in test_examples]
     results = []
     for label, removed in ABLATION_ROWS:
         active = tuple(n for n in EXPERT_NAMES if n != removed)
         variant_cfg = dataclasses.replace(config, active_experts=active)
         ensemble = run_kfold(variant_cfg, train_examples, vocab, store, jobs=jobs)
-        ensemble_report, _ = evaluate_ensemble(ensemble, test_examples, store)
-        fold_reports = [
-            evaluate_model(art.params, test_examples, store) for art in ensemble.folds
-        ]
+        fold_logits = predict_logits(ensemble.stacked, test_examples, store)
+        fold_reports = [metrics_from_labels(golds, logits.argmax(axis=1))
+                        for logits in fold_logits]
+        ensemble_report = metrics_from_labels(
+            golds, ensemble.average(fold_logits).argmax(axis=1))
         results.append(VariantResult(label, removed, ensemble, ensemble_report,
                                      fold_reports))
     return results

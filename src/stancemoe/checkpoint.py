@@ -12,6 +12,8 @@ u8 ndim | ndim * u32 dims | float64 values, row-major.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -69,16 +71,21 @@ def save_checkpoint(path, ensemble: EnsembleModel, config: TrainConfig,
             fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
+def _read_exact(fh, n: int, what: str, end: int | None = None) -> bytes:
+    """Read n bytes.  Given the file size ``end``, a size field that claims
+    more than the file holds fails before the read allocates it."""
+    if end is not None and n > end - fh.tell():
+        raise CheckpointFormatError(f"{fh.name}: truncated checkpoint while reading {what}: "
+                                    f"{n} bytes declared, {end - fh.tell()} left")
     buf = fh.read(n)
     if len(buf) != n:
         raise CheckpointFormatError(f"{fh.name}: truncated checkpoint while reading {what}")
     return buf
 
 
-def _read_utf8(fh, n: int, what: str) -> str:
+def _read_utf8(fh, n: int, what: str, end: int | None = None) -> str:
     try:
-        return _read_exact(fh, n, what).decode("utf-8")
+        return _read_exact(fh, n, what, end).decode("utf-8")
     except UnicodeDecodeError as err:
         raise CheckpointFormatError(f"{fh.name}: {what} is not valid UTF-8: {err}") from err
 
@@ -88,8 +95,9 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointFormatError(f"{path}: bad magic {magic!r}; not an SMCK1 checkpoint")
+        end = os.fstat(fh.fileno()).st_size
         (meta_len,) = struct.unpack("<I", _read_exact(fh, 4, "header"))
-        meta_text = _read_utf8(fh, meta_len, "metadata")
+        meta_text = _read_utf8(fh, meta_len, "metadata", end)
         try:
             meta = json.loads(meta_text)
         except json.JSONDecodeError as err:
@@ -112,8 +120,7 @@ def load_checkpoint(path) -> LoadedCheckpoint:
             key = _read_utf8(fh, key_len, "tensor key")
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "tensor rank"))
             dims = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "tensor shape"))
-            size = int(np.prod(dims)) if ndim else 1
-            raw = _read_exact(fh, 8 * size, f"tensor {key!r} payload")
+            raw = _read_exact(fh, 8 * math.prod(dims), f"tensor {key!r} payload", end)
             tensors[key] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
         if fh.read(1):
             raise CheckpointFormatError(

@@ -18,10 +18,8 @@ from .text import (
     CueLexicon,
     LABEL_NAMES,
     TokenizedExample,
-    Vocab,
     default_lexicon,
     load_dataset,
-    mark_positions,
     read_lexicon_file,
 )
 from .train import (
@@ -177,15 +175,13 @@ def _cmd_predict(args, written: list) -> int:
     store = _load_store(ckpt.config, args.embeddings)
     examples, _ = load_dataset(args.data, ckpt.lexicon, ckpt.config.max_len,
                                vocab=ckpt.vocab, require_labels=False)
-    lines = []
-    for ex in examples:
-        logits, probs, cls, gate = ensemble_forward(ckpt.ensemble, ex, store)
-        lines.append(json.dumps({
-            "id": ex.id,
-            "probs": [float(p) for p in probs],
-            "class": LABEL_NAMES[cls],
-            "gate_weights": _gate_dict(ckpt, gate),
-        }, sort_keys=True))
+    _, probs, classes, gates = ensemble_forward(ckpt.ensemble, examples, store)
+    lines = [json.dumps({
+        "id": ex.id,
+        "probs": [float(p) for p in row],
+        "class": LABEL_NAMES[cls],
+        "gate_weights": _gate_dict(ckpt, gate),
+    }, sort_keys=True) for ex, row, cls, gate in zip(examples, probs, classes, gates)]
     _write_text(args.out, "\n".join(lines) + "\n", written)
     print(f"wrote {len(lines)} predictions to {args.out}")
     return 0

@@ -11,6 +11,7 @@ head instead.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -219,7 +220,12 @@ def write_embedding_store(path, records) -> int:
     return len(records)
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
+def _read_exact(fh, n: int, what: str, end: int | None = None) -> bytes:
+    """Read n bytes.  Given the file size ``end``, a size field that claims
+    more than the file holds fails before the read allocates it."""
+    if end is not None and n > end - fh.tell():
+        raise StoreFormatError(f"{fh.name}: truncated embedding store while reading {what}: "
+                               f"{n} bytes declared, {end - fh.tell()} left")
     buf = fh.read(n)
     if len(buf) != n:
         raise StoreFormatError(f"{fh.name}: truncated embedding store while reading {what}")
@@ -240,12 +246,13 @@ def read_embedding_store(path) -> tuple[dict[str, np.ndarray], int]:
         if magic != STORE_MAGIC:
             raise StoreFormatError(f"{path}: bad magic {magic!r}; not an SMEB1 embedding store")
         d, count = struct.unpack("<II", _read_exact(fh, 8, "header"))
+        end = os.fstat(fh.fileno()).st_size
         out: dict[str, np.ndarray] = {}
         for _ in range(count):
             (id_len,) = struct.unpack("<H", _read_exact(fh, 2, "record id length"))
             example_id = _read_utf8(fh, id_len, "record id")
             (T,) = struct.unpack("<I", _read_exact(fh, 4, "record length"))
-            raw = _read_exact(fh, 4 * T * d, f"record {example_id!r} payload")
+            raw = _read_exact(fh, 4 * T * d, f"record {example_id!r} payload", end)
             H32 = np.frombuffer(raw, dtype="<f4").reshape(T, d)
             if example_id in out:
                 raise StoreFormatError(f"{path}: duplicate record id {example_id!r}")

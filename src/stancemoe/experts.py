@@ -21,6 +21,7 @@ from .ops import (
     conv1d_valid,
     conv1d_valid_backward,
     fold_stack,
+    param_affine,
     softmax,
     softmax_backward,
 )
@@ -247,7 +248,7 @@ def expert_max_backward(bank: ExpertBank, H, de: np.ndarray) -> np.ndarray:
 # --- self-attention pooling ---------------------------------------------
 
 def _attention(bank: ExpertBank, X: np.ndarray, stack: Padded):
-    scores = np.tanh((X @ bank.attn_vector[..., None])[..., 0])
+    scores = np.tanh(param_affine(X, bank.attn_vector[..., None])[..., 0])
     return softmax(scores + stack.fill if stack.ragged else scores), scores
 
 

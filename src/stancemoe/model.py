@@ -89,11 +89,11 @@ class ModelParams:
     @classmethod
     def stack(cls, models) -> "ModelParams":
         """K models of one architecture as one fold-stacked model, whose
-        forward pass on one example gives the K models' outputs along a
-        leading fold axis.  Each tensor is held once, as a (K, ...) array;
-        the models' tensors become views into it.  Rejects models that
-        differ in a setting or in the path or shape of a tensor, naming the
-        model's index."""
+        forward pass on one example or a list gives the K models' outputs
+        along a leading fold axis.  Each tensor is held once, as a (K, ...)
+        array; the models' tensors become views into it.  Rejects models
+        that differ in a setting or in the path or shape of a tensor, naming
+        the model's index."""
         if not models:
             raise ValueError("cannot stack zero models")
         _check_same_architecture(models)
@@ -251,15 +251,14 @@ def model_forward(params: ModelParams, examples, H_override=None) -> ModelOutput
     :class:`Batch` from :func:`make_batch` may stand in for the examples
     and their matrices, so models of the same width can share one.
 
-    A fold-stacked model (:meth:`ModelParams.stack`) takes one example and
-    gives every field a leading fold axis, with the K models' outputs.
+    A fold-stacked model (:meth:`ModelParams.stack`) takes the same inputs
+    and gives every field but ``batch`` a leading fold axis, with the K
+    models' outputs: (K, ...) for one example, (K, B, ...) for a list.
     """
     batch = (examples if isinstance(examples, Batch)
              else make_batch(params, examples, H_override))
     if batch.H is None and params.encoder is None:
         raise ValueError("model has no encoder; precomputed embeddings required")
-    if params.n_folds and not batch.single:
-        raise ValueError("a fold-stacked model runs one example at a time")
     if batch.H is None:
         H = encode(params.encoder, batch.ids).H
     elif params.n_folds:  # every fold reads the same precomputed rows

@@ -10,9 +10,10 @@ vector, a (T, d) matrix and a (B, T, d) stack all go through the same
 function.
 Each model's parameters can also be held as a fold stack: K models of one
 architecture whose every parameter is one (K, ...) array (see
-:func:`fold_stack`).  The affine map and the convolution then apply
-parameter entry k to entry k of the data's leading axis, so the same
-functions run K models in one pass.
+:func:`fold_stack`).  The data then carry a leading fold axis too, and
+:func:`param_affine`, the one place where a parameter meets data, applies
+parameter entry k to entry k of that axis, so the same functions run K
+models in one pass, on one example or on a padded stack of them.
 
 Every differentiable operation comes as a forward / ``*_backward`` pair.
 Backward passes are hand-derived, accumulate parameter gradients in place
@@ -30,6 +31,7 @@ import numpy as np
 __all__ = [
     "LinearParams",
     "fold_stack",
+    "param_affine",
     "affine",
     "affine_backward",
     "softmax",
@@ -113,26 +115,41 @@ def fold_stack(parts, params: dict[str, str]):
     return out
 
 
+def param_affine(x: np.ndarray, W: np.ndarray | None = None,
+                 b: np.ndarray | None = None) -> np.ndarray:
+    """x W + b along the last axis: data x (..., n) times a weight W (n, m),
+    plus a bias b (m,).  Without W the map is the identity; without b it
+    has no bias.
+
+    For a fold stack of K models, W is (K, n, m) and b is (K, m), and x
+    carries the fold axis first, (K, ..., n): fold k's rows meet fold k's
+    parameters as one batched product over each fold's flattened rows,
+    ``x.reshape(K, -1, n) @ W``.  A plain W is exactly ``x @ W``.
+    """
+    fold = W.ndim == 3 if W is not None else b.ndim == 2
+    flat = fold and x.ndim != 3  # (K, T, n) rows already have the flattened layout
+    rows = x.reshape(len(W if W is not None else b), -1, x.shape[-1]) if flat else x
+    if fold and b is not None:
+        b = b[:, None, :]
+    if W is None:
+        y = rows + b
+    else:
+        y = rows @ W
+        if b is not None:
+            y += b
+    return y.reshape(x.shape[:-1] + y.shape[-1:]) if flat else y
+
+
 def affine(p: LinearParams, x: np.ndarray) -> np.ndarray:
     """W x + b along the last axis: (..., in_dim) -> (..., out_dim).
 
     A vector is one row; a (B, T, in_dim) stack maps every row at once.  A
-    fold-stacked map applies map k to entry k of x's leading axis, for
-    (K, in_dim) vectors and (K, T, in_dim) rows alike.
+    fold-stacked map applies map k to entry k of x's leading axis (see
+    :func:`param_affine`).
     """
-    W = p.weight
-    if x.shape[-1:] != W.shape[-1:]:
+    if x.shape[-1:] != p.weight.shape[-1:]:
         raise ValueError(f"affine expects input of shape (..., {p.in_dim}), got {x.shape}")
-    if W.ndim == 2:
-        y = x @ W.T
-        y += p.bias
-    elif x.ndim == 2:  # (K, in_dim) vectors, one per map
-        y = (x[:, None, :] @ W.swapaxes(-1, -2))[:, 0, :]
-        y += p.bias
-    else:
-        y = x @ W.swapaxes(-1, -2)
-        y += p.bias[:, None, :]
-    return y
+    return param_affine(x, p.weight.swapaxes(-1, -2), p.bias)
 
 
 def affine_backward(p: LinearParams, x: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -249,7 +266,8 @@ def conv1d_valid(H: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.nda
     the result has shape (..., T - k + 1, n_f).  No padding.  One matmul
     applies every tap of every kernel to every row, then k shifted adds
     line the taps up.  A fold stack of (K, n_f, k, d) kernels and (K, n_f)
-    biases convolves entry k of H's leading axis with kernels k.
+    biases convolves entry k of H's leading axis with kernels k (see
+    :func:`param_affine`).
     """
     T, d = H.shape[-2:]
     n_f, k, kernel_d = kernels.shape[-3:]
@@ -258,9 +276,10 @@ def conv1d_valid(H: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.nda
     if T < k:
         raise ValueError(f"sequence length {T} shorter than kernel size {k}")
     L = T - k + 1
-    taps = H @ kernels.reshape(kernels.shape[:-3] + (n_f * k, d)).swapaxes(-1, -2)
+    flat = kernels.reshape(kernels.shape[:-3] + (n_f * k, d))
+    taps = param_affine(H, flat.swapaxes(-1, -2))
     taps = taps.reshape(taps.shape[:-1] + (n_f, k))
-    out = taps[..., 0:L, :, 0] + bias[..., None, :]
+    out = param_affine(taps[..., 0:L, :, 0], b=bias)
     for j in range(1, k):
         out += taps[..., j : j + L, :, j]
     return out

@@ -245,7 +245,7 @@ class EnsembleModel:
     """All fold artifacts with their normalized logit-averaging weights.
 
     Building an ensemble stacks its folds: ``stacked`` is the fold-stacked
-    model (:meth:`ModelParams.stack`) that :func:`ensemble_forward` runs,
+    model (:meth:`ModelParams.stack`) that every ensemble prediction runs,
     holding each parameter once as a (K, ...) array, and every fold's
     tensors become views into it, so a write to a fold is seen by the next
     prediction.  A fold belongs to one ensemble at a time: building another
@@ -268,6 +268,11 @@ class EnsembleModel:
                              f"zero, got {self.weights.tolist()}")
         self.stacked = ModelParams.stack([art.params for art in self.folds])
 
+    def average(self, per_fold: np.ndarray) -> np.ndarray:
+        """The weighted average over the leading fold axis of a (K, ...) array."""
+        flat = per_fold.reshape(len(self.weights), -1)
+        return (self.weights @ flat).reshape(per_fold.shape[1:])
+
 
 def _example_H(example: TokenizedExample, store) -> np.ndarray | None:
     if store is None:
@@ -281,35 +286,51 @@ def _stored_H(examples, store) -> list[np.ndarray] | None:
     return None if store is None else [_example_H(ex, store) for ex in examples]
 
 
-def length_buckets(lengths, max_len: int) -> list[np.ndarray]:
+def length_buckets(lengths, max_len: int, folds: int = 1) -> list[np.ndarray]:
     """Split the positions of ``lengths`` into sub-batches for padded stacks.
 
     Positions are sorted by length (ties keep their input order) and taken
-    greedily: a sub-batch grows while its size times the square of its
-    longest length stays within max_len ** 2, so no (B, T, T) attention
-    stack is larger than that of one max_len sequence.  Every position is
-    in exactly one sub-batch; one longer than max_len runs alone.
+    greedily: a sub-batch grows while the number of folds times its size
+    times the square of its longest length stays within max_len ** 2, so
+    no (K, B, T, T) attention stack is larger than that of one max_len
+    sequence in one model.  Every position is in exactly one sub-batch; one
+    over that bound on its own runs alone.
     """
     lengths = np.asarray(lengths)
     order = np.argsort(lengths, kind="stable")
     cap = max_len * max_len
     buckets, start = [], 0
     for i in range(1, len(order) + 1):
-        if i == len(order) or (i - start + 1) * int(lengths[order[i]]) ** 2 > cap:
+        if i == len(order) or folds * (i - start + 1) * int(lengths[order[i]]) ** 2 > cap:
             buckets.append(order[start:i])
             start = i
     return buckets
 
 
+def _forward_buckets(params: ModelParams, examples, store=None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Forward a list of examples in length-bucketed sub-batches, whose
+    bound counts the folds of a fold-stacked model; returns the logits and
+    gate weights in input order, (n, 3) and (n, E) for one model, with a
+    leading fold axis for a fold stack."""
+    lead = (params.n_folds,) if params.n_folds else ()
+    logits = np.empty(lead + (len(examples), N_CLASSES))
+    gates = np.empty(lead + (len(examples), len(params.active_experts)))
+    lengths = [len(ex.token_ids) for ex in examples]
+    for part in length_buckets(lengths, params.max_len, params.n_folds or 1):
+        sub = [examples[i] for i in part]
+        out = model_forward(params, sub, _stored_H(sub, store))
+        logits[..., part, :] = out.logits
+        gates[..., part, :] = out.gate_weights
+        del out  # frees this bucket's activations before the next bucket's forward
+    return logits, gates
+
+
 def predict_logits(params: ModelParams, examples, store=None) -> np.ndarray:
     """Forward a dataset in length-bucketed sub-batches; returns an (n, 3)
-    logit matrix in input order."""
-    out = np.empty((len(examples), N_CLASSES))
-    lengths = [len(ex.token_ids) for ex in examples]
-    for part in length_buckets(lengths, params.max_len):
-        sub = [examples[i] for i in part]
-        out[part] = model_forward(params, sub, _stored_H(sub, store)).logits
-    return out
+    logit matrix in input order, or the (K, n, 3) logits of every fold of a
+    fold-stacked model."""
+    return _forward_buckets(params, examples, store)[0]
 
 
 def evaluate_model(params: ModelParams, examples, store=None) -> MetricsReport:
@@ -421,30 +442,35 @@ def run_kfold(config: TrainConfig, examples, vocab: Vocab, store=None,
 
 # --- ensemble inference -----------------------------------------------------
 
-def ensemble_forward(ensemble: EnsembleModel, example: TokenizedExample, store=None
-                     ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """Weighted-logit ensemble prediction for one example.
+def ensemble_forward(ensemble: EnsembleModel, examples, store=None):
+    """Weighted-logit ensemble prediction for one example or a list.
 
-    One forward pass of the fold-stacked model gives every fold's logits
-    and gate weights.  Returns (logits, probs, predicted class,
-    weight-averaged gate vector).  Argmax ties resolve to the lowest class
-    index.
+    The fold-stacked model gives every fold's logits and gate weights in
+    one forward pass per example, or per length bucket of a list (the
+    buckets of :func:`predict_logits`).  Returns (logits, probs, predicted
+    class, weight-averaged gate vector): (3,), (3,), an int and (E,) for
+    one example; (n, 3), (n, 3), (n,) and (n, E) for a list of n, where E
+    is the number of active experts.  Argmax ties resolve to the lowest
+    class index.
     """
-    out = model_forward(ensemble.stacked, example, _example_H(example, store))
-    logits = ensemble.weights @ out.logits
-    return logits, softmax(logits), int(logits.argmax()), ensemble.weights @ out.gate_weights
+    single = isinstance(examples, TokenizedExample)
+    if single:
+        out = model_forward(ensemble.stacked, examples, _example_H(examples, store))
+        fold_logits, fold_gates = out.logits, out.gate_weights
+    else:
+        fold_logits, fold_gates = _forward_buckets(ensemble.stacked, examples, store)
+    logits = ensemble.average(fold_logits)
+    classes = logits.argmax(axis=-1)
+    return (logits, softmax(logits), int(classes) if single else classes,
+            ensemble.average(fold_gates))
 
 
 def evaluate_ensemble(ensemble: EnsembleModel, examples, store=None
                       ) -> tuple[MetricsReport, np.ndarray]:
-    """Ensemble metrics over labeled examples; also returns the (n, 3) logits,
-    the weighted sum of each fold's :func:`predict_logits`."""
-    logits = np.zeros((len(examples), N_CLASSES))
-    for w, art in zip(ensemble.weights, ensemble.folds):
-        logits += w * predict_logits(art.params, examples, store)
-    preds = logits.argmax(axis=1)
-    golds = [ex.label for ex in examples]
-    return metrics_from_labels(golds, preds), logits
+    """Ensemble metrics over labeled examples, with the (n, 3) logits of
+    :func:`ensemble_forward` on the list."""
+    logits, _, preds, _ = ensemble_forward(ensemble, examples, store)
+    return metrics_from_labels([ex.label for ex in examples], preds), logits
 
 
 def training_report(ensemble: EnsembleModel, config: TrainConfig, examples,

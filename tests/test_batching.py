@@ -112,12 +112,14 @@ def test_predict_logits_equal_single_example_logits_and_ignore_neighbours():
 def test_length_buckets_cover_once_and_respect_the_memory_cap(max_len):
     rng = np.random.default_rng(max_len)
     lengths = rng.integers(1, max_len + 1, size=37)
-    buckets = length_buckets(lengths, max_len)
-    order = np.concatenate(buckets)
-    assert sorted(order.tolist()) == list(range(len(lengths)))
-    # shortest first, equal lengths in input order, so scattering each
-    # bucket's rows back to its positions restores the input order
-    np.testing.assert_array_equal(order, np.argsort(lengths, kind="stable"))
-    for bucket in buckets:
-        assert len(bucket) * int(lengths[bucket].max()) ** 2 <= max_len**2
-    assert length_buckets([], max_len) == []
+    for folds in (1, 3, 10):
+        buckets = length_buckets(lengths, max_len, folds)
+        order = np.concatenate(buckets)
+        assert sorted(order.tolist()) == list(range(len(lengths)))
+        # shortest first, equal lengths in input order, so scattering each
+        # bucket's rows back to its positions restores the input order
+        np.testing.assert_array_equal(order, np.argsort(lengths, kind="stable"))
+        for bucket in buckets:
+            if folds == 1 or len(bucket) > 1:  # one example runs alone, whatever its size
+                assert folds * len(bucket) * int(lengths[bucket].max()) ** 2 <= max_len**2
+        assert length_buckets([], max_len, folds) == []

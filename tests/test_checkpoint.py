@@ -84,6 +84,16 @@ def _first_key_offset(raw: bytes) -> int:
     return 10 + meta_len + 4 + 2
 
 
+def _huge_first_tensor(raw: bytes) -> bytes:
+    """The first tensor's two dims set to 2**20 each: 8 TiB of float64
+    declared in a file of a few KiB."""
+    key = _first_key_offset(raw)
+    (key_len,) = struct.unpack("<H", raw[key - 2:key])
+    assert raw[key + key_len] == 2  # the u8 rank
+    dims = key + key_len + 1
+    return raw[:dims] + struct.pack("<2I", 1 << 20, 1 << 20) + raw[dims + 8:]
+
+
 def _metadata(**changes) -> bytes:
     """Metadata with every key present and no folds, updated with ``changes``."""
     meta = {"format": 1, "config": TrainConfig().to_dict(), "vocab": [],
@@ -104,7 +114,10 @@ class TestFormatErrors:
         (lambda raw: raw + b"\x00\x01\x02", "trailing bytes"),
         (lambda raw: _set_byte(raw, 10), "metadata is not valid UTF-8"),  # first metadata byte
         (lambda raw: _set_byte(raw, _first_key_offset(raw)), "tensor key is not valid UTF-8"),
-    ], ids=["truncated", "trailing-bytes", "metadata-not-utf8", "key-not-utf8"])
+        (_huge_first_tensor, "tensor 'fold0/encoder/embedding' payload: "
+                             "8796093022208 bytes declared"),
+    ], ids=["truncated", "trailing-bytes", "metadata-not-utf8", "key-not-utf8",
+            "huge-payload"])
     def test_corrupt_file(self, trained, lexicon, tmp_path, corrupt, message):
         examples, vocab, cfg, ensemble = trained
         path = tmp_path / "model.smck"

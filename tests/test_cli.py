@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from stancemoe.checkpoint import load_checkpoint
 from stancemoe.cli import main
 from stancemoe.encoder import write_embedding_store
 from stancemoe.synthetic import make_synthetic_dataset, write_jsonl
-from stancemoe.text import default_lexicon, load_dataset
+from stancemoe.text import LABEL_NAMES, default_lexicon, load_dataset
+from stancemoe.train import ensemble_forward
 
 FAST = ["--set", "k=2", "--set", "epochs=1", "--set", "hidden_dim=10",
         "--set", "max_len=32", "--set", "cnn_filters=2"]
@@ -79,6 +81,25 @@ class TestPredict:
         assert set(first["gate_weights"]) == {
             "mean", "max", "self_attention", "cnn", "cue", "contrast"}
         assert abs(sum(first["gate_weights"].values()) - 1.0) <= 1e-9
+
+    def test_lines_equal_per_example_ensemble_forward(self, data_dir, model_path):
+        out = data_dir / "preds-ref.jsonl"
+        assert main(["predict", "--model", str(model_path),
+                     "--data", str(data_dir / "test.jsonl"), "--out", str(out)]) == 0
+        lines = [json.loads(l) for l in out.read_text().strip().split("\n")]
+        ckpt = load_checkpoint(model_path)
+        examples, _ = load_dataset(data_dir / "test.jsonl", ckpt.lexicon,
+                                   ckpt.config.max_len, vocab=ckpt.vocab)
+        names = ckpt.ensemble.stacked.active_experts
+        assert len(lines) == len(examples)
+        for line, ex in zip(lines, examples):
+            _, probs, cls, gate = ensemble_forward(ckpt.ensemble, ex)
+            assert line["id"] == ex.id
+            np.testing.assert_allclose(line["probs"], probs, rtol=0, atol=1e-12)
+            assert line["class"] == LABEL_NAMES[cls]
+            assert list(line["gate_weights"]) == sorted(names)
+            np.testing.assert_allclose([line["gate_weights"][n] for n in names], gate,
+                                       rtol=0, atol=1e-12)
 
     def test_unlabeled_input_accepted(self, data_dir, model_path):
         unlabeled = data_dir / "unlabeled.jsonl"

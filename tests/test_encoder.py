@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -149,12 +151,17 @@ class TestEmbeddingStore:
             predict_logits(precomputed_model(d), [toy_example([1, 2], example_id="nope")],
                            store)
 
-    # the id byte of record "a" follows the 6-byte magic, 8-byte header and u16 id length
+    # the id byte of record "a" follows the 6-byte magic, 8-byte header and u16
+    # id length; its u32 length T follows the id
     @pytest.mark.parametrize("corrupt, message", [
         (lambda raw: raw[: len(raw) - 7], "truncated"),
         (lambda raw: raw + b"\x00\x01", "trailing bytes"),
         (lambda raw: raw[:16] + b"\xff" + raw[17:], "record id is not valid UTF-8"),
-    ], ids=["truncated", "trailing-bytes", "id-not-utf8"])
+        # d = 2**10 and T = 2**31: 8 TiB of float32 declared in a 69-byte file
+        (lambda raw: raw[:6] + struct.pack("<I", 1 << 10) + raw[10:17]
+         + struct.pack("<I", 1 << 31) + raw[21:],
+         "record 'a' payload: 8796093022208 bytes declared, 48 left"),
+    ], ids=["truncated", "trailing-bytes", "id-not-utf8", "huge-payload"])
     def test_corrupt_file_is_format_error(self, tmp_path, corrupt, message):
         path = tmp_path / "emb.smeb"
         write_embedding_store(path, [("a", np.ones((4, 3), np.float32))])

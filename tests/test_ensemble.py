@@ -1,5 +1,6 @@
-"""The fold-stacked ensemble: one forward pass of the stacked model equals
-the weighted sum of every fold's own forward pass."""
+"""The fold-stacked ensemble: one forward pass of the stacked model, on one
+example or on a list, equals the weighted sum of every fold's own forward
+pass."""
 
 import dataclasses
 
@@ -64,26 +65,36 @@ def test_stacked_forward_equals_weighted_fold_sum(K, model):
     store = None
     if ensemble.stacked.encoder is None:
         store = {ex.id: rng.normal(size=(len(ex.token_ids), D)) for ex in examples}
-    for ex in examples:
+    listed = ensemble_forward(ensemble, examples, store)
+    n, E = len(examples), len(ensemble.stacked.active_experts)
+    assert [a.shape for a in listed] == [(n, 3), (n, 3), (n,), (n, E)]
+    for i, ex in enumerate(examples):
         H = None if store is None else store[ex.id]
-        logits, probs, cls, gate = ensemble_forward(ensemble, ex, store)
         want_logits, want_gate = reference(ensemble, ex, H)
-        np.testing.assert_allclose(logits, want_logits, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(gate, want_gate, rtol=0, atol=1e-12)
-        assert gate.shape == (len(ensemble.stacked.active_experts),)
-        assert cls == int(logits.argmax())
-        assert abs(probs.sum() - 1.0) <= 1e-12
+        for logits, probs, cls, gate in (ensemble_forward(ensemble, ex, store),
+                                         [a[i] for a in listed]):
+            np.testing.assert_allclose(logits, want_logits, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(gate, want_gate, rtol=0, atol=1e-12)
+            assert gate.shape == (E,)
+            assert cls == int(logits.argmax())
+            assert abs(probs.sum() - 1.0) <= 1e-12
 
 
 def test_fold_tensors_are_views_of_the_stack():
     ensemble = make_ensemble(3)
-    ex = probe_examples(np.random.default_rng(1))[0]
+    examples = probe_examples(np.random.default_rng(1))
+    ex = examples[0]
     before = ensemble_forward(ensemble, ex)[0]
+    before_list = ensemble_forward(ensemble, examples)[0]
     for _, value, _ in ensemble.folds[1].params.named_params():
         value += 0.05
     after = ensemble_forward(ensemble, ex)[0]
+    after_list = ensemble_forward(ensemble, examples)[0]
     assert np.abs(after - before).max() > 1e-6
+    assert np.abs(after_list - before_list).max(axis=1).min() > 1e-6
     np.testing.assert_allclose(after, reference(ensemble, ex, None)[0], rtol=0, atol=1e-12)
+    for row, one in zip(after_list, examples):
+        np.testing.assert_allclose(row, reference(ensemble, one, None)[0], rtol=0, atol=1e-12)
     for (name, value, _), (stacked_name, stacked, grad) in zip(
             ensemble.folds[2].params.named_params(), ensemble.stacked.named_params(),
             strict=True):
@@ -93,11 +104,9 @@ def test_fold_tensors_are_views_of_the_stack():
         assert grad is None, name
 
 
-def test_stacked_model_rejects_a_batch_and_a_backward_pass():
+def test_stacked_model_rejects_a_backward_pass():
     ensemble = make_ensemble(2)
     examples = probe_examples(np.random.default_rng(2))
-    with pytest.raises(ValueError, match="one example at a time"):
-        model_forward(ensemble.stacked, examples[:2])
     out = model_forward(ensemble.stacked, examples[0])
     with pytest.raises(ValueError, match="forward-only"):
         model_backward(ensemble.stacked, examples[0], out, np.ones((2, 3)))
