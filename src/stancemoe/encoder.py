@@ -5,6 +5,7 @@ position) vectors and mixes them with a single scaled dot-product
 self-attention layer, producing a (T, d) matrix H whose row 0 is the
 sequence-level CLS representation.  A Padded stack of id sequences is
 encoded in one pass, with padded keys masked out of the attention.  The
+output keeps the forward record that the backward pass reads.  The
 SMEB1 store lets externally produced embeddings drive the classification
 head instead.
 """
@@ -26,6 +27,7 @@ from .text import UNK_ID
 class EncoderOutput:
     H: np.ndarray | Padded  # (T, d) rows of one sequence, or a Padded stack of them
     h_cls: np.ndarray  # row 0 of each sequence: (d,), or (B, d) for a stack
+    cache: tuple  # (X, Q, K, V, A), the intermediates encode_backward reads
 
 
 def sinusoidal_positions(max_len: int, d: int) -> np.ndarray:
@@ -132,35 +134,40 @@ def embed_sequence(params: ToyEncoderParams, token_ids) -> np.ndarray:
     return X
 
 
-def _attend(params: ToyEncoderParams, X: np.ndarray, ids: Padded):
+def _attend(params: ToyEncoderParams, ids: Padded) -> tuple:
+    """The forward record (X, Q, K, V, A): input rows, their query, key and
+    value projections, and the attention weights."""
+    X = embed_sequence(params, ids)
     Q = affine(params.query, X)
     K = affine(params.key, X)
     V = affine(params.value, X)
     S = Q @ K.swapaxes(-1, -2)
     S /= np.sqrt(params.d)
     A = softmax(S + ids.fill[..., None, :] if ids.ragged else S)  # padded keys get no weight
-    return Q, K, V, A
+    return X, Q, K, V, A
 
 
 def encode(params: ToyEncoderParams, token_ids) -> EncoderOutput:
     """Contextualize token ids: a sequence of T ids gives a (T, d) H; a
     Padded (B, T) id stack gives a Padded (B, T, d) H, zero on padding."""
     ids = _id_stack(token_ids)
-    X = embed_sequence(params, ids)
-    _, _, V, A = _attend(params, X, ids)
+    cache = _attend(params, ids)
+    _, _, _, V, A = cache
     H = A @ V
     if ids.ragged:
         H *= ids.valid[..., None]
     return EncoderOutput(H=ids.like(H) if isinstance(token_ids, Padded) else H,
-                         h_cls=H[..., 0, :])
+                         h_cls=H[..., 0, :], cache=cache)
 
 
-def encode_backward(params: ToyEncoderParams, token_ids, dH: np.ndarray) -> None:
+def encode_backward(params: ToyEncoderParams, token_ids, dH: np.ndarray,
+                    cache: tuple | None = None) -> None:
     """Accumulate encoder gradients for dL/dH (CLS gradient folded into row 0),
-    shaped like the H that :func:`encode` returned for these ids."""
+    shaped like the H that :func:`encode` returned for these ids.  ``cache``
+    is that call's :attr:`EncoderOutput.cache`; without it the forward pass
+    runs first."""
     ids = _id_stack(token_ids)
-    X = embed_sequence(params, ids)
-    Q, K, V, A = _attend(params, X, ids)
+    X, Q, K, V, A = cache if cache is not None else _attend(params, ids)
     scale = 1.0 / np.sqrt(params.d)
 
     if ids.ragged:
@@ -172,8 +179,13 @@ def encode_backward(params: ToyEncoderParams, token_ids, dH: np.ndarray) -> None
     dX = affine_backward(params.query, X, (dS @ K) * scale)
     dX += affine_backward(params.key, X, (dS.swapaxes(-1, -2) @ Q) * scale)
     dX += affine_backward(params.value, X, dV)
-    np.add.at(params.grad_embedding, _clip_ids(params, ids.data).ravel(),
-              dX.reshape(-1, params.d))
+    # one sum per distinct id: a stable sort keeps each id's rows in order
+    rows = _clip_ids(params, ids.data).ravel()
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+    params.grad_embedding[rows[starts]] += np.add.reduceat(
+        dX.reshape(-1, params.d)[order], starts, axis=0)
 
 
 # --- SMEB1 precomputed-embedding store ---------------------------------

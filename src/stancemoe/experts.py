@@ -114,7 +114,8 @@ class ExpertBank:
         :func:`stancemoe.ops.fold_stack`."""
         out = fold_stack(parts, {"attn_vector": "grad_attn_vector",
                                  "cnn_kernels": "grad_cnn_kernels",
-                                 "cnn_biases": "grad_cnn_biases"})
+                                 "cnn_biases": "grad_cnn_biases"},
+                         transposed=("cnn_kernels",))
         out.proj = {name: LinearParams.stack([p.proj[name] for p in parts])
                     for name in out.proj}
         out.cnn_proj = LinearParams.stack([p.cnn_proj for p in parts])
@@ -218,11 +219,12 @@ def expert_mean(bank: ExpertBank, H) -> np.ndarray:
     return affine(bank.proj["mean"], _pool(_mean_weights(stack), X))
 
 
-def expert_mean_backward(bank: ExpertBank, H, de: np.ndarray) -> np.ndarray:
+def expert_mean_backward(bank: ExpertBank, H, de: np.ndarray,
+                         input_grad: bool = True) -> np.ndarray | None:
     X, stack = _rows(H)
     w = _mean_weights(stack)
-    du = affine_backward(bank.proj["mean"], _pool(w, X), de)
-    return _pool_backward(w, du)
+    du = affine_backward(bank.proj["mean"], _pool(w, X), de, input_grad)
+    return _pool_backward(w, du) if input_grad else None
 
 
 # --- max pooling --------------------------------------------------------
@@ -234,12 +236,15 @@ def expert_max(bank: ExpertBank, H) -> np.ndarray:
     return affine(bank.proj["max"], masked.max(axis=-2))
 
 
-def expert_max_backward(bank: ExpertBank, H, de: np.ndarray) -> np.ndarray:
+def expert_max_backward(bank: ExpertBank, H, de: np.ndarray,
+                        input_grad: bool = True) -> np.ndarray | None:
     X, stack = _rows(H)
     masked = X + stack.fill[..., None] if stack.ragged else X
+    du = affine_backward(bank.proj["max"], masked.max(axis=-2), de, input_grad)
+    if not input_grad:
+        return None
     # ties route to the lowest row index (argmax picks the first maximum)
     arg = masked.argmax(axis=-2)[..., None, :]
-    du = affine_backward(bank.proj["max"], masked.max(axis=-2), de)
     dH = np.zeros_like(X)
     np.put_along_axis(dH, arg, du[..., None, :], axis=-2)
     return dH
@@ -266,7 +271,8 @@ def expert_selfattn(bank: ExpertBank, H) -> np.ndarray:
     return affine(bank.proj["self_attention"], _pool(alpha, X))
 
 
-def expert_selfattn_backward(bank: ExpertBank, H, de: np.ndarray) -> np.ndarray:
+def expert_selfattn_backward(bank: ExpertBank, H, de: np.ndarray,
+                             input_grad: bool = True) -> np.ndarray | None:
     X, stack = _rows(H)
     alpha, scores = _attention(bank, X, stack)
     du = affine_backward(bank.proj["self_attention"], _pool(alpha, X), de)
@@ -274,6 +280,8 @@ def expert_selfattn_backward(bank: ExpertBank, H, de: np.ndarray) -> np.ndarray:
     dscores = softmax_backward(alpha, dalpha)
     dpre = dscores * (1.0 - scores**2)  # through tanh
     bank.grad_attn_vector += dpre.reshape(-1) @ X.reshape(-1, bank.d)
+    if not input_grad:
+        return None
     return _pool_backward(alpha, du) + dpre[..., None] * bank.attn_vector
 
 
@@ -311,19 +319,21 @@ def expert_cnn(bank: ExpertBank, H) -> np.ndarray:
     return affine(bank.proj["cnn"], affine(bank.cnn_proj, feats))
 
 
-def expert_cnn_backward(bank: ExpertBank, H, de: np.ndarray) -> np.ndarray:
+def expert_cnn_backward(bank: ExpertBank, H, de: np.ndarray,
+                        input_grad: bool = True) -> np.ndarray | None:
     feats, (padded, pre, weights) = cnn_features(bank, H)
     inner = affine(bank.cnn_proj, feats)
     dinner = affine_backward(bank.proj["cnn"], inner, de)
     dfeats = affine_backward(bank.cnn_proj, feats, dinner)
     dpre = np.where(pre > 0.0, weights, 0.0) * dfeats[..., None, :]
-    dpadded, dkernels, dbias = conv1d_valid_backward(padded, bank.cnn_kernels, dpre)
+    dpadded, dkernels, dbias = conv1d_valid_backward(padded, bank.cnn_kernels, dpre,
+                                                     input_grad)
     n_f = bank.n_filters
     for i, k in enumerate(KERNEL_SIZES):
         dkernels[i * n_f : (i + 1) * n_f, k:] = 0.0  # padding taps are no parameter
     bank.grad_cnn_kernels += dkernels
     bank.grad_cnn_biases += dbias
-    return dpadded[..., : pre.shape[-2], :]
+    return dpadded[..., : pre.shape[-2], :] if input_grad else None
 
 
 # --- lexical-cue pooling --------------------------------------------------
@@ -341,10 +351,11 @@ def expert_cue(bank: ExpertBank, H, cue_positions) -> np.ndarray:
     return affine(bank.proj["cue"], _pool(w, X))
 
 
-def expert_cue_backward(bank, H, cue_positions, de: np.ndarray) -> np.ndarray:
+def expert_cue_backward(bank, H, cue_positions, de: np.ndarray,
+                        input_grad: bool = True) -> np.ndarray | None:
     X, w = _cue_weights(bank, H, cue_positions)
-    du = affine_backward(bank.proj["cue"], _pool(w, X), de)
-    return _pool_backward(w, du)
+    du = affine_backward(bank.proj["cue"], _pool(w, X), de, input_grad)
+    return _pool_backward(w, du) if input_grad else None
 
 
 # --- contrast-amplified pooling --------------------------------------------
@@ -375,14 +386,15 @@ def expert_contrast(bank: ExpertBank, H, contrast_positions) -> np.ndarray:
     return affine(bank.proj["contrast"], _pool(w, X)) * nonempty
 
 
-def expert_contrast_backward(bank, H, contrast_positions, de: np.ndarray) -> np.ndarray:
+def expert_contrast_backward(bank, H, contrast_positions, de: np.ndarray,
+                             input_grad: bool = True) -> np.ndarray | None:
     X, stack = _rows(H)
     ind = _indicator(contrast_positions, stack)
     if not ind.any():
-        return np.zeros_like(X)
+        return np.zeros_like(X) if input_grad else None
     w, nonempty = _contrast_weights(bank, stack, ind)
-    du = affine_backward(bank.proj["contrast"], _pool(w, X), de * nonempty)
-    return _pool_backward(w, du)
+    du = affine_backward(bank.proj["contrast"], _pool(w, X), de * nonempty, input_grad)
+    return _pool_backward(w, du) if input_grad else None
 
 
 # --- dispatch --------------------------------------------------------------
@@ -408,14 +420,17 @@ def run_all_experts(bank: ExpertBank, H, cue_positions, contrast_positions,
 
 
 def run_all_experts_backward(bank: ExpertBank, H, cue_positions, contrast_positions,
-                             active, dvecs) -> np.ndarray:
+                             active, dvecs, input_grad: bool = True) -> np.ndarray | None:
     """Backward pass of :func:`run_all_experts` for dL/de_i in ``dvecs``;
     accumulates expert gradients and returns the summed dL/dH, shaped like
-    the rows of H."""
+    the rows of H.  Without ``input_grad`` (nothing consumes dL/dH) no
+    expert forms its share of it and the result is None."""
     masks = _mask_args(cue_positions, contrast_positions)
     fns = globals()
-    specs = _active_specs(active)
-    dH = fns[specs[0].backward](bank, H, *masks[specs[0].mask], dvecs[0])
-    for spec, de in zip(specs[1:], dvecs[1:]):
-        dH += fns[spec.backward](bank, H, *masks[spec.mask], de)
+    grads = (fns[spec.backward](bank, H, *masks[spec.mask], de, input_grad=input_grad)
+             for spec, de in zip(_active_specs(active), dvecs))
+    dH = next(grads)
+    for dH_i in grads:  # one expert's dL/dH is live at a time
+        if input_grad:
+            dH += dH_i
     return dH

@@ -240,6 +240,7 @@ class ModelOutput:
     logits: np.ndarray
     probs: np.ndarray
     batch: Batch
+    encoder_cache: tuple | None  # the encoder's forward record, if a backward reads it
 
 
 def model_forward(params: ModelParams, examples, H_override=None) -> ModelOutput:
@@ -259,8 +260,13 @@ def model_forward(params: ModelParams, examples, H_override=None) -> ModelOutput
              else make_batch(params, examples, H_override))
     if batch.H is None and params.encoder is None:
         raise ValueError("model has no encoder; precomputed embeddings required")
+    encoder_cache = None
     if batch.H is None:
-        H = encode(params.encoder, batch.ids).H
+        encoded = encode(params.encoder, batch.ids)
+        H = encoded.H
+        if not (params.n_folds or params.freeze_encoder):  # else no backward reads it
+            encoder_cache = encoded.cache
+        del encoded  # an unread record is freed before the experts run
     elif params.n_folds:  # every fold reads the same precomputed rows
         H = batch.H.like(np.broadcast_to(batch.H.data, (params.n_folds,) + batch.H.shape))
     else:
@@ -280,7 +286,8 @@ def model_forward(params: ModelParams, examples, H_override=None) -> ModelOutput
     logits, probs = classify(params.classifier, fused)
     return ModelOutput(H=H.data if batch.single else H,
                        h_cls=h_cls, expert_vectors=vectors, gate_weights=g, fused=fused,
-                       logits=logits, probs=probs, batch=batch)
+                       logits=logits, probs=probs, batch=batch,
+                       encoder_cache=encoder_cache)
 
 
 def model_backward(params: ModelParams, examples, out: ModelOutput,
@@ -288,10 +295,11 @@ def model_backward(params: ModelParams, examples, out: ModelOutput,
     """Accumulate gradients for dL/dlogits through the whole model.
 
     ``examples`` and ``out`` are the input and the record of one
-    :func:`model_forward` call, whose stacks the backward pass reuses.  The
-    encoder receives no gradient when it is frozen or absent (precomputed
-    embeddings); expert and head gradients still accumulate.  A
-    fold-stacked model has no backward pass.
+    :func:`model_forward` call, whose stacks and encoder record the backward
+    pass reuses.  The encoder receives no gradient when it is frozen or
+    absent (precomputed embeddings), and no dL/dH is formed then; expert
+    and head gradients still accumulate.  A fold-stacked model has no
+    backward pass.
     """
     if params.n_folds:
         raise ValueError("a fold-stacked model is forward-only; run each fold's backward")
@@ -314,13 +322,13 @@ def model_backward(params: ModelParams, examples, out: ModelOutput,
         dvecs = np.split(dconcat, len(out.expert_vectors), axis=-1)
 
     H = out.H if isinstance(out.H, Padded) else batch.ids.like(out.H)
+    train_encoder = params.encoder is not None and not params.freeze_encoder
     dH = run_all_experts_backward(params.bank, H, batch.cue, batch.contrast,
-                                  params.active_experts, dvecs)
-    if dh_cls is not None:
-        dH[..., 0, :] += dh_cls
-
-    if params.encoder is not None and not params.freeze_encoder:
-        encode_backward(params.encoder, batch.ids, dH)
+                                  params.active_experts, dvecs, input_grad=train_encoder)
+    if train_encoder:
+        if dh_cls is not None:
+            dH[..., 0, :] += dh_cls
+        encode_backward(params.encoder, batch.ids, dH, out.encoder_cache)
 
 
 def _check_positions(T: int, cue_positions, contrast_positions) -> None:

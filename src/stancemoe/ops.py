@@ -1,10 +1,11 @@
 """Dense numerical kernel shared by every model component.
 
-Array conventions used throughout the package: matrices are C-contiguous
-float64 arrays of shape (rows, cols), vectors are float64 arrays of shape
-(dim,).  A token sequence of length T in a model of width d travels as a
-(T, d) matrix, one token representation per row; B sequences of different
-lengths travel as a :class:`Padded` (B, T, d) stack with a length mask.
+Array conventions used throughout the package: matrices are float64
+arrays of shape (rows, cols), C-contiguous as built, vectors are float64
+arrays of shape (dim,).  A token sequence of length T in a model of width
+d travels as a (T, d) matrix, one token representation per row; B
+sequences of different lengths travel as a :class:`Padded` (B, T, d)
+stack with a length mask.
 The affine map, the softmax and the convolution act on the last axes, so a
 vector, a (T, d) matrix and a (B, T, d) stack all go through the same
 function.
@@ -13,12 +14,21 @@ architecture whose every parameter is one (K, ...) array (see
 :func:`fold_stack`).  The data then carry a leading fold axis too, and
 :func:`param_affine`, the one place where a parameter meets data, applies
 parameter entry k to entry k of that axis, so the same functions run K
-models in one pass, on one example or on a padded stack of them.
+models in one pass, on one example or on a padded stack of them.  A
+stacked weight is the transposed view of a C-contiguous (K, in, out)
+buffer, the layout the fold-batched product reads without a copy; each
+model's own weight is then a (non-contiguous) view of its entry.
+
+Every parameter-times-data product is one BLAS call: data of any rank
+meets a plain (n, m) weight as ``x.reshape(-1, n) @ W``, and fold-stacked
+data as one (K, rows, n) @ (K, n, m) product.
 
 Every differentiable operation comes as a forward / ``*_backward`` pair.
 Backward passes are hand-derived, accumulate parameter gradients in place
 (``+=``) and return the gradient with respect to the operation's input,
-so callers chain them in reverse order without a tape.
+so callers chain them in reverse order without a tape.  Called with
+``input_grad=False``, when nothing consumes that gradient, they skip its
+product and return None in its place.
 """
 
 from __future__ import annotations
@@ -83,7 +93,8 @@ class LinearParams:
     @classmethod
     def stack(cls, parts) -> "LinearParams":
         """K maps of one shape as one fold-stacked map; see :func:`fold_stack`."""
-        return fold_stack(parts, {"weight": "grad_weight", "bias": "grad_bias"})
+        return fold_stack(parts, {"weight": "grad_weight", "bias": "grad_bias"},
+                          transposed=("weight",))
 
     @property
     def out_dim(self) -> int:
@@ -98,16 +109,27 @@ class LinearParams:
         self.grad_bias[:] = 0.0
 
 
-def fold_stack(parts, params: dict[str, str]):
+def fold_stack(parts, params: dict[str, str], transposed=()):
     """A shallow copy of ``parts[0]`` whose array attributes named by the
     keys of ``params`` are (K, ...) stacks over the K same-shaped parts.
     Each part's attribute becomes a view of its entry in the stack, so
     every value is held once and a write through either is seen by both.
     The copy is forward-only: the gradient buffers named by the values of
-    ``params`` stay with the parts and are None on the copy."""
+    ``params`` stay with the parts and are None on the copy.
+
+    A name in ``transposed`` is a weight whose last axis meets the data: its
+    stack is held as one C-contiguous buffer with that axis moved to the
+    front of each entry, (K, in, ...), and exposed with the parts' axis
+    order as a view of it, so the product in :func:`param_affine` reads
+    the buffer as it lies."""
     out = copy.copy(parts[0])
     for name, grad in params.items():
-        stack = np.stack([getattr(p, name) for p in parts])
+        values = [getattr(p, name) for p in parts]
+        if name in transposed:
+            buffer = np.ascontiguousarray(np.stack([np.moveaxis(v, -1, 0) for v in values]))
+            stack = np.moveaxis(buffer, 1, -1)
+        else:
+            stack = np.stack(values)
         for p, view in zip(parts, stack):
             setattr(p, name, view)
         setattr(out, name, stack)
@@ -121,23 +143,28 @@ def param_affine(x: np.ndarray, W: np.ndarray | None = None,
     plus a bias b (m,).  Without W the map is the identity; without b it
     has no bias.
 
-    For a fold stack of K models, W is (K, n, m) and b is (K, m), and x
-    carries the fold axis first, (K, ..., n): fold k's rows meet fold k's
-    parameters as one batched product over each fold's flattened rows,
-    ``x.reshape(K, -1, n) @ W``.  A plain W is exactly ``x @ W``.
+    Every product is one BLAS call: a plain W meets the data's flattened
+    rows, ``x.reshape(-1, n) @ W``.  For a fold stack of K models, W is
+    (K, n, m) and b is (K, m), and x carries the fold axis first,
+    (K, ..., n): fold k's rows meet fold k's parameters as one batched
+    product over each fold's flattened rows, ``x.reshape(K, -1, n) @ W``;
+    (K, n) vectors are one row per fold.
     """
     fold = W.ndim == 3 if W is not None else b.ndim == 2
-    flat = fold and x.ndim != 3  # (K, T, n) rows already have the flattened layout
-    rows = x.reshape(len(W if W is not None else b), -1, x.shape[-1]) if flat else x
-    if fold and b is not None:
-        b = b[:, None, :]
+    if fold and b is not None and x.ndim > 2:
+        b = b.reshape(b.shape[:1] + (1,) * (x.ndim - 2) + b.shape[1:])  # (K, 1, ..., m)
     if W is None:
-        y = rows + b
+        return x + b
+    if fold and x.ndim == 2:
+        y = (x[:, None, :] @ W)[:, 0, :]
+    elif x.ndim <= 2 or (fold and x.ndim == 3):  # already one matrix of rows (per fold)
+        y = x @ W
     else:
-        y = rows @ W
-        if b is not None:
-            y += b
-    return y.reshape(x.shape[:-1] + y.shape[-1:]) if flat else y
+        lead = (len(W),) if fold else ()
+        y = (x.reshape(lead + (-1, x.shape[-1])) @ W).reshape(x.shape[:-1] + W.shape[-1:])
+    if b is not None:
+        y += b
+    return y
 
 
 def affine(p: LinearParams, x: np.ndarray) -> np.ndarray:
@@ -152,18 +179,20 @@ def affine(p: LinearParams, x: np.ndarray) -> np.ndarray:
     return param_affine(x, p.weight.swapaxes(-1, -2), p.bias)
 
 
-def affine_backward(p: LinearParams, x: np.ndarray, dy: np.ndarray) -> np.ndarray:
+def affine_backward(p: LinearParams, x: np.ndarray, dy: np.ndarray,
+                    input_grad: bool = True) -> np.ndarray | None:
     """Accumulate dW += dyᵀ x and db += dy, each summed over the leading
-    axes; return dx = dy W, shaped like x."""
+    axes; return dx = dy W, shaped like x, or None without ``input_grad``
+    (nothing consumes it)."""
     if x.ndim == 1:
         # the outer product is the cheapest weight gradient for one row
         p.grad_weight += np.outer(dy, x)
         p.grad_bias += dy
-    else:
-        dY = dy.reshape(-1, p.out_dim)
-        p.grad_weight += dY.T @ x.reshape(-1, p.in_dim)
-        p.grad_bias += dY.sum(axis=0)
-    return dy @ p.weight
+        return dy @ p.weight if input_grad else None
+    dY = dy.reshape(-1, p.out_dim)
+    p.grad_weight += dY.T @ x.reshape(-1, p.in_dim)
+    p.grad_bias += dY.sum(axis=0)
+    return (dY @ p.weight).reshape(x.shape) if input_grad else None
 
 
 def _shifted(z: np.ndarray) -> np.ndarray:
@@ -286,20 +315,21 @@ def conv1d_valid(H: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.nda
 
 
 def conv1d_valid_backward(
-    H: np.ndarray, kernels: np.ndarray, dout: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    H: np.ndarray, kernels: np.ndarray, dout: np.ndarray, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients of conv1d_valid for dL/dout of shape (..., L, n_f); returns
     (dH, dkernels, dbias), the kernel and bias gradients summed over the
-    leading axes."""
+    leading axes, and dH None without ``input_grad`` (nothing consumes it)."""
     n_f, k, d = kernels.shape
     L = dout.shape[-2]
     dtaps = np.zeros(H.shape[:-1] + (n_f, k))
     for j in range(k):
         dtaps[..., j : j + L, :, j] = dout
-    dtaps = dtaps.reshape(H.shape[:-1] + (n_f * k,))
+    dtaps = dtaps.reshape(-1, n_f * k)
     flat = kernels.reshape(n_f * k, d)
-    dkernels = (dtaps.reshape(-1, n_f * k).T @ H.reshape(-1, d)).reshape(n_f, k, d)
-    return dtaps @ flat, dkernels, dout.reshape(-1, n_f).sum(axis=0)
+    dkernels = (dtaps.T @ H.reshape(-1, d)).reshape(n_f, k, d)
+    dH = (dtaps @ flat).reshape(H.shape) if input_grad else None
+    return dH, dkernels, dout.reshape(-1, n_f).sum(axis=0)
 
 
 class GradCheckError(RuntimeError):

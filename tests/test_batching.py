@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stancemoe import experts, model
 from stancemoe.encoder import ToyEncoderParams, encode, encode_backward
 from stancemoe.experts import KERNEL_SIZES
 from stancemoe.model import ModelParams, model_backward, model_forward
@@ -54,6 +55,43 @@ def test_batch_gradients_equal_summed_single_example_gradients(head, encoder_mod
 
     for name, want in summed.items():
         np.testing.assert_allclose(batched[name], want, rtol=1e-10, atol=1e-14, err_msg=name)
+
+
+@pytest.mark.parametrize("encoder_mode,freeze", [("toy", True), ("precomputed", False)],
+                         ids=["frozen", "precomputed"])
+def test_no_input_gradient_when_nothing_consumes_it(monkeypatch, encoder_mode, freeze):
+    """With no trainable encoder the backward forms no dL/dH, and every
+    parameter gradient is bit for bit that of a backward which does."""
+    rng = np.random.default_rng(3)
+    params = ModelParams.init(VOCAB, D, MAX_LEN, rng, n_filters=2,
+                              encoder_mode=encoder_mode, freeze_encoder=freeze)
+    examples = mixed_examples(rng)
+    stored = ([rng.normal(size=(len(ex.token_ids), D)) for ex in examples]
+              if encoder_mode == "precomputed" else None)
+    out = model_forward(params, examples, stored)
+    _, dlogits = label_smoothed_ce_grad(out.logits, [ex.label for ex in examples], 0.25)
+    real = experts.run_all_experts_backward
+    returned = []
+
+    def spy(*args, **kwargs):
+        returned.append(real(*args, **kwargs))
+        return returned[-1]
+
+    def forming(*args, **kwargs):
+        returned.append(real(*args, **{**kwargs, "input_grad": True}))
+        return None
+
+    params.zero_grads()
+    monkeypatch.setattr(model, "run_all_experts_backward", spy)
+    model_backward(params, examples, out, dlogits)
+    skipped = grads(params)
+    params.zero_grads()
+    monkeypatch.setattr(model, "run_all_experts_backward", forming)
+    model_backward(params, examples, out, dlogits)
+    formed = grads(params)
+    assert returned[0] is None and returned[1].shape == (len(examples), 12, D)
+    for name, want in formed.items():
+        np.testing.assert_array_equal(skipped[name], want, err_msg=name)
 
 
 def test_padded_encoder_stack_equals_each_sequence_alone():

@@ -71,6 +71,33 @@ class TestRoundtrip:
         save_checkpoint(p2, ensemble, cfg, vocab, lexicon)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_stacked_weights_keep_the_product_layout_across_a_reload(
+            self, trained, lexicon, tmp_path):
+        examples, vocab, cfg, ensemble = trained
+        path = tmp_path / "model.smck"
+        save_checkpoint(path, ensemble, cfg, vocab, lexicon)
+        ckpt = load_checkpoint(path)
+        for ens in (ensemble, ckpt.ensemble):
+            stacked = ens.stacked
+            lins = [stacked.classifier, stacked.gate, stacked.bank.cnn_proj,
+                    *stacked.bank.proj.values()]
+            if stacked.encoder is not None:
+                lins += [stacked.encoder.query, stacked.encoder.key, stacked.encoder.value]
+            K, n_rows, k, d = stacked.bank.cnn_kernels.shape
+            taps = stacked.bank.cnn_kernels.reshape(K, n_rows * k, d).swapaxes(-1, -2)
+            operands = [(lin.weight, lin.weight.swapaxes(-1, -2)) for lin in lins]
+            for weight, operand in operands + [(stacked.bank.cnn_kernels, taps)]:
+                assert operand.flags.c_contiguous
+                assert np.shares_memory(operand, weight)
+            for j, art in enumerate(ens.folds):
+                assert np.shares_memory(art.params.classifier.weight, stacked.classifier.weight)
+                assert np.shares_memory(art.params.bank.cnn_kernels, taps)
+                np.testing.assert_array_equal(art.params.bank.cnn_kernels,
+                                              stacked.bank.cnn_kernels[j])
+        logits_a = ensemble_forward(ensemble, examples[:20])[0]
+        logits_b = ensemble_forward(ckpt.ensemble, examples[:20])[0]
+        np.testing.assert_array_equal(logits_a, logits_b)
+
 
 def _set_byte(raw: bytes, offset: int) -> bytes:
     """Overwrite one byte with 0xff, which is never valid UTF-8."""

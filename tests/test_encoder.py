@@ -13,8 +13,9 @@ from stancemoe.encoder import (
     sinusoidal_positions,
     write_embedding_store,
 )
-from stancemoe.model import ModelParams, model_forward
-from stancemoe.ops import LinearParams, grad_check
+from stancemoe import encoder
+from stancemoe.model import ModelParams, model_backward, model_forward
+from stancemoe.ops import LinearParams, Padded, grad_check
 from stancemoe.train import predict_logits
 from conftest import toy_example
 
@@ -180,3 +181,51 @@ class TestEmbeddingStore:
         with pytest.raises(ValueError):
             write_embedding_store(tmp_path / "emb.smeb",
                                   [("a", np.zeros((2, 3))), ("b", np.zeros((2, 4)))])
+
+
+def _encoder_grads(params):
+    return {name: grad.copy() for name, _, grad in params.named_params()}
+
+
+@pytest.mark.parametrize("ragged", [False, True], ids=["one-sequence", "padded-stack"])
+def test_backward_from_the_forward_cache_equals_backward_from_ids(ragged):
+    rng = np.random.default_rng(11)
+    params = ToyEncoderParams.init(12, 5, 16, rng)
+    if ragged:
+        seqs = [[1] + list(rng.integers(3, 12, size=T - 1)) for T in (6, 2, 9, 4)]
+        ids = Padded.stack(seqs, dtype=np.intp)
+    else:
+        ids = [1, 4, 7, 4, 9, 3, 4]  # a repeated id sums its rows
+    out = encode(params, ids)
+    dH = rng.normal(size=(out.H.data if ragged else out.H).shape)
+    params.zero_grads()
+    encode_backward(params, ids, dH, out.cache)
+    cached = _encoder_grads(params)
+    params.zero_grads()
+    encode_backward(params, ids, dH)
+    raw = _encoder_grads(params)
+    assert cached.keys() == raw.keys()
+    assert {"encoder/embedding", "encoder/query/weight", "encoder/key/weight",
+            "encoder/value/weight"} <= cached.keys()
+    for name, grad in cached.items():
+        np.testing.assert_array_equal(grad, raw[name], err_msg=name)
+        assert grad.any(), name
+
+
+def test_forward_and_backward_embed_and_attend_once(monkeypatch):
+    calls = {"embed_sequence": 0, "_attend": 0}
+    for name in calls:
+        real = getattr(encoder, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(encoder, name, counted)
+    params = ModelParams.init(20, 8, 16, np.random.default_rng(0))
+    examples = [toy_example([1, 5, 6, 7], cue=(2,), contrast=(3,)),
+                toy_example([1, 8, 9], cue=(1,), contrast=(2,))]
+    out = model_forward(params, examples)
+    model_backward(params, examples, out, np.ones((2, 3)))
+    assert calls == {"embed_sequence": 1, "_attend": 1}
+    assert params.encoder.grad_embedding.any()

@@ -10,6 +10,7 @@ from stancemoe.ops import (
     conv1d_valid_backward,
     grad_check,
     log_softmax,
+    param_affine,
     softmax,
     softmax_backward,
 )
@@ -267,3 +268,19 @@ class TestGradCheck:
         g = np.zeros(1)
         with pytest.raises(ValueError, match="duplicate"):
             grad_check(lambda: 0.0, [("x", x, g), ("x", x, g)])
+
+
+@pytest.mark.parametrize("K", [None, 3], ids=["plain", "fold-stack"])
+@LEADING
+def test_param_affine_equals_its_row_by_row_calls(K, lead):
+    """One flattened product, plain or fold-stacked, equals a call per row."""
+    rng = np.random.default_rng(13)
+    fold = () if K is None else (K,)
+    W, b = rng.normal(size=fold + (4, 3)), rng.normal(size=fold + (3,))
+    X = rng.normal(size=fold + lead + (4,))
+    Y = param_affine(X, W, b)
+    assert Y.shape == fold + lead + (3,)
+    for k in np.ndindex(*fold):
+        for i in np.ndindex(*lead):
+            np.testing.assert_allclose(Y[k + i], param_affine(X[k + i], W[k], b[k]),
+                                       rtol=0, atol=1e-12)
