@@ -1,4 +1,6 @@
-from . import ablation, checkpoint, encoder, experts, head, metrics, model, ops, synthetic, text, train
+# synthetic is not imported here: ``python -m stancemoe.synthetic`` would
+# otherwise find it already in sys.modules and warn
+from . import ablation, checkpoint, encoder, experts, head, metrics, model, ops, text, train
 
 from .encoder import EncoderOutput, ToyEncoderParams, encode, read_embedding_store
 from .experts import EXPERT_NAMES, ExpertBank, run_all_experts

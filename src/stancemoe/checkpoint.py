@@ -118,6 +118,8 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         for _ in range(n_records):
             (key_len,) = struct.unpack("<H", _read_exact(fh, 2, "tensor key length"))
             key = _read_utf8(fh, key_len, "tensor key")
+            if key in tensors:
+                raise CheckpointFormatError(f"{path}: duplicate tensor {key!r}")
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "tensor rank"))
             dims = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, "tensor shape"))
             raw = _read_exact(fh, 8 * math.prod(dims), f"tensor {key!r} payload", end)
@@ -143,7 +145,7 @@ def load_checkpoint(path) -> LoadedCheckpoint:
             key = f"fold{j}/{name}"
             if key not in tensors:
                 raise CheckpointFormatError(f"{path}: checkpoint is missing tensor {key!r}")
-            stored = tensors[key]
+            stored = tensors.pop(key)
             if stored.shape != value.shape:
                 raise CheckpointFormatError(
                     f"{path}: tensor {key!r} has shape {stored.shape}, expected {value.shape}"
@@ -151,6 +153,9 @@ def load_checkpoint(path) -> LoadedCheckpoint:
             value[:] = stored
         report = MetricsReport.from_dict(metrics_dict)
         folds.append(FoldArtifact(fold_index=j, params=params, val_metrics=report))
+    if tensors:
+        raise CheckpointFormatError(
+            f"{path}: tensor {next(iter(tensors))!r} is not a parameter of any fold")
     if len(folds) != len(weights):
         raise CheckpointFormatError(f"{path}: fold count and weight count disagree")
     try:

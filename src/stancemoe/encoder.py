@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import (LinearParams, Padded, affine, affine_backward, as_f64, fold_stack,
-                  softmax, softmax_backward)
+from .ops import (LinearParams, Padded, ParamSet, affine, affine_backward, as_f64, softmax,
+                  softmax_backward)
 from .text import UNK_ID
 
 
@@ -45,8 +45,12 @@ def sinusoidal_positions(max_len: int, d: int) -> np.ndarray:
     return table / np.sqrt(d)
 
 
-class ToyEncoderParams:
-    """Embedding table, fixed position table, and one attention layer."""
+class ToyEncoderParams(ParamSet):
+    """Embedding table, fixed position table (no parameter, so a fold stack
+    shares it), and one attention layer."""
+
+    TENSORS = ("embedding",)
+    PARTS = ("query", "key", "value")
 
     def __init__(self, embedding, positions, query, key, value):
         self.embedding = as_f64(embedding)  # (|V|, d)
@@ -69,16 +73,6 @@ class ToyEncoderParams:
             value=LinearParams.init(d, d, rng),
         )
 
-    @classmethod
-    def stack(cls, parts) -> "ToyEncoderParams":
-        """K encoders of one shape as one fold-stacked encoder (see
-        :func:`stancemoe.ops.fold_stack`); the fixed position table is
-        shared."""
-        out = fold_stack(parts, {"embedding": "grad_embedding"})
-        for name in ("query", "key", "value"):
-            setattr(out, name, LinearParams.stack([getattr(p, name) for p in parts]))
-        return out
-
     @property
     def d(self) -> int:
         return self.embedding.shape[-1]
@@ -89,13 +83,8 @@ class ToyEncoderParams:
 
     def named_params(self, prefix: str = "encoder"):
         yield f"{prefix}/embedding", self.embedding, self.grad_embedding
-        for name, lin in (("query", self.query), ("key", self.key), ("value", self.value)):
-            yield f"{prefix}/{name}/weight", lin.weight, lin.grad_weight
-            yield f"{prefix}/{name}/bias", lin.bias, lin.grad_bias
-
-    def zero_grads(self) -> None:
-        for _, _, grad in self.named_params():
-            grad[:] = 0.0
+        for name in self.PARTS:
+            yield from getattr(self, name).named_params(f"{prefix}/{name}")
 
 
 def _id_stack(token_ids) -> Padded:
@@ -193,8 +182,9 @@ def encode_backward(params: ToyEncoderParams, token_ids, dH: np.ndarray,
 # Binary layout, little-endian:
 #   magic "SMEB1\0" | u32 d | u32 record count
 #   per record: u16 id length | id (UTF-8) | u32 T | T*d float32, row-major
-# Row 0 of each record is the CLS representation.  Values are float32 on
-# disk and widened to float64 on load.
+# Ids are distinct.  Row 0 of each record is the CLS representation, so
+# T is at least 1.  Values are float32 on disk and widened to float64 on
+# load.
 
 STORE_MAGIC = b"SMEB1\0"
 
@@ -206,29 +196,37 @@ class StoreFormatError(ValueError):
 def write_embedding_store(path, records) -> int:
     """Write (id, H) pairs; returns the number of records written.
 
-    ``H`` arrays must share one feature dimension d; they are stored as
-    float32.
+    Ids must be distinct, and each ``H`` a (T, d) matrix with at least its
+    CLS row, all of one feature dimension d; values are stored as
+    little-endian float32.
     """
     records = list(records)
     if not records:
         raise ValueError("refusing to write an empty embedding store")
-    d = int(np.asarray(records[0][1]).shape[1])
+    # every record is checked before the file is opened, so a rejected
+    # store leaves no partial file behind
+    first = np.shape(records[0][1])
+    d = first[1] if len(first) == 2 else None  # a first record that is not 2-d fails below
+    seen = set()
+    for example_id, H in records:
+        shape = np.shape(H)
+        if len(shape) != 2 or shape[1] != d or shape[0] == 0:
+            raise ValueError(f"record {example_id!r} has shape {shape}, "
+                             f"expected (T, {d or 'd'}) with T >= 1")
+        if example_id in seen:
+            raise ValueError(f"duplicate record id {example_id!r}")
+        if len(example_id.encode("utf-8")) > 0xFFFF:
+            raise ValueError(f"record id too long: {example_id!r}")
+        seen.add(example_id)
     with open(path, "wb") as fh:
         fh.write(STORE_MAGIC)
         fh.write(struct.pack("<II", d, len(records)))
         for example_id, H in records:
-            H = np.asarray(H, dtype=np.float32)
-            if H.ndim != 2 or H.shape[1] != d:
-                raise ValueError(
-                    f"record {example_id!r} has shape {H.shape}, expected (T, {d})"
-                )
             raw = example_id.encode("utf-8")
-            if len(raw) > 0xFFFF:
-                raise ValueError(f"record id too long: {example_id!r}")
             fh.write(struct.pack("<H", len(raw)))
             fh.write(raw)
-            fh.write(struct.pack("<I", H.shape[0]))
-            fh.write(np.ascontiguousarray(H).tobytes())
+            fh.write(struct.pack("<I", len(H)))
+            fh.write(np.ascontiguousarray(H, dtype="<f4").tobytes())
     return len(records)
 
 
@@ -264,6 +262,9 @@ def read_embedding_store(path) -> tuple[dict[str, np.ndarray], int]:
             (id_len,) = struct.unpack("<H", _read_exact(fh, 2, "record id length"))
             example_id = _read_utf8(fh, id_len, "record id")
             (T,) = struct.unpack("<I", _read_exact(fh, 4, "record length"))
+            if T == 0:
+                raise StoreFormatError(f"{path}: record {example_id!r} has no rows; "
+                                       "row 0 must be the CLS row")
             raw = _read_exact(fh, 4 * T * d, f"record {example_id!r} payload", end)
             H32 = np.frombuffer(raw, dtype="<f4").reshape(T, d)
             if example_id in out:

@@ -16,11 +16,11 @@ import numpy as np
 from .ops import (
     LinearParams,
     Padded,
+    ParamSet,
     affine,
     affine_backward,
     conv1d_valid,
     conv1d_valid_backward,
-    fold_stack,
     param_affine,
     softmax,
     softmax_backward,
@@ -55,7 +55,7 @@ EXPERT_NAMES = tuple(spec.name for spec in EXPERTS)
 KERNEL_SIZES = (2, 3, 4, 5)
 
 
-class ExpertBank:
+class ExpertBank(ParamSet):
     """All trainable expert parameters for one model.
 
     Holds the six output projections (each d -> d), the attention vector
@@ -71,6 +71,10 @@ class ExpertBank:
     are views into the stacks; the padding taps are no parameter and stay
     zero.
     """
+
+    TENSORS = ("attn_vector", "cnn_kernels", "cnn_biases")
+    PARTS = ("proj", "cnn_proj")
+    TRANSPOSED = ("cnn_kernels",)
 
     def __init__(self, d, proj, attn_vector, kernels, kernel_biases, cnn_proj,
                  contrast_scale=3.0, eps=1e-8):
@@ -108,19 +112,6 @@ class ExpertBank:
         return cls(d, proj, attn_vector, kernels, kernel_biases, cnn_proj,
                    contrast_scale, eps)
 
-    @classmethod
-    def stack(cls, parts) -> "ExpertBank":
-        """K banks of one shape as one fold-stacked bank; see
-        :func:`stancemoe.ops.fold_stack`."""
-        out = fold_stack(parts, {"attn_vector": "grad_attn_vector",
-                                 "cnn_kernels": "grad_cnn_kernels",
-                                 "cnn_biases": "grad_cnn_biases"},
-                         transposed=("cnn_kernels",))
-        out.proj = {name: LinearParams.stack([p.proj[name] for p in parts])
-                    for name in out.proj}
-        out.cnn_proj = LinearParams.stack([p.cnn_proj for p in parts])
-        return out
-
     @property
     def n_filters(self) -> int:
         return self.cnn_biases.shape[-1] // len(KERNEL_SIZES)
@@ -146,31 +137,17 @@ class ExpertBank:
     def kernel_biases(self) -> dict[int, np.ndarray]:
         return self._per_size(self.cnn_biases)
 
-    @property
-    def grad_kernels(self) -> dict[int, np.ndarray]:
-        return self._per_size(self.grad_cnn_kernels)
-
-    @property
-    def grad_kernel_biases(self) -> dict[int, np.ndarray]:
-        return self._per_size(self.grad_cnn_biases)
-
     def named_params(self, prefix: str = "experts"):
         for name in EXPERT_NAMES:
-            lin = self.proj[name]
-            yield f"{prefix}/{name}_proj/weight", lin.weight, lin.grad_weight
-            yield f"{prefix}/{name}_proj/bias", lin.bias, lin.grad_bias
+            yield from self.proj[name].named_params(f"{prefix}/{name}_proj")
         yield f"{prefix}/attn_vector", self.attn_vector, self.grad_attn_vector
         kernels, biases = self.kernels, self.kernel_biases
-        grad_kernels, grad_biases = self.grad_kernels, self.grad_kernel_biases
+        grad_kernels = self._per_size(self.grad_cnn_kernels)
+        grad_biases = self._per_size(self.grad_cnn_biases)
         for k in KERNEL_SIZES:
             yield f"{prefix}/cnn/k{k}/kernels", kernels[k], grad_kernels[k]
             yield f"{prefix}/cnn/k{k}/bias", biases[k], grad_biases[k]
-        yield f"{prefix}/cnn_feature_proj/weight", self.cnn_proj.weight, self.cnn_proj.grad_weight
-        yield f"{prefix}/cnn_feature_proj/bias", self.cnn_proj.bias, self.cnn_proj.grad_bias
-
-    def zero_grads(self) -> None:
-        for _, _, grad in self.named_params():
-            grad[:] = 0.0
+        yield from self.cnn_proj.named_params(f"{prefix}/cnn_feature_proj")
 
 
 # --- shared plumbing ------------------------------------------------------

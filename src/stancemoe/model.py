@@ -3,7 +3,6 @@ hand-derived backward pass from classifier logits down to the embeddings."""
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ from .head import (
     gate_backward,
     gate_forward,
 )
-from .ops import LinearParams, Padded, affine, affine_backward
+from .ops import LinearParams, Padded, ParamSet, affine, affine_backward, fold_stack
 from .text import N_CLASSES, TokenizedExample
 
 HEAD_KINDS = ("moe", "stacked", "fusion")
@@ -39,7 +38,7 @@ def canonical_experts(head: str, active_experts) -> tuple[str, ...]:
     return active
 
 
-class ModelParams:
+class ModelParams(ParamSet):
     """Every trainable tensor of one model, with paired gradient buffers.
 
     ``encoder`` is None in precomputed-embedding mode.  ``gate`` exists only
@@ -48,6 +47,8 @@ class ModelParams:
     (:meth:`stack`) holds K models of one architecture, each tensor with a
     leading fold axis.
     """
+
+    PARTS = ("encoder", "bank", "gate", "fusion_proj", "classifier")
 
     def __init__(self, d, active_experts, head, encoder, bank, gate, fusion_proj,
                  classifier, freeze_encoder=False, max_len=128):
@@ -97,20 +98,7 @@ class ModelParams:
         if not models:
             raise ValueError("cannot stack zero models")
         _check_same_architecture(models)
-
-        def each(part):
-            return [getattr(m, part) for m in models]
-
-        out = copy.copy(models[0])
-        if out.encoder is not None:
-            out.encoder = ToyEncoderParams.stack(each("encoder"))
-        out.bank = ExpertBank.stack(each("bank"))
-        if out.gate is not None:
-            out.gate = LinearParams.stack(each("gate"))
-        if out.fusion_proj is not None:
-            out.fusion_proj = LinearParams.stack(each("fusion_proj"))
-        out.classifier = LinearParams.stack(each("classifier"))
-        return out
+        return fold_stack(models)
 
     @property
     def n_folds(self) -> int | None:
@@ -123,14 +111,9 @@ class ModelParams:
         if self.encoder is not None:
             yield from self.encoder.named_params("encoder")
         yield from self.bank.named_params("experts")
-        if self.gate is not None:
-            yield "gate/weight", self.gate.weight, self.gate.grad_weight
-            yield "gate/bias", self.gate.bias, self.gate.grad_bias
-        if self.fusion_proj is not None:
-            yield "fusion_proj/weight", self.fusion_proj.weight, self.fusion_proj.grad_weight
-            yield "fusion_proj/bias", self.fusion_proj.bias, self.fusion_proj.grad_bias
-        yield "classifier/weight", self.classifier.weight, self.classifier.grad_weight
-        yield "classifier/bias", self.classifier.bias, self.classifier.grad_bias
+        for name in ("gate", "fusion_proj", "classifier"):
+            if getattr(self, name) is not None:
+                yield from getattr(self, name).named_params(name)
 
     def trainable_params(self):
         """named_params minus the encoder when it is frozen."""
@@ -138,10 +121,6 @@ class ModelParams:
             if self.freeze_encoder and triple[0].startswith("encoder/"):
                 continue
             yield triple
-
-    def zero_grads(self) -> None:
-        for _, _, grad in self.named_params():
-            grad[:] = 0.0
 
 
 def _settings(params: ModelParams) -> dict:

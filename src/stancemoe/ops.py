@@ -9,15 +9,17 @@ stack with a length mask.
 The affine map, the softmax and the convolution act on the last axes, so a
 vector, a (T, d) matrix and a (B, T, d) stack all go through the same
 function.
-Each model's parameters can also be held as a fold stack: K models of one
-architecture whose every parameter is one (K, ...) array (see
-:func:`fold_stack`).  The data then carry a leading fold axis too, and
-:func:`param_affine`, the one place where a parameter meets data, applies
-parameter entry k to entry k of that axis, so the same functions run K
-models in one pass, on one example or on a padded stack of them.  A
-stacked weight is the transposed view of a C-contiguous (K, in, out)
-buffer, the layout the fold-batched product reads without a copy; each
-model's own weight is then a (non-contiguous) view of its entry.
+Each parameter set (:class:`ParamSet`) declares its tensors once, and
+:func:`fold_stack` reads that declaration to hold K models of one
+architecture as a fold stack, every parameter one (K, ...) array.  The
+data then carry a leading fold axis too, and :func:`param_affine`, the
+one place where a parameter meets data, applies parameter entry k to
+entry k of that axis, so the same functions run K models in one pass, on
+one example or on a padded stack of them.  A stacked weight is the
+transposed view of a C-contiguous (K, in, out) buffer, the layout the
+fold-batched product reads without a copy; each model's own weight is
+then a (non-contiguous) view of its entry.  :meth:`ParamSet.zero_grads`
+walks the same declaration.
 
 Every parameter-times-data product is one BLAS call: data of any rank
 meets a plain (n, m) weight as ``x.reshape(-1, n) @ W``, and fold-stacked
@@ -39,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "ParamSet",
     "LinearParams",
     "fold_stack",
     "param_affine",
@@ -62,15 +65,38 @@ def as_f64(x) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=np.float64)
 
 
-class LinearParams:
+class ParamSet:
+    """Parameter tensors declared once per class: ``TENSORS`` names the
+    arrays, each ``x`` with a same-shaped gradient buffer ``grad_x``;
+    ``PARTS`` the sub-sets, each one set, a dict of sets, or None;
+    ``TRANSPOSED`` the weights whose last axis meets the data."""
+
+    TENSORS: tuple[str, ...] = ()
+    PARTS: tuple[str, ...] = ()
+    TRANSPOSED: tuple[str, ...] = ()
+
+    def zero_grads(self) -> None:
+        for name in self.TENSORS:
+            getattr(self, "grad_" + name)[...] = 0.0
+        for name in self.PARTS:
+            part = getattr(self, name)
+            for sub in part.values() if isinstance(part, dict) else (part,):
+                if sub is not None:
+                    sub.zero_grads()
+
+
+class LinearParams(ParamSet):
     """An affine map y = W x + b with paired gradient buffers.
 
     ``weight`` has shape (out_dim, in_dim) and ``bias`` shape (out_dim,).
     Gradient buffers always shape-match their parameters and accumulate
     across backward calls until :meth:`zero_grads`.  A fold-stacked map
-    (:meth:`stack`) has a leading fold axis on both parameters and no
+    (:func:`fold_stack`) has a leading fold axis on both parameters and no
     gradient buffers.
     """
+
+    TENSORS = ("weight", "bias")
+    TRANSPOSED = ("weight",)
 
     def __init__(self, weight, bias):
         self.weight = as_f64(weight)
@@ -90,12 +116,6 @@ class LinearParams:
         limit = 1.0 / np.sqrt(in_dim)
         return cls(rng.uniform(-limit, limit, size=(out_dim, in_dim)), np.zeros(out_dim))
 
-    @classmethod
-    def stack(cls, parts) -> "LinearParams":
-        """K maps of one shape as one fold-stacked map; see :func:`fold_stack`."""
-        return fold_stack(parts, {"weight": "grad_weight", "bias": "grad_bias"},
-                          transposed=("weight",))
-
     @property
     def out_dim(self) -> int:
         return self.weight.shape[-2]
@@ -104,28 +124,28 @@ class LinearParams:
     def in_dim(self) -> int:
         return self.weight.shape[-1]
 
-    def zero_grads(self) -> None:
-        self.grad_weight[:] = 0.0
-        self.grad_bias[:] = 0.0
+    def named_params(self, prefix: str):
+        yield f"{prefix}/weight", self.weight, self.grad_weight
+        yield f"{prefix}/bias", self.bias, self.grad_bias
 
 
-def fold_stack(parts, params: dict[str, str], transposed=()):
-    """A shallow copy of ``parts[0]`` whose array attributes named by the
-    keys of ``params`` are (K, ...) stacks over the K same-shaped parts.
-    Each part's attribute becomes a view of its entry in the stack, so
+def fold_stack(parts):
+    """K parameter sets of one shape as one fold-stacked set: a shallow copy
+    of ``parts[0]`` whose declared tensors (``TENSORS``) are (K, ...) stacks
+    over the K parts, and whose sub-sets (``PARTS``) are stacked the same
+    way.  Each part's tensor becomes a view of its entry in the stack, so
     every value is held once and a write through either is seen by both.
-    The copy is forward-only: the gradient buffers named by the values of
-    ``params`` stay with the parts and are None on the copy.
+    An undeclared attribute is shared with ``parts[0]``.  The copy is
+    forward-only: its gradient buffers are None.
 
-    A name in ``transposed`` is a weight whose last axis meets the data: its
-    stack is held as one C-contiguous buffer with that axis moved to the
-    front of each entry, (K, in, ...), and exposed with the parts' axis
-    order as a view of it, so the product in :func:`param_affine` reads
-    the buffer as it lies."""
+    A ``TRANSPOSED`` weight's stack is held as one C-contiguous buffer with
+    its last axis moved to the front of each entry, (K, in, ...), and
+    exposed with the parts' axis order as a view of it, so the product in
+    :func:`param_affine` reads the buffer as it lies."""
     out = copy.copy(parts[0])
-    for name, grad in params.items():
+    for name in out.TENSORS:
         values = [getattr(p, name) for p in parts]
-        if name in transposed:
+        if name in out.TRANSPOSED:
             buffer = np.ascontiguousarray(np.stack([np.moveaxis(v, -1, 0) for v in values]))
             stack = np.moveaxis(buffer, 1, -1)
         else:
@@ -133,7 +153,14 @@ def fold_stack(parts, params: dict[str, str], transposed=()):
         for p, view in zip(parts, stack):
             setattr(p, name, view)
         setattr(out, name, stack)
-        setattr(out, grad, None)
+        setattr(out, "grad_" + name, None)
+    for name in out.PARTS:
+        part = getattr(out, name)
+        if isinstance(part, dict):
+            part = {key: fold_stack([getattr(p, name)[key] for p in parts]) for key in part}
+        elif part is not None:
+            part = fold_stack([getattr(p, name) for p in parts])
+        setattr(out, name, part)
     return out
 
 

@@ -172,11 +172,16 @@ class Adam:
         self.m = np.zeros(offset)
         self.v = np.zeros(offset)
 
-    def step(self, lr_scale: float = 1.0) -> None:
+    def step(self, lr_scale: float = 1.0, max_norm: float | None = None) -> float:
+        """One update at ``lr_scale`` times the rate, the gradients first scaled
+        down to a global L2 norm of ``max_norm`` when over it; returns their norm."""
         grad = np.concatenate([g.ravel() for _, _, g in self.params])
         if not np.isfinite(grad).all():
             name = next(name for name, _, g in self.params if not np.isfinite(g).all())
             raise NonFiniteGradientError(f"non-finite gradient in {name}")
+        norm = float(np.sqrt(grad @ grad))
+        if max_norm is not None and norm > max_norm:
+            grad *= max_norm / norm
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
@@ -208,20 +213,7 @@ class Adam:
             if self.weight_decay:
                 value -= lr * self.weight_decay * value
             g[...] = 0.0
-
-
-def clip_gradients(params, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm."""
-    total = 0.0
-    params = list(params)
-    for _, _, grad in params:
-        total += float(np.sum(grad**2))
-    norm = float(np.sqrt(total))
-    if norm > max_norm and norm > 0.0:
-        scale = max_norm / norm
-        for _, _, grad in params:
-            grad *= scale
-    return norm
+        return norm
 
 
 # --- per-fold training ------------------------------------------------------
@@ -377,12 +369,11 @@ def train_fold(config: TrainConfig, train_examples, val_examples, vocab_size: in
                 )
                 model_backward(params, sub, out, dlogits * inv)
                 epoch_loss += float(losses.sum()) / len(train_examples)
-            if config.grad_clip is not None:
-                clip_gradients(params.trainable_params(), config.grad_clip)
             step += 1
             scale = min(1.0, step / config.warmup_steps) if config.warmup_steps else 1.0
             try:
-                adam.step(lr_scale=scale)  # also zeroes the gradients for the next batch
+                # clips, updates, and zeroes the gradients for the next batch
+                adam.step(lr_scale=scale, max_norm=config.grad_clip)
             except NonFiniteGradientError as err:
                 raise NonFiniteGradientError(
                     f"fold {fold_index}, epoch {epoch}, step {step}: {err}") from err

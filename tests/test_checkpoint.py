@@ -121,6 +121,29 @@ def _huge_first_tensor(raw: bytes) -> bytes:
     return raw[:dims] + struct.pack("<2I", 1 << 20, 1 << 20) + raw[dims + 8:]
 
 
+def _record(key: str, value: np.ndarray) -> bytes:
+    raw = key.encode("utf-8")
+    return (struct.pack("<H", len(raw)) + raw + struct.pack("<B", value.ndim)
+            + struct.pack(f"<{value.ndim}I", *value.shape) + value.astype("<f8").tobytes())
+
+
+def _append_record(raw: bytes, record: bytes) -> bytes:
+    """One more record after the last, counted in the tensor count."""
+    count = _first_key_offset(raw) - 6
+    (n,) = struct.unpack("<I", raw[count:count + 4])
+    return raw[:count] + struct.pack("<I", n + 1) + raw[count + 4:] + record
+
+
+def _changed_copy_of_first_tensor(raw: bytes) -> bytes:
+    """A second record with the first record's key and a changed value."""
+    key = _first_key_offset(raw)
+    (key_len,) = struct.unpack("<H", raw[key - 2:key])
+    ndim = raw[key + key_len]
+    dims = struct.unpack(f"<{ndim}I", raw[key + key_len + 1:key + key_len + 1 + 4 * ndim])
+    value = np.full(dims, 0.5)
+    return _append_record(raw, _record(raw[key:key + key_len].decode("utf-8"), value))
+
+
 def _metadata(**changes) -> bytes:
     """Metadata with every key present and no folds, updated with ``changes``."""
     meta = {"format": 1, "config": TrainConfig().to_dict(), "vocab": [],
@@ -143,8 +166,11 @@ class TestFormatErrors:
         (lambda raw: _set_byte(raw, _first_key_offset(raw)), "tensor key is not valid UTF-8"),
         (_huge_first_tensor, "tensor 'fold0/encoder/embedding' payload: "
                              "8796093022208 bytes declared"),
+        (_changed_copy_of_first_tensor, "duplicate tensor 'fold0/encoder/embedding'"),
+        (lambda raw: _append_record(raw, _record("fold9/xyz", np.zeros(2))),
+         "tensor 'fold9/xyz' is not a parameter of any fold"),
     ], ids=["truncated", "trailing-bytes", "metadata-not-utf8", "key-not-utf8",
-            "huge-payload"])
+            "huge-payload", "duplicate-key", "unread-key"])
     def test_corrupt_file(self, trained, lexicon, tmp_path, corrupt, message):
         examples, vocab, cfg, ensemble = trained
         path = tmp_path / "model.smck"

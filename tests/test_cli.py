@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import stancemoe
 from stancemoe.checkpoint import load_checkpoint
 from stancemoe.cli import main
 from stancemoe.encoder import write_embedding_store
@@ -220,3 +224,19 @@ class TestCustomLexicons:
         ckpt = load_checkpoint(out)
         assert ckpt.lexicon.cue_tokens == {"officials"}
         assert ckpt.lexicon.contrast_tokens == {"talks"}
+
+
+def test_synthetic_module_runs_without_warnings(tmp_path):
+    """``python -m stancemoe.synthetic`` as README documents it, with any
+    RuntimeWarning (such as runpy's module-already-imported warning) an
+    error."""
+    src = os.path.dirname(os.path.dirname(stancemoe.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = tmp_path / "tiny.jsonl"
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "stancemoe.synthetic",
+         "--n", "3", "--seed", "1", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert len(out.read_text().splitlines()) == 3

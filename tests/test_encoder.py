@@ -162,7 +162,9 @@ class TestEmbeddingStore:
         (lambda raw: raw[:6] + struct.pack("<I", 1 << 10) + raw[10:17]
          + struct.pack("<I", 1 << 31) + raw[21:],
          "record 'a' payload: 8796093022208 bytes declared, 48 left"),
-    ], ids=["truncated", "trailing-bytes", "id-not-utf8", "huge-payload"])
+        # T = 0 and no payload: a record without its CLS row
+        (lambda raw: raw[:17] + struct.pack("<I", 0), "record 'a' has no rows"),
+    ], ids=["truncated", "trailing-bytes", "id-not-utf8", "huge-payload", "zero-rows"])
     def test_corrupt_file_is_format_error(self, tmp_path, corrupt, message):
         path = tmp_path / "emb.smeb"
         write_embedding_store(path, [("a", np.ones((4, 3), np.float32))])
@@ -181,6 +183,23 @@ class TestEmbeddingStore:
         with pytest.raises(ValueError):
             write_embedding_store(tmp_path / "emb.smeb",
                                   [("a", np.zeros((2, 3))), ("b", np.zeros((2, 4)))])
+
+    @pytest.mark.parametrize("records, message", [
+        ([("a", np.zeros((2, 3))), ("a", np.ones((2, 3)))], "duplicate record id 'a'"),
+        ([("a", np.zeros(3))], r"record 'a' has shape \(3,\)"),
+        ([("a", np.zeros((2, 3))), ("b", np.zeros((0, 3)))], r"record 'b' has shape \(0, 3\)"),
+    ], ids=["duplicate-id", "first-not-2d", "zero-rows"])
+    def test_writer_rejects_what_the_reader_rejects(self, tmp_path, records, message):
+        path = tmp_path / "emb.smeb"
+        with pytest.raises(ValueError, match=message):
+            write_embedding_store(path, records)
+        assert not path.exists()
+
+    def test_payload_is_little_endian_float32(self, tmp_path):
+        path = tmp_path / "emb.smeb"
+        H = np.arange(6.0).reshape(2, 3)
+        write_embedding_store(path, [("a", H.astype(">f4"))])
+        assert path.read_bytes()[21:] == H.astype("<f4").tobytes()
 
 
 def _encoder_grads(params):

@@ -80,21 +80,26 @@ def test_stacked_forward_equals_weighted_fold_sum(K, model):
             assert abs(probs.sum() - 1.0) <= 1e-12
 
 
-def test_fold_tensors_are_views_of_the_stack():
-    ensemble = make_ensemble(3)
-    examples = probe_examples(np.random.default_rng(1))
+@pytest.mark.parametrize("model", MODELS, ids=list(MODELS))
+def test_fold_tensors_are_views_of_the_stack(model):
+    ensemble = make_ensemble(3, **MODELS[model])
+    rng = np.random.default_rng(1)
+    examples = probe_examples(rng)
+    store = None
+    if ensemble.stacked.encoder is None:
+        store = {ex.id: rng.normal(size=(len(ex.token_ids), D)) for ex in examples}
     ex = examples[0]
-    before = ensemble_forward(ensemble, ex)[0]
-    before_list = ensemble_forward(ensemble, examples)[0]
+    before = ensemble_forward(ensemble, ex, store)[0]
+    before_list = ensemble_forward(ensemble, examples, store)[0]
     for _, value, _ in ensemble.folds[1].params.named_params():
         value += 0.05
-    after = ensemble_forward(ensemble, ex)[0]
-    after_list = ensemble_forward(ensemble, examples)[0]
+    after = ensemble_forward(ensemble, ex, store)[0]
+    after_list = ensemble_forward(ensemble, examples, store)[0]
     assert np.abs(after - before).max() > 1e-6
     assert np.abs(after_list - before_list).max(axis=1).min() > 1e-6
-    np.testing.assert_allclose(after, reference(ensemble, ex, None)[0], rtol=0, atol=1e-12)
-    for row, one in zip(after_list, examples):
-        np.testing.assert_allclose(row, reference(ensemble, one, None)[0], rtol=0, atol=1e-12)
+    for row, one in [(after, ex), *zip(after_list, examples)]:
+        H = None if store is None else store[one.id]
+        np.testing.assert_allclose(row, reference(ensemble, one, H)[0], rtol=0, atol=1e-12)
     for (name, value, _), (stacked_name, stacked, grad) in zip(
             ensemble.folds[2].params.named_params(), ensemble.stacked.named_params(),
             strict=True):

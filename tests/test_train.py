@@ -392,17 +392,20 @@ class TestPrecomputedEmbeddings:
 
 class TestOptionalKnobs:
     def test_clip_gradients_global_norm(self):
-        from stancemoe.train import clip_gradients
+        def update(grads, scale=1.0, **step):
+            params = [(f"p{i}", np.zeros(2), g * scale) for i, g in enumerate(grads)]
+            norm = Adam(params, lr=0.1).step(**step)
+            return norm, np.concatenate([value for _, value, _ in params])
 
-        g1, g2 = np.array([3.0, 0.0]), np.array([0.0, 4.0])
-        params = [("a", np.zeros(2), g1), ("b", np.zeros(2), g2)]
-        norm = clip_gradients(params, max_norm=1.0)
+        grads = [np.array([3.0, 0.0]), np.array([0.0, 4.0])]
+        norm, clipped = update(grads, max_norm=1.0)
         assert abs(norm - 5.0) <= 1e-12
-        total = np.sqrt(np.sum(g1**2) + np.sum(g2**2))
-        assert abs(total - 1.0) <= 1e-12
+        # the same update as unclipped Adam fed the gradients scaled to norm 1
+        _, scaled = update(grads, scale=1.0 / 5.0)
+        np.testing.assert_allclose(clipped, scaled, rtol=0, atol=1e-12)
         # below the threshold nothing changes
-        norm = clip_gradients(params, max_norm=10.0)
-        assert abs(np.sqrt(np.sum(g1**2) + np.sum(g2**2)) - 1.0) <= 1e-12
+        _, unclipped = update(grads)
+        assert np.array_equal(update(grads, max_norm=10.0)[1], unclipped)
 
     def test_weight_decay_shrinks_parameters(self):
         value = np.array([2.0])
