@@ -34,6 +34,19 @@ from .train import (
 logger = logging.getLogger(__name__)
 
 
+def _int_at_least(low: int):
+    """An argparse type for integers of at least ``low``; argparse names the
+    flag in the error it prints for a rejected value."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" for non-integers
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stancemoe",
@@ -54,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="training JSONL")
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--report", help="training report path (default: <out>.report.json)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel fold workers")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1,
+                   help="parallel fold workers")
 
     p = sub.add_parser("predict", help="ensemble inference over a JSONL file")
     p.add_argument("--model", required=True, help="checkpoint path")
@@ -73,12 +87,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="training JSONL")
     p.add_argument("--test", required=True, help="held-out labeled JSONL")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=int, default=1, help="parallel fold workers")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1,
+                   help="parallel fold workers")
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the full model")
     add_config_opts(p)
-    p.add_argument("--dim", type=int, default=8, help="probe model width")
-    p.add_argument("--length", type=int, default=6, help="probe sequence length")
+    p.add_argument("--dim", type=_int_at_least(1), default=8, help="probe model width")
+    p.add_argument("--length", type=_int_at_least(2), default=6,
+                   help="probe sequence length, CLS included")
     p.add_argument("--tolerance", type=float, default=1e-3,
                    help="max allowed relative error")
     return parser

@@ -19,8 +19,8 @@ from .ops import (
     ParamSet,
     affine,
     affine_backward,
-    conv1d_valid,
-    conv1d_valid_backward,
+    conv1d,
+    conv1d_backward,
     param_affine,
     softmax,
     softmax_backward,
@@ -64,12 +64,14 @@ class ExpertBank(ParamSet):
     multiplies contrast-marked rows; ``eps`` keeps the masked-mean
     denominators away from zero.
 
-    The CNN kernels of all sizes live in one (len(KERNEL_SIZES) * n_f,
-    max(KERNEL_SIZES), d) stack, each size's (n_f, k, d) kernels zero-padded
-    to the widest size, so the convolution runs once for all sizes.  The
-    per-size ``kernels[k]`` and ``kernel_biases[k]`` (and their gradients)
-    are views into the stacks; the padding taps are no parameter and stay
-    zero.
+    The CNN kernels of all sizes live in one tap-major (max(KERNEL_SIZES),
+    len(KERNEL_SIZES) * n_f, d) stack: entry [j, f] is tap j of filter f,
+    the filters ordered by kernel size, n_f of each.  A size-k filter has
+    taps 0..k-1; its taps from k on are no parameter, no product reads them,
+    and they stay zero.  The per-size ``kernels[k]`` (n_f, k, d) and
+    ``kernel_biases[k]`` (and their gradients) are views into the stacks.
+    ``filter_sizes`` holds each filter's kernel size and ``tap_starts[j]``
+    the first filter with a tap j; a fold stack shares both.
     """
 
     TENSORS = ("attn_vector", "cnn_kernels", "cnn_biases")
@@ -85,7 +87,11 @@ class ExpertBank(ParamSet):
         self.attn_vector = attn_vector  # (d,)
         self.grad_attn_vector = np.zeros_like(attn_vector)
         n_f = kernels[KERNEL_SIZES[0]].shape[0]
-        self.cnn_kernels = np.zeros((len(KERNEL_SIZES) * n_f, KERNEL_SIZES[-1], d))
+        self.filter_sizes = np.repeat(KERNEL_SIZES, n_f)
+        self.tap_starts = tuple(
+            int(np.searchsorted(self.filter_sizes, j, side="right"))
+            for j in range(KERNEL_SIZES[-1]))
+        self.cnn_kernels = np.zeros((KERNEL_SIZES[-1], len(KERNEL_SIZES) * n_f, d))
         self.cnn_biases = np.zeros(len(KERNEL_SIZES) * n_f)
         self.grad_cnn_kernels = np.zeros_like(self.cnn_kernels)
         self.grad_cnn_biases = np.zeros_like(self.cnn_biases)
@@ -126,7 +132,8 @@ class ExpertBank(ParamSet):
         views = {}
         for i, k in enumerate(KERNEL_SIZES):
             rows = slice(i * n_f, (i + 1) * n_f)
-            views[k] = stack[..., rows, :k, :] if kernels else stack[..., rows]
+            views[k] = (stack[..., :k, rows, :].swapaxes(-3, -2) if kernels
+                        else stack[..., rows])
         return views
 
     @property
@@ -264,11 +271,13 @@ def expert_selfattn_backward(bank: ExpertBank, H, de: np.ndarray,
 
 # --- multi-kernel CNN ----------------------------------------------------
 #
-# All kernel sizes run as one convolution over the bank's zero-padded
-# kernel stack of width K = max(KERNEL_SIZES).  The rows get K - 1 zero rows
-# appended, so there is one output window per row; window t counts for
-# kernel size k when t + k <= length, and each size mean-pools its own
-# valid windows.
+# All kernel sizes run as one convolution (ops.conv1d) down the rows of
+# every sequence flattened end to end, (..., R, d).  Each row starts one
+# window per filter; window t of a sequence counts for kernel size k when
+# t + k <= length, and each size mean-pools its own counted windows.  A
+# window that reads a padding row or runs on into the next sequence is one
+# those weights zero, so sequences never mix, and in the backward pass no
+# gradient reaches a padding row.
 
 def cnn_features(bank: ExpertBank, H) -> tuple[np.ndarray, tuple]:
     """Concatenated mean-pooled ReLU conv features, one block of n_f per
@@ -278,16 +287,17 @@ def cnn_features(bank: ExpertBank, H) -> tuple[np.ndarray, tuple]:
     features always have length len(KERNEL_SIZES) * n_filters.
     """
     X, stack = _rows(H)
-    T = X.shape[-2]
-    padded = np.zeros(X.shape[:-2] + (T + KERNEL_SIZES[-1] - 1, bank.d))
-    padded[..., :T, :] = X
-    pre = conv1d_valid(padded, bank.cnn_kernels, bank.cnn_biases)  # (..., T, n_f * sizes)
-    # windows per sequence and kernel size; 1/count weights each valid window
-    counts = stack.lengths[..., None] - np.repeat(KERNEL_SIZES, bank.n_filters) + 1
+    T, d = X.shape[-2:]
+    lead = X.shape[: bank.cnn_kernels.ndim - 3]  # (K,) for a fold stack
+    rows = X.reshape(lead + (-1, d))
+    pre = conv1d(rows, bank.cnn_kernels, bank.cnn_biases, bank.tap_starts)
+    pre = pre.reshape(X.shape[:-1] + pre.shape[-1:])  # (..., T, n_f * sizes)
+    # windows per sequence and kernel size; 1/count weights each counted window
+    counts = stack.lengths[..., None] - bank.filter_sizes + 1
     weights = ((np.arange(T)[:, None] < counts[..., None, :])
                / np.maximum(counts, 1)[..., None, :])
     feats = (np.maximum(pre, 0.0) * weights).sum(axis=-2)
-    return feats, (padded, pre, weights)
+    return feats, (rows, pre, weights)
 
 
 def expert_cnn(bank: ExpertBank, H) -> np.ndarray:
@@ -298,19 +308,15 @@ def expert_cnn(bank: ExpertBank, H) -> np.ndarray:
 
 def expert_cnn_backward(bank: ExpertBank, H, de: np.ndarray,
                         input_grad: bool = True) -> np.ndarray | None:
-    feats, (padded, pre, weights) = cnn_features(bank, H)
+    feats, (rows, pre, weights) = cnn_features(bank, H)
     inner = affine(bank.cnn_proj, feats)
     dinner = affine_backward(bank.proj["cnn"], inner, de)
     dfeats = affine_backward(bank.cnn_proj, feats, dinner)
     dpre = np.where(pre > 0.0, weights, 0.0) * dfeats[..., None, :]
-    dpadded, dkernels, dbias = conv1d_valid_backward(padded, bank.cnn_kernels, dpre,
-                                                     input_grad)
-    n_f = bank.n_filters
-    for i, k in enumerate(KERNEL_SIZES):
-        dkernels[i * n_f : (i + 1) * n_f, k:] = 0.0  # padding taps are no parameter
-    bank.grad_cnn_kernels += dkernels
-    bank.grad_cnn_biases += dbias
-    return dpadded[..., : pre.shape[-2], :] if input_grad else None
+    drows = conv1d_backward(rows, bank.cnn_kernels, bank.tap_starts,
+                            dpre.reshape(-1, pre.shape[-1]),
+                            bank.grad_cnn_kernels, bank.grad_cnn_biases, input_grad)
+    return drows.reshape(pre.shape[:-1] + rows.shape[-1:]) if input_grad else None
 
 
 # --- lexical-cue pooling --------------------------------------------------

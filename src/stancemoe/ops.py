@@ -51,8 +51,8 @@ __all__ = [
     "softmax_backward",
     "log_softmax",
     "Padded",
-    "conv1d_valid",
-    "conv1d_valid_backward",
+    "conv1d",
+    "conv1d_backward",
     "grad_check",
     "GradCheckReport",
     "GradCheckError",
@@ -314,49 +314,54 @@ class Padded:
         return len(self.data)
 
 
-def conv1d_valid(H: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Valid 1-d convolution of (..., T, d) sequences with an (n_f, k, d) kernel stack.
+def conv1d(rows: np.ndarray, kernels: np.ndarray, bias: np.ndarray,
+           starts) -> np.ndarray:
+    """1-d convolution down the (..., R, d) rows with a tap-major (W, F, d)
+    stack of F filters of up to W taps.
 
-    Output row t, column f is ``bias[f] + sum_j kernels[f, j] . H[t+j]``,
-    evaluated only where the kernel fits entirely inside the sequence, so
-    the result has shape (..., T - k + 1, n_f).  No padding.  One matmul
-    applies every tap of every kernel to every row, then k shifted adds
-    line the taps up.  A fold stack of (K, n_f, k, d) kernels and (K, n_f)
-    biases convolves entry k of H's leading axis with kernels k (see
+    Output row t, column f is ``bias[f] + sum_j kernels[j, f] . rows[t+j]``,
+    summed over the taps filter f has (``f >= starts[j]``: filters are
+    ordered by width, narrowest first, and ``starts[j]`` is the first with
+    a tap j) and that fit (``t + j < R``).
+    Every row starts a window, so the result has shape (..., R, F); the
+    windows of the last rows run out of rows and keep the taps that fit.
+    Tap j is one product of the row-offset view ``rows[j:]`` with its
+    filters, added into the first R - j output rows: nothing is padded and
+    no absent tap is multiplied.  A fold stack of (K, W, F, d) kernels and
+    (K, F) biases convolves (K, R, d) rows, entry k with kernels k (see
     :func:`param_affine`).
     """
-    T, d = H.shape[-2:]
-    n_f, k, kernel_d = kernels.shape[-3:]
-    if d != kernel_d:
-        raise ValueError(f"feature dims differ: H has {d}, kernels have {kernel_d}")
-    if T < k:
-        raise ValueError(f"sequence length {T} shorter than kernel size {k}")
-    L = T - k + 1
-    flat = kernels.reshape(kernels.shape[:-3] + (n_f * k, d))
-    taps = param_affine(H, flat.swapaxes(-1, -2))
-    taps = taps.reshape(taps.shape[:-1] + (n_f, k))
-    out = param_affine(taps[..., 0:L, :, 0], b=bias)
-    for j in range(1, k):
-        out += taps[..., j : j + L, :, j]
+    W, F, d = kernels.shape[-3:]
+    if rows.shape[-1] != d:
+        raise ValueError(f"feature dims differ: rows have {rows.shape[-1]}, kernels have {d}")
+    R = rows.shape[-2]
+    out = param_affine(rows, kernels[..., 0, :, :].swapaxes(-1, -2), bias)
+    for j in range(1, min(W, R)):
+        s = starts[j]
+        out[..., : R - j, s:] += param_affine(rows[..., j:, :],
+                                              kernels[..., j, s:, :].swapaxes(-1, -2))
     return out
 
 
-def conv1d_valid_backward(
-    H: np.ndarray, kernels: np.ndarray, dout: np.ndarray, input_grad: bool = True
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Gradients of conv1d_valid for dL/dout of shape (..., L, n_f); returns
-    (dH, dkernels, dbias), the kernel and bias gradients summed over the
-    leading axes, and dH None without ``input_grad`` (nothing consumes it)."""
-    n_f, k, d = kernels.shape
-    L = dout.shape[-2]
-    dtaps = np.zeros(H.shape[:-1] + (n_f, k))
-    for j in range(k):
-        dtaps[..., j : j + L, :, j] = dout
-    dtaps = dtaps.reshape(-1, n_f * k)
-    flat = kernels.reshape(n_f * k, d)
-    dkernels = (dtaps.T @ H.reshape(-1, d)).reshape(n_f, k, d)
-    dH = (dtaps @ flat).reshape(H.shape) if input_grad else None
-    return dH, dkernels, dout.reshape(-1, n_f).sum(axis=0)
+def conv1d_backward(rows: np.ndarray, kernels: np.ndarray, starts, dout: np.ndarray,
+                    grad_kernels: np.ndarray, grad_bias: np.ndarray,
+                    input_grad: bool = True) -> np.ndarray | None:
+    """Backward pass of :func:`conv1d` on (R, d) rows for dL/dout of shape
+    (R, F): accumulate the kernel gradients of the taps each filter has into
+    ``grad_kernels`` and the bias gradient into ``grad_bias``; return
+    dL/drows, or None without ``input_grad`` (nothing consumes it)."""
+    W = kernels.shape[0]
+    R = rows.shape[0]
+    grad_kernels[0] += dout.T @ rows
+    grad_bias += dout.sum(axis=0)
+    drows = dout @ kernels[0] if input_grad else None
+    for j in range(1, min(W, R)):
+        s = starts[j]
+        dtap = dout[: R - j, s:]
+        grad_kernels[j, s:] += dtap.T @ rows[j:]
+        if input_grad:
+            drows[j:] += dtap @ kernels[j, s:]
+    return drows
 
 
 class GradCheckError(RuntimeError):

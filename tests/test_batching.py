@@ -127,11 +127,11 @@ def test_cnn_padding_taps_stay_zero_through_training_steps():
         bank = params.bank
         for i, k in enumerate(KERNEL_SIZES):
             rows = slice(i * bank.n_filters, (i + 1) * bank.n_filters)
-            assert not bank.grad_cnn_kernels[rows, k:].any()
+            assert not bank.grad_cnn_kernels[k:, rows].any()
         adam.step()
         for i, k in enumerate(KERNEL_SIZES):
             rows = slice(i * bank.n_filters, (i + 1) * bank.n_filters)
-            assert not bank.cnn_kernels[rows, k:].any()
+            assert not bank.cnn_kernels[k:, rows].any()
             assert bank.kernels[k].base is bank.cnn_kernels
 
 

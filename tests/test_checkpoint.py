@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 
 import numpy as np
@@ -83,15 +84,23 @@ class TestRoundtrip:
                     *stacked.bank.proj.values()]
             if stacked.encoder is not None:
                 lins += [stacked.encoder.query, stacked.encoder.key, stacked.encoder.value]
-            K, n_rows, k, d = stacked.bank.cnn_kernels.shape
-            taps = stacked.bank.cnn_kernels.reshape(K, n_rows * k, d).swapaxes(-1, -2)
             operands = [(lin.weight, lin.weight.swapaxes(-1, -2)) for lin in lins]
-            for weight, operand in operands + [(stacked.bank.cnn_kernels, taps)]:
+            for weight, operand in operands:
                 assert operand.flags.c_contiguous
                 assert np.shares_memory(operand, weight)
+            # each tap's product operand, (K, d, filters with that tap), is a
+            # view of the one C-contiguous (K, d, taps, filters) buffer
+            kernels = stacked.bank.cnn_kernels
+            buffer = kernels.base
+            assert buffer.flags.c_contiguous
+            assert buffer.shape == kernels.shape[:1] + kernels.shape[-1:] + kernels.shape[1:3]
+            for j, s in enumerate(stacked.bank.tap_starts):
+                operand = kernels[:, j, s:, :].swapaxes(-1, -2)
+                assert operand.strides[-1] == operand.itemsize
+                assert operand.base is buffer
             for j, art in enumerate(ens.folds):
                 assert np.shares_memory(art.params.classifier.weight, stacked.classifier.weight)
-                assert np.shares_memory(art.params.bank.cnn_kernels, taps)
+                assert np.shares_memory(art.params.bank.cnn_kernels, buffer)
                 np.testing.assert_array_equal(art.params.bank.cnn_kernels,
                                               stacked.bank.cnn_kernels[j])
         logits_a = ensemble_forward(ensemble, examples[:20])[0]
@@ -179,6 +188,18 @@ class TestFormatErrors:
         with pytest.raises(CheckpointFormatError, match=message) as excinfo:
             load_checkpoint(path)
         assert str(path) in str(excinfo.value)
+
+    def test_every_truncation_is_format_error(self, corpus90, lexicon, tmp_path):
+        examples, vocab = corpus90
+        cfg = TrainConfig(max_len=16, batch_size=8, epochs=1, k=2, hidden_dim=2,
+                          cnn_filters=1)
+        path = tmp_path / "model.smck"
+        save_checkpoint(path, run_kfold(cfg, examples, vocab), cfg, vocab, lexicon)
+        for n in reversed(range(path.stat().st_size)):
+            os.truncate(path, n)
+            with pytest.raises(CheckpointFormatError) as excinfo:
+                load_checkpoint(path)
+            assert str(path) in str(excinfo.value), n
 
     def test_unknown_format_version(self, trained, lexicon, tmp_path):
         examples, vocab, cfg, ensemble = trained

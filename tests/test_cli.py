@@ -172,6 +172,35 @@ class TestGradcheckCommand:
         assert "max relative error" in out
 
 
+class TestFlagBounds:
+    @pytest.mark.parametrize("argv,flag", [
+        (["gradcheck", "--length", "1"], "--length"),
+        (["gradcheck", "--length", "0"], "--length"),
+        (["gradcheck", "--dim", "0"], "--dim"),
+        (["train", "--data", "d.jsonl", "--out", "m.smck", "--jobs", "0"], "--jobs"),
+        (["ablate", "--data", "d.jsonl", "--test", "t.jsonl", "--out", "o",
+          "--jobs", "-2"], "--jobs"),
+    ])
+    def test_out_of_range_value_names_its_flag(self, argv, flag, tmp_path, monkeypatch,
+                                               capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be at least" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_integer_is_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["gradcheck", "--dim", "two"])
+        assert "argument --dim: invalid int value: 'two'" in capsys.readouterr().err
+
+    def test_smallest_length_runs(self, capsys):
+        assert main(["gradcheck", "--length", "2", "--dim", "1"]) == 0
+        assert "PASS" in capsys.readouterr().out
+
+
 class TestHelp:
     @pytest.mark.parametrize("argv", [["--help"], ["train", "--help"],
                                       ["predict", "--help"], ["ablate", "--help"]])

@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -172,6 +173,16 @@ class TestEmbeddingStore:
         with pytest.raises(StoreFormatError, match=message) as excinfo:
             read_embedding_store(path)
         assert str(path) in str(excinfo.value)
+
+    def test_every_truncation_is_format_error(self, tmp_path):
+        path = tmp_path / "emb.smeb"
+        write_embedding_store(path, [("a", np.ones((4, 3), np.float32)),
+                                     ("bb", np.zeros((1, 3), np.float32))])
+        for n in reversed(range(path.stat().st_size)):
+            os.truncate(path, n)
+            with pytest.raises(StoreFormatError) as excinfo:
+                read_embedding_store(path)
+            assert str(path) in str(excinfo.value), n
 
     def test_bad_magic_is_format_error(self, tmp_path):
         path = tmp_path / "emb.smeb"

@@ -9,6 +9,7 @@ from stancemoe.experts import (
     attention_weights,
     cnn_features,
     expert_cnn,
+    expert_cnn_backward,
     expert_contrast,
     expert_cue,
     expert_max,
@@ -19,7 +20,7 @@ from stancemoe.experts import (
     run_all_experts_backward,
 )
 from stancemoe.model import ModelParams
-from stancemoe.ops import grad_check
+from stancemoe.ops import Padded, grad_check
 
 
 def make_bank(d=4, n_filters=2, seed=0, **kw):
@@ -179,6 +180,52 @@ class TestCnnExpert:
                 bank.cnn_proj.weight, bank.cnn_proj.bias, H,
             )
             np.testing.assert_allclose(expert_cnn(bank, H), expected, atol=1e-12)
+
+
+class TestCnnRaggedStack:
+    # the CNN convolves the stack's rows flattened end to end, so windows
+    # near a sequence's end read its padding rows and the next sequence;
+    # lengths 1 and 2 are shorter than most kernel sizes
+    LENGTHS = (1, 2, 4, 5, 9)
+
+    def stack(self, rng):
+        return Padded.stack([rng.normal(size=(n, 4)) for n in self.LENGTHS])
+
+    def test_sequences_never_mix(self):
+        rng = np.random.default_rng(31)
+        bank = make_bank(d=4, n_filters=2, seed=31)
+        H = self.stack(rng)
+        feats, _ = cnn_features(bank, H)
+        for b, n in enumerate(self.LENGTHS):
+            np.testing.assert_allclose(feats[b], cnn_features(bank, H.data[b, :n])[0],
+                                       rtol=0, atol=1e-12)
+            changed = H.data.copy()
+            padding = H.valid == 0.0
+            changed[padding] = rng.normal(size=changed[padding].shape)
+            if b + 1 < len(self.LENGTHS):
+                changed[b + 1] = rng.normal(size=changed[b + 1].shape)
+            other, _ = cnn_features(bank, H.like(changed))
+            np.testing.assert_array_equal(other[b], feats[b])
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(32)
+        bank = make_bank(d=4, n_filters=2, seed=32)
+        for k in KERNEL_SIZES:  # nonzero biases, so some windows sit below the ReLU
+            bank.kernel_biases[k][:] = rng.normal(scale=0.3, size=2)
+        H = self.stack(rng)
+        gH = np.zeros_like(H.data)
+
+        def f():
+            bank.zero_grads()
+            e = expert_cnn(bank, H)
+            gH[:] = expert_cnn_backward(bank, H, e)
+            return 0.5 * float(np.sum(e * e))
+
+        params = [("H", H.data, gH)] + [p for p in bank.named_params() if "cnn" in p[0]]
+        rep = grad_check(f, params, h=1e-4)
+        assert rep.max_rel_err < 1e-3, rep.worst_param
+        f()
+        assert not (gH * (1.0 - H.valid[..., None])).any()  # padding rows
 
 
 class TestCueExpert:

@@ -6,8 +6,8 @@ from stancemoe.ops import (
     LinearParams,
     affine,
     affine_backward,
-    conv1d_valid,
-    conv1d_valid_backward,
+    conv1d,
+    conv1d_backward,
     grad_check,
     log_softmax,
     param_affine,
@@ -173,53 +173,83 @@ class TestBatchedMatchesRows:
 
 
 class TestConv1dValid:
-    # one filter (n_f = 1): kernel stacks are (1, k, d), outputs (L, 1)
+    # one filter (F = 1): tap-major kernel stacks are (k, 1, d), outputs (R, 1);
+    # the rows of a full window are the valid convolution, the last k - 1
+    # rows keep the taps that fit
     def test_all_ones_on_constants(self):
-        out = conv1d_valid(np.ones((3, 1)), np.ones((1, 2, 1)), np.zeros(1))
-        np.testing.assert_array_equal(out[:, 0], [2.0, 2.0])
+        out = conv1d(np.ones((3, 1)), np.ones((2, 1, 1)), np.zeros(1), (0, 0))
+        np.testing.assert_array_equal(out[:, 0], [2.0, 2.0, 1.0])
 
     def test_bias_only(self):
-        out = conv1d_valid(np.random.default_rng(0).normal(size=(5, 2)),
-                           np.zeros((1, 2, 2)), np.array([3.0]))
-        np.testing.assert_array_equal(out[:, 0], np.full(4, 3.0))
+        out = conv1d(np.random.default_rng(0).normal(size=(5, 2)),
+                     np.zeros((2, 1, 2)), np.array([3.0]), (0, 0))
+        np.testing.assert_array_equal(out[:, 0], np.full(5, 3.0))
 
     def test_hand_dot_products(self):
         H = np.array([[1.0], [2.0], [3.0]])
-        kernel = np.array([[[1.0], [-1.0]]])
-        np.testing.assert_allclose(conv1d_valid(H, kernel, np.zeros(1))[:, 0], [-1.0, -1.0])
+        kernel = np.array([[[1.0]], [[-1.0]]])
+        np.testing.assert_allclose(conv1d(H, kernel, np.zeros(1), (0, 0))[:, 0],
+                                   [-1.0, -1.0, 3.0])
 
-    def test_short_sequence_raises(self):
-        with pytest.raises(ValueError):
-            conv1d_valid(np.ones((2, 3)), np.ones((1, 4, 3)), np.zeros(1))
-        with pytest.raises(ValueError):
-            conv1d_valid(np.ones((4, 3)), np.ones((1, 2, 2)), np.zeros(1))
+    def test_feature_dim_mismatch_raises(self):
+        with pytest.raises(ValueError, match="feature dims"):
+            conv1d(np.ones((4, 3)), np.ones((2, 1, 2)), np.zeros(1), (0, 0))
+
+    def test_short_sequence_keeps_the_taps_that_fit(self):
+        # two rows, a four-tap filter: window 0 has taps 0 and 1, window 1 tap 0
+        H = np.array([[1.0], [10.0]])
+        kernel = np.array([[[1.0]], [[2.0]], [[3.0]], [[4.0]]])
+        np.testing.assert_array_equal(conv1d(H, kernel, np.zeros(1), (0,) * 4)[:, 0],
+                                      [21.0, 10.0])
+
+    def test_tap_starts_leave_out_absent_taps(self):
+        # filter 0 has two taps, filter 1 three; tap 2 of filter 0 holds a
+        # value no product may read
+        rng = np.random.default_rng(5)
+        H = rng.normal(size=(6, 3))
+        kernels = rng.normal(size=(3, 2, 3))
+        bias = rng.normal(size=2)
+        out = conv1d(H, kernels, bias, (0, 0, 1))
+        for t in range(6):
+            for f, k in enumerate((2, 3)):
+                expected = bias[f] + sum(kernels[j, f] @ H[t + j]
+                                         for j in range(k) if t + j < 6)
+                np.testing.assert_allclose(out[t, f], expected, rtol=0, atol=1e-12)
 
     def test_constant_sequence_yields_constant_output(self):
         rng = np.random.default_rng(6)
         row = rng.normal(size=4)
         H = np.tile(row, (7, 1))
-        out = conv1d_valid(H, rng.normal(size=(1, 3, 4)), np.array([rng.normal()]))
-        assert np.ptp(out) <= 1e-12
+        out = conv1d(H, rng.normal(size=(3, 1, 4)), np.array([rng.normal()]), (0,) * 3)
+        assert np.ptp(out[:5]) <= 1e-12
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(7)
-        H = rng.normal(size=(6, 3))
-        kernel = rng.normal(size=(1, 2, 3))
-        bias = np.array([0.3])
-        gH, gk, gb = np.zeros_like(H), np.zeros_like(kernel), np.zeros(1)
-        weights = rng.normal(size=(5, 1))
+        # one two-tap filter; then a two-tap and a three-tap filter, whose
+        # absent tap must get no gradient
+        for shape, starts in (((2, 1, 3), (0, 0)), ((3, 2, 3), (0, 0, 1))):
+            H = rng.normal(size=(6, 3))
+            kernel = rng.normal(size=shape)
+            bias = rng.normal(size=shape[1])
+            gH, gk, gb = np.zeros_like(H), np.zeros_like(kernel), np.zeros_like(bias)
+            weights = rng.normal(size=(6, shape[1]))
 
-        def f():
-            out = conv1d_valid(H, kernel, bias)
-            dout = weights * out  # loss = 0.5 sum w_t out_t^2
-            dh, dk, db = conv1d_valid_backward(H, kernel, dout)
-            gH[:] = dh
-            gk[:] = dk
-            gb[:] = db
-            return 0.5 * float(np.sum(weights * out**2))
+            def f():
+                out = conv1d(H, kernel, bias, starts)
+                dout = weights * out  # loss = 0.5 sum w_t out_t^2
+                gk[:] = 0.0
+                gb[:] = 0.0
+                gH[:] = conv1d_backward(H, kernel, starts, dout, gk, gb)
+                return 0.5 * float(np.sum(weights * out**2))
 
-        rep = grad_check(f, [("H", H, gH), ("kernel", kernel, gk), ("bias", bias, gb)])
-        assert rep.max_rel_err < 1e-6
+            taps = [(f"kernel_tap{j}", kernel[j, s:], gk[j, s:]) for j, s in enumerate(starts)]
+            rep = grad_check(f, [("H", H, gH), ("bias", bias, gb)] + taps)
+            assert rep.max_rel_err < 1e-6
+            f()
+            for j, s in enumerate(starts):
+                assert not gk[j, :s].any()
+            assert conv1d_backward(H, kernel, starts, weights, gk, gb,
+                                   input_grad=False) is None
 
 
 class TestGradCheck:
