@@ -163,24 +163,28 @@ class Batch:
         return self.ids.data.ndim == 1
 
 
-def make_batch(params: ModelParams, examples, H_overrides=None) -> Batch:
-    """Stack one example or a list of them, with their precomputed (T_i, d)
-    matrices (row 0 = CLS, one row per token) when given."""
+def make_batch(params: ModelParams, examples, store=None) -> Batch:
+    """Stack one example or a list of them, with each example's precomputed
+    (T_i, d) rows (row 0 = CLS, one row per token) looked up by its id in
+    ``store`` when one is given."""
     single = isinstance(examples, TokenizedExample)
     if single:
         examples = [examples]
-        H_overrides = None if H_overrides is None else [H_overrides]
-    for b, ex in enumerate(examples):
+    rows = None if store is None else []
+    for ex in examples:
         _check_positions(len(ex.token_ids), ex.cue_positions, ex.contrast_positions)
-        if H_overrides is not None:
-            _check_rows(params, ex, H_overrides[b])
+        if store is not None:
+            if ex.id not in store:
+                raise KeyError(f"id {ex.id!r} not found in the embedding store")
+            rows.append(store[ex.id])
+            _check_rows(params, ex, rows[-1])
     if single:
         ids = Padded(np.asarray(examples[0].token_ids, dtype=np.intp),
                      np.intp(len(examples[0].token_ids)))
-        H = None if H_overrides is None else ids.like(H_overrides[0])
+        H = None if rows is None else ids.like(rows[0])
     else:
         ids = Padded.stack([ex.token_ids for ex in examples], dtype=np.intp)
-        H = None if H_overrides is None else ids.like(Padded.stack(H_overrides).data)
+        H = None if rows is None else ids.like(Padded.stack(rows).data)
     cue = np.zeros((len(examples), ids.shape[-1]))
     contrast = np.zeros((len(examples), ids.shape[-1]))
     for b, ex in enumerate(examples):
@@ -222,21 +226,18 @@ class ModelOutput:
     encoder_cache: tuple | None  # the encoder's forward record, if a backward reads it
 
 
-def model_forward(params: ModelParams, examples, H_override=None) -> ModelOutput:
+def model_forward(params: ModelParams, examples, store=None) -> ModelOutput:
     """Run the whole model on one example or on a list of examples.
 
-    ``H_override`` supplies precomputed token matrices (row 0 = CLS, one
-    row per token of the example): a (T, d) matrix for one example, a list
-    of them for a list; otherwise the toy encoder produces them.  A
-    :class:`Batch` from :func:`make_batch` may stand in for the examples
-    and their matrices, so models of the same width can share one.
+    ``store`` maps an example id to its precomputed token matrix (row 0 =
+    CLS, one row per token), which :func:`make_batch` looks up and checks;
+    without one the toy encoder produces the matrices.
 
     A fold-stacked model (:meth:`ModelParams.stack`) takes the same inputs
     and gives every field but ``batch`` a leading fold axis, with the K
     models' outputs: (K, ...) for one example, (K, B, ...) for a list.
     """
-    batch = (examples if isinstance(examples, Batch)
-             else make_batch(params, examples, H_override))
+    batch = make_batch(params, examples, store)
     if batch.H is None and params.encoder is None:
         raise ValueError("model has no encoder; precomputed embeddings required")
     encoder_cache = None
@@ -283,10 +284,9 @@ def model_backward(params: ModelParams, examples, out: ModelOutput,
     if params.n_folds:
         raise ValueError("a fold-stacked model is forward-only; run each fold's backward")
     batch = out.batch
-    if not isinstance(examples, Batch):
-        single = isinstance(examples, TokenizedExample)
-        if single != batch.single or (not single and len(examples) != len(out.logits)):
-            raise ValueError("the examples are not those of this forward record")
+    single = isinstance(examples, TokenizedExample)
+    if single != batch.single or (not single and len(examples) != len(out.logits)):
+        raise ValueError("the examples are not those of this forward record")
     dfused = classify_backward(params.classifier, out.fused, dlogits)
 
     dh_cls = None

@@ -164,11 +164,9 @@ def fold_stack(parts):
     return out
 
 
-def param_affine(x: np.ndarray, W: np.ndarray | None = None,
-                 b: np.ndarray | None = None) -> np.ndarray:
+def param_affine(x: np.ndarray, W: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """x W + b along the last axis: data x (..., n) times a weight W (n, m),
-    plus a bias b (m,).  Without W the map is the identity; without b it
-    has no bias.
+    plus a bias b (m,).  Without b the map has no bias.
 
     Every product is one BLAS call: a plain W meets the data's flattened
     rows, ``x.reshape(-1, n) @ W``.  For a fold stack of K models, W is
@@ -177,11 +175,9 @@ def param_affine(x: np.ndarray, W: np.ndarray | None = None,
     product over each fold's flattened rows, ``x.reshape(K, -1, n) @ W``;
     (K, n) vectors are one row per fold.
     """
-    fold = W.ndim == 3 if W is not None else b.ndim == 2
+    fold = W.ndim == 3
     if fold and b is not None and x.ndim > 2:
         b = b.reshape(b.shape[:1] + (1,) * (x.ndim - 2) + b.shape[1:])  # (K, 1, ..., m)
-    if W is None:
-        return x + b
     if fold and x.ndim == 2:
         y = (x[:, None, :] @ W)[:, 0, :]
     elif x.ndim <= 2 or (fold and x.ndim == 3):  # already one matrix of rows (per fold)

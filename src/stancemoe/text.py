@@ -194,13 +194,15 @@ def load_dataset(
 
     When ``vocab`` is None a fresh vocabulary is built from the corpus in
     file order; otherwise the given vocabulary is used read-only and unseen
-    tokens map to UNK.  Input order is preserved.  Malformed lines raise
-    :class:`DatasetFormatError` naming the line number.
+    tokens map to UNK.  Input order is preserved.  Malformed lines, an id
+    that repeats (ids key precomputed rows) and a file with no examples
+    raise :class:`DatasetFormatError` naming the file and line numbers.
     """
     grow = vocab is None
     if vocab is None:
         vocab = Vocab()
     examples: list[TokenizedExample] = []
+    id_lines: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -214,6 +216,10 @@ def load_dataset(
             for key in ("id", "text"):
                 if key not in row or not isinstance(row[key], str):
                     raise DatasetFormatError(f"{path}:{lineno}: missing or non-string {key!r}")
+            if row["id"] in id_lines:
+                raise DatasetFormatError(f"{path}:{lineno}: id {row['id']!r} repeats "
+                                         f"that of line {id_lines[row['id']]}")
+            id_lines[row["id"]] = lineno
             label: int | None = None
             if "label" in row and row["label"] is not None:
                 raw = row["label"]
@@ -228,6 +234,8 @@ def load_dataset(
             examples.append(
                 make_example(row["id"], row["text"], label, lexicon, max_len, vocab, grow)
             )
+    if not examples:
+        raise DatasetFormatError(f"{path}: no examples")
     return examples, vocab
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -22,6 +23,9 @@ logger = logging.getLogger(__name__)
 
 class NonFiniteGradientError(RuntimeError):
     """An optimizer step saw a NaN/Inf gradient; the step was aborted."""
+
+
+_FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
 
 
 @dataclass
@@ -51,8 +55,27 @@ class TrainConfig:
     contrast_lexicon: str | None = None
 
     def __post_init__(self):
+        self._check_types()
         self.active_experts = tuple(self.active_experts)
         self.validate()
+
+    def _check_types(self) -> None:
+        """Reject a value of the wrong type by its key: an int field takes an
+        integer, a float field a real number (neither takes a bool), an
+        optional field also None, and active_experts a list of names."""
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kind, _, optional = f.type.partition(" | ")
+            if optional and value is None:
+                continue
+            if f.name == "active_experts":
+                ok = (isinstance(value, (list, tuple))
+                      and all(isinstance(name, str) for name in value))
+            else:
+                ok = (isinstance(value, _FIELD_KINDS[kind])
+                      and (kind == "bool" or not isinstance(value, bool)))
+            if not ok:
+                raise TypeError(f"config key {f.name} must be {f.type}, got {value!r}")
 
     def validate(self) -> None:
         if not 0.0 <= self.label_smoothing < 1.0:
@@ -266,18 +289,6 @@ class EnsembleModel:
         return (self.weights @ flat).reshape(per_fold.shape[1:])
 
 
-def _example_H(example: TokenizedExample, store) -> np.ndarray | None:
-    if store is None:
-        return None
-    if example.id not in store:
-        raise KeyError(f"id {example.id!r} not found in the embedding store")
-    return store[example.id]
-
-
-def _stored_H(examples, store) -> list[np.ndarray] | None:
-    return None if store is None else [_example_H(ex, store) for ex in examples]
-
-
 def length_buckets(lengths, max_len: int, folds: int = 1) -> list[np.ndarray]:
     """Split the positions of ``lengths`` into sub-batches for padded stacks.
 
@@ -311,7 +322,7 @@ def _forward_buckets(params: ModelParams, examples, store=None
     lengths = [len(ex.token_ids) for ex in examples]
     for part in length_buckets(lengths, params.max_len, params.n_folds or 1):
         sub = [examples[i] for i in part]
-        out = model_forward(params, sub, _stored_H(sub, store))
+        out = model_forward(params, sub, store)
         logits[..., part, :] = out.logits
         gates[..., part, :] = out.gate_weights
         del out  # frees this bucket's activations before the next bucket's forward
@@ -363,7 +374,7 @@ def train_fold(config: TrainConfig, train_examples, val_examples, vocab_size: in
             for part in length_buckets(lengths[batch], config.max_len):
                 rows = batch[part]
                 sub = [train_examples[i] for i in rows]
-                out = model_forward(params, sub, _stored_H(sub, store))
+                out = model_forward(params, sub, store)
                 losses, dlogits = label_smoothed_ce_grad(
                     out.logits, labels[rows], config.label_smoothing
                 )
@@ -446,7 +457,7 @@ def ensemble_forward(ensemble: EnsembleModel, examples, store=None):
     """
     single = isinstance(examples, TokenizedExample)
     if single:
-        out = model_forward(ensemble.stacked, examples, _example_H(examples, store))
+        out = model_forward(ensemble.stacked, examples, store)
         fold_logits, fold_gates = out.logits, out.gate_weights
     else:
         fold_logits, fold_gates = _forward_buckets(ensemble.stacked, examples, store)
@@ -489,7 +500,7 @@ def training_report(ensemble: EnsembleModel, config: TrainConfig, examples,
 # --- gradient verification hook ---------------------------------------------
 
 def head_loss_fn(params: ModelParams, example: TokenizedExample, alpha: float,
-                 H_override: np.ndarray | None = None):
+                 store=None):
     """Closure for :func:`stancemoe.ops.grad_check` over the full model loss.
 
     Returns (f, tensors): each call of ``f`` zeroes the gradient buffers,
@@ -499,7 +510,7 @@ def head_loss_fn(params: ModelParams, example: TokenizedExample, alpha: float,
 
     def f() -> float:
         params.zero_grads()
-        out = model_forward(params, example, H_override)
+        out = model_forward(params, example, store)
         loss, dlogits = label_smoothed_ce_grad(out.logits, example.label, alpha)
         model_backward(params, example, out, dlogits)
         return loss

@@ -29,7 +29,7 @@ def toy_example(token_ids, cue=(), contrast=(), label=0, example_id="toy"):
     )
 
 
-def random_example(rng, vocab_size, T, with_masks=True, label=None):
+def random_example(rng, vocab_size, T, with_masks=True, label=None, example_id="rnd"):
     """Random example with non-empty cue/contrast masks when T allows."""
     ids = [1] + [int(rng.integers(3, vocab_size)) for _ in range(T - 1)]
     cue, contrast = frozenset(), frozenset()
@@ -38,7 +38,7 @@ def random_example(rng, vocab_size, T, with_masks=True, label=None):
         cue = frozenset({int(pos[0])})
         contrast = frozenset({int(pos[1])})
     return TokenizedExample(
-        id="rnd",
+        id=example_id,
         tokens=tuple(f"t{i}" for i in ids),
         token_ids=tuple(ids),
         cue_positions=cue,

@@ -16,8 +16,10 @@ VOCAB, D, MAX_LEN = 20, 6, 16
 
 def mixed_examples(rng):
     """Lengths 2 to 12, so kernel sizes longer than a sequence leave zero CNN
-    blocks; one example has an empty cue mask, one an empty contrast mask."""
-    examples = [random_example(rng, VOCAB, T) for T in (7, 2, 12, 4, 9, 3)]
+    blocks; one example has an empty cue mask, one an empty contrast mask.
+    Every id differs, so one store can hold all their rows."""
+    examples = [random_example(rng, VOCAB, T, example_id=f"rnd{i}")
+                for i, T in enumerate((7, 2, 12, 4, 9, 3))]
     examples.append(toy_example([1, 5, 6, 7, 8], cue=(), contrast=(2, 3), label=1,
                                 example_id="no-cue"))
     examples.append(toy_example([1, 9, 10, 11, 12, 13], cue=(4,), contrast=(), label=2,
@@ -36,19 +38,19 @@ def test_batch_gradients_equal_summed_single_example_gradients(head, encoder_mod
     params = ModelParams.init(VOCAB, D, MAX_LEN, rng, n_filters=2, head=head,
                               encoder_mode=encoder_mode)
     examples = mixed_examples(rng)
-    stored = ([rng.normal(size=(len(ex.token_ids), D)) for ex in examples]
-              if encoder_mode == "precomputed" else None)
+    store = ({ex.id: rng.normal(size=(len(ex.token_ids), D)) for ex in examples}
+             if encoder_mode == "precomputed" else None)
     labels = np.array([ex.label for ex in examples])
 
     params.zero_grads()
-    out = model_forward(params, examples, stored)
+    out = model_forward(params, examples, store)
     _, dlogits = label_smoothed_ce_grad(out.logits, labels, 0.25)
     model_backward(params, examples, out, dlogits)
     batched = grads(params)
 
     params.zero_grads()
-    for i, ex in enumerate(examples):
-        one = model_forward(params, ex, None if stored is None else stored[i])
+    for ex in examples:
+        one = model_forward(params, ex, store)
         _, dl = label_smoothed_ce_grad(one.logits, ex.label, 0.25)
         model_backward(params, ex, one, dl)
     summed = grads(params)
@@ -66,9 +68,9 @@ def test_no_input_gradient_when_nothing_consumes_it(monkeypatch, encoder_mode, f
     params = ModelParams.init(VOCAB, D, MAX_LEN, rng, n_filters=2,
                               encoder_mode=encoder_mode, freeze_encoder=freeze)
     examples = mixed_examples(rng)
-    stored = ([rng.normal(size=(len(ex.token_ids), D)) for ex in examples]
-              if encoder_mode == "precomputed" else None)
-    out = model_forward(params, examples, stored)
+    store = ({ex.id: rng.normal(size=(len(ex.token_ids), D)) for ex in examples}
+             if encoder_mode == "precomputed" else None)
+    out = model_forward(params, examples, store)
     _, dlogits = label_smoothed_ce_grad(out.logits, [ex.label for ex in examples], 0.25)
     real = experts.run_all_experts_backward
     returned = []

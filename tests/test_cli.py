@@ -57,6 +57,17 @@ class TestTrain:
         assert rc == 1
         assert "warp" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("item, key", [("k=3.5", "k"), ("epochs=2.0", "epochs"),
+                                           ("learning_rate=abc", "learning_rate"),
+                                           ("active_experts=mean", "active_experts")])
+    def test_wrong_typed_config_value_names_its_key(self, data_dir, capsys, item, key):
+        out = data_dir / "typed.smck"
+        rc = main(["train", "--set", item, "--data", str(data_dir / "train.jsonl"),
+                   "--out", str(out)])
+        assert rc == 1
+        assert f"config key {key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_and_set_precedence(self, data_dir):
         cfg_path = data_dir / "cfg.json"
         cfg_path.write_text(json.dumps({"epochs": 1, "k": 2, "hidden_dim": 10,
@@ -104,6 +115,17 @@ class TestPredict:
             assert list(line["gate_weights"]) == sorted(names)
             np.testing.assert_allclose([line["gate_weights"][n] for n in names], gate,
                                        rtol=0, atol=1e-12)
+
+    def test_empty_input_names_the_file_and_writes_nothing(self, data_dir, model_path,
+                                                           capsys):
+        empty = data_dir / "empty.jsonl"
+        empty.write_text("")
+        out = data_dir / "empty-preds.jsonl"
+        rc = main(["predict", "--model", str(model_path), "--data", str(empty),
+                   "--out", str(out)])
+        assert rc == 1
+        assert f"{empty}: no examples" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unlabeled_input_accepted(self, data_dir, model_path):
         unlabeled = data_dir / "unlabeled.jsonl"

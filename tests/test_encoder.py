@@ -141,7 +141,7 @@ class TestEmbeddingStore:
         store, d = read_embedding_store(path)
         H = store["ex2"]
         example = toy_example(range(H.shape[0]), example_id="ex2")
-        out = model_forward(precomputed_model(d), example, H_override=H)
+        out = model_forward(precomputed_model(d), example, store)
         np.testing.assert_array_equal(out.H, records[2][1])
         np.testing.assert_array_equal(out.h_cls, records[2][1][0])
 

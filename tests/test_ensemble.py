@@ -37,9 +37,9 @@ def probe_examples(rng):
     return [dataclasses.replace(ex, id=f"ex{i}") for i, ex in enumerate(examples)]
 
 
-def reference(ensemble, example, H):
+def reference(ensemble, example, store):
     """Sum over folds of w_j times fold j's own forward pass."""
-    outs = [model_forward(art.params, example, H) for art in ensemble.folds]
+    outs = [model_forward(art.params, example, store) for art in ensemble.folds]
     logits = sum(w * out.logits for w, out in zip(ensemble.weights, outs))
     gate = sum(w * out.gate_weights for w, out in zip(ensemble.weights, outs))
     return logits, gate
@@ -69,8 +69,7 @@ def test_stacked_forward_equals_weighted_fold_sum(K, model):
     n, E = len(examples), len(ensemble.stacked.active_experts)
     assert [a.shape for a in listed] == [(n, 3), (n, 3), (n,), (n, E)]
     for i, ex in enumerate(examples):
-        H = None if store is None else store[ex.id]
-        want_logits, want_gate = reference(ensemble, ex, H)
+        want_logits, want_gate = reference(ensemble, ex, store)
         for logits, probs, cls, gate in (ensemble_forward(ensemble, ex, store),
                                          [a[i] for a in listed]):
             np.testing.assert_allclose(logits, want_logits, rtol=0, atol=1e-12)
@@ -98,8 +97,8 @@ def test_fold_tensors_are_views_of_the_stack(model):
     assert np.abs(after - before).max() > 1e-6
     assert np.abs(after_list - before_list).max(axis=1).min() > 1e-6
     for row, one in [(after, ex), *zip(after_list, examples)]:
-        H = None if store is None else store[one.id]
-        np.testing.assert_allclose(row, reference(ensemble, one, H)[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(row, reference(ensemble, one, store)[0], rtol=0,
+                                   atol=1e-12)
     for (name, value, _), (stacked_name, stacked, grad) in zip(
             ensemble.folds[2].params.named_params(), ensemble.stacked.named_params(),
             strict=True):

@@ -26,7 +26,7 @@ def head_forward(head, bank, classifier, H, cue, contrast, fusion_proj=None):
     params = ModelParams(bank.d, EXPERT_NAMES, head, None, bank, None, fusion_proj,
                          classifier)
     example = toy_example(range(H.shape[0]), cue, contrast)
-    return model_forward(params, example, H_override=H)
+    return model_forward(params, example, {example.id: H})
 
 
 UNIFORM_GATE = np.full(6, 1.0 / 6)

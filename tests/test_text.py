@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -169,6 +170,23 @@ class TestLoadDataset:
             load_dataset(p, lexicon)
         examples, _ = load_dataset(p, lexicon, require_labels=False)
         assert examples[0].label is None
+
+    @pytest.mark.parametrize("lines", [[], ["", "   "]], ids=["empty", "blank-lines"])
+    def test_no_examples_names_the_file(self, tmp_path, lexicon, lines):
+        p = tmp_path / "data.jsonl"
+        p.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match=rf"^{re.escape(str(p))}: no examples$"):
+            load_dataset(p, lexicon)
+
+    def test_repeated_id_names_both_lines(self, tmp_path, lexicon):
+        p = self.write(tmp_path, [
+            json.dumps({"id": "a", "text": "x", "label": "neutral"}),
+            json.dumps({"id": "b", "text": "y", "label": "neutral"}),
+            "",
+            json.dumps({"id": "a", "text": "z", "label": "neutral"}),
+        ])
+        with pytest.raises(DatasetFormatError, match=r":4: id 'a' repeats that of line 1$"):
+            load_dataset(p, lexicon)
 
     def test_fixed_vocab_is_not_grown(self, tmp_path, lexicon):
         p = self.write(tmp_path, [

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig.from_dict(bad)
 
+    @pytest.mark.parametrize("key, value", [
+        ("k", 3.5), ("epochs", 2.0), ("batch_size", True), ("learning_rate", "abc"),
+        ("label_smoothing", False), ("freeze_encoder", 1), ("embeddings_path", 3),
+        ("grad_clip", "0.5"), ("head", None), ("active_experts", "mean"),
+        ("active_experts", ["mean", 2]),
+    ])
+    def test_wrong_type_names_key_and_value(self, key, value):
+        with pytest.raises(TypeError, match=rf"^config key {key} .*got {re.escape(repr(value))}$"):
+            TrainConfig.from_dict({key: value})
+
+    @pytest.mark.parametrize("good", [
+        {"k": np.int64(3)}, {"learning_rate": 1}, {"contrast_scale": np.float32(2.0)},
+        {"grad_clip": None}, {"cue_lexicon": None}, {"freeze_encoder": True},
+        {"active_experts": ["mean", "cue"]},
+    ])
+    def test_right_types_accepted(self, good):
+        TrainConfig.from_dict(good)
+
     def test_dict_roundtrip(self):
         cfg = TrainConfig(epochs=3, active_experts=("mean", "cue"))
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
@@ -369,7 +389,7 @@ class TestPrecomputedEmbeddings:
         from stancemoe.model import model_forward
 
         with pytest.raises(ValueError, match="5.*12"):
-            model_forward(params, examples[0], H_override=bad_H)
+            model_forward(params, examples[0], {examples[0].id: bad_H})
 
     def test_row_count_mismatch_names_id_and_both_lengths(self, corpus90):
         examples, vocab = corpus90
@@ -380,7 +400,7 @@ class TestPrecomputedEmbeddings:
         from stancemoe.model import model_forward
 
         with pytest.raises(ValueError, match=rf"{ex.id}.*{T + 6} rows.*{T} tokens"):
-            model_forward(params, ex, H_override=np.zeros((T + 6, 12)))
+            model_forward(params, ex, {ex.id: np.zeros((T + 6, 12))})
 
     def test_missing_id_reported(self, corpus90):
         examples, vocab = corpus90
