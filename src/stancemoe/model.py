@@ -166,7 +166,14 @@ class Batch:
 def make_batch(params: ModelParams, examples, store=None) -> Batch:
     """Stack one example or a list of them, with each example's precomputed
     (T_i, d) rows (row 0 = CLS, one row per token) looked up by its id in
-    ``store`` when one is given."""
+    ``store``.  Rows come from a store exactly when the model has no
+    encoder: a model without one needs a store, and one with the toy
+    encoder, which makes its own rows, rejects a store."""
+    if params.encoder is None and store is None:
+        raise ValueError("model has no encoder; precomputed embeddings required")
+    if params.encoder is not None and store is not None:
+        raise ValueError("model has the toy encoder, which makes its own rows; a store of "
+                         "precomputed rows is read only in encoder mode 'precomputed'")
     single = isinstance(examples, TokenizedExample)
     if single:
         examples = [examples]
@@ -231,15 +238,14 @@ def model_forward(params: ModelParams, examples, store=None) -> ModelOutput:
 
     ``store`` maps an example id to its precomputed token matrix (row 0 =
     CLS, one row per token), which :func:`make_batch` looks up and checks;
-    without one the toy encoder produces the matrices.
+    a model without an encoder needs one, and the toy encoder, which
+    produces the matrices itself, takes none.
 
     A fold-stacked model (:meth:`ModelParams.stack`) takes the same inputs
     and gives every field but ``batch`` a leading fold axis, with the K
     models' outputs: (K, ...) for one example, (K, B, ...) for a list.
     """
     batch = make_batch(params, examples, store)
-    if batch.H is None and params.encoder is None:
-        raise ValueError("model has no encoder; precomputed embeddings required")
     encoder_cache = None
     if batch.H is None:
         encoded = encode(params.encoder, batch.ids)

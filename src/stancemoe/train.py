@@ -289,38 +289,57 @@ class EnsembleModel:
         return (self.weights @ flat).reshape(per_fold.shape[1:])
 
 
-def length_buckets(lengths, max_len: int, folds: int = 1) -> list[np.ndarray]:
+# padded rows of an encoder-less model's sub-batch, in units of max_len:
+# its activations grow linearly in rows.  On the benchmark's precomputed
+# training (T 13-128, batch 16, one BLAS thread) run_kfold ran 1.21x as
+# fast as under the attention bound alone with 4, 1.11x with 2, 1.12x with 8
+ROWS_PER_MAX_LEN = 4
+
+
+def length_buckets(lengths, max_len: int, folds: int = 1,
+                   encoder: bool = True) -> list[np.ndarray]:
     """Split the positions of ``lengths`` into sub-batches for padded stacks.
 
     Positions are sorted by length (ties keep their input order) and taken
     greedily: a sub-batch grows while the number of folds times its size
     times the square of its longest length stays within max_len ** 2, so
     no (K, B, T, T) attention stack is larger than that of one max_len
-    sequence in one model.  Every position is in exactly one sub-batch; one
-    over that bound on its own runs alone.
+    sequence in one model.  A model without an encoder builds no such
+    stack, so its sub-batch may also grow while its padded rows, folds
+    times size times longest length, stay within ROWS_PER_MAX_LEN *
+    max_len; either bound lets it grow, so its sub-batches are never
+    smaller than an encoder model's.  Every position is in exactly one
+    sub-batch; one over both bounds on its own runs alone.
     """
     lengths = np.asarray(lengths)
     order = np.argsort(lengths, kind="stable")
-    cap = max_len * max_len
+    cap, row_cap = max_len * max_len, ROWS_PER_MAX_LEN * max_len
     buckets, start = [], 0
     for i in range(1, len(order) + 1):
-        if i == len(order) or folds * (i - start + 1) * int(lengths[order[i]]) ** 2 > cap:
-            buckets.append(order[start:i])
-            start = i
+        if i < len(order):
+            T = int(lengths[order[i]])
+            rows = folds * (i - start + 1) * T
+            if rows * T <= cap or (not encoder and rows <= row_cap):
+                continue  # position i joins the current sub-batch
+        buckets.append(order[start:i])
+        start = i
     return buckets
 
 
 def _forward_buckets(params: ModelParams, examples, store=None
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Forward a list of examples in length-bucketed sub-batches, whose
-    bound counts the folds of a fold-stacked model; returns the logits and
-    gate weights in input order, (n, 3) and (n, E) for one model, with a
-    leading fold axis for a fold stack."""
+    bounds (:func:`length_buckets`) count the folds of a fold-stacked model
+    and let a model without an encoder take up to ROWS_PER_MAX_LEN *
+    max_len padded rows; returns the logits and gate weights in input
+    order, (n, 3) and (n, E) for one model, with a leading fold axis for a
+    fold stack."""
     lead = (params.n_folds,) if params.n_folds else ()
     logits = np.empty(lead + (len(examples), N_CLASSES))
     gates = np.empty(lead + (len(examples), len(params.active_experts)))
     lengths = [len(ex.token_ids) for ex in examples]
-    for part in length_buckets(lengths, params.max_len, params.n_folds or 1):
+    for part in length_buckets(lengths, params.max_len, params.n_folds or 1,
+                               encoder=params.encoder is not None):
         sub = [examples[i] for i in part]
         out = model_forward(params, sub, store)
         logits[..., part, :] = out.logits
@@ -350,10 +369,11 @@ def train_fold(config: TrainConfig, train_examples, val_examples, vocab_size: in
 
     Mini-batches are drawn from a seeded shuffle each epoch; the last
     partial batch is trained, not dropped.  Each mini-batch runs as
-    length-bucketed padded sub-batches (:func:`length_buckets`) whose
-    gradients add up to the mini-batch mean.  Fully deterministic for a
-    fixed seed.  A non-finite gradient raises NonFiniteGradientError naming
-    the fold, epoch, optimizer step and parameter.
+    length-bucketed padded sub-batches (:func:`length_buckets`, with the
+    row bound when the model has no encoder) whose gradients add up to the
+    mini-batch mean.  Fully deterministic for a fixed seed.  A non-finite
+    gradient raises NonFiniteGradientError naming the fold, epoch,
+    optimizer step and parameter.
     """
     if not train_examples or not val_examples:
         raise ValueError("train and validation splits must be non-empty")
@@ -371,7 +391,8 @@ def train_fold(config: TrainConfig, train_examples, val_examples, vocab_size: in
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
             inv = 1.0 / len(batch)
-            for part in length_buckets(lengths[batch], config.max_len):
+            for part in length_buckets(lengths[batch], params.max_len,
+                                       encoder=params.encoder is not None):
                 rows = batch[part]
                 sub = [train_examples[i] for i in rows]
                 out = model_forward(params, sub, store)

@@ -8,7 +8,8 @@ from stancemoe.encoder import ToyEncoderParams, encode, encode_backward
 from stancemoe.experts import KERNEL_SIZES
 from stancemoe.model import ModelParams, model_backward, model_forward
 from stancemoe.ops import Padded
-from stancemoe.train import Adam, label_smoothed_ce_grad, length_buckets, predict_logits
+from stancemoe.train import (ROWS_PER_MAX_LEN, Adam, label_smoothed_ce_grad, length_buckets,
+                             predict_logits)
 from conftest import random_example, toy_example
 
 VOCAB, D, MAX_LEN = 20, 6, 16
@@ -148,6 +149,37 @@ def test_predict_logits_equal_single_example_logits_and_ignore_neighbours():
     np.testing.assert_allclose(longer[:-1], logits, rtol=0, atol=1e-12)
 
 
+def test_predict_logits_from_a_store_equal_single_example_logits_and_ignore_neighbours():
+    rng = np.random.default_rng(4)
+    params = ModelParams.init(VOCAB, D, MAX_LEN, rng, n_filters=2,
+                              encoder_mode="precomputed")
+    examples = mixed_examples(rng) + [random_example(rng, VOCAB, T, example_id=f"long{i}")
+                                      for i, T in enumerate((8, 8, 11, 14, MAX_LEN))]
+    longest = random_example(rng, VOCAB, MAX_LEN, example_id="longest")
+    store = {ex.id: rng.normal(size=(len(ex.token_ids), D)) for ex in examples + [longest]}
+    lengths = [len(ex.token_ids) for ex in examples]
+    # the row bound merges sub-batches the attention bound alone would split
+    assert (len(length_buckets(lengths, MAX_LEN, encoder=False))
+            < len(length_buckets(lengths, MAX_LEN)))
+    logits = predict_logits(params, examples, store)
+    for row, ex in zip(logits, examples):
+        np.testing.assert_allclose(row, model_forward(params, ex, store).logits,
+                                   rtol=0, atol=1e-12)
+    longer = predict_logits(params, examples + [longest], store)
+    np.testing.assert_allclose(longer[:-1], logits, rtol=0, atol=1e-12)
+
+
+def attention_buckets(lengths, max_len, folds):
+    """The attention bound alone, taken greedily in stable length order."""
+    order = np.argsort(lengths, kind="stable")
+    buckets = [[order[0]]] if len(order) else []
+    for i in order[1:]:
+        if folds * (len(buckets[-1]) + 1) * int(lengths[i]) ** 2 > max_len**2:
+            buckets.append([])
+        buckets[-1].append(i)
+    return buckets
+
+
 @pytest.mark.parametrize("max_len", [4, 16, 128])
 def test_length_buckets_cover_once_and_respect_the_memory_cap(max_len):
     rng = np.random.default_rng(max_len)
@@ -163,3 +195,38 @@ def test_length_buckets_cover_once_and_respect_the_memory_cap(max_len):
             if folds == 1 or len(bucket) > 1:  # one example runs alone, whatever its size
                 assert folds * len(bucket) * int(lengths[bucket].max()) ** 2 <= max_len**2
         assert length_buckets([], max_len, folds) == []
+
+
+@pytest.mark.parametrize("max_len", [4, 16, 128])
+def test_encoderless_buckets_cover_once_and_respect_either_bound(max_len):
+    rng = np.random.default_rng(max_len)
+    lengths = rng.integers(1, max_len + 1, size=37)
+    for folds in (1, 3, 10):
+        buckets = length_buckets(lengths, max_len, folds, encoder=False)
+        np.testing.assert_array_equal(np.concatenate(buckets),
+                                      np.argsort(lengths, kind="stable"))
+        for bucket in buckets:
+            if len(bucket) > 1:  # one example runs alone, whatever its size
+                rows = folds * len(bucket) * int(lengths[bucket].max())
+                assert (rows * int(lengths[bucket].max()) <= max_len**2
+                        or rows <= ROWS_PER_MAX_LEN * max_len)
+        # either bound lets a sub-batch grow, so there are never more of them
+        assert len(buckets) <= len(length_buckets(lengths, max_len, folds))
+        assert length_buckets([], max_len, folds, encoder=False) == []
+
+
+@pytest.mark.parametrize("folds", [1, 3, 10])
+def test_encoder_buckets_are_those_of_the_attention_bound(folds):
+    rng = np.random.default_rng(folds)
+    for max_len in (4, 16, 128):
+        lengths = rng.integers(1, max_len + 1, size=37)
+        want = attention_buckets(lengths, max_len, folds)
+        got = length_buckets(lengths, max_len, folds)
+        assert [b.tolist() for b in got] == [[int(i) for i in b] for b in want]
+
+
+def test_short_fold_stacked_buckets_keep_the_attention_bound_size():
+    """Ten folds of 8-token texts: the attention bound allows 25 per
+    sub-batch, more than the row bound's 6, and the larger one holds."""
+    buckets = length_buckets([8] * 30, 128, 10, encoder=False)
+    assert [len(b) for b in buckets] == [25, 5]

@@ -383,7 +383,7 @@ class TestPrecomputedEmbeddings:
 
     def test_width_mismatch_has_both_dims_in_message(self, corpus90):
         examples, vocab = corpus90
-        cfg = small_config()
+        cfg = small_config(encoder="precomputed")
         params = cfg.build_model(len(vocab), np.random.default_rng(0))
         bad_H = np.zeros((len(examples[0].token_ids), 5))
         from stancemoe.model import model_forward
@@ -401,6 +401,22 @@ class TestPrecomputedEmbeddings:
 
         with pytest.raises(ValueError, match=rf"{ex.id}.*{T + 6} rows.*{T} tokens"):
             model_forward(params, ex, {ex.id: np.zeros((T + 6, 12))})
+
+    def test_store_on_a_model_with_the_toy_encoder_is_rejected(self, corpus90):
+        """The toy encoder makes its own rows: stored ones would train it on
+        rows it never produced."""
+        examples, vocab = corpus90
+        cfg = small_config()
+        params = cfg.build_model(len(vocab), np.random.default_rng(0))
+        store = {ex.id: np.zeros((len(ex.token_ids), 12)) for ex in examples}
+        from stancemoe.model import model_forward
+
+        with pytest.raises(ValueError, match="toy encoder.*encoder mode 'precomputed'"):
+            model_forward(params, examples[0], store)
+        with pytest.raises(ValueError, match="toy encoder"):
+            predict_logits(params, examples[:5], store)
+        with pytest.raises(ValueError, match="toy encoder"):
+            train_fold(cfg, examples[:60], examples[60:], len(vocab), seed=1, store=store)
 
     def test_missing_id_reported(self, corpus90):
         examples, vocab = corpus90
