@@ -12,12 +12,12 @@ head instead.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .binfile import Reader, write_key
 from .ops import (LinearParams, Padded, ParamSet, affine, affine_backward, as_f64, softmax,
                   softmax_backward)
 from .text import UNK_ID
@@ -222,54 +222,25 @@ def write_embedding_store(path, records) -> int:
         fh.write(STORE_MAGIC)
         fh.write(struct.pack("<II", d, len(records)))
         for example_id, H in records:
-            raw = example_id.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
+            write_key(fh, example_id)
             fh.write(struct.pack("<I", len(H)))
             fh.write(np.ascontiguousarray(H, dtype="<f4").tobytes())
     return len(records)
 
 
-def _read_exact(fh, n: int, what: str, end: int | None = None) -> bytes:
-    """Read n bytes.  Given the file size ``end``, a size field that claims
-    more than the file holds fails before the read allocates it."""
-    if end is not None and n > end - fh.tell():
-        raise StoreFormatError(f"{fh.name}: truncated embedding store while reading {what}: "
-                               f"{n} bytes declared, {end - fh.tell()} left")
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise StoreFormatError(f"{fh.name}: truncated embedding store while reading {what}")
-    return buf
-
-
-def _read_utf8(fh, n: int, what: str) -> str:
-    try:
-        return _read_exact(fh, n, what).decode("utf-8")
-    except UnicodeDecodeError as err:
-        raise StoreFormatError(f"{fh.name}: {what} is not valid UTF-8: {err}") from err
-
-
 def read_embedding_store(path) -> tuple[dict[str, np.ndarray], int]:
     """Load a whole SMEB1 file; returns ({id: (T, d) float64 H}, d)."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(STORE_MAGIC))
-        if magic != STORE_MAGIC:
-            raise StoreFormatError(f"{path}: bad magic {magic!r}; not an SMEB1 embedding store")
-        d, count = struct.unpack("<II", _read_exact(fh, 8, "header"))
-        end = os.fstat(fh.fileno()).st_size
+        r = Reader(fh, STORE_MAGIC, StoreFormatError, "embedding store")
+        d, count = r.unpack("<II", "header")
         out: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (id_len,) = struct.unpack("<H", _read_exact(fh, 2, "record id length"))
-            example_id = _read_utf8(fh, id_len, "record id")
-            (T,) = struct.unpack("<I", _read_exact(fh, 4, "record length"))
-            if T == 0:
-                raise StoreFormatError(f"{path}: record {example_id!r} has no rows; "
-                                       "row 0 must be the CLS row")
-            raw = _read_exact(fh, 4 * T * d, f"record {example_id!r} payload", end)
-            H32 = np.frombuffer(raw, dtype="<f4").reshape(T, d)
+            example_id = r.key("record id")
             if example_id in out:
-                raise StoreFormatError(f"{path}: duplicate record id {example_id!r}")
-            out[example_id] = H32.astype(np.float64)
-        if fh.read(1):
-            raise StoreFormatError(f"{path}: trailing bytes after the last of {count} records")
+                r.fail(f"duplicate record id {example_id!r}")
+            (T,) = r.unpack("<I", "record length")
+            if T == 0:
+                r.fail(f"record {example_id!r} has no rows; row 0 must be the CLS row")
+            out[example_id] = r.array("<f4", (T, d), f"record {example_id!r}").astype(np.float64)
+        r.finish(f"{count} records")
     return out, d
