@@ -4,8 +4,8 @@ checkpoint, whose own modules keep only their layouts.
 Both formats are little-endian: a magic, then fields whose sizes the file
 declares.  A :class:`Reader` bounds every read by the bytes left, so a
 size that claims more than the file holds fails before anything is
-allocated; it decodes length-prefixed UTF-8 keys, refuses trailing
-bytes, and raises the format's error naming the file.
+allocated; it decodes length-prefixed UTF-8 keys, refuses non-finite
+values and trailing bytes, and raises the format's error naming the file.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ class Reader:
 
     def __init__(self, fh, magic: bytes, error: type[ValueError], noun: str):
         self.fh, self.error, self.noun = fh, error, noun
-        self.end = os.fstat(fh.fileno()).st_size
         found = fh.read(len(magic))
+        self.left = os.fstat(fh.fileno()).st_size - len(found)  # bytes not yet read
         if found != magic:
             self.fail(f"bad magic {found!r}; not an {magic[:-1].decode()} {noun}")
 
@@ -39,13 +39,13 @@ class Reader:
         raise self.error(f"{self.fh.name}: {message}")
 
     def read(self, n: int, what: str) -> bytes:
-        left = self.end - self.fh.tell()
-        if n > left:
+        if n > self.left:
             self.fail(f"truncated {self.noun} while reading {what}: "
-                      f"{n} bytes declared, {left} left")
+                      f"{n} bytes declared, {self.left} left")
         buf = self.fh.read(n)
         if len(buf) != n:
             self.fail(f"truncated {self.noun} while reading {what}")
+        self.left -= n
         return buf
 
     def unpack(self, fmt: str, what: str) -> tuple:
@@ -59,9 +59,12 @@ class Reader:
             self.fail(f"{what} is not valid UTF-8: {err}")
 
     def array(self, dtype: str, shape: tuple, what: str) -> np.ndarray:
-        """A read-only row-major array."""
+        """A read-only row-major array whose every value is finite."""
         raw = self.read(np.dtype(dtype).itemsize * math.prod(shape), f"{what} payload")
-        return np.frombuffer(raw, dtype=dtype).reshape(shape)
+        values = np.frombuffer(raw, dtype=dtype).reshape(shape)
+        if not np.isfinite(values).all():
+            self.fail(f"{what} holds a non-finite value")
+        return values
 
     def finish(self, what: str) -> None:
         if self.fh.read(1):

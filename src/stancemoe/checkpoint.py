@@ -54,6 +54,8 @@ def save_checkpoint(path, ensemble: EnsembleModel, config: TrainConfig,
     records = []
     for j, art in enumerate(ensemble.folds):
         for name, value, _ in art.params.named_params():
+            if not np.isfinite(value).all():
+                raise ValueError(f"tensor 'fold{j}/{name}' holds a non-finite value")
             records.append((f"fold{j}/{name}", value))
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)

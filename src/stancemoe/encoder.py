@@ -197,8 +197,8 @@ def write_embedding_store(path, records) -> int:
     """Write (id, H) pairs; returns the number of records written.
 
     Ids must be distinct, and each ``H`` a (T, d) matrix with at least its
-    CLS row, all of one feature dimension d; values are stored as
-    little-endian float32.
+    CLS row, all of one feature dimension d, whose values are finite once
+    stored as little-endian float32.
     """
     records = list(records)
     if not records:
@@ -207,25 +207,29 @@ def write_embedding_store(path, records) -> int:
     # store leaves no partial file behind
     first = np.shape(records[0][1])
     d = first[1] if len(first) == 2 else None  # a first record that is not 2-d fails below
-    seen = set()
+    stored = {}
     for example_id, H in records:
         shape = np.shape(H)
         if len(shape) != 2 or shape[1] != d or shape[0] == 0:
             raise ValueError(f"record {example_id!r} has shape {shape}, "
                              f"expected (T, {d or 'd'}) with T >= 1")
-        if example_id in seen:
+        if example_id in stored:
             raise ValueError(f"duplicate record id {example_id!r}")
         if len(example_id.encode("utf-8")) > 0xFFFF:
             raise ValueError(f"record id too long: {example_id!r}")
-        seen.add(example_id)
+        with np.errstate(over="ignore"):  # a value beyond float32's range fails below
+            H32 = np.ascontiguousarray(H, dtype="<f4")
+        if not np.isfinite(H32).all():
+            raise ValueError(f"record {example_id!r} holds a non-finite value as float32")
+        stored[example_id] = H32
     with open(path, "wb") as fh:
         fh.write(STORE_MAGIC)
-        fh.write(struct.pack("<II", d, len(records)))
-        for example_id, H in records:
+        fh.write(struct.pack("<II", d, len(stored)))
+        for example_id, H32 in stored.items():
             write_key(fh, example_id)
-            fh.write(struct.pack("<I", len(H)))
-            fh.write(np.ascontiguousarray(H, dtype="<f4").tobytes())
-    return len(records)
+            fh.write(struct.pack("<I", len(H32)))
+            fh.write(H32.tobytes())
+    return len(stored)
 
 
 def read_embedding_store(path) -> tuple[dict[str, np.ndarray], int]:

@@ -1,3 +1,6 @@
+import struct
+
+import numpy as np
 import pytest
 
 from stancemoe.synthetic import make_synthetic_dataset, write_jsonl
@@ -45,3 +48,13 @@ def random_example(rng, vocab_size, T, with_masks=True, label=None, example_id="
         contrast_positions=contrast,
         label=int(rng.integers(0, 3)) if label is None else label,
     )
+
+
+def nan_in_tensor(raw: bytes, key: str) -> bytes:
+    """SMCK1 bytes with the first value of tensor ``key`` set to NaN.  The
+    record is its u16 key length, the key, a u8 rank, the u32 dims, then
+    float64 values."""
+    name = key.encode("utf-8")
+    at = raw.index(struct.pack("<H", len(name)) + name) + 2 + len(name)
+    at += 1 + 4 * raw[at]
+    return raw[:at] + np.array(np.nan, "<f8").tobytes() + raw[at + 8:]

@@ -11,6 +11,7 @@ from stancemoe.checkpoint import (
     save_checkpoint,
 )
 from stancemoe.train import TrainConfig, ensemble_forward, evaluate_ensemble, run_kfold
+from conftest import nan_in_tensor
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +201,30 @@ class TestFormatErrors:
             with pytest.raises(CheckpointFormatError) as excinfo:
                 load_checkpoint(path)
             assert str(path) in str(excinfo.value), n
+
+    def test_non_finite_tensor_is_format_error(self, trained, lexicon, tmp_path):
+        examples, vocab, cfg, ensemble = trained
+        path = tmp_path / "model.smck"
+        save_checkpoint(path, ensemble, cfg, vocab, lexicon)
+        path.write_bytes(nan_in_tensor(path.read_bytes(), "fold1/classifier/bias"))
+        with pytest.raises(CheckpointFormatError,
+                           match="tensor 'fold1/classifier/bias' holds a non-finite value") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_writer_refuses_a_non_finite_tensor(self, trained, lexicon, tmp_path):
+        examples, vocab, cfg, ensemble = trained
+        path = tmp_path / "model.smck"
+        bias = ensemble.folds[1].params.classifier.bias
+        kept = bias[0]
+        bias[0] = np.inf
+        try:
+            with pytest.raises(ValueError,
+                               match="tensor 'fold1/classifier/bias' holds a non-finite value"):
+                save_checkpoint(path, ensemble, cfg, vocab, lexicon)
+        finally:
+            bias[0] = kept
+        assert not path.exists()
 
     def test_unknown_format_version(self, trained, lexicon, tmp_path):
         examples, vocab, cfg, ensemble = trained

@@ -13,6 +13,7 @@ from stancemoe.encoder import write_embedding_store
 from stancemoe.synthetic import make_synthetic_dataset, write_jsonl
 from stancemoe.text import LABEL_NAMES, default_lexicon, load_dataset
 from stancemoe.train import ensemble_forward
+from conftest import nan_in_tensor
 
 FAST = ["--set", "k=2", "--set", "epochs=1", "--set", "hidden_dim=10",
         "--set", "max_len=32", "--set", "cnn_filters=2"]
@@ -183,6 +184,40 @@ class TestPrecomputedMode:
         err = capsys.readouterr().err
         assert "4" in err and "10" in err
         assert not preds.exists()
+
+
+class TestNonFiniteInputs:
+    """One NaN in a checkpoint or a store fails predict by name, before any
+    output is written."""
+
+    def test_checkpoint_with_a_nan(self, data_dir, model_path, capsys):
+        bad = data_dir / "nan.smck"
+        bad.write_bytes(nan_in_tensor(model_path.read_bytes(), "fold0/classifier/bias"))
+        out = data_dir / "nan-preds.jsonl"
+        rc = main(["predict", "--model", str(bad), "--data", str(data_dir / "test.jsonl"),
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: tensor 'fold0/classifier/bias' holds a non-finite value" in err
+        assert not out.exists()
+
+    def test_store_with_a_nan(self, data_dir, store_setup, capsys):
+        store, _ = store_setup
+        model = data_dir / "pre-nan.smck"
+        assert main(["train", *FAST, "--set", "encoder=precomputed",
+                     "--set", f'embeddings_path="{store}"',
+                     "--data", str(data_dir / "train.jsonl"), "--out", str(model)]) == 0
+        capsys.readouterr()
+        bad = data_dir / "nan.smeb"
+        # the last value of the last record is the file's last four bytes
+        bad.write_bytes(store.read_bytes()[:-4] + np.array(np.nan, "<f4").tobytes())
+        out = data_dir / "nan-store-preds.jsonl"
+        rc = main(["predict", "--model", str(model), "--embeddings", str(bad),
+                   "--data", str(data_dir / "train.jsonl"), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: record 'tr-0059' holds a non-finite value" in err
+        assert not out.exists()
 
 
 class TestGradcheckCommand:

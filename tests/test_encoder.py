@@ -184,6 +184,17 @@ class TestEmbeddingStore:
                 read_embedding_store(path)
             assert str(path) in str(excinfo.value), n
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_value_is_format_error(self, tmp_path, value):
+        path = tmp_path / "emb.smeb"
+        write_embedding_store(path, [("a", np.ones((4, 3), np.float32)),
+                                     ("b", np.ones((2, 3), np.float32))])
+        # the last value of record "b" is the file's last four bytes
+        path.write_bytes(path.read_bytes()[:-4] + np.array(value, "<f4").tobytes())
+        with pytest.raises(StoreFormatError, match="record 'b' holds a non-finite value") as err:
+            read_embedding_store(path)
+        assert str(path) in str(err.value)
+
     def test_bad_magic_is_format_error(self, tmp_path):
         path = tmp_path / "emb.smeb"
         path.write_bytes(b"NOTME1\0\0\0\0\0\0\0\0")
@@ -199,7 +210,11 @@ class TestEmbeddingStore:
         ([("a", np.zeros((2, 3))), ("a", np.ones((2, 3)))], "duplicate record id 'a'"),
         ([("a", np.zeros(3))], r"record 'a' has shape \(3,\)"),
         ([("a", np.zeros((2, 3))), ("b", np.zeros((0, 3)))], r"record 'b' has shape \(0, 3\)"),
-    ], ids=["duplicate-id", "first-not-2d", "zero-rows"])
+        ([("a", np.zeros((2, 3))), ("b", np.array([[0.0, np.nan, 0.0]]))],
+         "record 'b' holds a non-finite value"),
+        # a finite float64 beyond float32's range is written as inf
+        ([("a", np.array([[1e39]]))], "record 'a' holds a non-finite value as float32"),
+    ], ids=["duplicate-id", "first-not-2d", "zero-rows", "nan", "beyond-float32"])
     def test_writer_rejects_what_the_reader_rejects(self, tmp_path, records, message):
         path = tmp_path / "emb.smeb"
         with pytest.raises(ValueError, match=message):
