@@ -1,10 +1,28 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stancemoe.synthetic import make_synthetic_dataset, write_jsonl
 from stancemoe.text import TokenizedExample, default_lexicon, load_dataset
+
+UNCLOSED_FILES_FAIL = (
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    # a ResourceWarning raised while an object is collected reaches pytest
+    # as an unraisable exception
+    pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
+)
+
+
+def pytest_collection_modifyitems(config, items):
+    """A file left unclosed fails the test that leaked it, for every test
+    under this directory."""
+    here = Path(__file__).parent
+    for item in items:
+        if item.path.is_relative_to(here):
+            for mark in UNCLOSED_FILES_FAIL:
+                item.add_marker(mark)
 
 
 @pytest.fixture(scope="session")
