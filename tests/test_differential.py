@@ -1,5 +1,6 @@
 """Differential property tests of prediction: over generated ragged lists,
-on the toy encoder and on a store of precomputed rows, the length-bucketed
+on the toy encoder and on a store of precomputed rows, under all three
+heads and any active-expert subset of the moe head, the length-bucketed
 list path equals the per-example path, and the fold-stacked ensemble equals
 the weighted sum of its folds' own predictions.  Runs are derandomized, so
 every run draws the same cases."""
@@ -8,6 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stancemoe.experts import EXPERT_NAMES
 from stancemoe.metrics import metrics_from_labels
 from stancemoe.model import ModelParams, model_forward
 from stancemoe.train import EnsembleModel, FoldArtifact, ensemble_forward, predict_logits
@@ -21,15 +23,21 @@ PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
 @st.composite
 def ensembles_and_lists(draw):
-    """A K-fold ensemble on the toy encoder or a store, a ragged list of
-    examples with T from 1 to MAX_LEN, and the store of their rows (None on
-    the toy encoder)."""
+    """A K-fold ensemble on the toy encoder or a store, with any head (the
+    moe head with any active experts), a ragged list of examples with T
+    from 1 to MAX_LEN, and the store of their rows (None on the toy
+    encoder)."""
     mode = draw(st.sampled_from(["toy", "precomputed"]))
+    head = draw(st.sampled_from(["moe", "stacked", "fusion"]))
+    active = EXPERT_NAMES
+    if head == "moe":
+        active = draw(st.lists(st.sampled_from(EXPERT_NAMES), min_size=1, unique=True))
     K = draw(st.integers(1, 3))
     lengths = draw(st.lists(st.integers(1, MAX_LEN), min_size=1, max_size=24))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    folds = [FoldArtifact(j, ModelParams.init(VOCAB, D, MAX_LEN, rng, n_filters=2,
-                                              encoder_mode=mode), REPORT)
+    folds = [FoldArtifact(j, ModelParams.init(VOCAB, D, MAX_LEN, rng, n_filters=2, head=head,
+                                              active_experts=active, encoder_mode=mode),
+                          REPORT)
              for j in range(K)]
     ensemble = EnsembleModel(folds=folds, weights=rng.uniform(0.2, 1.0, size=K))
     examples = [random_example(rng, VOCAB, T, example_id=f"ex{i}")
