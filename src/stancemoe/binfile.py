@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from typing import NoReturn
 
 import numpy as np
 
@@ -35,7 +36,7 @@ class Reader:
         if found != magic:
             self.fail(f"bad magic {found!r}; not an {magic[:-1].decode()} {noun}")
 
-    def fail(self, message: str):
+    def fail(self, message: str) -> NoReturn:
         raise self.error(f"{self.fh.name}: {message}")
 
     def read(self, n: int, what: str) -> bytes:
@@ -52,6 +53,7 @@ class Reader:
         return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
 
     def key(self, what: str, size: str = "<H") -> str:
+        """A UTF-8 string behind its byte length, the struct field ``size``."""
         (n,) = self.unpack(size, f"{what} length")
         try:
             return self.read(n, what).decode("utf-8")
