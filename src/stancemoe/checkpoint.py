@@ -6,7 +6,9 @@ Layout, little-endian:
     magic "SMCK1\\0" | u32 metadata length | metadata JSON (UTF-8)
     u32 tensor count | records
 Each record: u16 key length | key (UTF-8, "fold<j>/<param path>") |
-u8 ndim | ndim * u32 dims | float64 values, row-major.
+u8 ndim | ndim * u32 dims | float64 values, row-major, all finite.
+The bounded reads and checks this layout shares with the SMEB1 store are
+in :mod:`.binfile`.
 """
 
 from __future__ import annotations

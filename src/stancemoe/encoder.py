@@ -7,7 +7,8 @@ sequence-level CLS representation.  A Padded stack of id sequences is
 encoded in one pass, with padded keys masked out of the attention.  The
 output keeps the forward record that the backward pass reads.  The
 SMEB1 store lets externally produced embeddings drive the classification
-head instead.
+head instead; this module holds its layout, and :mod:`.binfile` the
+bounded reads and checks it shares with the SMCK1 checkpoint.
 """
 
 from __future__ import annotations
@@ -183,8 +184,8 @@ def encode_backward(params: ToyEncoderParams, token_ids, dH: np.ndarray,
 #   magic "SMEB1\0" | u32 d | u32 record count
 #   per record: u16 id length | id (UTF-8) | u32 T | T*d float32, row-major
 # Ids are distinct.  Row 0 of each record is the CLS representation, so
-# T is at least 1.  Values are float32 on disk and widened to float64 on
-# load.
+# T is at least 1.  Values are finite float32 on disk and widened to
+# float64 on load.
 
 STORE_MAGIC = b"SMEB1\0"
 

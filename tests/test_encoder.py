@@ -211,7 +211,7 @@ class TestEmbeddingStore:
         ([("a", np.zeros((2, 3))), ("b", np.zeros((0, 3)))], r"record 'b' has shape \(0, 3\)"),
         ([("a", np.zeros((2, 3))), ("b", np.array([[0.0, np.nan, 0.0]]))],
          "record 'b' holds a non-finite value"),
-        # a finite float64 beyond float32's range is written as inf
+        # a finite float64 beyond float32's range would be stored as inf
         ([("a", np.array([[1e39]]))], "record 'a' holds a non-finite value as float32"),
     ], ids=["duplicate-id", "first-not-2d", "zero-rows", "nan", "beyond-float32"])
     def test_writer_rejects_what_the_reader_rejects(self, tmp_path, records, message):
