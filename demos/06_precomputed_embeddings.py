@@ -39,7 +39,7 @@ with tempfile.TemporaryDirectory() as td:
     store, width = read_embedding_store(store_path)
     one = store[examples[0].id]
     print(f"store width d={width}; record {examples[0].id!r} has shape {one.shape}")
-    print("float32 on disk, float64 in memory:", one.dtype)
+    print("float32 on disk and in the store, widened per batch:", one.dtype)
 
     config = TrainConfig(encoder="precomputed", k=3, epochs=40, hidden_dim=d,
                          batch_size=16, seed=42)

@@ -2,72 +2,86 @@
 checkpoint, whose own modules keep only their layouts.
 
 Both formats are little-endian: a magic, then fields whose sizes the file
-declares.  A :class:`Reader` bounds every read by the bytes left, so a
-size that claims more than the file holds fails before anything is
-allocated; it decodes length-prefixed UTF-8 keys, refuses non-finite
-values and trailing bytes, and raises the format's error naming the file.
+declares.  A :class:`Reader` reads the whole file once and walks the bytes
+by offset.  It bounds every field by the bytes left, so a size that claims
+more than the file holds fails before anything is allocated; it decodes
+length-prefixed UTF-8 keys, hands out arrays as read-only views of the
+file's bytes, refuses non-finite values and trailing bytes, and raises
+the format's error naming the file.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import struct
 from typing import NoReturn
 
 import numpy as np
 
+U8 = struct.Struct("<B")
+U16 = struct.Struct("<H")
+U32 = struct.Struct("<I")
 
-def write_key(fh, key: str, size: str = "<H") -> None:
+
+def write_key(fh, key: str, size: struct.Struct = U16) -> None:
     """Write ``key`` as :meth:`Reader.key` reads it: its UTF-8 byte length
-    as the struct field ``size``, then the bytes."""
+    as the field ``size``, then the bytes."""
     raw = key.encode("utf-8")
-    fh.write(struct.pack(size, len(raw)) + raw)
+    fh.write(size.pack(len(raw)) + raw)
 
 
 class Reader:
-    """One open file: ``magic`` starts it, ``error`` is its format's error
-    class and ``noun`` the kind of file that messages name."""
+    """The bytes of the file at ``path``, read in one call, and the offset
+    of the next field: ``magic`` starts the file, ``error`` is its format's
+    error class and ``noun`` the kind of file that messages name.  The file
+    is closed once read; every array handed out is a view of ``buf``."""
 
-    def __init__(self, fh, magic: bytes, error: type[ValueError], noun: str):
-        self.fh, self.error, self.noun = fh, error, noun
-        found = fh.read(len(magic))
-        self.left = os.fstat(fh.fileno()).st_size - len(found)  # bytes not yet read
+    def __init__(self, path, magic: bytes, error: type[ValueError], noun: str):
+        self.path, self.error, self.noun = path, error, noun
+        with open(path, "rb") as fh:
+            self.buf = fh.read()
+        found = self.buf[: len(magic)]
+        self.pos = len(found)  # offset of the next unread byte
         if found != magic:
             self.fail(f"bad magic {found!r}; not an {magic[:-1].decode()} {noun}")
 
     def fail(self, message: str) -> NoReturn:
-        raise self.error(f"{self.fh.name}: {message}")
+        raise self.error(f"{self.path}: {message}")
+
+    def take(self, n: int, what: str) -> int:
+        """Claim the next ``n`` bytes for ``what``; returns their offset."""
+        start = self.pos
+        left = len(self.buf) - start
+        if n > left:
+            self.fail(f"truncated {self.noun} while reading {what}: "
+                      f"{n} bytes declared, {left} left")
+        self.pos = start + n
+        return start
 
     def read(self, n: int, what: str) -> bytes:
-        if n > self.left:
-            self.fail(f"truncated {self.noun} while reading {what}: "
-                      f"{n} bytes declared, {self.left} left")
-        buf = self.fh.read(n)
-        if len(buf) != n:
-            self.fail(f"truncated {self.noun} while reading {what}")
-        self.left -= n
-        return buf
+        start = self.take(n, what)
+        return self.buf[start : start + n]
 
-    def unpack(self, fmt: str, what: str) -> tuple:
-        return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
+    def unpack(self, fields: struct.Struct, what: str) -> tuple:
+        return fields.unpack_from(self.buf, self.take(fields.size, what))
 
-    def key(self, what: str, size: str = "<H") -> str:
-        """A UTF-8 string behind its byte length, the struct field ``size``."""
+    def key(self, what: str, size: struct.Struct = U16) -> str:
+        """A UTF-8 string behind its byte length, the field ``size``."""
         (n,) = self.unpack(size, f"{what} length")
         try:
             return self.read(n, what).decode("utf-8")
         except UnicodeDecodeError as err:
             self.fail(f"{what} is not valid UTF-8: {err}")
 
-    def array(self, dtype: str, shape: tuple, what: str) -> np.ndarray:
-        """A read-only row-major array whose every value is finite."""
-        raw = self.read(np.dtype(dtype).itemsize * math.prod(shape), f"{what} payload")
-        values = np.frombuffer(raw, dtype=dtype).reshape(shape)
+    def array(self, dtype: np.dtype, shape: tuple, what: str) -> np.ndarray:
+        """A read-only row-major view of ``buf`` whose every value is finite."""
+        count = math.prod(shape)
+        start = self.take(dtype.itemsize * count, f"{what} payload")
+        values = np.frombuffer(self.buf, dtype, count, start).reshape(shape)
         if not np.isfinite(values).all():
             self.fail(f"{what} holds a non-finite value")
         return values
 
     def finish(self, what: str) -> None:
-        if self.fh.read(1):
+        if self.pos != len(self.buf):
             self.fail(f"trailing bytes after the last of {what}")

@@ -19,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binfile import Reader, write_key
+from .binfile import U8, U32, Reader, write_key
 from .metrics import MetricsReport
 from .text import CueLexicon, Vocab
 from .train import EnsembleModel, FoldArtifact, TrainConfig
 
 CHECKPOINT_MAGIC = b"SMCK1\0"
+_VALUES = np.dtype("<f8")
 CHECKPOINT_FORMAT = 1  # the metadata "format" value this module writes and reads
 METADATA_KEYS = ("config", "vocab", "cue_tokens", "contrast_tokens", "weights",
                  "fold_val_metrics")  # read by load_checkpoint, besides "format"
@@ -61,40 +62,39 @@ def save_checkpoint(path, ensemble: EnsembleModel, config: TrainConfig,
             records.append((f"fold{j}/{name}", value))
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        write_key(fh, json.dumps(meta, sort_keys=True), "<I")
-        fh.write(struct.pack("<I", len(records)))
+        write_key(fh, json.dumps(meta, sort_keys=True), U32)
+        fh.write(U32.pack(len(records)))
         for key, value in records:
             write_key(fh, key)
             fh.write(struct.pack(f"<B{value.ndim}I", value.ndim, *value.shape))
-            fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(value, dtype=_VALUES).tobytes())
 
 
 def load_checkpoint(path) -> LoadedCheckpoint:
-    with open(path, "rb") as fh:
-        r = Reader(fh, CHECKPOINT_MAGIC, CheckpointFormatError, "checkpoint")
-        meta_text = r.key("metadata", "<I")
-        try:
-            meta = json.loads(meta_text)
-        except json.JSONDecodeError as err:
-            r.fail(f"metadata is not valid JSON: {err}")
-        if not isinstance(meta, dict):
-            r.fail(f"metadata is a JSON {type(meta).__name__}, not an object")
-        if meta.get("format") != CHECKPOINT_FORMAT:
-            r.fail(f"unsupported checkpoint format {meta.get('format')!r}; "
-                   f"expected {CHECKPOINT_FORMAT}")
-        missing = [key for key in METADATA_KEYS if key not in meta]
-        if missing:
-            r.fail(f"metadata is missing key(s) {missing}")
-        (n_records,) = r.unpack("<I", "tensor count")
-        tensors: dict[str, np.ndarray] = {}
-        for _ in range(n_records):
-            key = r.key("tensor key")
-            if key in tensors:
-                r.fail(f"duplicate tensor {key!r}")
-            (ndim,) = r.unpack("<B", "tensor rank")
-            dims = r.unpack(f"<{ndim}I", "tensor shape")
-            tensors[key] = r.array("<f8", dims, f"tensor {key!r}")
-        r.finish(f"{n_records} tensors")
+    r = Reader(path, CHECKPOINT_MAGIC, CheckpointFormatError, "checkpoint")
+    meta_text = r.key("metadata", U32)
+    try:
+        meta = json.loads(meta_text)
+    except json.JSONDecodeError as err:
+        r.fail(f"metadata is not valid JSON: {err}")
+    if not isinstance(meta, dict):
+        r.fail(f"metadata is a JSON {type(meta).__name__}, not an object")
+    if meta.get("format") != CHECKPOINT_FORMAT:
+        r.fail(f"unsupported checkpoint format {meta.get('format')!r}; "
+               f"expected {CHECKPOINT_FORMAT}")
+    missing = [key for key in METADATA_KEYS if key not in meta]
+    if missing:
+        r.fail(f"metadata is missing key(s) {missing}")
+    (n_records,) = r.unpack(U32, "tensor count")
+    tensors: dict[str, np.ndarray] = {}
+    for _ in range(n_records):
+        key = r.key("tensor key")
+        if key in tensors:
+            r.fail(f"duplicate tensor {key!r}")
+        (ndim,) = r.unpack(U8, "tensor rank")
+        dims = r.unpack(struct.Struct(f"<{ndim}I"), "tensor shape")
+        tensors[key] = r.array(_VALUES, dims, f"tensor {key!r}")
+    r.finish(f"{n_records} tensors")
 
     try:
         config = TrainConfig.from_dict(meta["config"])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binfile import Reader, write_key
+from .binfile import U32, Reader, write_key
 from .ops import (LinearParams, Padded, ParamSet, affine, affine_backward, as_f64, softmax,
                   softmax_backward)
 from .text import UNK_ID
@@ -184,10 +184,12 @@ def encode_backward(params: ToyEncoderParams, token_ids, dH: np.ndarray,
 #   magic "SMEB1\0" | u32 d | u32 record count
 #   per record: u16 id length | id (UTF-8) | u32 T | T*d float32, row-major
 # Ids are distinct.  Row 0 of each record is the CLS representation, so
-# T is at least 1.  Values are finite float32 on disk and widened to
-# float64 on load.
+# T is at least 1.  Values are finite float32 on disk; a loaded record is
+# a float32 view of the file's bytes, widened to float64 by make_batch.
 
 STORE_MAGIC = b"SMEB1\0"
+_HEADER = struct.Struct("<II")  # d, record count
+_ROW = np.dtype("<f4")
 
 
 class StoreFormatError(ValueError):
@@ -225,27 +227,32 @@ def write_embedding_store(path, records) -> int:
         stored[example_id] = H32
     with open(path, "wb") as fh:
         fh.write(STORE_MAGIC)
-        fh.write(struct.pack("<II", d, len(stored)))
+        fh.write(_HEADER.pack(d, len(stored)))
         for example_id, H32 in stored.items():
             write_key(fh, example_id)
-            fh.write(struct.pack("<I", len(H32)))
+            fh.write(U32.pack(len(H32)))
             fh.write(H32.tobytes())
     return len(stored)
 
 
 def read_embedding_store(path) -> tuple[dict[str, np.ndarray], int]:
-    """Load a whole SMEB1 file; returns ({id: (T, d) float64 H}, d)."""
-    with open(path, "rb") as fh:
-        r = Reader(fh, STORE_MAGIC, StoreFormatError, "embedding store")
-        d, count = r.unpack("<II", "header")
-        out: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            example_id = r.key("record id")
-            if example_id in out:
-                r.fail(f"duplicate record id {example_id!r}")
-            (T,) = r.unpack("<I", "record length")
-            if T == 0:
-                r.fail(f"record {example_id!r} has no rows; row 0 must be the CLS row")
-            out[example_id] = r.array("<f4", (T, d), f"record {example_id!r}").astype(np.float64)
-        r.finish(f"{count} records")
+    """Load a whole SMEB1 file; returns ({id: (T, d) H}, d).
+
+    The file is read in one call, and each H is a read-only float32 view
+    of those bytes, so the store takes the file's size in memory.
+    :func:`~stancemoe.model.make_batch` widens the rows it looks up to
+    float64, which is exact.
+    """
+    r = Reader(path, STORE_MAGIC, StoreFormatError, "embedding store")
+    d, count = r.unpack(_HEADER, "header")
+    out: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        example_id = r.key("record id")
+        if example_id in out:
+            r.fail(f"duplicate record id {example_id!r}")
+        (T,) = r.unpack(U32, "record length")
+        if T == 0:
+            r.fail(f"record {example_id!r} has no rows; row 0 must be the CLS row")
+        out[example_id] = r.array(_ROW, (T, d), f"record {example_id!r}")
+    r.finish(f"{count} records")
     return out, d

@@ -168,7 +168,11 @@ def make_batch(params: ModelParams, examples, store=None) -> Batch:
     (T_i, d) rows (row 0 = CLS, one row per token) looked up by its id in
     ``store``.  Rows come from a store exactly when the model has no
     encoder: a model without one needs a store, and one with the toy
-    encoder, which makes its own rows, rejects a store."""
+    encoder, which makes its own rows, rejects a store.
+
+    This is where stored rows become float64: a store read from disk holds
+    float32 views of the file (:func:`~stancemoe.encoder.read_embedding_store`),
+    and each batch widens only the rows it looks up, which is exact."""
     if params.encoder is None and store is None:
         raise ValueError("model has no encoder; precomputed embeddings required")
     if params.encoder is not None and store is not None:
@@ -188,7 +192,7 @@ def make_batch(params: ModelParams, examples, store=None) -> Batch:
     if single:
         ids = Padded(np.asarray(examples[0].token_ids, dtype=np.intp),
                      np.intp(len(examples[0].token_ids)))
-        H = None if rows is None else ids.like(rows[0])
+        H = None if rows is None else ids.like(np.asarray(rows[0], dtype=np.float64))
     else:
         ids = Padded.stack([ex.token_ids for ex in examples], dtype=np.intp)
         H = None if rows is None else ids.like(Padded.stack(rows).data)

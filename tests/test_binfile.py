@@ -1,9 +1,9 @@
 """Bit-level round trips of both binary formats, as properties over
 generated contents: an SMCK1 checkpoint of any head, expert subset,
 encoder mode and fold count, and an SMEB1 store of any ids, lengths and
-float32 values.  Loading gives back every value bit for bit, and saving
-what was loaded gives back the same bytes.  Runs are derandomized, so
-every run draws the same cases."""
+float32 values.  Loading gives back every value bit for bit (a store's
+records as the float32 on disk), and saving what was loaded gives back the
+same bytes.  Runs are derandomized, so every run draws the same cases."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -116,8 +116,10 @@ def test_store_round_trip_is_bit_exact(tmp_path_factory, records):
     assert d == records[0][1].shape[1]
     assert list(store) == [example_id for example_id, _ in records]
     for example_id, H in records:
-        assert store[example_id].dtype == np.float64
-        assert store[example_id].tobytes() == H.astype(np.float64).tobytes()
+        # the record is the bits on disk: a read-only float32 view, not widened
+        assert store[example_id].dtype == np.float32
+        assert not store[example_id].flags.writeable
+        assert store[example_id].tobytes() == H.astype("<f4").tobytes()
     again = path.with_name("again.smeb")
     write_embedding_store(again, store.items())
     assert again.read_bytes() == path.read_bytes()

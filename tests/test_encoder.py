@@ -1,5 +1,6 @@
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,10 +16,11 @@ from stancemoe.encoder import (
     write_embedding_store,
 )
 from stancemoe import encoder
-from stancemoe.model import ModelParams, model_backward, model_forward
+from stancemoe.metrics import metrics_from_labels
+from stancemoe.model import ModelParams, make_batch, model_backward, model_forward
 from stancemoe.ops import LinearParams, Padded, grad_check
-from stancemoe.train import predict_logits
-from conftest import toy_example
+from stancemoe.train import EnsembleModel, FoldArtifact, ensemble_forward, predict_logits
+from conftest import random_example, toy_example
 
 
 def precomputed_model(d):
@@ -136,8 +138,10 @@ class TestEmbeddingStore:
         store, d = read_embedding_store(path)
         assert d == 6
         for name, H in records:
-            np.testing.assert_array_equal(store[name], H)
-            assert store[name].dtype == np.float64
+            # the on-disk bits, held as read-only float32 views
+            assert store[name].dtype == np.float32
+            assert not store[name].flags.writeable
+            assert store[name].tobytes() == H.astype("<f4").tobytes()
 
     def test_load_precomputed_cls_row(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -150,6 +154,55 @@ class TestEmbeddingStore:
         out = model_forward(precomputed_model(d), example, store)
         np.testing.assert_array_equal(out.H, records[2][1])
         np.testing.assert_array_equal(out.h_cls, records[2][1][0])
+
+    @pytest.mark.parametrize("head", ["moe", "stacked", "fusion"])
+    def test_rows_from_disk_give_the_outputs_of_float64_rows(self, tmp_path, head):
+        """A batch widens the file's float32 rows to float64, and forward,
+        backward and the ensemble on them equal, bit for bit, the same rows
+        held as float64: one example, a ragged list and a fold stack."""
+        rng = np.random.default_rng(8)
+        examples = [random_example(rng, 8, T, example_id=f"ex{i}")
+                    for i, T in enumerate((7, 2, 10, 4))]
+        path = tmp_path / "emb.smeb"
+        write_embedding_store(path, [(ex.id, rng.normal(size=(len(ex.token_ids), 6)))
+                                     for ex in examples])
+        disk, d = read_embedding_store(path)
+        wide = {name: H.astype(np.float64) for name, H in disk.items()}
+        folds = [FoldArtifact(j, ModelParams.init(8, d, 10, rng, n_filters=2, head=head,
+                                                  encoder_mode="precomputed"),
+                              metrics_from_labels([0, 1, 2], [0, 1, 2]))
+                 for j in range(2)]
+        ensemble = EnsembleModel(folds=folds, weights=np.array([0.3, 0.7]))
+        params = folds[0].params
+        for inputs in (examples[0], examples):
+            assert make_batch(params, inputs, disk).H.data.dtype == np.float64
+            dlogits = rng.normal(size=(3,) if inputs is examples[0] else (len(inputs), 3))
+            runs = []
+            for store in (disk, wide):
+                params.zero_grads()
+                out = model_forward(params, inputs, store)
+                model_backward(params, inputs, out, dlogits)
+                stacked = model_forward(ensemble.stacked, inputs, store)
+                runs.append([out.logits, out.gate_weights, *out.expert_vectors,
+                             *(grad for _, _, grad in params.named_params()),
+                             stacked.logits, stacked.gate_weights,
+                             *ensemble_forward(ensemble, inputs, store)])
+            assert ([np.asarray(a).tobytes() for a in runs[0]]
+                    == [np.asarray(b).tobytes() for b in runs[1]])
+
+    def test_read_peak_memory_is_about_the_file_size(self, tmp_path):
+        path = tmp_path / "emb.smeb"
+        rng = np.random.default_rng(9)
+        write_embedding_store(path, [(f"ex{i}", rng.normal(size=(40, 64)))
+                                     for i in range(200)])
+        tracemalloc.start()
+        try:
+            store, _ = read_embedding_store(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(store) == 200
+        assert peak <= 1.25 * path.stat().st_size
 
     def test_missing_id_is_lookup_error(self, tmp_path):
         path = tmp_path / "emb.smeb"
