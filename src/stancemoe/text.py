@@ -34,24 +34,28 @@ def tokenize(text: str, max_len: int = 128) -> list[str]:
     becomes its own token; interior punctuation is left alone.  The result
     is truncated to max_len - 1 tokens and prefixed with the CLS marker, so
     the returned sequence never exceeds max_len.
+
+    A chunk with no punctuation at either end, the common case, is taken
+    whole; any other is cut by two index scans, so no chunk builds lists.
     """
     if max_len < 2:
         raise ValueError(f"max_len must be at least 2, got {max_len}")
-    out: list[str] = []
+    out = [CLS_TOKEN]
     for chunk in text.lower().split():
-        lead: list[str] = []
-        trail: list[str] = []
-        while chunk and chunk[0] in _PUNCT:
-            lead.append(chunk[0])
-            chunk = chunk[1:]
-        while chunk and chunk[-1] in _PUNCT:
-            trail.append(chunk[-1])
-            chunk = chunk[:-1]
-        out.extend(lead)
-        if chunk:
+        if chunk[0] not in _PUNCT and chunk[-1] not in _PUNCT:
             out.append(chunk)
-        out.extend(reversed(trail))
-    return [CLS_TOKEN] + out[: max_len - 1]
+            continue
+        start, end = 0, len(chunk)
+        while start < end and chunk[start] in _PUNCT:
+            start += 1
+        while end > start and chunk[end - 1] in _PUNCT:
+            end -= 1
+        out.extend(chunk[:start])  # a string extends a list one character at a time
+        if start < end:
+            out.append(chunk[start:end])
+        out.extend(chunk[end:])
+    del out[max_len:]
+    return out
 
 
 def detokenize(tokens: list[str]) -> str:
@@ -223,7 +227,7 @@ def load_dataset(
             label: int | None = None
             if "label" in row and row["label"] is not None:
                 raw = row["label"]
-                if raw not in _LABEL_TO_INDEX:
+                if not isinstance(raw, str) or raw not in _LABEL_TO_INDEX:
                     raise DatasetFormatError(
                         f"{path}:{lineno}: unknown label {raw!r} "
                         f"(expected one of {', '.join(LABEL_NAMES)})"

@@ -1,7 +1,9 @@
 """Property tests of the text boundary: stratified K-fold splits and
-tokenization with cue/contrast marking, over generated inputs.  Runs are
-derandomized, so every run draws the same cases."""
+tokenization with cue/contrast marking, over generated inputs, and the
+tokenizer against a plain loop that peels one character at a time.  Runs
+are derandomized, so every run draws the same cases."""
 
+import string
 from collections import Counter
 
 from hypothesis import given, settings
@@ -59,3 +61,50 @@ def test_tokens_start_with_cls_fit_max_len_and_marks_skip_it(words, max_len, lex
     positions = mark_positions(tokens, lexicon | {CLS_TOKEN})
     assert all(1 <= i < T for i in positions)
     assert positions == {i for i in range(1, T) if tokens[i] in lexicon}
+
+
+def loop_tokenize(text: str, max_len: int) -> list[str]:
+    """The tokenizer's rule as a plain loop: each leading, then each
+    trailing ASCII punctuation character of a whitespace chunk is peeled
+    into its own token."""
+    out = []
+    for chunk in text.lower().split():
+        lead, trail = [], []
+        while chunk and chunk[0] in string.punctuation:
+            lead.append(chunk[0])
+            chunk = chunk[1:]
+        while chunk and chunk[-1] in string.punctuation:
+            trail.append(chunk[-1])
+            chunk = chunk[:-1]
+        out.extend(lead)
+        if chunk:
+            out.append(chunk)
+        out.extend(reversed(trail))
+    return [CLS_TOKEN] + out[: max_len - 1]
+
+
+# every character str.split() splits on, the ASCII information separators,
+# NEL, the line and paragraph separators and the ideographic space included
+UNICODE_SPACES = " \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2009\u200a" \
+                 "\u2028\u2029\u202f\u205f\u3000"
+PUNCT = st.text(alphabet=string.punctuation, min_size=1, max_size=4)
+# letters, digits, an "I" with a dot whose lowercase is two characters, and
+# non-ASCII punctuation that stays inside a token
+CORE = st.text(alphabet="abXYz09\u0130\u00e9\u2014\u00ab", min_size=1, max_size=5)
+CHUNKS = st.one_of(
+    st.tuples(st.text(alphabet=string.punctuation, max_size=3), CORE,
+              st.text(alphabet=string.punctuation + "ab", max_size=3), CORE,
+              st.text(alphabet=string.punctuation, max_size=3)).map("".join),
+    CORE, PUNCT)
+TEXTS = st.one_of(
+    st.tuples(st.lists(CHUNKS, max_size=30),
+              st.lists(st.text(alphabet=UNICODE_SPACES, min_size=1, max_size=3),
+                       min_size=31, max_size=31))
+    .map(lambda parts: "".join(s + c for s, c in zip(parts[1], parts[0]))),
+    st.text(max_size=60))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(text=TEXTS, max_len=st.integers(2, 40))
+def test_tokenize_equals_the_peeling_loop(text, max_len):
+    assert tokenize(text, max_len) == loop_tokenize(text, max_len)

@@ -154,6 +154,17 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError, match=r":2:.*pro_mars"):
             load_dataset(p, lexicon)
 
+    @pytest.mark.parametrize("label", [["pro_israel"], {"name": "neutral"}],
+                             ids=["list", "object"])
+    def test_unhashable_label_names_file_line_and_value(self, tmp_path, lexicon, label):
+        p = self.write(tmp_path, [
+            json.dumps({"id": "a", "text": "x", "label": "pro_palestine"}),
+            json.dumps({"id": "b", "text": "y", "label": label}),
+        ])
+        with pytest.raises(DatasetFormatError,
+                           match=rf"^{re.escape(str(p))}:2: unknown label {re.escape(repr(label))}"):
+            load_dataset(p, lexicon)
+
     def test_malformed_json_names_line(self, tmp_path, lexicon):
         p = self.write(tmp_path, ['{"id": "a", "text": "x", "label": "neutral"}', "{nope"])
         with pytest.raises(DatasetFormatError, match=":2:"):
