@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -78,6 +79,10 @@ class TrainConfig:
                 raise TypeError(f"config key {f.name} must be {f.type}, got {value!r}")
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type.startswith("float") and value is not None and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ValueError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
         if self.k < 2:

@@ -69,6 +69,17 @@ class TestTrain:
         assert f"config key {key} must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("item, key", [("learning_rate=NaN", "learning_rate"),
+                                           ("grad_clip=NaN", "grad_clip"),
+                                           ("epsilon=Infinity", "epsilon")])
+    def test_non_finite_config_value_names_its_key(self, data_dir, capsys, item, key):
+        out = data_dir / "non-finite.smck"
+        rc = main(["train", "--set", item, "--data", str(data_dir / "train.jsonl"),
+                   "--out", str(out)])
+        assert rc == 1
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_and_set_precedence(self, data_dir):
         cfg_path = data_dir / "cfg.json"
         cfg_path.write_text(json.dumps({"epochs": 1, "k": 2, "hidden_dim": 10,

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -249,6 +250,13 @@ class TestConfig:
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ValueError):
             TrainConfig.from_dict(bad)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["learning_rate", "label_smoothing", "contrast_scale",
+                                     "epsilon", "weight_decay", "grad_clip"])
+    def test_non_finite_float_names_key(self, key, value):
+        with pytest.raises(ValueError, match=rf"^{key} must be finite, got {value}$"):
+            TrainConfig.from_dict({key: value})
 
     @pytest.mark.parametrize("key, value", [
         ("k", 3.5), ("epochs", 2.0), ("batch_size", True), ("learning_rate", "abc"),
