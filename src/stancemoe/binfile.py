@@ -40,8 +40,8 @@ class Reader:
         self.path, self.error, self.noun = path, error, noun
         with open(path, "rb") as fh:
             self.buf = fh.read()
-        found = self.buf[: len(magic)]
-        self.pos = len(found)  # offset of the next unread byte
+        self.pos = len(magic)  # offset of the next unread byte
+        found = self.buf[: self.pos]
         if found != magic:
             self.fail(f"bad magic {found!r}; not an {magic[:-1].decode()} {noun}")
 

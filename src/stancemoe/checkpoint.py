@@ -25,10 +25,10 @@ from .text import CueLexicon, Vocab
 from .train import EnsembleModel, FoldArtifact, TrainConfig
 
 CHECKPOINT_MAGIC = b"SMCK1\0"
-_VALUES = np.dtype("<f8")
 CHECKPOINT_FORMAT = 1  # the metadata "format" value this module writes and reads
 METADATA_KEYS = ("config", "vocab", "cue_tokens", "contrast_tokens", "weights",
                  "fold_val_metrics")  # read by load_checkpoint, besides "format"
+_VALUES = np.dtype("<f8")  # every tensor value
 
 
 class CheckpointFormatError(ValueError):
