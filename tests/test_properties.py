@@ -83,8 +83,9 @@ def loop_tokenize(text: str, max_len: int) -> list[str]:
     return [CLS_TOKEN] + out[: max_len - 1]
 
 
-# every character str.split() splits on, the ASCII information separators,
-# NEL, the line and paragraph separators and the ideographic space included
+# characters str.split() splits on: ASCII whitespace, the information
+# separators, NEL, no-break and typographic spaces, the line and paragraph
+# separators and the ideographic space
 UNICODE_SPACES = " \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2009\u200a" \
                  "\u2028\u2029\u202f\u205f\u3000"
 PUNCT = st.text(alphabet=string.punctuation, min_size=1, max_size=4)
