@@ -1,9 +1,10 @@
-"""Differential property tests of prediction: over generated ragged lists,
-on the toy encoder and on a store of precomputed rows, under all three
-heads and any active-expert subset of the moe head, the length-bucketed
-list path equals the per-example path, and the fold-stacked ensemble equals
-the weighted sum of its folds' own predictions.  Runs are derandomized, so
-every run draws the same cases."""
+"""Differential property tests of prediction and training: over generated
+ragged lists, on the toy encoder and on a store of precomputed rows, under
+all three heads and any active-expert subset of the moe head, the
+length-bucketed list path equals the per-example path, the fold-stacked
+ensemble equals the weighted sum of its folds' own predictions, and the
+gradients of one list equal the summed gradients of its examples.  Runs
+are derandomized, so every run draws the same cases."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 
 from stancemoe.experts import EXPERT_NAMES
 from stancemoe.metrics import metrics_from_labels
-from stancemoe.model import ModelParams, model_forward
-from stancemoe.train import EnsembleModel, FoldArtifact, ensemble_forward, predict_logits
-from conftest import random_example
+from stancemoe.model import ModelParams, model_backward, model_forward
+from stancemoe.train import (EnsembleModel, FoldArtifact, ensemble_forward,
+                             label_smoothed_ce_grad, predict_logits)
+from conftest import random_example, toy_example
 
 VOCAB, D, MAX_LEN = 20, 6, 16
 REPORT = metrics_from_labels([0, 1, 2], [0, 1, 2])
@@ -71,3 +73,59 @@ def test_fold_stack_equals_weighted_sum_of_fold_predictions(case):
                for w, art in zip(ensemble.weights, ensemble.folds))
     np.testing.assert_allclose(ensemble_forward(ensemble, examples, store)[0], want,
                                rtol=0, atol=1e-12)
+
+
+@st.composite
+def models_and_marked_lists(draw):
+    """One model on the toy encoder (trainable or frozen) or a store, with
+    any head (the moe head with any active experts), and a ragged list of
+    examples with T from 1 to MAX_LEN whose cue and contrast sets are drawn
+    at random, empty sets included, with the store of their rows."""
+    mode = draw(st.sampled_from(["toy", "frozen", "precomputed"]))
+    head = draw(st.sampled_from(["moe", "stacked", "fusion"]))
+    active = EXPERT_NAMES
+    if head == "moe":
+        active = draw(st.lists(st.sampled_from(EXPERT_NAMES), min_size=1, unique=True))
+    lengths = draw(st.lists(st.integers(1, MAX_LEN), min_size=1, max_size=12))
+    # how often a position is marked: never, sometimes or always
+    cue_rate, contrast_rate = draw(st.lists(st.sampled_from([0.0, 0.3, 1.0]),
+                                            min_size=2, max_size=2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = ModelParams.init(VOCAB, D, MAX_LEN, rng, n_filters=2, head=head,
+                              active_experts=active,
+                              encoder_mode="precomputed" if mode == "precomputed" else "toy",
+                              freeze_encoder=mode == "frozen")
+    examples = [toy_example([1] + list(rng.integers(3, VOCAB, size=T - 1)),
+                            cue=np.flatnonzero(rng.random(T) < cue_rate).tolist(),
+                            contrast=np.flatnonzero(rng.random(T) < contrast_rate).tolist(),
+                            label=int(rng.integers(0, 3)), example_id=f"ex{i}")
+                for i, T in enumerate(lengths)]
+    store = None
+    if mode == "precomputed":
+        store = {ex.id: rng.normal(size=(len(ex.token_ids), D)) for ex in examples}
+    return params, examples, store
+
+
+def _gradients(params, examples, store):
+    """The parameter gradients of the label-smoothed loss of ``examples``,
+    one example or a list."""
+    params.zero_grads()
+    out = model_forward(params, examples, store)
+    labels = (examples.label if not isinstance(examples, list)
+              else np.array([ex.label for ex in examples]))
+    _, dlogits = label_smoothed_ce_grad(out.logits, labels, 0.25)
+    model_backward(params, examples, out, dlogits)
+    return {name: grad.copy() for name, _, grad in params.trainable_params()}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(models_and_marked_lists())
+def test_list_gradients_equal_summed_per_example_gradients(case):
+    params, examples, store = case
+    listed = _gradients(params, examples, store)
+    summed = _gradients(params, examples[0], store)
+    for ex in examples[1:]:
+        for name, grad in _gradients(params, ex, store).items():
+            summed[name] += grad
+    for name, want in summed.items():
+        np.testing.assert_allclose(listed[name], want, rtol=1e-10, atol=1e-14, err_msg=name)

@@ -343,21 +343,49 @@ class TestRunAllExperts:
                              active_experts=("mean", "pooler9000"))
 
 
+POOLED = ("mean", "self_attention", "cue", "contrast")
+
+
+def ragged_input(rng):
+    """A ragged (3, 6, 4) stack with lengths 1, 4 and 6, and cue and contrast
+    indicators on real rows only: the first sequence has empty masks and the
+    second an empty contrast mask."""
+    H = Padded.stack([rng.normal(size=(n, 4)) for n in (1, 4, 6)])
+    C, D = np.zeros((3, 6)), np.zeros((3, 6))
+    C[1, [1, 3]] = C[2, 2] = 1.0
+    D[2, [1, 4, 5]] = 1.0
+    return H, C, D
+
+
+# each expert alone, the four pooled experts together on one sequence, and
+# all six on a ragged stack
+GRADIENT_CASES = {**{name: (name,) for name in EXPERT_NAMES},
+                  "pooled": POOLED, "ragged": EXPERT_NAMES}
+
+
 class TestExpertGradients:
-    @pytest.mark.parametrize("name", EXPERT_NAMES)
-    def test_gradients_match_finite_differences(self, name):
-        rng = np.random.default_rng(100 + EXPERT_NAMES.index(name))
+    @pytest.mark.parametrize("case", GRADIENT_CASES)
+    def test_gradients_match_finite_differences(self, case):
+        names, ragged = GRADIENT_CASES[case], case == "ragged"
+        rng = np.random.default_rng(100 + list(GRADIENT_CASES).index(case))
         bank = make_bank(d=4, n_filters=2, seed=23)
-        H = rng.normal(size=(5, 4))
-        gH = np.zeros_like(H)
-        C, D = frozenset({1, 3}), frozenset({2, 4})
+        if ragged:
+            H, C, D = ragged_input(rng)
+            X = H.data
+        else:
+            H = X = rng.normal(size=(5, 4))
+            C, D = frozenset({1, 3}), frozenset({2, 4})
+        gH = np.zeros_like(X)
 
         def f():
             bank.zero_grads()
-            (e,) = direct_outputs(bank, H, C, D, (name,))
-            gH[:] = run_all_experts_backward(bank, H, C, D, (name,), [e])
-            return 0.5 * float(e @ e)
+            es = direct_outputs(bank, H, C, D, names)
+            gH[:] = run_all_experts_backward(bank, H, C, D, names, es)
+            return 0.5 * sum(float(np.sum(e * e)) for e in es)
 
-        params = [("H", H, gH)] + list(bank.named_params())
+        params = [("H", X, gH)] + list(bank.named_params())
         rep = grad_check(f, params, h=1e-4)
         assert rep.max_rel_err < 1e-3, rep.worst_param
+        if ragged:
+            f()
+            assert not (gH * (1.0 - H.valid[..., None])).any()  # padding rows
