@@ -3,13 +3,14 @@
 In canonical order: mean pooling, max pooling, self-attention pooling,
 multi-kernel CNN, lexical-cue pooling over the cue mask C, and
 contrast-amplified pooling over the contrast mask D.  Each expert projects
-to the model width d, so the gating head can mix them freely.
+to the model width d, so the gating head can mix them freely.  The four
+that take a row-weighted sum of H (mean, self-attention, cue, contrast)
+are one layer, :func:`pooled_experts`, each with its own row-weight rule.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,30 +29,8 @@ from .ops import (
 
 logger = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
-class ExpertSpec:
-    """One expert: its name, the names of its forward and backward functions
-    in this module, and the position mask it reads (None, "cue" or
-    "contrast").  The functions are looked up by name on every call, so a
-    wrapper installed on this module (a profiler, a test double) sees the
-    calls made through the table."""
-
-    name: str
-    forward: str
-    backward: str
-    mask: str | None = None
-
-
-EXPERTS = (
-    ExpertSpec("mean", "expert_mean", "expert_mean_backward"),
-    ExpertSpec("max", "expert_max", "expert_max_backward"),
-    ExpertSpec("self_attention", "expert_selfattn", "expert_selfattn_backward"),
-    ExpertSpec("cnn", "expert_cnn", "expert_cnn_backward"),
-    ExpertSpec("cue", "expert_cue", "expert_cue_backward", "cue"),
-    ExpertSpec("contrast", "expert_contrast", "expert_contrast_backward", "contrast"),
-)
-EXPERT_NAMES = tuple(spec.name for spec in EXPERTS)
+EXPERT_NAMES = ("mean", "max", "self_attention", "cnn", "cue", "contrast")
+POOLED_NAMES = ("mean", "self_attention", "cue", "contrast")
 KERNEL_SIZES = (2, 3, 4, 5)
 
 
@@ -187,28 +166,143 @@ def _pool(w: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (w[..., None, :] @ X)[..., 0, :]
 
 
-def _pool_backward(w: np.ndarray, du: np.ndarray) -> np.ndarray:
-    return w[..., :, None] * du[..., None, :]
+# --- the pooled experts ----------------------------------------------------
+#
+# Mean, self-attention, lexical-cue and contrast pooling are one layer: each
+# expert pools the rows of H with its own (..., T) row weights, in its own
+# product, and projects the result with its own d x d map.  An expert is
+# only its row-weight rule.
+
+def attention_weights(bank: ExpertBank, H) -> tuple[np.ndarray, np.ndarray]:
+    """Token weights alpha_i = softmax_i(s_i), which sum to one over each
+    sequence's rows, and the scores s_i = tanh(h_i . v) they are taken over."""
+    X, stack = _rows(H)
+    scores = np.tanh(param_affine(X, bank.attn_vector[..., None])[..., 0])
+    return softmax(scores + stack.fill if stack.ragged else scores), scores
 
 
-# --- mean pooling -------------------------------------------------------
+def _row_weights(bank: ExpertBank, name: str, stack: Padded, cue_positions,
+                 contrast_positions):
+    """The row-weight rule of pooled expert ``name`` on the rows of
+    ``stack``: its (..., T) row weights, the (..., 1) 0/1 flag its output is
+    multiplied by (None when every output counts) and, for self-attention,
+    the scores its weights are the softmax of.  None when every contrast
+    mask is empty."""
+    if name == "mean":
+        return stack.valid / stack.lengths[..., None], None, None
+    if name == "self_attention":
+        alpha, scores = attention_weights(bank, stack)
+        return alpha, None, scores
+    if name == "cue":  # the eps-regularized mean of the cue rows
+        ind = _indicator(cue_positions, stack)
+        return ind / (ind.sum(axis=-1, keepdims=True) + bank.eps), None, None
+    # contrast: all rows, contrast rows amplified, over the mask size.  An
+    # empty mask zeroes the output, as dividing by eps alone would blow it
+    # up by ~1e8; when every mask is empty, nothing is pooled or projected.
+    ind = _indicator(contrast_positions, stack)
+    if not ind.any():
+        logger.debug("contrast expert: empty mask, emitting zero vector")
+        return None
+    n = ind.sum(axis=-1, keepdims=True)
+    nonempty = (n > 0).astype(np.float64)
+    if not nonempty.all():
+        logger.debug("contrast expert: empty mask, emitting zero vector")
+    return (stack.valid + (bank.contrast_scale - 1.0) * ind) / (n + bank.eps), nonempty, None
 
-def _mean_weights(stack: Padded) -> np.ndarray:
-    return stack.valid / stack.lengths[..., None]
 
+def pooled_experts(bank: ExpertBank, H, names, cue_positions=None,
+                   contrast_positions=None) -> list[np.ndarray]:
+    """The vectors of the pooled experts in ``names``, in that order."""
+    X, stack = _rows(H)
+    vectors = []
+    for name in names:
+        pool = _row_weights(bank, name, stack, cue_positions, contrast_positions)
+        if pool is None:
+            vectors.append(np.zeros(X.shape[:-2] + (bank.d,)))
+            continue
+        w, flag, _ = pool
+        e = affine(bank.proj[name], _pool(w, X))
+        vectors.append(e if flag is None else e * flag)
+    return vectors
+
+
+def pooled_experts_backward(bank: ExpertBank, H, names, dvecs, cue_positions=None,
+                            contrast_positions=None,
+                            input_grad: bool = True) -> np.ndarray | None:
+    """Backward pass of :func:`pooled_experts` for dL/de_i in ``dvecs``:
+    accumulates the experts' parameter gradients and returns their summed
+    dL/dH, shaped like the rows of H (None without ``input_grad``).  Each
+    expert's row weights meet its pooled vector's gradient, and the score
+    gradient meets the attention vector, as one (..., T, P) @ (..., P, d)
+    product."""
+    X, stack = _rows(H)
+    weights, vectors = [], []  # (..., T) row weights and the (..., d) vectors they meet
+    for name, de in zip(names, dvecs):
+        pool = _row_weights(bank, name, stack, cue_positions, contrast_positions)
+        if pool is None:
+            continue
+        w, flag, scores = pool
+        attention = name == "self_attention"
+        du = affine_backward(bank.proj[name], _pool(w, X),
+                             de if flag is None else de * flag, input_grad or attention)
+        weights.append(w)
+        vectors.append(du)
+        if attention:
+            dscores = softmax_backward(w, (X @ du[..., :, None])[..., 0])
+            dpre = dscores * (1.0 - scores**2)  # through tanh
+            bank.grad_attn_vector += dpre.reshape(-1) @ X.reshape(-1, bank.d)
+            weights.append(dpre)
+            vectors.append(np.broadcast_to(bank.attn_vector, du.shape))
+    if not input_grad:
+        return None
+    if not weights:
+        return np.zeros_like(X)
+    return np.stack(weights, axis=-1) @ np.stack(vectors, axis=-2)
+
+
+# each pooled expert alone: the shared layer with one expert
 
 def expert_mean(bank: ExpertBank, H) -> np.ndarray:
     """Project the unweighted row mean of H."""
-    X, stack = _rows(H)
-    return affine(bank.proj["mean"], _pool(_mean_weights(stack), X))
+    return pooled_experts(bank, H, ("mean",))[0]
 
 
 def expert_mean_backward(bank: ExpertBank, H, de: np.ndarray,
                          input_grad: bool = True) -> np.ndarray | None:
-    X, stack = _rows(H)
-    w = _mean_weights(stack)
-    du = affine_backward(bank.proj["mean"], _pool(w, X), de, input_grad)
-    return _pool_backward(w, du) if input_grad else None
+    return pooled_experts_backward(bank, H, ("mean",), (de,), input_grad=input_grad)
+
+
+def expert_selfattn(bank: ExpertBank, H) -> np.ndarray:
+    """Project the attention-weighted row sum of H."""
+    return pooled_experts(bank, H, ("self_attention",))[0]
+
+
+def expert_selfattn_backward(bank: ExpertBank, H, de: np.ndarray,
+                             input_grad: bool = True) -> np.ndarray | None:
+    return pooled_experts_backward(bank, H, ("self_attention",), (de,), input_grad=input_grad)
+
+
+def expert_cue(bank: ExpertBank, H, cue_positions) -> np.ndarray:
+    """Project the eps-regularized mean of rows at the cue positions."""
+    return pooled_experts(bank, H, ("cue",), cue_positions)[0]
+
+
+def expert_cue_backward(bank, H, cue_positions, de: np.ndarray,
+                        input_grad: bool = True) -> np.ndarray | None:
+    return pooled_experts_backward(bank, H, ("cue",), (de,), cue_positions,
+                                   input_grad=input_grad)
+
+
+def expert_contrast(bank: ExpertBank, H, contrast_positions) -> np.ndarray:
+    """Sum all rows with contrast rows amplified, normalized by the mask
+    size; an empty contrast mask gives the zero vector."""
+    return pooled_experts(bank, H, ("contrast",), None, contrast_positions)[0]
+
+
+def expert_contrast_backward(bank, H, contrast_positions, de: np.ndarray,
+                             input_grad: bool = True) -> np.ndarray | None:
+    return pooled_experts_backward(bank, H, ("contrast",), (de,), None, contrast_positions,
+                                   input_grad=input_grad)
 
 
 # --- max pooling --------------------------------------------------------
@@ -232,41 +326,6 @@ def expert_max_backward(bank: ExpertBank, H, de: np.ndarray,
     dH = np.zeros_like(X)
     np.put_along_axis(dH, arg, du[..., None, :], axis=-2)
     return dH
-
-
-# --- self-attention pooling ---------------------------------------------
-
-def _attention(bank: ExpertBank, X: np.ndarray, stack: Padded):
-    scores = np.tanh(param_affine(X, bank.attn_vector[..., None])[..., 0])
-    return softmax(scores + stack.fill if stack.ragged else scores), scores
-
-
-def attention_weights(bank: ExpertBank, H) -> tuple[np.ndarray, np.ndarray]:
-    """Token weights alpha_i = softmax_i(s_i), which sum to one over each
-    sequence's rows, and the scores s_i = tanh(h_i . v) they are taken over."""
-    X, stack = _rows(H)
-    return _attention(bank, X, stack)
-
-
-def expert_selfattn(bank: ExpertBank, H) -> np.ndarray:
-    """Project the attention-weighted row sum of H."""
-    X, stack = _rows(H)
-    alpha, _ = _attention(bank, X, stack)
-    return affine(bank.proj["self_attention"], _pool(alpha, X))
-
-
-def expert_selfattn_backward(bank: ExpertBank, H, de: np.ndarray,
-                             input_grad: bool = True) -> np.ndarray | None:
-    X, stack = _rows(H)
-    alpha, scores = _attention(bank, X, stack)
-    du = affine_backward(bank.proj["self_attention"], _pool(alpha, X), de)
-    dalpha = (X @ du[..., :, None])[..., 0]
-    dscores = softmax_backward(alpha, dalpha)
-    dpre = dscores * (1.0 - scores**2)  # through tanh
-    bank.grad_attn_vector += dpre.reshape(-1) @ X.reshape(-1, bank.d)
-    if not input_grad:
-        return None
-    return _pool_backward(alpha, du) + dpre[..., None] * bank.attn_vector
 
 
 # --- multi-kernel CNN ----------------------------------------------------
@@ -319,87 +378,29 @@ def expert_cnn_backward(bank: ExpertBank, H, de: np.ndarray,
     return drows.reshape(pre.shape[:-1] + rows.shape[-1:]) if input_grad else None
 
 
-# --- lexical-cue pooling --------------------------------------------------
+# --- all experts -------------------------------------------------------------
 
-def _cue_weights(bank: ExpertBank, H, cue_positions) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and the eps-regularized mean weights over the cue positions."""
-    X, stack = _rows(H)
-    ind = _indicator(cue_positions, stack)
-    return X, ind / (ind.sum(axis=-1, keepdims=True) + bank.eps)
-
-
-def expert_cue(bank: ExpertBank, H, cue_positions) -> np.ndarray:
-    """Project the eps-regularized mean of rows at the cue positions."""
-    X, w = _cue_weights(bank, H, cue_positions)
-    return affine(bank.proj["cue"], _pool(w, X))
-
-
-def expert_cue_backward(bank, H, cue_positions, de: np.ndarray,
-                        input_grad: bool = True) -> np.ndarray | None:
-    X, w = _cue_weights(bank, H, cue_positions)
-    du = affine_backward(bank.proj["cue"], _pool(w, X), de, input_grad)
-    return _pool_backward(w, du) if input_grad else None
-
-
-# --- contrast-amplified pooling --------------------------------------------
-
-def _contrast_weights(bank: ExpertBank, stack: Padded, ind: np.ndarray):
-    """Row weights (contrast rows amplified, normalized by the mask size)
-    and the (..., 1) 0/1 flag of a non-empty mask."""
-    n = ind.sum(axis=-1, keepdims=True)
-    w = (stack.valid + (bank.contrast_scale - 1.0) * ind) / (n + bank.eps)
-    return w, (n > 0).astype(np.float64)
-
-
-def expert_contrast(bank: ExpertBank, H, contrast_positions) -> np.ndarray:
-    """Sum all rows with contrast rows amplified, normalized by the mask size.
-
-    An empty contrast mask gives the zero vector: dividing the full-row
-    sum by eps alone would blow the output up by ~1e8, so the degenerate
-    case is clamped and logged instead.
-    """
-    X, stack = _rows(H)
-    ind = _indicator(contrast_positions, stack)
-    if not ind.any():
-        logger.debug("contrast expert: empty mask, emitting zero vector")
-        return np.zeros(X.shape[:-2] + (bank.d,))
-    w, nonempty = _contrast_weights(bank, stack, ind)
-    if not nonempty.all():
-        logger.debug("contrast expert: empty mask, emitting zero vector")
-    return affine(bank.proj["contrast"], _pool(w, X)) * nonempty
-
-
-def expert_contrast_backward(bank, H, contrast_positions, de: np.ndarray,
-                             input_grad: bool = True) -> np.ndarray | None:
-    X, stack = _rows(H)
-    ind = _indicator(contrast_positions, stack)
-    if not ind.any():
-        return np.zeros_like(X) if input_grad else None
-    w, nonempty = _contrast_weights(bank, stack, ind)
-    du = affine_backward(bank.proj["contrast"], _pool(w, X), de * nonempty, input_grad)
-    return _pool_backward(w, du) if input_grad else None
-
-
-# --- dispatch --------------------------------------------------------------
-
-def _active_specs(active) -> list[ExpertSpec]:
-    specs = [spec for spec in EXPERTS if spec.name in active]
-    if not specs:
+def _active(active) -> tuple[str, ...]:
+    names = tuple(name for name in EXPERT_NAMES if name in active)
+    if not names:
         raise ValueError("at least one expert must be active")
-    return specs
-
-
-def _mask_args(cue_positions, contrast_positions) -> dict:
-    return {None: (), "cue": (cue_positions,), "contrast": (contrast_positions,)}
+    return names
 
 
 def run_all_experts(bank: ExpertBank, H, cue_positions, contrast_positions,
                     active=EXPERT_NAMES) -> list[np.ndarray]:
     """Evaluate the experts named in ``active``; returns their vectors in the
-    canonical EXPERT_NAMES order."""
-    masks = _mask_args(cue_positions, contrast_positions)
-    fns = globals()
-    return [fns[spec.forward](bank, H, *masks[spec.mask]) for spec in _active_specs(active)]
+    canonical EXPERT_NAMES order.  Max pooling and the CNN are called by
+    their module names at call time, so a wrapper installed on this module
+    (a profiler, a test double) sees those calls."""
+    names = _active(active)
+    pooled = [name for name in names if name in POOLED_NAMES]
+    vectors = dict(zip(pooled, pooled_experts(bank, H, pooled, cue_positions,
+                                              contrast_positions)))
+    for name, forward in (("max", expert_max), ("cnn", expert_cnn)):
+        if name in names:
+            vectors[name] = forward(bank, H)
+    return [vectors[name] for name in names]
 
 
 def run_all_experts_backward(bank: ExpertBank, H, cue_positions, contrast_positions,
@@ -408,12 +409,13 @@ def run_all_experts_backward(bank: ExpertBank, H, cue_positions, contrast_positi
     accumulates expert gradients and returns the summed dL/dH, shaped like
     the rows of H.  Without ``input_grad`` (nothing consumes dL/dH) no
     expert forms its share of it and the result is None."""
-    masks = _mask_args(cue_positions, contrast_positions)
-    fns = globals()
-    grads = (fns[spec.backward](bank, H, *masks[spec.mask], de, input_grad=input_grad)
-             for spec, de in zip(_active_specs(active), dvecs))
-    dH = next(grads)
-    for dH_i in grads:  # one expert's dL/dH is live at a time
-        if input_grad:
-            dH += dH_i
+    grads = dict(zip(_active(active), dvecs))
+    pooled = [name for name in grads if name in POOLED_NAMES]
+    dH = pooled_experts_backward(bank, H, pooled, [grads[name] for name in pooled],
+                                 cue_positions, contrast_positions, input_grad)
+    for name, backward in (("max", expert_max_backward), ("cnn", expert_cnn_backward)):
+        if name in grads:
+            dH_i = backward(bank, H, grads[name], input_grad=input_grad)
+            if input_grad:
+                dH += dH_i  # in place, so at most two dL/dH are live
     return dH
