@@ -207,11 +207,6 @@ def affine_backward(p: LinearParams, x: np.ndarray, dy: np.ndarray,
     """Accumulate dW += dyᵀ x and db += dy, each summed over the leading
     axes; return dx = dy W, shaped like x, or None without ``input_grad``
     (nothing consumes it)."""
-    if x.ndim == 1:
-        # the outer product is the cheapest weight gradient for one row
-        p.grad_weight += np.outer(dy, x)
-        p.grad_bias += dy
-        return dy @ p.weight if input_grad else None
     dY = dy.reshape(-1, p.out_dim)
     p.grad_weight += dY.T @ x.reshape(-1, p.in_dim)
     p.grad_bias += dY.sum(axis=0)

@@ -170,6 +170,8 @@ def label_smoothed_ce_grad(logits: np.ndarray, gold, alpha: float):
 # cache, which made a step of the default model about twice as fast as
 # whole-array operations (0.56 vs 1.09 ms, 57k values, one core)
 ADAM_CHUNK = 8192
+# the moment decay rates and the denominator floor (Kingma & Ba's defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
@@ -182,13 +184,9 @@ class Adam:
     ``weight_decay`` is applied decoupled from the moment estimates.
     """
 
-    def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+    def __init__(self, params, lr: float, weight_decay: float = 0.0):
         self.params = [(name, value, grad) for name, value, grad in params]
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         if not self.params:
@@ -211,8 +209,8 @@ class Adam:
         if max_norm is not None and norm > max_norm:
             grad *= max_norm / norm
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         lr = self.lr * lr_scale
         # in place, a cache-sized chunk at a time, with one chunk-sized buffer;
         # each element sees the same operations, in the same order, as
@@ -224,15 +222,15 @@ class Adam:
             g, m, v = grad[part], self.m[part], self.v[part]
             tmp = buffer[: g.size]
             np.square(g, out=tmp)
-            tmp *= 1.0 - self.beta2
-            v *= self.beta2
+            tmp *= 1.0 - ADAM_BETA2
+            v *= ADAM_BETA2
             v += tmp
-            g *= 1.0 - self.beta1
-            m *= self.beta1
+            g *= 1.0 - ADAM_BETA1
+            m *= ADAM_BETA1
             m += g
             np.divide(v, bc2, out=tmp)
             np.sqrt(tmp, out=tmp)
-            tmp += self.eps
+            tmp += ADAM_EPS
             np.divide(m, bc1, out=g)
             g /= tmp
             g *= lr
