@@ -267,7 +267,8 @@ def _cmd_gradcheck(args, written: list) -> int:
     params = TrainConfig.from_dict({
         **config.to_dict(), "hidden_dim": args.dim, "max_len": max(config.max_len, args.length),
     }).build_model(vocab_size, rng)
-    f, tensors = head_loss_fn(params, example, config.label_smoothing)
+    store = None if params.encoder else {example.id: rng.normal(size=(args.length, args.dim))}
+    f, tensors = head_loss_fn(params, example, config.label_smoothing, store)
     report = grad_check(f, tensors, h=1e-4)
     for name, err in sorted(report.per_param.items()):
         print(f"  {name:<40} max rel err {err:.3e}")

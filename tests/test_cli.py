@@ -239,6 +239,13 @@ class TestGradcheckCommand:
         assert "PASS" in out
         assert "max relative error" in out
 
+    def test_pass_on_precomputed_rows(self, capsys):
+        rc = main(["gradcheck", "--set", "encoder=precomputed"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "PASS" in out
+        assert "encoder/" not in out
+
 
 class TestFlagBounds:
     @pytest.mark.parametrize("argv,flag", [
