@@ -104,10 +104,13 @@ def load_checkpoint(path) -> LoadedCheckpoint:
             contrast_tokens=frozenset(meta["contrast_tokens"]),
         )
         weights = np.asarray(meta["weights"], dtype=np.float64)
+        reports = [MetricsReport.from_dict(d) for d in meta["fold_val_metrics"]]
+    except KeyError as err:
+        r.fail(f"malformed metadata: missing key {err}")
     except (TypeError, ValueError) as err:
         r.fail(f"malformed metadata: {err}")
     folds = []
-    for j, metrics_dict in enumerate(meta["fold_val_metrics"]):
+    for j, report in enumerate(reports):
         params = config.build_model(len(vocab), np.random.default_rng(0))
         for name, value, _ in params.named_params():
             key = f"fold{j}/{name}"
@@ -117,7 +120,6 @@ def load_checkpoint(path) -> LoadedCheckpoint:
             if stored.shape != value.shape:
                 r.fail(f"tensor {key!r} has shape {stored.shape}, expected {value.shape}")
             value[:] = stored
-        report = MetricsReport.from_dict(metrics_dict)
         folds.append(FoldArtifact(fold_index=j, params=params, val_metrics=report))
     if tensors:
         r.fail(f"tensor {next(iter(tensors))!r} is not a parameter of any fold")

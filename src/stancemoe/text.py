@@ -115,7 +115,8 @@ class CueLexicon:
             if not toks:
                 raise ValueError(f"{name} lexicon is empty")
             for t in toks:
-                if t != t.lower() or any(c.isspace() for c in t) or not t:
+                if (not isinstance(t, str) or not t or t != t.lower()
+                        or any(c.isspace() for c in t)):
                     raise ValueError(f"bad {name} lexicon entry: {t!r}")
 
 
