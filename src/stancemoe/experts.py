@@ -242,12 +242,11 @@ def pooled_experts_backward(bank: ExpertBank, H, names, dvecs, cue_positions=Non
         if pool is None:
             continue
         w, flag, scores = pool
-        attention = name == "self_attention"
-        du = affine_backward(bank.proj[name], _pool(w, X),
-                             de if flag is None else de * flag, input_grad or attention)
+        du = affine_backward(bank.proj[name], _pool(w, X), de if flag is None else de * flag,
+                             input_grad or scores is not None)
         weights.append(w)
         vectors.append(du)
-        if attention:
+        if scores is not None:  # self-attention: the score term
             dscores = softmax_backward(w, (X @ du[..., :, None])[..., 0])
             dpre = dscores * (1.0 - scores**2)  # through tanh
             bank.grad_attn_vector += dpre.reshape(-1) @ X.reshape(-1, bank.d)
