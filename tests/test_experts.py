@@ -5,6 +5,7 @@ import straightline as sl
 from stancemoe.experts import (
     EXPERT_NAMES,
     KERNEL_SIZES,
+    POOLED_NAMES,
     ExpertBank,
     attention_weights,
     cnn_features,
@@ -343,9 +344,6 @@ class TestRunAllExperts:
                              active_experts=("mean", "pooler9000"))
 
 
-POOLED = ("mean", "self_attention", "cue", "contrast")
-
-
 def ragged_input(rng):
     """A ragged (3, 6, 4) stack with lengths 1, 4 and 6, and cue and contrast
     indicators on real rows only: the first sequence has empty masks and the
@@ -360,7 +358,7 @@ def ragged_input(rng):
 # each expert alone, the four pooled experts together on one sequence, and
 # all six on a ragged stack
 GRADIENT_CASES = {**{name: (name,) for name in EXPERT_NAMES},
-                  "pooled": POOLED, "ragged": EXPERT_NAMES}
+                  "pooled": POOLED_NAMES, "ragged": EXPERT_NAMES}
 
 
 class TestExpertGradients:
