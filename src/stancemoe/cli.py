@@ -119,8 +119,6 @@ def _resolve_config(args) -> TrainConfig:
 
 
 def _load_lexicon(config: TrainConfig) -> CueLexicon:
-    if config.cue_lexicon is None and config.contrast_lexicon is None:
-        return default_lexicon()
     base = default_lexicon()
     cue = (read_lexicon_file(config.cue_lexicon)
            if config.cue_lexicon else base.cue_tokens)

@@ -136,6 +136,28 @@ class ExpertBank(ParamSet):
         yield from self.cnn_proj.named_params(f"{prefix}/cnn_feature_proj")
 
 
+# --- the input rules -------------------------------------------------------
+
+def canonical_experts(names) -> tuple[str, ...]:
+    """The expert names in ``names`` in canonical EXPERT_NAMES order.
+    Rejects an unknown name, naming it, and an empty set."""
+    names = set(names)
+    chosen = tuple([name for name in EXPERT_NAMES if name in names])
+    if len(chosen) < len(names):
+        raise ValueError(f"unknown expert name(s): {sorted(names.difference(chosen))}")
+    if not chosen:
+        raise ValueError("at least one expert must be active")
+    return chosen
+
+
+def check_positions(T: int, *masks) -> None:
+    """Rejects a position of any of the ``masks`` (sets of row indices)
+    outside [0, T), naming it."""
+    bad = {i for mask in masks for i in mask if not 0 <= i < T}
+    if bad:
+        raise ValueError(f"mask positions {sorted(bad)} out of range for length {T}")
+
+
 # --- shared plumbing ------------------------------------------------------
 #
 # Every expert acts on the last two axes of H: a (T, d) matrix of one
@@ -156,6 +178,7 @@ def _indicator(positions, stack: Padded) -> np.ndarray:
     indices (one sequence) or already as an indicator."""
     if isinstance(positions, np.ndarray):
         return positions
+    check_positions(stack.valid.shape[-1], positions)
     ind = np.zeros(stack.valid.shape)
     ind[sorted(positions)] = 1.0
     return ind
@@ -379,20 +402,13 @@ def expert_cnn_backward(bank: ExpertBank, H, de: np.ndarray,
 
 # --- all experts -------------------------------------------------------------
 
-def _active(active) -> tuple[str, ...]:
-    names = tuple(name for name in EXPERT_NAMES if name in active)
-    if not names:
-        raise ValueError("at least one expert must be active")
-    return names
-
-
 def run_all_experts(bank: ExpertBank, H, cue_positions, contrast_positions,
                     active=EXPERT_NAMES) -> list[np.ndarray]:
-    """Evaluate the experts named in ``active``; returns their vectors in the
-    canonical EXPERT_NAMES order.  Max pooling and the CNN are called by
+    """Evaluate the experts named in ``active`` (:func:`canonical_experts`);
+    returns their vectors in the canonical EXPERT_NAMES order.  Max pooling and the CNN are called by
     their module names at call time, so a wrapper installed on this module
     (a profiler, a test double) sees those calls."""
-    names = _active(active)
+    names = canonical_experts(active)
     pooled = [name for name in names if name in POOLED_NAMES]
     vectors = dict(zip(pooled, pooled_experts(bank, H, pooled, cue_positions,
                                               contrast_positions)))
@@ -404,11 +420,15 @@ def run_all_experts(bank: ExpertBank, H, cue_positions, contrast_positions,
 
 def run_all_experts_backward(bank: ExpertBank, H, cue_positions, contrast_positions,
                              active, dvecs, input_grad: bool = True) -> np.ndarray | None:
-    """Backward pass of :func:`run_all_experts` for dL/de_i in ``dvecs``;
-    accumulates expert gradients and returns the summed dL/dH, shaped like
+    """Backward pass of :func:`run_all_experts` for dL/de_i in ``dvecs``, one
+    per active expert in canonical order; accumulates expert gradients and returns the summed dL/dH, shaped like
     the rows of H.  Without ``input_grad`` (nothing consumes dL/dH) no
     expert forms its share of it and the result is None."""
-    grads = dict(zip(_active(active), dvecs))
+    names = canonical_experts(active)
+    if len(dvecs) != len(names):
+        raise ValueError(f"expected {len(names)} expert gradients, one per active "
+                         f"expert, got {len(dvecs)}")
+    grads = dict(zip(names, dvecs))
     pooled = [name for name in grads if name in POOLED_NAMES]
     dH = pooled_experts_backward(bank, H, pooled, [grads[name] for name in pooled],
                                  cue_positions, contrast_positions, input_grad)

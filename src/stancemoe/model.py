@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import ToyEncoderParams, encode, encode_backward
-from .experts import EXPERT_NAMES, ExpertBank, run_all_experts, run_all_experts_backward
+from .experts import (EXPERT_NAMES, ExpertBank, canonical_experts, check_positions,
+                      run_all_experts, run_all_experts_backward)
 from .head import (
     classify,
     classify_backward,
@@ -24,15 +25,10 @@ HEAD_KINDS = ("moe", "stacked", "fusion")
 ENCODER_MODES = ("toy", "precomputed")
 
 
-def canonical_experts(head: str, active_experts) -> tuple[str, ...]:
-    """The active expert names in canonical order.  Rejects unknown names, an
-    empty selection, and a stacked or fusion head without all six experts."""
-    unknown = set(active_experts) - set(EXPERT_NAMES)
-    if unknown:
-        raise ValueError(f"unknown expert name(s): {sorted(unknown)}")
-    active = tuple(n for n in EXPERT_NAMES if n in set(active_experts))
-    if not active:
-        raise ValueError("at least one expert must be active")
+def head_experts(head: str, active_experts) -> tuple[str, ...]:
+    """The active expert names in canonical order (:func:`canonical_experts`).
+    Also rejects a stacked or fusion head without all six experts."""
+    active = canonical_experts(active_experts)
     if head != "moe" and active != EXPERT_NAMES:
         raise ValueError(f"the {head} head requires all six experts active")
     return active
@@ -56,7 +52,7 @@ class ModelParams(ParamSet):
             raise ValueError(f"unknown head kind {head!r}")
         self.d = d
         self.max_len = max_len  # longest input it is built for; caps sub-batch size
-        self.active_experts = canonical_experts(head, active_experts)
+        self.active_experts = head_experts(head, active_experts)
         self.head = head
         self.encoder = encoder
         self.bank = bank
@@ -75,7 +71,7 @@ class ModelParams(ParamSet):
         generator reproduces the same model bit for bit."""
         if encoder_mode not in ENCODER_MODES:
             raise ValueError(f"unknown encoder mode {encoder_mode!r}")
-        active = canonical_experts(head, active_experts)
+        active = head_experts(head, active_experts)
         encoder = None
         if encoder_mode == "toy":
             encoder = ToyEncoderParams.init(vocab_size, d, max_len, rng)
@@ -183,7 +179,7 @@ def make_batch(params: ModelParams, examples, store=None) -> Batch:
         examples = [examples]
     rows = None if store is None else []
     for ex in examples:
-        _check_positions(len(ex.token_ids), ex.cue_positions, ex.contrast_positions)
+        check_positions(len(ex.token_ids), ex.cue_positions, ex.contrast_positions)
         if store is not None:
             if ex.id not in store:
                 raise KeyError(f"id {ex.id!r} not found in the embedding store")
@@ -319,8 +315,3 @@ def model_backward(params: ModelParams, examples, out: ModelOutput,
             dH[..., 0, :] += dh_cls
         encode_backward(params.encoder, batch.ids, dH, out.encoder_cache)
 
-
-def _check_positions(T: int, cue_positions, contrast_positions) -> None:
-    bad = [i for i in cue_positions | contrast_positions if not 0 <= i < T]
-    if bad:
-        raise ValueError(f"mask positions {sorted(bad)} out of range for length {T}")

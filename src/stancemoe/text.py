@@ -58,11 +58,6 @@ def tokenize(text: str, max_len: int = 128) -> list[str]:
     return out
 
 
-def detokenize(tokens: list[str]) -> str:
-    """Join non-CLS tokens back into a whitespace-separated string."""
-    return " ".join(t for t in tokens if t != CLS_TOKEN)
-
-
 class Vocab:
     """Token-to-id map with reserved ids 0=PAD, 1=CLS, 2=UNK."""
 
@@ -80,22 +75,17 @@ class Vocab:
         self._ids[token] = idx
         return idx
 
-    def id_of(self, token: str) -> int:
-        return self._ids.get(token, UNK_ID)
-
     def encode(self, tokens: list[str]) -> list[int]:
         return [self._ids.get(t, UNK_ID) for t in tokens]
 
     def __len__(self) -> int:
         return len(self._ids)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
     @property
     def tokens(self) -> list[str]:
-        """All tokens ordered by id, reserved entries first."""
-        return sorted(self._ids, key=self._ids.get)
+        """All tokens ordered by id, reserved entries first (ids are dense,
+        in insertion order)."""
+        return list(self._ids)
 
     @property
     def tail(self) -> list[str]:

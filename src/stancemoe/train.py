@@ -14,7 +14,7 @@ import numpy as np
 
 from .experts import EXPERT_NAMES
 from .metrics import MetricsReport, metrics_from_labels
-from .model import (ENCODER_MODES, HEAD_KINDS, ModelParams, canonical_experts,
+from .model import (ENCODER_MODES, HEAD_KINDS, ModelParams, head_experts,
                     model_backward, model_forward)
 from .ops import log_softmax, softmax
 from .text import N_CLASSES, TokenizedExample, Vocab, stratified_kfold
@@ -103,7 +103,7 @@ class TrainConfig:
             raise ValueError(f"head must be one of {HEAD_KINDS}, got {self.head!r}")
         if self.encoder not in ENCODER_MODES:
             raise ValueError(f"encoder must be one of {ENCODER_MODES}, got {self.encoder!r}")
-        canonical_experts(self.head, self.active_experts)
+        head_experts(self.head, self.active_experts)
         if self.warmup_steps < 0 or self.weight_decay < 0:
             raise ValueError("warmup_steps and weight_decay must be non-negative")
         if self.grad_clip is not None and self.grad_clip <= 0:

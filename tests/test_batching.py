@@ -97,6 +97,14 @@ def test_no_input_gradient_when_nothing_consumes_it(monkeypatch, encoder_mode, f
         np.testing.assert_array_equal(skipped[name], want, err_msg=name)
 
 
+def test_a_mask_position_out_of_range_fails_by_value():
+    params = ModelParams.init(20, 4, 8, np.random.default_rng(0), n_filters=2)
+    bad = toy_example([1, 5, 6, 7], cue=(1, 9), contrast=(-1,), example_id="bad")
+    for examples in (bad, [toy_example([1, 5]), bad]):
+        with pytest.raises(ValueError, match=r"mask positions \[-1, 9\] out of range for length 4"):
+            model_forward(params, examples)
+
+
 def test_padded_encoder_stack_equals_each_sequence_alone():
     rng = np.random.default_rng(2)
     enc = ToyEncoderParams.init(VOCAB, D, MAX_LEN, rng)

@@ -259,6 +259,14 @@ class TestCueExpert:
                 atol=1e-12,
             )
 
+    @pytest.mark.parametrize("position", [-1, 4])
+    def test_position_out_of_range_rejected_by_value(self, position):
+        # -1 would otherwise mark the last row, and 4 fail as an IndexError
+        bank = make_bank(d=3, seed=16)
+        H = np.random.default_rng(16).normal(size=(4, 3))
+        with pytest.raises(ValueError, match=rf"\[{position}\] out of range for length 4"):
+            expert_cue(bank, H, {position})
+
 
 class TestContrastExpert:
     def test_direct_evaluation(self):
@@ -338,10 +346,19 @@ class TestRunAllExperts:
         with pytest.raises(ValueError):
             run_all_experts(bank, np.zeros((2, 4)), set(), set(), ())
 
+    def test_backward_rejects_one_gradient_for_two_experts(self):
+        bank = make_bank(d=3, seed=25)
+        H = np.random.default_rng(25).normal(size=(4, 3))
+        with pytest.raises(ValueError, match="expected 2 expert gradients.*got 1"):
+            run_all_experts_backward(bank, H, {1}, {2}, ("mean", "cnn"), [np.ones(3)])
+
     def test_unknown_expert_name_rejected(self):
         with pytest.raises(ValueError, match="pooler9000"):
             ModelParams.init(20, 4, 8, np.random.default_rng(0),
                              active_experts=("mean", "pooler9000"))
+        # the layer itself: an unknown name is not dropped
+        with pytest.raises(ValueError, match="maxx"):
+            run_all_experts(make_bank(d=3), np.zeros((4, 3)), {1}, {2}, ("mean", "maxx", "cnn"))
 
 
 def ragged_input(rng):

@@ -11,7 +11,6 @@ from stancemoe.text import (
     UNK_ID,
     Vocab,
     default_lexicon,
-    detokenize,
     load_dataset,
     mark_positions,
     read_lexicon_file,
@@ -51,7 +50,7 @@ class TestTokenize:
         ]
         for text in texts:
             toks = tokenize(text)
-            assert tokenize(detokenize(toks)) == toks
+            assert tokenize(" ".join(toks[1:])) == toks
 
 
 class TestMarkPositions:
@@ -92,8 +91,7 @@ class TestVocab:
 
     def test_dense_unique_ids(self):
         v = Vocab(["alpha", "beta", "alpha"])
-        assert v.id_of("alpha") == 3
-        assert v.id_of("beta") == 4
+        assert v.encode(["alpha", "beta"]) == [3, 4]
         assert len(v) == 5
 
     def test_unknown_maps_to_unk(self):
