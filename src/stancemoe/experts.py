@@ -405,9 +405,9 @@ def expert_cnn_backward(bank: ExpertBank, H, de: np.ndarray,
 def run_all_experts(bank: ExpertBank, H, cue_positions, contrast_positions,
                     active=EXPERT_NAMES) -> list[np.ndarray]:
     """Evaluate the experts named in ``active`` (:func:`canonical_experts`);
-    returns their vectors in the canonical EXPERT_NAMES order.  Max pooling and the CNN are called by
-    their module names at call time, so a wrapper installed on this module
-    (a profiler, a test double) sees those calls."""
+    returns their vectors in the canonical EXPERT_NAMES order.  Max pooling
+    and the CNN are called by their module names at call time, so a wrapper
+    installed on this module (a profiler, a test double) sees those calls."""
     names = canonical_experts(active)
     pooled = [name for name in names if name in POOLED_NAMES]
     vectors = dict(zip(pooled, pooled_experts(bank, H, pooled, cue_positions,
@@ -421,9 +421,9 @@ def run_all_experts(bank: ExpertBank, H, cue_positions, contrast_positions,
 def run_all_experts_backward(bank: ExpertBank, H, cue_positions, contrast_positions,
                              active, dvecs, input_grad: bool = True) -> np.ndarray | None:
     """Backward pass of :func:`run_all_experts` for dL/de_i in ``dvecs``, one
-    per active expert in canonical order; accumulates expert gradients and returns the summed dL/dH, shaped like
-    the rows of H.  Without ``input_grad`` (nothing consumes dL/dH) no
-    expert forms its share of it and the result is None."""
+    per active expert; accumulates expert gradients and returns the summed
+    dL/dH, shaped like the rows of H.  Without ``input_grad`` (nothing
+    consumes dL/dH) no expert forms its share of it and the result is None."""
     names = canonical_experts(active)
     if len(dvecs) != len(names):
         raise ValueError(f"expected {len(names)} expert gradients, one per active "

@@ -83,8 +83,7 @@ class Vocab:
 
     @property
     def tokens(self) -> list[str]:
-        """All tokens ordered by id, reserved entries first (ids are dense,
-        in insertion order)."""
+        """All tokens ordered by id (dense, in insertion order), reserved first."""
         return list(self._ids)
 
     @property
