@@ -48,12 +48,16 @@ class Reader:
     def fail(self, message: str) -> NoReturn:
         raise self.error(f"{self.path}: {message}")
 
-    def take(self, n: int, what: str) -> int:
-        """Claim the next ``n`` bytes for ``what``; returns their offset."""
+    # A field's name ``what`` may hold one format slot for ``arg``, the
+    # record's key: it is filled only when a message reads it, not once
+    # per field read.
+
+    def take(self, n: int, what: str, arg=None) -> int:
+        """Claim the next ``n`` bytes for the field ``what``; returns their offset."""
         start = self.pos
         left = len(self.buf) - start
         if n > left:
-            self.fail(f"truncated {self.noun} while reading {what}: "
+            self.fail(f"truncated {self.noun} while reading {what.format(arg)}: "
                       f"{n} bytes declared, {left} left")
         self.pos = start + n
         return start
@@ -67,19 +71,19 @@ class Reader:
 
     def key(self, what: str, size: struct.Struct = U16) -> str:
         """A UTF-8 string behind its byte length, the field ``size``."""
-        (n,) = self.unpack(size, f"{what} length")
+        (n,) = size.unpack_from(self.buf, self.take(size.size, "{} length", what))
         try:
             return self.read(n, what).decode("utf-8")
         except UnicodeDecodeError as err:
             self.fail(f"{what} is not valid UTF-8: {err}")
 
-    def array(self, dtype: np.dtype, shape: tuple, what: str) -> np.ndarray:
+    def array(self, dtype: np.dtype, shape: tuple, what: str, arg=None) -> np.ndarray:
         """A read-only row-major view of ``buf`` whose every value is finite."""
         count = math.prod(shape)
-        start = self.take(dtype.itemsize * count, f"{what} payload")
+        start = self.take(dtype.itemsize * count, what + " payload", arg)
         values = np.frombuffer(self.buf, dtype, count, start).reshape(shape)
         if not np.isfinite(values).all():
-            self.fail(f"{what} holds a non-finite value")
+            self.fail(f"{what.format(arg)} holds a non-finite value")
         return values
 
     def finish(self, what: str) -> None:

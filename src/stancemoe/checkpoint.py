@@ -93,7 +93,7 @@ def load_checkpoint(path) -> LoadedCheckpoint:
             r.fail(f"duplicate tensor {key!r}")
         (ndim,) = r.unpack(U8, "tensor rank")
         dims = r.unpack(struct.Struct(f"<{ndim}I"), "tensor shape")
-        tensors[key] = r.array(_VALUES, dims, f"tensor {key!r}")
+        tensors[key] = r.array(_VALUES, dims, "tensor {!r}", key)
     r.finish(f"{n_records} tensors")
 
     try:

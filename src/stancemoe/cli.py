@@ -151,7 +151,7 @@ def _write_text(path, text: str, written: list) -> None:
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _cmd_train(args, written: list) -> int:
@@ -195,7 +195,8 @@ def _cmd_predict(args, written: list) -> int:
         "probs": [float(p) for p in row],
         "class": LABEL_NAMES[cls],
         "gate_weights": _gate_dict(ckpt, gate),
-    }, sort_keys=True) for ex, row, cls, gate in zip(examples, probs, classes, gates)]
+    }, sort_keys=True, allow_nan=False)
+        for ex, row, cls, gate in zip(examples, probs, classes, gates)]
     _write_text(args.out, "\n".join(lines) + "\n", written)
     print(f"wrote {len(lines)} predictions to {args.out}")
     return 0

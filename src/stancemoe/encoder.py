@@ -253,6 +253,6 @@ def read_embedding_store(path) -> tuple[dict[str, np.ndarray], int]:
         (T,) = r.unpack(U32, "record length")
         if T == 0:
             r.fail(f"record {example_id!r} has no rows; row 0 must be the CLS row")
-        out[example_id] = r.array(_ROW, (T, d), f"record {example_id!r}")
+        out[example_id] = r.array(_ROW, (T, d), "record {!r}", example_id)
     r.finish(f"{count} records")
     return out, d

@@ -150,6 +150,21 @@ def canonical_experts(names) -> tuple[str, ...]:
     return chosen
 
 
+def _check_pooled(names) -> None:
+    """Rejects a name in ``names`` that is not a pooled expert, naming it."""
+    bad = [name for name in names if name not in POOLED_NAMES]
+    if bad:
+        raise ValueError(f"not pooled expert name(s): {bad}; expected names from "
+                         f"{POOLED_NAMES}")
+
+
+def _check_gradients(names, dvecs) -> None:
+    """Rejects a gradient list ``dvecs`` that is not one per expert in ``names``."""
+    if len(dvecs) != len(names):
+        raise ValueError(f"expected {len(names)} expert gradients, one per active "
+                         f"expert, got {len(dvecs)}")
+
+
 def check_positions(T: int, *masks) -> None:
     """Rejects a position of any of the ``masks`` (sets of row indices)
     outside [0, T), naming it."""
@@ -235,7 +250,9 @@ def _row_weights(bank: ExpertBank, name: str, stack: Padded, cue_positions,
 
 def pooled_experts(bank: ExpertBank, H, names, cue_positions=None,
                    contrast_positions=None) -> list[np.ndarray]:
-    """The vectors of the pooled experts in ``names``, in that order."""
+    """The vectors of the pooled experts in ``names``, in that order.
+    Rejects a name that is not in POOLED_NAMES, naming it."""
+    _check_pooled(names)
     X, stack = _rows(H)
     vectors = []
     for name in names:
@@ -257,7 +274,10 @@ def pooled_experts_backward(bank: ExpertBank, H, names, dvecs, cue_positions=Non
     dL/dH, shaped like the rows of H (None without ``input_grad``).  Each
     expert's row weights meet its pooled vector's gradient, and the score
     gradient meets the attention vector, as one (..., T, P) @ (..., P, d)
-    product."""
+    product.  Rejects a name that is not pooled and a ``dvecs`` that is not
+    one gradient per name."""
+    _check_pooled(names)
+    _check_gradients(names, dvecs)
     X, stack = _rows(H)
     weights, vectors = [], []  # (..., T) row weights and the (..., d) vectors they meet
     for name, de in zip(names, dvecs):
@@ -425,9 +445,7 @@ def run_all_experts_backward(bank: ExpertBank, H, cue_positions, contrast_positi
     dL/dH, shaped like the rows of H.  Without ``input_grad`` (nothing
     consumes dL/dH) no expert forms its share of it and the result is None."""
     names = canonical_experts(active)
-    if len(dvecs) != len(names):
-        raise ValueError(f"expected {len(names)} expert gradients, one per active "
-                         f"expert, got {len(dvecs)}")
+    _check_gradients(names, dvecs)
     grads = dict(zip(names, dvecs))
     pooled = [name for name in grads if name in POOLED_NAMES]
     dH = pooled_experts_backward(bank, H, pooled, [grads[name] for name in pooled],

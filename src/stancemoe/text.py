@@ -7,6 +7,7 @@ import json
 import string
 from dataclasses import dataclass
 from importlib import resources
+from itertools import compress, islice, repeat
 
 import numpy as np
 
@@ -75,8 +76,8 @@ class Vocab:
         self._ids[token] = idx
         return idx
 
-    def encode(self, tokens: list[str]) -> list[int]:
-        return [self._ids.get(t, UNK_ID) for t in tokens]
+    def encode(self, tokens) -> list[int]:
+        return list(map(self._ids.get, tokens, repeat(UNK_ID)))
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -147,10 +148,31 @@ class TokenizedExample:
 
 
 def mark_positions(tokens, lexicon_tokens) -> frozenset[int]:
-    """Positions whose token is in the lexicon; the CLS slot is excluded."""
+    """Positions whose token is in the lexicon (a set); the CLS slot is
+    excluded.  A text sharing no token with the lexicon, the common case,
+    is settled by one set test."""
     if not tokens:
         raise ValueError("mark_positions expects a non-empty token sequence")
-    return frozenset(i for i in range(1, len(tokens)) if tokens[i] in lexicon_tokens)
+    if lexicon_tokens.isdisjoint(tokens):
+        return frozenset()
+    hits = map(lexicon_tokens.__contains__, islice(tokens, 1, None))
+    return frozenset(compress(range(1, len(tokens)), hits))
+
+
+def _example(example_id: str, tokens: tuple[str, ...], label: int | None,
+             lexicon: CueLexicon, vocab: Vocab, grow_vocab: bool) -> TokenizedExample:
+    """The example of a tokenized text; a growing vocabulary first adds
+    its tokens, in order."""
+    words = islice(tokens, 1, None)
+    ids = map(vocab.add, words) if grow_vocab else vocab.encode(words)
+    return TokenizedExample(
+        id=example_id,
+        tokens=tokens,
+        token_ids=(CLS_ID, *ids),
+        cue_positions=mark_positions(tokens, lexicon.cue_tokens),
+        contrast_positions=mark_positions(tokens, lexicon.contrast_tokens),
+        label=label,
+    )
 
 
 def make_example(
@@ -163,18 +185,8 @@ def make_example(
     grow_vocab: bool,
 ) -> TokenizedExample:
     """Tokenize one text and mark its cue/contrast positions."""
-    tokens = tokenize(text, max_len)
-    if grow_vocab:
-        for t in tokens[1:]:
-            vocab.add(t)
-    return TokenizedExample(
-        id=example_id,
-        tokens=tuple(tokens),
-        token_ids=tuple([CLS_ID] + vocab.encode(tokens[1:])),
-        cue_positions=mark_positions(tokens, lexicon.cue_tokens),
-        contrast_positions=mark_positions(tokens, lexicon.contrast_tokens),
-        label=label,
-    )
+    return _example(example_id, tuple(tokenize(text, max_len)), label, lexicon,
+                    vocab, grow_vocab)
 
 
 def load_dataset(
@@ -191,12 +203,17 @@ def load_dataset(
     tokens map to UNK.  Input order is preserved.  Malformed lines, an id
     that repeats (ids key precomputed rows) and a file with no examples
     raise :class:`DatasetFormatError` naming the file and line numbers.
+
+    A corpus repeats a small set of words many times over, so each distinct
+    token string of the file is held once: every example's tokens, and
+    every key a growing vocabulary adds, are its first occurrence.
     """
     grow = vocab is None
     if vocab is None:
         vocab = Vocab()
     examples: list[TokenizedExample] = []
     id_lines: dict[str, int] = {}
+    strings: dict[str, str] = {}  # each token string of the file -> its first occurrence
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -225,9 +242,9 @@ def load_dataset(
                 label = _LABEL_TO_INDEX[raw]
             elif require_labels:
                 raise DatasetFormatError(f"{path}:{lineno}: missing required 'label'")
-            examples.append(
-                make_example(row["id"], row["text"], label, lexicon, max_len, vocab, grow)
-            )
+            tokens = tokenize(row["text"], max_len)
+            tokens = tuple(map(strings.setdefault, tokens, tokens))
+            examples.append(_example(row["id"], tokens, label, lexicon, vocab, grow))
     if not examples:
         raise DatasetFormatError(f"{path}: no examples")
     return examples, vocab

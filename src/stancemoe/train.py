@@ -87,6 +87,8 @@ class TrainConfig:
             raise ValueError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
         if self.k < 2:
             raise ValueError(f"k must be at least 2, got {self.k}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.learning_rate <= 0:
@@ -103,6 +105,9 @@ class TrainConfig:
             raise ValueError(f"head must be one of {HEAD_KINDS}, got {self.head!r}")
         if self.encoder not in ENCODER_MODES:
             raise ValueError(f"encoder must be one of {ENCODER_MODES}, got {self.encoder!r}")
+        if self.embeddings_path is not None and self.encoder == "toy":
+            raise ValueError("embeddings_path is set but encoder is \"toy\"; the store is "
+                             "read only with encoder=\"precomputed\"")
         head_experts(self.head, self.active_experts)
         if self.warmup_steps < 0 or self.weight_decay < 0:
             raise ValueError("warmup_steps and weight_decay must be non-negative")
@@ -336,7 +341,8 @@ def _forward_buckets(params: ModelParams, examples, store=None
     and let a model without an encoder take up to ROWS_PER_MAX_LEN *
     max_len padded rows; returns the logits and gate weights in input
     order, (n, 3) and (n, E) for one model, with a leading fold axis for a
-    fold stack."""
+    fold stack.  A non-finite logit raises FloatingPointError naming the
+    first example, in input order, that has one."""
     lead = (params.n_folds,) if params.n_folds else ()
     logits = np.empty(lead + (len(examples), N_CLASSES))
     gates = np.empty(lead + (len(examples), len(params.active_experts)))
@@ -348,6 +354,10 @@ def _forward_buckets(params: ModelParams, examples, store=None
         logits[..., part, :] = out.logits
         gates[..., part, :] = out.gate_weights
         del out  # frees this bucket's activations before the next bucket's forward
+    finite = np.isfinite(logits).all(axis=-1).reshape(-1, len(examples)).all(axis=0)
+    if not finite.all():
+        bad = examples[int(finite.argmin())].id
+        raise FloatingPointError(f"non-finite logits for example {bad!r}")
     return logits, gates
 
 
@@ -420,7 +430,10 @@ def train_fold(config: TrainConfig, train_examples, val_examples, vocab_size: in
         logger.warning("fold %d: validation split is missing %d class(es); "
                        "their F1 is 0 by convention",
                        fold_index, N_CLASSES - len(val_labels))
-    val_metrics = evaluate_model(params, val_examples, store)
+    try:
+        val_metrics = evaluate_model(params, val_examples, store)
+    except FloatingPointError as err:
+        raise FloatingPointError(f"fold {fold_index}, validation: {err}") from err
     return FoldArtifact(fold_index=fold_index, params=params,
                         val_metrics=val_metrics, epoch_losses=epoch_losses)
 

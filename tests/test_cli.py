@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import stancemoe
-from stancemoe.checkpoint import load_checkpoint
+from stancemoe.checkpoint import load_checkpoint, save_checkpoint
 from stancemoe.cli import main
 from stancemoe.encoder import write_embedding_store
 from stancemoe.synthetic import make_synthetic_dataset, write_jsonl
@@ -231,6 +232,47 @@ class TestNonFiniteInputs:
         assert not out.exists()
 
 
+def error_lines(err: str) -> list[str]:
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+# the overflow that makes the logits non-finite warns on its way
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteOutputs:
+    """Non-finite logits fail by the first example's id before any output
+    is written: training at fold 0's validation, predict and eval on a
+    checkpoint whose finite values overflow."""
+
+    def test_huge_learning_rate_fails_training(self, tmp_path, capsys):
+        data = tmp_path / "train.jsonl"
+        write_jsonl(data, make_synthetic_dataset(30, seed=3))
+        rc = main(["train", "--set", "learning_rate=1e308", "--set", "epochs=1",
+                   "--set", "k=2", "--set", "hidden_dim=8",
+                   "--data", str(data), "--out", str(tmp_path / "huge-lr.smck")])
+        assert rc == 1
+        (line,) = error_lines(capsys.readouterr().err)
+        assert re.fullmatch(r"error: fold 0, validation: non-finite logits for example "
+                            r"'syn-\d{4}'", line)
+        assert os.listdir(tmp_path) == ["train.jsonl"]
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_overflowing_checkpoint_fails_by_id(self, tmp_path, model_path, data_dir, capsys,
+                                                command):
+        ckpt = load_checkpoint(model_path)
+        for art in ckpt.ensemble.folds:
+            for _, value, _ in art.params.named_params():
+                value[...] = 1e308
+        model = tmp_path / "overflow.smck"
+        save_checkpoint(model, ckpt.ensemble, ckpt.config, ckpt.vocab, ckpt.lexicon)
+        out = tmp_path / "out"
+        rc = main([command, "--model", str(model), "--data", str(data_dir / "test.jsonl"),
+                   "--out", str(out)])
+        assert rc == 1
+        assert error_lines(capsys.readouterr().err) == [
+            "error: non-finite logits for example 'te-0000'"]
+        assert os.listdir(tmp_path) == ["overflow.smck"]
+
+
 class TestGradcheckCommand:
     def test_pass_on_defaults(self, capsys):
         rc = main(["gradcheck"])
@@ -323,7 +365,7 @@ class TestCustomLexicons:
                    "--set", f'contrast_lexicon="{contrast_path}"',
                    "--data", str(data_dir / "train.jsonl"), "--out", str(out)])
         assert rc == 0
-        from stancemoe.checkpoint import load_checkpoint
+        from stancemoe.checkpoint import load_checkpoint, save_checkpoint
 
         ckpt = load_checkpoint(out)
         assert ckpt.lexicon.cue_tokens == {"officials"}

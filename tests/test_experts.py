@@ -17,6 +17,8 @@ from stancemoe.experts import (
     expert_max_backward,
     expert_mean,
     expert_selfattn,
+    pooled_experts,
+    pooled_experts_backward,
     run_all_experts,
     run_all_experts_backward,
 )
@@ -359,6 +361,21 @@ class TestRunAllExperts:
         # the layer itself: an unknown name is not dropped
         with pytest.raises(ValueError, match="maxx"):
             run_all_experts(make_bank(d=3), np.zeros((4, 3)), {1}, {2}, ("mean", "maxx", "cnn"))
+
+    @pytest.mark.parametrize("name", ["max", "cnn", "maxx"])
+    def test_pooled_layer_rejects_a_name_it_does_not_pool(self, name):
+        bank = make_bank(d=3, seed=26)
+        H = np.random.default_rng(26).normal(size=(4, 3))
+        with pytest.raises(ValueError, match=rf"not pooled expert name\(s\): \['{name}'\]"):
+            pooled_experts(bank, H, ("mean", name), {1}, {2})
+        with pytest.raises(ValueError, match=rf"not pooled expert name\(s\): \['{name}'\]"):
+            pooled_experts_backward(bank, H, ("mean", name), [np.ones(3)] * 2, {1}, {2})
+
+    def test_pooled_backward_rejects_one_gradient_for_two_experts(self):
+        bank = make_bank(d=3, seed=27)
+        H = np.random.default_rng(27).normal(size=(4, 3))
+        with pytest.raises(ValueError, match="expected 2 expert gradients.*got 1"):
+            pooled_experts_backward(bank, H, ("mean", "cue"), [np.ones(3)], {1}, {2})
 
 
 def ragged_input(rng):

@@ -1,13 +1,20 @@
+import importlib.util
 import json
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stancemoe.text import (
+    CLS_ID,
     CLS_TOKEN,
+    LABEL_NAMES,
+    RESERVED_TOKENS,
     CueLexicon,
     DatasetFormatError,
+    TokenizedExample,
     UNK_ID,
     Vocab,
     default_lexicon,
@@ -215,6 +222,108 @@ class TestLoadDataset:
         toks = examples[0].tokens
         assert examples[0].cue_positions == {toks.index("claims")}
         assert examples[0].contrast_positions == {toks.index("but")}
+
+
+def per_text_reference(path, lexicon, max_len, vocab=None):
+    """Examples and vocabulary tokens built text by text, each token its own
+    string: the straightforward loop that load_dataset must agree with."""
+    ids = {t: i for i, t in enumerate(vocab.tokens if vocab else RESERVED_TOKENS)}
+    examples = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            row = json.loads(line)
+            tokens = tokenize(row["text"], max_len)
+            if vocab is None:
+                for t in tokens[1:]:
+                    ids.setdefault(t, len(ids))
+            examples.append(TokenizedExample(
+                id=row["id"],
+                tokens=tuple(tokens),
+                token_ids=tuple([CLS_ID] + [ids.get(t, UNK_ID) for t in tokens[1:]]),
+                cue_positions=frozenset(i for i in range(1, len(tokens))
+                                        if tokens[i] in lexicon.cue_tokens),
+                contrast_positions=frozenset(i for i in range(1, len(tokens))
+                                             if tokens[i] in lexicon.contrast_tokens),
+                label=LABEL_NAMES.index(row["label"]),
+            ))
+    return examples, list(ids)
+
+
+def _benchmark_inputs():
+    """The benchmark's input generator, perfbench/inputs.py."""
+    path = Path(__file__).parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestOneStringPerToken:
+    """load_dataset holds each distinct token string of a file once."""
+
+    def test_a_word_in_two_examples_is_one_object(self, tmp_path, lexicon):
+        p = tmp_path / "data.jsonl"
+        p.write_text("\n".join(json.dumps({"id": i, "text": text, "label": "neutral"})
+                               for i, text in (("a", "Free the people"),
+                                               ("b", "the people, FREE"))) + "\n")
+        for vocab in (None, Vocab(["people"])):
+            (a, b), _ = load_dataset(p, lexicon, vocab=vocab)
+            assert a.tokens[1:] == ("free", "the", "people")
+            assert b.tokens[1:] == ("the", "people", ",", "free")
+            assert a.tokens[1] is b.tokens[4]
+            assert a.tokens[2] is b.tokens[1]
+            assert a.tokens[3] is b.tokens[2]
+
+    def test_grown_vocabulary_keys_are_the_tokens(self, tmp_path, lexicon):
+        p = tmp_path / "data.jsonl"
+        p.write_text(json.dumps({"id": "a", "text": "peace talks", "label": "neutral"}) + "\n"
+                     + json.dumps({"id": "b", "text": "talks of peace", "label": "neutral"})
+                     + "\n")
+        (a, b), vocab = load_dataset(p, lexicon)
+        keys = {t: t for t in vocab.tokens}
+        assert keys["peace"] is a.tokens[1] is b.tokens[3]
+        assert keys["talks"] is a.tokens[2] is b.tokens[1]
+
+    def test_repetitive_corpus_memory_is_bounded(self, tmp_path, lexicon):
+        # 900 texts of 60 words drawn from 79 distinct words: the examples'
+        # token and id tuples take 16 bytes a token, and each example under
+        # 2 KiB besides; a string per token occurrence would add ~56 bytes
+        rng = np.random.default_rng(0)
+        words = [f"word{i:02d}" for i in range(79)]
+        p = tmp_path / "repetitive.jsonl"
+        p.write_text("".join(
+            json.dumps({"id": f"t{i:03d}", "text": " ".join(rng.choice(words, 60)),
+                        "label": LABEL_NAMES[i % 3]}) + "\n" for i in range(900)))
+        for vocab in (None, Vocab(words)):
+            tracemalloc.start()
+            try:
+                examples, _ = load_dataset(p, lexicon, vocab=vocab)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            n_tokens = sum(len(ex.tokens) for ex in examples)
+            assert n_tokens == 900 * 61
+            assert peak < 16 * n_tokens + 2048 * len(examples)
+
+    @pytest.mark.parametrize("workload", ["train-short", "train-long", "predict-store"])
+    def test_examples_equal_the_per_text_path_on_benchmark_inputs(self, tmp_path, lexicon,
+                                                                  workload):
+        # the texts perfbench/inputs.py writes for the workload, at full size
+        inputs = _benchmark_inputs()
+        rows = (inputs.synthetic.make_synthetic_dataset if workload == "train-short"
+                else inputs.long_rows)
+        sizes = inputs.SIZES[workload]
+        paths = {}
+        for stream, (role, prefix) in enumerate((("train", "tr"), ("heldout", "ho")), start=1):
+            paths[role] = tmp_path / f"{role}.jsonl"
+            inputs.synthetic.write_jsonl(
+                paths[role], rows(sizes[role], inputs.sub_seed(3, stream), prefix))
+        train, vocab = load_dataset(paths["train"], lexicon, inputs.MAX_LEN)
+        ref_train, ref_tokens = per_text_reference(paths["train"], lexicon, inputs.MAX_LEN)
+        assert train == ref_train and vocab.tokens == ref_tokens
+        heldout, _ = load_dataset(paths["heldout"], lexicon, inputs.MAX_LEN, vocab=vocab)
+        ref_heldout, _ = per_text_reference(paths["heldout"], lexicon, inputs.MAX_LEN, vocab)
+        assert heldout == ref_heldout and len(vocab) == len(ref_tokens)
 
 
 class TestStratifiedKfold:

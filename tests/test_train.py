@@ -258,6 +258,16 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"^{key} must be finite, got {value}$"):
             TrainConfig.from_dict({key: value})
 
+    def test_negative_seed_names_key(self):
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+            TrainConfig.from_dict({"seed": -1})
+        TrainConfig.from_dict({"seed": 0})
+
+    def test_embeddings_path_under_toy_encoder_names_both_keys(self):
+        with pytest.raises(ValueError, match=r'^embeddings_path is set but encoder is "toy"'):
+            TrainConfig.from_dict({"embeddings_path": "store.smeb"})
+        TrainConfig.from_dict({"embeddings_path": "store.smeb", "encoder": "precomputed"})
+
     @pytest.mark.parametrize("key, value", [
         ("k", 3.5), ("epochs", 2.0), ("batch_size", True), ("learning_rate", "abc"),
         ("label_smoothing", False), ("freeze_encoder", 1), ("embeddings_path", 3),
