@@ -34,7 +34,11 @@ class Reader:
     """The bytes of the file at ``path``, read in one call, and the offset
     of the next field: ``magic`` starts the file, ``error`` is its format's
     error class and ``noun`` the kind of file that messages name.  The file
-    is closed once read; every array handed out is a view of ``buf``."""
+    is closed once read; every array handed out is a view of ``buf``.
+
+    A field's name ``what`` may hold one format slot for ``arg``, a record's
+    key; the slot is filled only when an error message reads the name, not
+    once per field read."""
 
     def __init__(self, path, magic: bytes, error: type[ValueError], noun: str):
         self.path, self.error, self.noun = path, error, noun
@@ -47,10 +51,6 @@ class Reader:
 
     def fail(self, message: str) -> NoReturn:
         raise self.error(f"{self.path}: {message}")
-
-    # A field's name ``what`` may hold one format slot for ``arg``, the
-    # record's key: it is filled only when a message reads it, not once
-    # per field read.
 
     def take(self, n: int, what: str, arg=None) -> int:
         """Claim the next ``n`` bytes for the field ``what``; returns their offset."""

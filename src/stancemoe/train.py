@@ -106,8 +106,8 @@ class TrainConfig:
         if self.encoder not in ENCODER_MODES:
             raise ValueError(f"encoder must be one of {ENCODER_MODES}, got {self.encoder!r}")
         if self.embeddings_path is not None and self.encoder == "toy":
-            raise ValueError("embeddings_path is set but encoder is \"toy\"; the store is "
-                             "read only with encoder=\"precomputed\"")
+            raise ValueError('embeddings_path is set but encoder is "toy"; the store is '
+                             'read only with encoder="precomputed"')
         head_experts(self.head, self.active_experts)
         if self.warmup_steps < 0 or self.weight_decay < 0:
             raise ValueError("warmup_steps and weight_decay must be non-negative")
@@ -354,9 +354,9 @@ def _forward_buckets(params: ModelParams, examples, store=None
         logits[..., part, :] = out.logits
         gates[..., part, :] = out.gate_weights
         del out  # frees this bucket's activations before the next bucket's forward
-    finite = np.isfinite(logits).all(axis=-1).reshape(-1, len(examples)).all(axis=0)
+    finite = np.isfinite(logits).all(axis=-1)  # (n,), or (K, n) for a fold stack
     if not finite.all():
-        bad = examples[int(finite.argmin())].id
+        bad = examples[int(np.argwhere(~finite)[:, -1].min())].id
         raise FloatingPointError(f"non-finite logits for example {bad!r}")
     return logits, gates
 

@@ -399,6 +399,30 @@ class TestPrecomputedEmbeddings:
                        fold_index=2)
         assert isinstance(excinfo.value.__cause__, NonFiniteGradientError)
 
+    # the overflow warns on its way to the non-finite logits
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_logits_name_the_first_example_in_input_order(self, corpus90):
+        from stancemoe.model import ModelParams
+
+        examples, vocab = corpus90
+        rng = np.random.default_rng(22)
+        store = {ex.id: rng.normal(size=(len(ex.token_ids), 12)) for ex in examples[:6]}
+        for i in (4, 2):  # rows that overflow every expert
+            store[examples[i].id][:] = 1e308
+        cfg = small_config(encoder="precomputed")
+        folds = [cfg.build_model(len(vocab), np.random.default_rng(j)) for j in range(2)]
+        for params in (folds[0], ModelParams.stack(folds)):
+            with pytest.raises(FloatingPointError,
+                               match=rf"^non-finite logits for example '{examples[2].id}'$"):
+                predict_logits(params, examples[:6], store)
+        with pytest.raises(FloatingPointError,
+                           match=rf"^fold 1, validation: non-finite logits for example "
+                                 rf"'{examples[2].id}'$"):
+            train_fold(cfg, examples[6:30], examples[:6], len(vocab), seed=1,
+                       store={**store, **{ex.id: rng.normal(size=(len(ex.token_ids), 12))
+                                          for ex in examples[6:30]}},
+                       fold_index=1)
+
     def test_width_mismatch_has_both_dims_in_message(self, corpus90):
         examples, vocab = corpus90
         cfg = small_config(encoder="precomputed")
