@@ -365,7 +365,7 @@ class TestCustomLexicons:
                    "--set", f'contrast_lexicon="{contrast_path}"',
                    "--data", str(data_dir / "train.jsonl"), "--out", str(out)])
         assert rc == 0
-        from stancemoe.checkpoint import load_checkpoint, save_checkpoint
+        from stancemoe.checkpoint import load_checkpoint
 
         ckpt = load_checkpoint(out)
         assert ckpt.lexicon.cue_tokens == {"officials"}
