@@ -191,7 +191,7 @@ def make_batch(params: ModelParams, examples, store=None) -> Batch:
         H = None if rows is None else ids.like(np.asarray(rows[0], dtype=np.float64))
     else:
         ids = Padded.stack([ex.token_ids for ex in examples], dtype=np.intp)
-        H = None if rows is None else ids.like(Padded.stack(rows).data)
+        H = None if rows is None else ids.like(ids.pad(rows))
     cue = np.zeros((len(examples), ids.shape[-1]))
     contrast = np.zeros((len(examples), ids.shape[-1]))
     for b, ex in enumerate(examples):

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -260,41 +261,48 @@ class Padded:
     ``data`` has shape (B, T, ...) for B sequences padded to the longest
     length T, with zero rows past each sequence's end; ``lengths`` holds
     the B lengths.  One sequence is the same with no leading axis: data
-    (T, ...) and a 0-d length.  ``valid`` is the (..., T) float mask (1 on
-    real rows, 0 on padding) and ``fill`` the additive mask (0 on real
-    rows, -inf on padding) that keeps padding out of a max or a softmax;
-    ``ragged`` is False when no sequence is padded, so the masks are no-ops
-    and callers skip them.  ``shape`` and ``len`` are those of ``data``.
+    (T, ...) and a 0-d length.  ``real`` is the (..., T) boolean mask of
+    real rows, ``valid`` the same as floats (1 on real rows, 0 on padding)
+    and ``fill`` the additive mask (0 on real rows, -inf on padding) that
+    keeps padding out of a max or a softmax; ``ragged`` is False when no
+    sequence is padded, so the masks are no-ops and callers skip them.
+    ``shape`` and ``len`` are those of ``data``.
     """
 
-    __slots__ = ("data", "lengths", "valid", "fill", "ragged")
+    __slots__ = ("data", "lengths", "real", "valid", "fill", "ragged")
 
     def __init__(self, data: np.ndarray, lengths):
         self.data = data
         self.lengths = lengths = np.asarray(lengths)
         T = data.shape[lengths.ndim]
         self.ragged = bool((lengths < T).any())
-        real = np.arange(T) < lengths[..., None]
+        self.real = real = np.arange(T) < lengths[..., None]
         self.valid = real.astype(np.float64)
         self.fill = np.where(real, 0.0, -np.inf)
 
     @classmethod
     def stack(cls, sequences, dtype=np.float64) -> "Padded":
-        """Zero-pad a list of arrays of shape (T_i, ...) into one stack."""
+        """Zero-pad a list of arrays of shape (T_i, ...), or of runs of T_i
+        scalars, into one stack."""
         lengths = np.fromiter(map(len, sequences), np.intp, len(sequences))
-        T = int(lengths.max())
-        if lengths.min() == T:
-            return cls(np.array(sequences, dtype=dtype), lengths)
-        data = np.zeros((len(sequences), T) + np.shape(sequences[0])[1:], dtype=dtype)
-        for row, seq, n in zip(data, sequences, lengths):
-            row[:n] = seq
-        return cls(data, lengths)
+        out = cls(np.empty((len(sequences), lengths.max()), dtype), lengths)
+        out.data = out.pad(sequences, dtype)
+        return out
+
+    def pad(self, sequences, dtype=np.float64) -> np.ndarray:
+        """The (B, T, ...) array of B sequences of this stack's lengths,
+        zero on padding: their rows, concatenated, go into place through
+        ``real`` in one assignment."""
+        data = np.zeros(self.real.shape + np.shape(sequences[0])[1:], dtype)
+        data[self.real] = (np.concatenate(sequences) if data.ndim > self.real.ndim else
+                           np.fromiter(chain.from_iterable(sequences), dtype, self.lengths.sum()))
+        return data
 
     def like(self, data: np.ndarray) -> "Padded":
         """Another stack of the same sequences and lengths, holding ``data``."""
         out = object.__new__(Padded)
-        out.data, out.lengths, out.valid, out.fill = data, self.lengths, self.valid, self.fill
-        out.ragged = self.ragged
+        out.data, out.lengths, out.real = data, self.lengths, self.real
+        out.valid, out.fill, out.ragged = self.valid, self.fill, self.ragged
         return out
 
     @property

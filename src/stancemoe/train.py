@@ -171,10 +171,6 @@ def label_smoothed_ce_grad(logits: np.ndarray, gold, alpha: float):
 
 # --- optimizer -------------------------------------------------------------
 
-# values per vectorized Adam chunk: its few working arrays stay in a core's
-# cache, which made a step of the default model about twice as fast as
-# whole-array operations (0.56 vs 1.09 ms, 57k values, one core)
-ADAM_CHUNK = 8192
 # the moment decay rates and the denominator floor (Kingma & Ba's defaults)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -182,10 +178,11 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 class Adam:
     """Bias-corrected Adam over (name, value, grad) triples.
 
-    The moment estimates live in two flat arrays over all tensors, so a
-    step gathers the gradients once, checks them once, runs the update as
-    vectorized operations over cache-sized chunks of the flat arrays and
-    scatters it back.  Gradients are zeroed after each step.  A non-zero
+    The two moment estimates, a gradient buffer and a scratch buffer are
+    flat arrays over all tensors, built once with each tensor's view of the
+    update, so a step allocates no array of parameter size: it gathers the
+    gradients, takes their global norm, updates in whole-array passes,
+    subtracts each tensor's view and zeroes its gradient.  A non-zero
     ``weight_decay`` is applied decoupled from the moment estimates.
     """
 
@@ -196,54 +193,50 @@ class Adam:
         self.t = 0
         if not self.params:
             raise ValueError("Adam needs at least one parameter")
-        self._slices, offset = [], 0
-        for _, value, _ in self.params:
-            self._slices.append(slice(offset, offset + value.size))
-            offset += value.size
-        self.m = np.zeros(offset)
-        self.v = np.zeros(offset)
+        ends = np.cumsum([value.size for _, value, _ in self.params])
+        self.m, self.v = np.zeros(ends[-1]), np.zeros(ends[-1])
+        self._grad, self._tmp = np.empty(ends[-1]), np.empty(ends[-1])
+        self._updates = [part.reshape(value.shape) for part, (_, value, _)
+                         in zip(np.split(self._grad, ends[:-1]), self.params)]
 
     def step(self, lr_scale: float = 1.0, max_norm: float | None = None) -> float:
         """One update at ``lr_scale`` times the rate, the gradients first scaled
         down to a global L2 norm of ``max_norm`` when over it; returns their norm."""
-        grad = np.concatenate([g.ravel() for _, _, g in self.params])
-        if not np.isfinite(grad).all():
-            name = next(name for name, _, g in self.params if not np.isfinite(g).all())
-            raise NonFiniteGradientError(f"non-finite gradient in {name}")
+        grad, tmp, m, v = self._grad, self._tmp, self.m, self.v
+        np.concatenate([g for _, _, g in self.params], axis=None, out=grad)
         norm = float(np.sqrt(grad @ grad))
+        if not math.isfinite(norm):  # a NaN or inf, or finite squares that overflow
+            for name, _, g in self.params:
+                if not np.isfinite(g).all():
+                    raise NonFiniteGradientError(f"non-finite gradient in {name}")
         if max_norm is not None and norm > max_norm:
             grad *= max_norm / norm
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
         lr = self.lr * lr_scale
-        # in place, a cache-sized chunk at a time, with one chunk-sized buffer;
-        # each element sees the same operations, in the same order, as
-        # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+        # in place; each element sees the same operations, in the same order,
+        # as m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
         # update = lr * m_hat / (sqrt(v_hat) + eps), which ends up in grad
-        buffer = np.empty(min(ADAM_CHUNK, grad.size))
-        for start in range(0, grad.size, ADAM_CHUNK):
-            part = slice(start, start + ADAM_CHUNK)
-            g, m, v = grad[part], self.m[part], self.v[part]
-            tmp = buffer[: g.size]
-            np.square(g, out=tmp)
-            tmp *= 1.0 - ADAM_BETA2
-            v *= ADAM_BETA2
-            v += tmp
-            g *= 1.0 - ADAM_BETA1
-            m *= ADAM_BETA1
-            m += g
-            np.divide(v, bc2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += ADAM_EPS
-            np.divide(m, bc1, out=g)
-            g /= tmp
-            g *= lr
-        for (_, value, g), part in zip(self.params, self._slices):
-            value -= grad[part].reshape(value.shape)
+        np.square(grad, out=tmp)
+        tmp *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
+        v += tmp
+        grad *= 1.0 - ADAM_BETA1
+        m *= ADAM_BETA1
+        m += grad
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        np.divide(m, bc1, out=grad)
+        grad /= tmp
+        grad *= lr
+        for (_, value, g), update in zip(self.params, self._updates):
+            value -= update
             if self.weight_decay:
-                value -= lr * self.weight_decay * value
-            g[...] = 0.0
+                np.multiply(lr * self.weight_decay, value, out=update)
+                value -= update
+            g.fill(0.0)
         return norm
 
 
@@ -386,7 +379,10 @@ def train_fold(config: TrainConfig, train_examples, val_examples, vocab_size: in
     row bound when the model has no encoder) whose gradients add up to the
     mini-batch mean.  Fully deterministic for a fixed seed.  A non-finite
     gradient raises NonFiniteGradientError naming the fold, epoch,
-    optimizer step and parameter.
+    optimizer step and parameter; a step whose gradients are finite but
+    whose losses are not (logits spread past the float range) raises
+    FloatingPointError naming the same and the step's first example, in
+    the training split's order, with a non-finite loss.
     """
     if not train_examples or not val_examples:
         raise ValueError("train and validation splits must be non-empty")
@@ -404,6 +400,7 @@ def train_fold(config: TrainConfig, train_examples, val_examples, vocab_size: in
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
             inv = 1.0 / len(batch)
+            bad = len(train_examples)  # the first example with a non-finite loss
             for part in length_buckets(lengths[batch], params.max_len,
                                        encoder=params.encoder is not None):
                 rows = batch[part]
@@ -412,6 +409,9 @@ def train_fold(config: TrainConfig, train_examples, val_examples, vocab_size: in
                 losses, dlogits = label_smoothed_ce_grad(
                     out.logits, labels[rows], config.label_smoothing
                 )
+                finite = np.isfinite(losses)
+                if not finite.all():
+                    bad = min(bad, rows[~finite].min())
                 model_backward(params, sub, out, dlogits * inv)
                 epoch_loss += float(losses.sum()) / len(train_examples)
             step += 1
@@ -422,6 +422,9 @@ def train_fold(config: TrainConfig, train_examples, val_examples, vocab_size: in
             except NonFiniteGradientError as err:
                 raise NonFiniteGradientError(
                     f"fold {fold_index}, epoch {epoch}, step {step}: {err}") from err
+            if bad < len(train_examples):
+                raise FloatingPointError(f"fold {fold_index}, epoch {epoch}, step {step}: "
+                                         f"non-finite loss for example {train_examples[bad].id!r}")
         epoch_losses.append(epoch_loss)
         logger.debug("fold %d epoch %d: mean loss %.4f", fold_index, epoch, epoch_loss)
 

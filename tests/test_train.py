@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,49 @@ class TestAdam:
         opt.step()
         assert triples[0][2][0] == 0.0
 
+    def test_non_finite_gradient_names_the_tensor_it_is_in(self):
+        grads = [np.ones(3), np.array([[1.0, np.inf], [0.0, 2.0]]), np.ones(4)]
+        triples = [(f"p{i}", np.zeros_like(g), g) for i, g in enumerate(grads)]
+        opt = Adam(triples, lr=0.1)
+        with pytest.raises(NonFiniteGradientError, match=r"^non-finite gradient in p1$"):
+            opt.step()
+        grads[1][0, 1] = np.nan
+        with pytest.raises(NonFiniteGradientError, match=r"^non-finite gradient in p1$"):
+            opt.step()
+        assert opt.t == 0 and not opt.m.any() and not opt.v.any()
+        assert not any(value.any() for _, value, _ in triples)
+
+    # the squares of the gradients overflow, and numpy warns
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("max_norm", [None, 1.0])
+    def test_finite_gradients_whose_squares_overflow_are_not_rejected(self, max_norm):
+        grads = [np.array([1e200, -1e200]), np.array([[2e200]]), np.array([1.0, 0.0, -1e200])]
+        values = [np.array([1.0, -2.0]), np.array([[0.5]]), np.array([3.0, 4.0, 5.0])]
+        before = [v.copy() for v in values]
+        opt = Adam([(f"p{i}", v, g) for i, (v, g) in enumerate(zip(values, grads))], lr=0.1)
+        assert opt.step(max_norm=max_norm) == math.inf
+        assert not any(g.any() for g in grads)
+        if max_norm is not None:  # clipped to a zero gradient, so nothing moves
+            for got, want in zip(values, before, strict=True):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_a_step_allocates_no_parameter_sized_array(self, weight_decay):
+        rng = np.random.default_rng(4)
+        params = TrainConfig().build_model(150, rng)
+        triples = list(params.trainable_params())
+        opt = Adam(triples, lr=5e-5, weight_decay=weight_decay)
+        for _, _, grad in triples:
+            grad[...] = rng.normal(size=grad.shape)
+        size = sum(value.nbytes for _, value, _ in triples)
+        tracemalloc.start()
+        try:
+            opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * size, (peak, size)
+
 
 class TestFoldWeights:
     def test_equal_scores_uniform(self):
@@ -228,6 +272,26 @@ class TestTrainFold:
         examples, vocab = corpus90
         with pytest.raises(ValueError):
             train_fold(small_config(), [], examples[:5], len(vocab), seed=0)
+
+    # the logits' spread overflows the log-softmax, and numpy warns
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_names_fold_epoch_step_and_first_example(self, corpus90):
+        class SpreadLogits(TrainConfig):
+            """Finite logits 2e308 apart: every loss is inf, every gradient finite."""
+
+            def build_model(self, vocab_size, rng):
+                params = super().build_model(vocab_size, rng)
+                params.classifier.bias[:] = (1e308, -1e308, 0.0)
+                return params
+
+        examples, vocab = corpus90
+        cfg = SpreadLogits(**{**small_config().to_dict(), "batch_size": 64})
+        split = examples[20:60]  # one mini-batch of several length buckets
+        assert len(set(map(len, (ex.token_ids for ex in split)))) > 1
+        with pytest.raises(FloatingPointError,
+                           match=rf"^fold 4, epoch 0, step 1: non-finite loss for example "
+                                 rf"'{split[0].id}'$"):
+            train_fold(cfg, split, examples[60:], len(vocab), seed=2, fold_index=4)
 
 
 class TestConfig:
