@@ -193,11 +193,12 @@ class Adam:
         self.t = 0
         if not self.params:
             raise ValueError("Adam needs at least one parameter")
-        ends = np.cumsum([value.size for _, value, _ in self.params])
-        self.m, self.v = np.zeros(ends[-1]), np.zeros(ends[-1])
-        self._grad, self._tmp = np.empty(ends[-1]), np.empty(ends[-1])
-        self._updates = [part.reshape(value.shape) for part, (_, value, _)
-                         in zip(np.split(self._grad, ends[:-1]), self.params)]
+        size = sum(value.size for _, value, _ in self.params)
+        self.m, self.v, self._grad, self._tmp = np.zeros((4, size))  # one allocation
+        self._updates, end = [], 0
+        for _, value, _ in self.params:
+            self._updates.append(self._grad[end : end + value.size].reshape(value.shape))
+            end += value.size
 
     def step(self, lr_scale: float = 1.0, max_norm: float | None = None) -> float:
         """One update at ``lr_scale`` times the rate, the gradients first scaled
