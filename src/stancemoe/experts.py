@@ -57,8 +57,8 @@ class ExpertBank(ParamSet):
     PARTS = ("proj", "cnn_proj")
     TRANSPOSED = ("cnn_kernels",)
 
-    def __init__(self, d, proj, attn_vector, kernels, kernel_biases, cnn_proj,
-                 contrast_scale=3.0, eps=1e-8):
+    def __init__(self, d, proj, attn_vector, kernels, cnn_proj, contrast_scale=3.0,
+                 eps=1e-8):
         if contrast_scale <= 0 or eps <= 0:
             raise ValueError("contrast_scale and eps must be positive")
         self.d = d
@@ -76,7 +76,6 @@ class ExpertBank(ParamSet):
         self.grad_cnn_biases = np.zeros_like(self.cnn_biases)
         for k in KERNEL_SIZES:
             self.kernels[k][...] = kernels[k]
-            self.kernel_biases[k][...] = kernel_biases[k]
         self.cnn_proj = cnn_proj  # LinearParams len(KERNEL_SIZES)*n_f -> d
         self.contrast_scale = float(contrast_scale)
         self.eps = float(eps)
@@ -88,14 +87,11 @@ class ExpertBank(ParamSet):
         limit = 1.0 / np.sqrt(d)
         attn_vector = rng.uniform(-limit, limit, size=d)
         kernels = {}
-        kernel_biases = {}
         for k in KERNEL_SIZES:
             klimit = 1.0 / np.sqrt(k * d)
             kernels[k] = rng.uniform(-klimit, klimit, size=(n_filters, k, d))
-            kernel_biases[k] = np.zeros(n_filters)
         cnn_proj = LinearParams.init(d, len(KERNEL_SIZES) * n_filters, rng)
-        return cls(d, proj, attn_vector, kernels, kernel_biases, cnn_proj,
-                   contrast_scale, eps)
+        return cls(d, proj, attn_vector, kernels, cnn_proj, contrast_scale, eps)
 
     @property
     def n_filters(self) -> int:
@@ -309,9 +305,8 @@ def expert_mean(bank: ExpertBank, H) -> np.ndarray:
     return pooled_experts(bank, H, ("mean",))[0]
 
 
-def expert_mean_backward(bank: ExpertBank, H, de: np.ndarray,
-                         input_grad: bool = True) -> np.ndarray | None:
-    return pooled_experts_backward(bank, H, ("mean",), (de,), input_grad=input_grad)
+def expert_mean_backward(bank: ExpertBank, H, de: np.ndarray) -> np.ndarray:
+    return pooled_experts_backward(bank, H, ("mean",), (de,))
 
 
 def expert_selfattn(bank: ExpertBank, H) -> np.ndarray:
@@ -319,9 +314,8 @@ def expert_selfattn(bank: ExpertBank, H) -> np.ndarray:
     return pooled_experts(bank, H, ("self_attention",))[0]
 
 
-def expert_selfattn_backward(bank: ExpertBank, H, de: np.ndarray,
-                             input_grad: bool = True) -> np.ndarray | None:
-    return pooled_experts_backward(bank, H, ("self_attention",), (de,), input_grad=input_grad)
+def expert_selfattn_backward(bank: ExpertBank, H, de: np.ndarray) -> np.ndarray:
+    return pooled_experts_backward(bank, H, ("self_attention",), (de,))
 
 
 def expert_cue(bank: ExpertBank, H, cue_positions) -> np.ndarray:
@@ -329,10 +323,8 @@ def expert_cue(bank: ExpertBank, H, cue_positions) -> np.ndarray:
     return pooled_experts(bank, H, ("cue",), cue_positions)[0]
 
 
-def expert_cue_backward(bank, H, cue_positions, de: np.ndarray,
-                        input_grad: bool = True) -> np.ndarray | None:
-    return pooled_experts_backward(bank, H, ("cue",), (de,), cue_positions,
-                                   input_grad=input_grad)
+def expert_cue_backward(bank, H, cue_positions, de: np.ndarray) -> np.ndarray:
+    return pooled_experts_backward(bank, H, ("cue",), (de,), cue_positions)
 
 
 def expert_contrast(bank: ExpertBank, H, contrast_positions) -> np.ndarray:
@@ -341,10 +333,8 @@ def expert_contrast(bank: ExpertBank, H, contrast_positions) -> np.ndarray:
     return pooled_experts(bank, H, ("contrast",), None, contrast_positions)[0]
 
 
-def expert_contrast_backward(bank, H, contrast_positions, de: np.ndarray,
-                             input_grad: bool = True) -> np.ndarray | None:
-    return pooled_experts_backward(bank, H, ("contrast",), (de,), None, contrast_positions,
-                                   input_grad=input_grad)
+def expert_contrast_backward(bank, H, contrast_positions, de: np.ndarray) -> np.ndarray:
+    return pooled_experts_backward(bank, H, ("contrast",), (de,), None, contrast_positions)
 
 
 # --- max pooling --------------------------------------------------------

@@ -14,13 +14,13 @@ import numpy as np
 from .text import CLASS_DISPLAY, N_CLASSES
 
 
-def confusion(golds, preds, n_classes: int = N_CLASSES) -> np.ndarray:
+def confusion(golds, preds) -> np.ndarray:
     """Count matrix with rows = gold class, columns = predicted class."""
     golds = np.asarray(golds, dtype=np.intp)
     preds = np.asarray(preds, dtype=np.intp)
     if golds.shape != preds.shape:
         raise ValueError(f"length mismatch: {golds.shape} golds vs {preds.shape} preds")
-    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
+    cm = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     np.add.at(cm, (golds, preds), 1)
     return cm
 

@@ -26,8 +26,11 @@ ENCODER_MODES = ("toy", "precomputed")
 
 
 def head_experts(head: str, active_experts) -> tuple[str, ...]:
-    """The active expert names in canonical order (:func:`canonical_experts`).
-    Also rejects a stacked or fusion head without all six experts."""
+    """The active expert names in canonical order (:func:`canonical_experts`)
+    for a head of kind ``head``.  Rejects a head not in HEAD_KINDS, and a
+    stacked or fusion head without all six experts."""
+    if head not in HEAD_KINDS:
+        raise ValueError(f"head must be one of {HEAD_KINDS}, got {head!r}")
     active = canonical_experts(active_experts)
     if head != "moe" and active != EXPERT_NAMES:
         raise ValueError(f"the {head} head requires all six experts active")
@@ -48,8 +51,6 @@ class ModelParams(ParamSet):
 
     def __init__(self, d, active_experts, head, encoder, bank, gate, fusion_proj,
                  classifier, freeze_encoder=False, max_len=128):
-        if head not in HEAD_KINDS:
-            raise ValueError(f"unknown head kind {head!r}")
         self.d = d
         self.max_len = max_len  # longest input it is built for; caps sub-batch size
         self.active_experts = head_experts(head, active_experts)

@@ -215,20 +215,11 @@ def affine_backward(p: LinearParams, x: np.ndarray, dy: np.ndarray,
 
 
 def _shifted(z: np.ndarray) -> np.ndarray:
-    """z minus its maximum over the last axis: the stable-softmax shift.
-    A vector reduces to a scalar maximum, which numpy broadcasts faster
-    than a keepdims (1,) array."""
+    """z minus its maximum over the last axis: the stable-softmax shift."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim == 0 or z.shape[-1] == 0:
         raise ValueError(f"softmax expects a non-empty last axis, got shape {z.shape}")
-    if z.ndim == 1:
-        return z - z.max()
     return z - z.max(axis=-1, keepdims=True)
-
-
-def _sum_last(x: np.ndarray):
-    """Sum over the last axis: a scalar for a vector, else kept as a length-1 axis."""
-    return x.sum() if x.ndim == 1 else x.sum(axis=-1, keepdims=True)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -237,21 +228,21 @@ def softmax(z: np.ndarray) -> np.ndarray:
     row keeps at least one finite entry."""
     e = _shifted(z)
     np.exp(e, out=e)
-    e /= _sum_last(e)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
 def softmax_backward(s: np.ndarray, ds: np.ndarray) -> np.ndarray:
     """Given s = softmax(z) and ds = dL/ds, return dL/dz = s * (ds - s.ds),
     the dot product taken over the last axis."""
-    return s * (ds - _sum_last(s * ds))
+    return s * (ds - (s * ds).sum(axis=-1, keepdims=True))
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
     """log(softmax(z)) over the last axis, computed as z - logsumexp(z) so
     exact zeros in the softmax never reach a log."""
     shifted = _shifted(z)
-    shifted -= np.log(_sum_last(np.exp(shifted)))
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     return shifted
 
 

@@ -14,8 +14,8 @@ import numpy as np
 
 from .experts import EXPERT_NAMES
 from .metrics import MetricsReport, metrics_from_labels
-from .model import (ENCODER_MODES, HEAD_KINDS, ModelParams, head_experts,
-                    model_backward, model_forward)
+from .model import (ENCODER_MODES, ModelParams, head_experts, model_backward,
+                    model_forward)
 from .ops import log_softmax, softmax
 from .text import N_CLASSES, TokenizedExample, Vocab, stratified_kfold
 
@@ -56,14 +56,15 @@ class TrainConfig:
     contrast_lexicon: str | None = None
 
     def __post_init__(self):
-        self._check_types()
+        self._check_fields()
         self.active_experts = tuple(self.active_experts)
         self.validate()
 
-    def _check_types(self) -> None:
+    def _check_fields(self) -> None:
         """Reject a value of the wrong type by its key: an int field takes an
         integer, a float field a real number (neither takes a bool), an
-        optional field also None, and active_experts a list of names."""
+        optional field also None, and active_experts a list of names; then
+        reject a float that is not finite."""
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             kind, _, optional = f.type.partition(" | ")
@@ -77,40 +78,32 @@ class TrainConfig:
                       and (kind == "bool" or not isinstance(value, bool)))
             if not ok:
                 raise TypeError(f"config key {f.name} must be {f.type}, got {value!r}")
+            if kind == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
 
     def validate(self) -> None:
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.type.startswith("float") and value is not None and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ValueError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
         if self.k < 2:
             raise ValueError(f"k must be at least 2, got {self.k}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.max_len < 2:
             raise ValueError(f"max_len must be at least 2, got {self.max_len}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.hidden_dim < 1 or self.cnn_filters < 1:
-            raise ValueError("hidden_dim and cnn_filters must be positive")
-        if self.contrast_scale <= 0 or self.epsilon <= 0:
-            raise ValueError("contrast_scale and epsilon must be positive")
-        if self.head not in HEAD_KINDS:
-            raise ValueError(f"head must be one of {HEAD_KINDS}, got {self.head!r}")
+        for key in ("learning_rate", "hidden_dim", "cnn_filters", "contrast_scale", "epsilon"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
+        for key in ("seed", "warmup_steps", "weight_decay"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be non-negative, got {getattr(self, key)}")
+        head_experts(self.head, self.active_experts)
         if self.encoder not in ENCODER_MODES:
             raise ValueError(f"encoder must be one of {ENCODER_MODES}, got {self.encoder!r}")
         if self.embeddings_path is not None and self.encoder == "toy":
             raise ValueError('embeddings_path is set but encoder is "toy"; the store is '
                              'read only with encoder="precomputed"')
-        head_experts(self.head, self.active_experts)
-        if self.warmup_steps < 0 or self.weight_decay < 0:
-            raise ValueError("warmup_steps and weight_decay must be non-negative")
         if self.grad_clip is not None and self.grad_clip <= 0:
             raise ValueError("grad_clip must be positive when set")
 
@@ -348,11 +341,19 @@ def _forward_buckets(params: ModelParams, examples, store=None
         logits[..., part, :] = out.logits
         gates[..., part, :] = out.gate_weights
         del out  # frees this bucket's activations before the next bucket's forward
-    finite = np.isfinite(logits).all(axis=-1)  # (n,), or (K, n) for a fold stack
-    if not finite.all():
-        bad = examples[int(np.argwhere(~finite)[:, -1].min())].id
-        raise FloatingPointError(f"non-finite logits for example {bad!r}")
+    _check_logits(logits, examples)
     return logits, gates
+
+
+def _check_logits(logits: np.ndarray, examples) -> None:
+    """Raises FloatingPointError naming the first of the n ``examples``, in
+    input order, whose (n, 3) logits, or (K, n, 3) for a fold stack, hold a
+    non-finite value."""
+    if np.isfinite(logits).all():
+        return
+    finite = np.isfinite(logits).all(axis=-1)  # (n,), or (K, n)
+    bad = examples[int(np.argwhere(~finite)[:, -1].min())].id
+    raise FloatingPointError(f"non-finite logits for example {bad!r}")
 
 
 def predict_logits(params: ModelParams, examples, store=None) -> np.ndarray:
@@ -494,12 +495,14 @@ def ensemble_forward(ensemble: EnsembleModel, examples, store=None):
     class, weight-averaged gate vector): (3,), (3,), an int and (E,) for
     one example; (n, 3), (n, 3), (n,) and (n, E) for a list of n, where E
     is the number of active experts.  Argmax ties resolve to the lowest
-    class index.
+    class index.  A non-finite fold logit raises FloatingPointError naming
+    the example (the first in input order, for a list).
     """
     single = isinstance(examples, TokenizedExample)
     if single:
         out = model_forward(ensemble.stacked, examples, store)
         fold_logits, fold_gates = out.logits, out.gate_weights
+        _check_logits(fold_logits[..., None, :], [examples])
     else:
         fold_logits, fold_gates = _forward_buckets(ensemble.stacked, examples, store)
     logits = ensemble.average(fold_logits)

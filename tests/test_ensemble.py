@@ -116,6 +116,21 @@ def test_stacked_model_rejects_a_backward_pass():
         model_backward(ensemble.stacked, examples[0], out, np.ones((2, 3)))
 
 
+# the overflow warns on its way to the non-finite logits
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_logits_name_the_example():
+    """A fold whose finite values overflow fails a prediction by the
+    example's id: one example's, or a list's first in input order."""
+    ensemble = make_ensemble(3)
+    for _, value, _ in ensemble.folds[1].params.named_params():
+        value[...] = 1e308
+    examples = probe_examples(np.random.default_rng(4))
+    for inputs, bad in ((examples[3], "ex3"), (examples, "ex0")):
+        with pytest.raises(FloatingPointError,
+                           match=rf"^non-finite logits for example '{bad}'$"):
+            ensemble_forward(ensemble, inputs)
+
+
 class TestEnsembleRejects:
     def test_zero_folds(self):
         with pytest.raises(ValueError, match="at least one fold"):

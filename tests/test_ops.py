@@ -158,18 +158,20 @@ class TestBatchedMatchesRows:
         np.testing.assert_allclose(batched.grad_bias, rows.grad_bias, atol=1e-12)
 
     def test_softmax_family(self):
+        """Bit for bit: every shape takes one path, a vector included, which
+        equals row 0 of the same call on a (1, n) array."""
         rng = np.random.default_rng(10)
-        Z = rng.normal(size=(2, 5, 6))
-        dS = rng.normal(size=(2, 5, 6))
-        S = softmax(Z)
-        dZ = softmax_backward(S, dS)
-        L = log_softmax(Z)
-        for b in range(2):
-            for t in range(5):
-                s = softmax(Z[b, t])
-                np.testing.assert_allclose(S[b, t], s, atol=1e-12)
-                np.testing.assert_allclose(dZ[b, t], softmax_backward(s, dS[b, t]), atol=1e-12)
-                np.testing.assert_allclose(L[b, t], log_softmax(Z[b, t]), atol=1e-12)
+        for shape in ((2, 5, 6), (1, 3)):
+            Z = rng.normal(size=shape)
+            dS = rng.normal(size=shape)
+            S = softmax(Z)
+            dZ = softmax_backward(S, dS)
+            L = log_softmax(Z)
+            for row in np.ndindex(shape[:-1]):
+                s = softmax(Z[row])
+                np.testing.assert_array_equal(S[row], s)
+                np.testing.assert_array_equal(dZ[row], softmax_backward(s, dS[row]))
+                np.testing.assert_array_equal(L[row], log_softmax(Z[row]))
 
 
 class TestConv1dValid:

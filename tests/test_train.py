@@ -78,6 +78,10 @@ class TestLabelSmoothedCE:
             probs /= probs.sum()
             np.testing.assert_allclose(grad, probs - smoothed_targets(gold, alpha),
                                        atol=1e-12)
+            # a vector takes the path of a (1, 3) batch, bit for bit
+            losses, grads = label_smoothed_ce_grad(logits[None], [gold], alpha)
+            assert losses[0] == loss
+            np.testing.assert_array_equal(grads[0], grad)
             # central differences on each logit
             h = 1e-6
             for i in range(3):
@@ -320,6 +324,15 @@ class TestConfig:
                                      "epsilon", "weight_decay", "grad_clip"])
     def test_non_finite_float_names_key(self, key, value):
         with pytest.raises(ValueError, match=rf"^{key} must be finite, got {value}$"):
+            TrainConfig.from_dict({key: value})
+
+    @pytest.mark.parametrize("key, value, rule", [
+        ("hidden_dim", 0, "positive"), ("cnn_filters", -2, "positive"),
+        ("contrast_scale", 0.0, "positive"), ("epsilon", -1e-08, "positive"),
+        ("warmup_steps", -1, "non-negative"), ("weight_decay", -0.5, "non-negative"),
+    ])
+    def test_out_of_range_value_names_key_and_value(self, key, value, rule):
+        with pytest.raises(ValueError, match=rf"^{key} must be {rule}, got {value}$"):
             TrainConfig.from_dict({key: value})
 
     def test_negative_seed_names_key(self):
