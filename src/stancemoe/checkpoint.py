@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binfile import U8, U32, Reader, write_key
-from .metrics import MetricsReport
+from .metrics import macro_metrics
 from .text import CueLexicon, Vocab
 from .train import EnsembleModel, FoldArtifact, TrainConfig
 
@@ -104,7 +104,8 @@ def load_checkpoint(path) -> LoadedCheckpoint:
             contrast_tokens=frozenset(meta["contrast_tokens"]),
         )
         weights = np.asarray(meta["weights"], dtype=np.float64)
-        reports = [MetricsReport.from_dict(d) for d in meta["fold_val_metrics"]]
+        # every stored score is a function of the fold's confusion matrix
+        reports = [macro_metrics(d["confusion"]) for d in meta["fold_val_metrics"]]
     except KeyError as err:
         r.fail(f"malformed metadata: missing key {err}")
     except (TypeError, ValueError) as err:

@@ -90,9 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help="parallel fold workers")
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of the full model")
+    p = sub.add_parser("gradcheck", help="finite-difference check of the full model "
+                                         "(hidden_dim 8 by default)")
     add_config_opts(p)
-    p.add_argument("--dim", type=_int_at_least(1), default=8, help="probe model width")
     p.add_argument("--length", type=_int_at_least(2), default=6,
                    help="probe sequence length, CLS included")
     p.add_argument("--tolerance", type=float, default=1e-3,
@@ -100,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args) -> TrainConfig:
+def _resolve_config(args, **defaults) -> TrainConfig:
+    """TrainConfig from a command's ``defaults``, then --config, then each --set."""
     raw: dict = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
@@ -115,7 +116,7 @@ def _resolve_config(args) -> TrainConfig:
             raw[key] = json.loads(value)
         except json.JSONDecodeError:
             raw[key] = value
-    return TrainConfig.from_dict(raw)
+    return TrainConfig.from_dict({**defaults, **raw})
 
 
 def _load_lexicon(config: TrainConfig) -> CueLexicon:
@@ -259,14 +260,14 @@ def _gradcheck_example(T: int, vocab_size: int, rng) -> TokenizedExample:
 
 
 def _cmd_gradcheck(args, written: list) -> int:
-    config = _resolve_config(args)
+    config = _resolve_config(args, hidden_dim=8)  # a small probe model
     rng = np.random.default_rng(config.seed)
     vocab_size = 16
     example = _gradcheck_example(args.length, vocab_size, rng)
     params = TrainConfig.from_dict({
-        **config.to_dict(), "hidden_dim": args.dim, "max_len": max(config.max_len, args.length),
+        **config.to_dict(), "max_len": max(config.max_len, args.length),
     }).build_model(vocab_size, rng)
-    store = None if params.encoder else {example.id: rng.normal(size=(args.length, args.dim))}
+    store = None if params.encoder else {example.id: rng.normal(size=(args.length, params.d))}
     f, tensors = head_loss_fn(params, example, config.label_smoothing, store)
     report = grad_check(f, tensors, h=1e-4)
     for name, err in sorted(report.per_param.items()):

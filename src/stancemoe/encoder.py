@@ -27,7 +27,6 @@ from .text import UNK_ID
 @dataclass
 class EncoderOutput:
     H: np.ndarray | Padded  # (T, d) rows of one sequence, or a Padded stack of them
-    h_cls: np.ndarray  # row 0 of each sequence: (d,), or (B, d) for a stack
     cache: tuple  # (X, Q, K, V, A), the intermediates encode_backward reads
 
 
@@ -146,8 +145,7 @@ def encode(params: ToyEncoderParams, token_ids) -> EncoderOutput:
     H = A @ V
     if ids.ragged:
         H *= ids.valid[..., None]
-    return EncoderOutput(H=ids.like(H) if isinstance(token_ids, Padded) else H,
-                         h_cls=H[..., 0, :], cache=cache)
+    return EncoderOutput(H=ids.like(H) if isinstance(token_ids, Padded) else H, cache=cache)
 
 
 def encode_backward(params: ToyEncoderParams, token_ids, dH: np.ndarray,

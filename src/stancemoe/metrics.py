@@ -60,26 +60,12 @@ class MetricsReport:
             "confusion": self.confusion.tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricsReport":
-        prec = np.array([d["per_class"][n]["precision"] for n in CLASS_DISPLAY])
-        rec = np.array([d["per_class"][n]["recall"] for n in CLASS_DISPLAY])
-        f1 = np.array([d["per_class"][n]["f1"] for n in CLASS_DISPLAY])
-        return cls(
-            accuracy=d["accuracy"],
-            precision=prec,
-            recall=rec,
-            f1=f1,
-            macro_precision=d["macro_precision"],
-            macro_recall=d["macro_recall"],
-            macro_f1=d["macro_f1"],
-            confusion=np.asarray(d["confusion"], dtype=np.int64),
-        )
-
 
 def macro_metrics(cm: np.ndarray) -> MetricsReport:
-    """Per-class and macro metrics from a confusion matrix."""
+    """Per-class and macro metrics from a (3, 3) confusion matrix."""
     cm = np.asarray(cm, dtype=np.int64)
+    if cm.shape != (N_CLASSES, N_CLASSES):
+        raise ValueError(f"confusion matrix must be 3 x 3, got shape {cm.shape}")
     total = cm.sum()
     if total <= 0:
         raise ValueError("confusion matrix is empty")

@@ -138,26 +138,25 @@ class TrainConfig:
 
 # --- label-smoothed cross entropy ----------------------------------------
 
-def smoothed_targets(gold, alpha: float, n_classes: int = N_CLASSES) -> np.ndarray:
-    """(1 - alpha) * onehot(gold) + alpha / n_classes; B gold labels give
-    (B, n_classes) targets."""
-    onehot = np.arange(n_classes) == np.asarray(gold)[..., None]
-    return alpha / n_classes + (1.0 - alpha) * onehot
+def smoothed_targets(gold, alpha: float) -> np.ndarray:
+    """(1 - alpha) * onehot(gold) + alpha / 3; B gold labels give (B, 3)
+    targets."""
+    onehot = np.arange(N_CLASSES) == np.asarray(gold)[..., None]
+    return alpha / N_CLASSES + (1.0 - alpha) * onehot
 
 
 def label_smoothed_ce(logits: np.ndarray, gold: int, alpha: float) -> float:
-    """Cross entropy against the smoothed target, computed in logit space
-    (log-softmax) so exact zeros in the softmax never reach a log."""
-    log_probs = log_softmax(logits)
-    return float(-(smoothed_targets(gold, alpha, log_probs.size) @ log_probs))
+    """The loss of :func:`label_smoothed_ce_grad`, without its gradient."""
+    return label_smoothed_ce_grad(logits, gold, alpha)[0]
 
 
 def label_smoothed_ce_grad(logits: np.ndarray, gold, alpha: float):
-    """Loss and its gradient w.r.t. the logits (softmax(z) - smoothed target).
-    A logit vector gives a float loss; (B, 3) logits with B gold labels give
+    """Cross entropy against the smoothed target, in logit space so a zero
+    softmax never reaches a log, and its gradient softmax(z) - target.  A
+    logit vector gives a float loss; (B, 3) logits with B gold labels give
     the B losses and the (B, 3) gradient."""
     log_probs = log_softmax(logits)
-    y = smoothed_targets(gold, alpha, log_probs.shape[-1])
+    y = smoothed_targets(gold, alpha)
     loss = -(y * log_probs).sum(axis=-1)
     return (float(loss) if log_probs.ndim == 1 else loss), softmax(logits) - y
 
@@ -380,11 +379,10 @@ def train_fold(config: TrainConfig, train_examples, val_examples, vocab_size: in
     length-bucketed padded sub-batches (:func:`length_buckets`, with the
     row bound when the model has no encoder) whose gradients add up to the
     mini-batch mean.  Fully deterministic for a fixed seed.  A non-finite
-    gradient raises NonFiniteGradientError naming the fold, epoch,
-    optimizer step and parameter; a step whose gradients are finite but
-    whose losses are not (logits spread past the float range) raises
-    FloatingPointError naming the same and the step's first example, in
-    the training split's order, with a non-finite loss.
+    gradient raises NonFiniteGradientError naming the parameter, and a
+    non-finite loss FloatingPointError naming the step's first such example.
+    These, and any FloatingPointError or RuntimeWarning raised as an error,
+    carry "fold f, epoch e, step s: " or "fold f, validation: " in front.
     """
     if not train_examples or not val_examples:
         raise ValueError("train and validation splits must be non-empty")
@@ -400,33 +398,32 @@ def train_fold(config: TrainConfig, train_examples, val_examples, vocab_size: in
         order = rng.permutation(len(train_examples))
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
+            step += 1
             batch = order[start : start + config.batch_size]
             inv = 1.0 / len(batch)
             bad = len(train_examples)  # the first example with a non-finite loss
-            for part in length_buckets(lengths[batch], params.max_len,
-                                       encoder=params.encoder is not None):
-                rows = batch[part]
-                sub = [train_examples[i] for i in rows]
-                out = model_forward(params, sub, store)
-                losses, dlogits = label_smoothed_ce_grad(
-                    out.logits, labels[rows], config.label_smoothing
-                )
-                finite = np.isfinite(losses)
-                if not finite.all():
-                    bad = min(bad, rows[~finite].min())
-                model_backward(params, sub, out, dlogits * inv)
-                epoch_loss += float(losses.sum()) / len(train_examples)
-            step += 1
-            scale = min(1.0, step / config.warmup_steps) if config.warmup_steps else 1.0
             try:
+                for part in length_buckets(lengths[batch], params.max_len,
+                                           encoder=params.encoder is not None):
+                    rows = batch[part]
+                    sub = [train_examples[i] for i in rows]
+                    out = model_forward(params, sub, store)
+                    losses, dlogits = label_smoothed_ce_grad(
+                        out.logits, labels[rows], config.label_smoothing
+                    )
+                    finite = np.isfinite(losses)
+                    if not finite.all():
+                        bad = min(bad, rows[~finite].min())
+                    model_backward(params, sub, out, dlogits * inv)
+                    epoch_loss += float(losses.sum()) / len(train_examples)
+                scale = min(1.0, step / config.warmup_steps) if config.warmup_steps else 1.0
                 # clips, updates, and zeroes the gradients for the next batch
                 adam.step(lr_scale=scale, max_norm=config.grad_clip)
-            except NonFiniteGradientError as err:
-                raise NonFiniteGradientError(
-                    f"fold {fold_index}, epoch {epoch}, step {step}: {err}") from err
-            if bad < len(train_examples):
-                raise FloatingPointError(f"fold {fold_index}, epoch {epoch}, step {step}: "
-                                         f"non-finite loss for example {train_examples[bad].id!r}")
+                if bad < len(train_examples):
+                    raise FloatingPointError(
+                        f"non-finite loss for example {train_examples[bad].id!r}")
+            except (NonFiniteGradientError, FloatingPointError, RuntimeWarning) as err:
+                raise type(err)(f"fold {fold_index}, epoch {epoch}, step {step}: {err}") from err
         epoch_losses.append(epoch_loss)
         logger.debug("fold %d epoch %d: mean loss %.4f", fold_index, epoch, epoch_loss)
 
@@ -437,8 +434,8 @@ def train_fold(config: TrainConfig, train_examples, val_examples, vocab_size: in
                        fold_index, N_CLASSES - len(val_labels))
     try:
         val_metrics = evaluate_model(params, val_examples, store)
-    except FloatingPointError as err:
-        raise FloatingPointError(f"fold {fold_index}, validation: {err}") from err
+    except (FloatingPointError, RuntimeWarning) as err:
+        raise type(err)(f"fold {fold_index}, validation: {err}") from err
     return FoldArtifact(fold_index=fold_index, params=params,
                         val_metrics=val_metrics, epoch_losses=epoch_losses)
 

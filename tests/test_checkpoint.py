@@ -236,15 +236,17 @@ class TestFormatErrors:
         (_metadata(), "at least one fold"),
         (_metadata(fold_val_metrics=[1, 2]), "malformed metadata: 'int' object"),
         (_metadata(fold_val_metrics=[{"accuracy": 1}]),
-         "malformed metadata: missing key 'per_class'"),
+         "malformed metadata: missing key 'confusion'"),
         (_metadata(fold_val_metrics={"x": 1}), "malformed metadata: string indices"),
         (_metadata(fold_val_metrics="ab"), "malformed metadata: string indices"),
         (_metadata(fold_val_metrics=[None, None]), "malformed metadata: 'NoneType' object"),
         (_metadata(cue_tokens=[1]), "malformed metadata: bad cue lexicon entry: 1"),
+        (_metadata(fold_val_metrics=[{"confusion": [[1, 2], [3, 4]]}]),
+         r"malformed metadata: confusion matrix must be 3 x 3, got shape \(2, 2\)"),
     ], ids=["not-an-object", "missing-keys", "weights-not-numbers", "empty-cue-lexicon",
             "zero-folds", "fold-metrics-numbers", "fold-metrics-missing-key",
             "fold-metrics-object", "fold-metrics-string", "fold-metrics-nulls",
-            "cue-lexicon-number"])
+            "cue-lexicon-number", "fold-confusion-not-3x3"])
     def test_malformed_metadata(self, tmp_path, metadata, match):
         path = tmp_path / "model.smck"
         path.write_bytes(b"SMCK1\0" + struct.pack("<I", len(metadata)) + metadata

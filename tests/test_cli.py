@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 import stancemoe
+from stancemoe import cli
 from stancemoe.checkpoint import load_checkpoint, save_checkpoint
 from stancemoe.cli import main
 from stancemoe.encoder import write_embedding_store
 from stancemoe.synthetic import make_synthetic_dataset, write_jsonl
 from stancemoe.text import LABEL_NAMES, default_lexicon, load_dataset
-from stancemoe.train import ensemble_forward
+from stancemoe.train import ensemble_forward, head_loss_fn
 from conftest import nan_in_tensor
 
 FAST = ["--set", "k=2", "--set", "epochs=1", "--set", "hidden_dim=10",
@@ -273,6 +274,26 @@ class TestNonFiniteOutputs:
         assert os.listdir(tmp_path) == ["overflow.smck"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestWarningRaisedAsError:
+    """With a RuntimeWarning raised as an error, as tier-1 runs, the
+    overflow of a huge learning rate fails by where it happened: the step
+    after the update that overflowed, or the fold's validation pass."""
+
+    @pytest.mark.parametrize("epochs,where", [(2, "fold 0, epoch 1, step 2"),
+                                              (1, "fold 0, validation")])
+    def test_overflow_names_fold_and_step(self, tmp_path, capsys, epochs, where):
+        data = tmp_path / "train.jsonl"
+        write_jsonl(data, make_synthetic_dataset(30, seed=3))
+        rc = main(["train", "--set", "learning_rate=1e308", "--set", f"epochs={epochs}",
+                   "--set", "k=2", "--set", "hidden_dim=8",
+                   "--data", str(data), "--out", str(tmp_path / "huge-lr.smck")])
+        assert rc == 1
+        assert error_lines(capsys.readouterr().err) == [
+            f"error: {where}: overflow encountered in matmul"]
+        assert os.listdir(tmp_path) == ["train.jsonl"]
+
+
 class TestGradcheckCommand:
     def test_pass_on_defaults(self, capsys):
         rc = main(["gradcheck"])
@@ -288,12 +309,22 @@ class TestGradcheckCommand:
         assert "PASS" in out
         assert "encoder/" not in out
 
+    def test_hidden_dim_sets_the_probe_width(self, monkeypatch, capsys):
+        widths = []
+
+        def recording(params, *args):
+            widths.append(params.d)
+            return head_loss_fn(params, *args)
+
+        monkeypatch.setattr(cli, "head_loss_fn", recording)
+        assert main(["gradcheck", "--set", "hidden_dim=5"]) == 0
+        assert widths == [5]
+
 
 class TestFlagBounds:
     @pytest.mark.parametrize("argv,flag", [
         (["gradcheck", "--length", "1"], "--length"),
         (["gradcheck", "--length", "0"], "--length"),
-        (["gradcheck", "--dim", "0"], "--dim"),
         (["train", "--data", "d.jsonl", "--out", "m.smck", "--jobs", "0"], "--jobs"),
         (["ablate", "--data", "d.jsonl", "--test", "t.jsonl", "--out", "o",
           "--jobs", "-2"], "--jobs"),
@@ -310,11 +341,11 @@ class TestFlagBounds:
 
     def test_non_integer_is_rejected(self, capsys):
         with pytest.raises(SystemExit):
-            main(["gradcheck", "--dim", "two"])
-        assert "argument --dim: invalid int value: 'two'" in capsys.readouterr().err
+            main(["gradcheck", "--length", "two"])
+        assert "argument --length: invalid int value: 'two'" in capsys.readouterr().err
 
     def test_smallest_length_runs(self, capsys):
-        assert main(["gradcheck", "--length", "2", "--dim", "1"]) == 0
+        assert main(["gradcheck", "--length", "2", "--set", "hidden_dim=1"]) == 0
         assert "PASS" in capsys.readouterr().out
 
 

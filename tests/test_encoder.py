@@ -42,7 +42,6 @@ class TestEncode:
         params = ToyEncoderParams.init(8, 6, 10, np.random.default_rng(0))
         out = encode(params, [1])
         assert out.H.shape == (1, 6)
-        np.testing.assert_array_equal(out.h_cls, out.H[0])
 
     def test_shapes_track_length(self):
         rng = np.random.default_rng(1)
@@ -51,7 +50,6 @@ class TestEncode:
             ids = [1] + [int(rng.integers(3, 10)) for _ in range(T - 1)]
             out = encode(params, ids)
             assert out.H.shape == (T, 4)
-            np.testing.assert_array_equal(out.h_cls, out.H[0])
 
     def test_zero_params_give_zero_output(self):
         out = encode(zero_encoder(), [1, 3, 4])
