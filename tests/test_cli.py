@@ -325,6 +325,8 @@ class TestFlagBounds:
     @pytest.mark.parametrize("argv,flag", [
         (["gradcheck", "--length", "1"], "--length"),
         (["gradcheck", "--length", "0"], "--length"),
+        (["ablate", "--data", "d.jsonl", "--test", "t.jsonl", "--out", "o",
+          "--jobs", "0"], "--jobs"),
         (["train", "--data", "d.jsonl", "--out", "m.smck", "--jobs", "0"], "--jobs"),
         (["ablate", "--data", "d.jsonl", "--test", "t.jsonl", "--out", "o",
           "--jobs", "-2"], "--jobs"),
