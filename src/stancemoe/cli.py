@@ -47,6 +47,17 @@ def _int_at_least(low: int):
     return parse
 
 
+def _positive_float(text: str) -> float:
+    """An argparse type for finite floats above 0."""
+    value = float(text)
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and above 0, got {text}")
+    return value
+
+
+_positive_float.__name__ = "float"  # argparse's "invalid float value" for non-numbers
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stancemoe",
@@ -95,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_config_opts(p)
     p.add_argument("--length", type=_int_at_least(2), default=6,
                    help="probe sequence length, CLS included")
-    p.add_argument("--tolerance", type=float, default=1e-3,
+    p.add_argument("--tolerance", type=_positive_float, default=1e-3,
                    help="max allowed relative error")
     return parser
 

@@ -55,7 +55,6 @@ class ExpertBank(ParamSet):
 
     TENSORS = ("attn_vector", "cnn_kernels", "cnn_biases")
     PARTS = ("proj", "cnn_proj")
-    TRANSPOSED = ("cnn_kernels",)
 
     def __init__(self, d, proj, attn_vector, kernels, cnn_proj, contrast_scale=3.0,
                  eps=1e-8):

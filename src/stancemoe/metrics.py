@@ -62,10 +62,17 @@ class MetricsReport:
 
 
 def macro_metrics(cm: np.ndarray) -> MetricsReport:
-    """Per-class and macro metrics from a (3, 3) confusion matrix."""
-    cm = np.asarray(cm, dtype=np.int64)
-    if cm.shape != (N_CLASSES, N_CLASSES):
-        raise ValueError(f"confusion matrix must be 3 x 3, got shape {cm.shape}")
+    """Per-class and macro metrics from a (3, 3) confusion matrix of
+    non-negative integer counts."""
+    counts = np.asarray(cm, dtype=np.float64)
+    if counts.shape != (N_CLASSES, N_CLASSES):
+        raise ValueError(f"confusion matrix must be 3 x 3, got shape {counts.shape}")
+    bad = np.argwhere(~(np.isfinite(counts) & (counts >= 0) & (counts == np.floor(counts))))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(f"confusion matrix entry [{i}, {j}] is {counts[i, j]:g}, "
+                         "not a non-negative integer count")
+    cm = counts.astype(np.int64)
     total = cm.sum()
     if total <= 0:
         raise ValueError("confusion matrix is empty")

@@ -221,9 +221,10 @@ def _check_rows(params: ModelParams, example: TokenizedExample, H: np.ndarray) -
 class ModelOutput:
     """Forward-pass record: final prediction plus the intermediates the
     backward pass consumes.  For a list of B examples every field has a
-    leading B axis (H is the Padded stack); for one example it has none."""
+    leading B axis; for one example it has none.  H is the Padded stack
+    either way."""
 
-    H: np.ndarray | Padded
+    H: Padded
     h_cls: np.ndarray
     expert_vectors: list[np.ndarray]  # in params.active_experts order
     gate_weights: np.ndarray
@@ -271,8 +272,7 @@ def model_forward(params: ModelParams, examples, store=None) -> ModelOutput:
         else:
             fused = affine(params.fusion_proj, np.concatenate(vectors, axis=-1))
     logits, probs = classify(params.classifier, fused)
-    return ModelOutput(H=H.data if batch.single else H,
-                       h_cls=h_cls, expert_vectors=vectors, gate_weights=g, fused=fused,
+    return ModelOutput(H=H, h_cls=h_cls, expert_vectors=vectors, gate_weights=g, fused=fused,
                        logits=logits, probs=probs, batch=batch,
                        encoder_cache=encoder_cache)
 
@@ -307,9 +307,8 @@ def model_backward(params: ModelParams, examples, out: ModelOutput,
         dconcat = affine_backward(params.fusion_proj, concat, dfused)
         dvecs = np.split(dconcat, len(out.expert_vectors), axis=-1)
 
-    H = out.H if isinstance(out.H, Padded) else batch.ids.like(out.H)
     train_encoder = params.encoder is not None and not params.freeze_encoder
-    dH = run_all_experts_backward(params.bank, H, batch.cue, batch.contrast,
+    dH = run_all_experts_backward(params.bank, out.H, batch.cue, batch.contrast,
                                   params.active_experts, dvecs, input_grad=train_encoder)
     if train_encoder:
         if dh_cls is not None:

@@ -15,11 +15,9 @@ architecture as a fold stack, every parameter one (K, ...) array.  The
 data then carry a leading fold axis too, and :func:`param_affine`, the
 one place where a parameter meets data, applies parameter entry k to
 entry k of that axis, so the same functions run K models in one pass, on
-one example or on a padded stack of them.  A stacked weight is the
-transposed view of a C-contiguous (K, in, out) buffer, the layout the
-fold-batched product reads without a copy; each model's own weight is
-then a (non-contiguous) view of its entry.  :meth:`ParamSet.zero_grads`
-walks the same declaration.
+one example or on a padded stack of them.  Each model's own tensor is
+then a view of its entry.  :meth:`ParamSet.zero_grads` walks the same
+declaration.
 
 Every parameter-times-data product is one BLAS call: data of any rank
 meets a plain (n, m) weight as ``x.reshape(-1, n) @ W``, and fold-stacked
@@ -69,12 +67,10 @@ def as_f64(x) -> np.ndarray:
 class ParamSet:
     """Parameter tensors declared once per class: ``TENSORS`` names the
     arrays, each ``x`` with a same-shaped gradient buffer ``grad_x``;
-    ``PARTS`` the sub-sets, each one set, a dict of sets, or None;
-    ``TRANSPOSED`` the weights whose last axis meets the data."""
+    ``PARTS`` the sub-sets, each one set, a dict of sets, or None."""
 
     TENSORS: tuple[str, ...] = ()
     PARTS: tuple[str, ...] = ()
-    TRANSPOSED: tuple[str, ...] = ()
 
     def zero_grads(self) -> None:
         for name in self.TENSORS:
@@ -97,7 +93,6 @@ class LinearParams(ParamSet):
     """
 
     TENSORS = ("weight", "bias")
-    TRANSPOSED = ("weight",)
 
     def __init__(self, weight, bias):
         self.weight = as_f64(weight)
@@ -137,20 +132,10 @@ def fold_stack(parts):
     way.  Each part's tensor becomes a view of its entry in the stack, so
     every value is held once and a write through either is seen by both.
     An undeclared attribute is shared with ``parts[0]``.  The copy is
-    forward-only: its gradient buffers are None.
-
-    A ``TRANSPOSED`` weight's stack is held as one C-contiguous buffer with
-    its last axis moved to the front of each entry, (K, in, ...), and
-    exposed with the parts' axis order as a view of it, so the product in
-    :func:`param_affine` reads the buffer as it lies."""
+    forward-only: its gradient buffers are None."""
     out = copy.copy(parts[0])
     for name in out.TENSORS:
-        values = [getattr(p, name) for p in parts]
-        if name in out.TRANSPOSED:
-            buffer = np.ascontiguousarray(np.stack([np.moveaxis(v, -1, 0) for v in values]))
-            stack = np.moveaxis(buffer, 1, -1)
-        else:
-            stack = np.stack(values)
+        stack = np.stack([getattr(p, name) for p in parts])
         for p, view in zip(parts, stack):
             setattr(p, name, view)
         setattr(out, name, stack)

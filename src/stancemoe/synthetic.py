@@ -14,6 +14,7 @@ import json
 
 import numpy as np
 
+from .cli import _int_at_least
 from .text import LABEL_NAMES
 
 _FILLER = ("the", "people", "today", "we", "they", "many", "voices", "online",
@@ -118,7 +119,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Generate a synthetic stance dataset with planted class tokens."
     )
-    parser.add_argument("--n", type=int, default=300, help="number of examples")
+    parser.add_argument("--n", type=_int_at_least(1), default=300, help="number of examples")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--prefix", default="syn", help="example id prefix")
     parser.add_argument("--out", required=True, help="output JSONL path")

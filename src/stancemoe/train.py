@@ -9,6 +9,7 @@ import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -452,31 +453,21 @@ def fold_weights(f1s) -> np.ndarray:
     return f1s / total
 
 
-def _fold_job(args):
-    config, train_ex, val_ex, vocab_size, seed, store, j = args
-    return train_fold(config, train_ex, val_ex, vocab_size, seed, store, fold_index=j)
-
-
 def run_kfold(config: TrainConfig, examples, vocab: Vocab, store=None,
               jobs: int = 1) -> EnsembleModel:
     """Stratified K-fold training; fold j is seeded with ``seed + j``."""
     splits = stratified_kfold(examples, config.k, config.seed)
-    specs = []
-    for j, (train_idx, val_idx) in enumerate(splits):
-        specs.append((
-            config,
-            [examples[i] for i in train_idx],
-            [examples[i] for i in val_idx],
-            len(vocab),
-            config.seed + j,
-            store,
-            j,
-        ))
+    k = len(splits)
+    trains = [[examples[i] for i in train] for train, _ in splits]
+    vals = [[examples[i] for i in val] for _, val in splits]
+    # train_fold's arguments, one iterable each, zipped fold by fold by map
+    args = (repeat(config), trains, vals, repeat(len(vocab)),
+            range(config.seed, config.seed + k), repeat(store), range(k))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            artifacts = list(pool.map(_fold_job, specs))
+            artifacts = list(pool.map(train_fold, *args))
     else:
-        artifacts = [_fold_job(spec) for spec in specs]
+        artifacts = list(map(train_fold, *args))
     weights = fold_weights([a.val_macro_f1 for a in artifacts])
     return EnsembleModel(folds=artifacts, weights=weights)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import stancemoe
-from stancemoe import cli
+from stancemoe import cli, synthetic
 from stancemoe.checkpoint import load_checkpoint, save_checkpoint
 from stancemoe.cli import main
 from stancemoe.encoder import write_embedding_store
@@ -349,6 +349,21 @@ class TestFlagBounds:
     def test_smallest_length_runs(self, capsys):
         assert main(["gradcheck", "--length", "2", "--set", "hidden_dim=1"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_tolerance_must_be_finite_and_positive(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--tolerance", value])
+        assert exc.value.code == 2
+        assert (f"argument --tolerance: must be finite and above 0, got {value}"
+                in capsys.readouterr().err)
+
+    def test_synthetic_count_must_be_at_least_one(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            synthetic.main(["--n", "0", "--out", str(tmp_path / "empty.jsonl")])
+        assert exc.value.code == 2
+        assert "argument --n: must be at least 1, got 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestHelp:

@@ -150,7 +150,7 @@ class TestEmbeddingStore:
         H = store["ex2"]
         example = toy_example(range(H.shape[0]), example_id="ex2")
         out = model_forward(precomputed_model(d), example, store)
-        np.testing.assert_array_equal(out.H, records[2][1])
+        np.testing.assert_array_equal(out.H.data, records[2][1])
         np.testing.assert_array_equal(out.h_cls, records[2][1][0])
 
     @pytest.mark.parametrize("head", ["moe", "stacked", "fusion"])

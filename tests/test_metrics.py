@@ -55,6 +55,16 @@ class TestMacroMetrics:
         with pytest.raises(ValueError):
             macro_metrics(np.zeros((3, 3), dtype=int))
 
+    @pytest.mark.parametrize("entry,shown", [(1.7, "1.7"), (-1, "-1"), (np.nan, "nan"),
+                                             (np.inf, "inf")],
+                             ids=["fractional", "negative", "nan", "inf"])
+    def test_entry_that_is_not_a_count_is_named(self, entry, shown):
+        cm = np.diag([1.0, 2.0, 2.0])
+        cm[1, 2] = entry
+        with pytest.raises(ValueError, match=rf"entry \[1, 2\] is {shown}, not a non-negative "
+                                             "integer count"):
+            macro_metrics(cm)
+
     def test_degenerate_all_one_class_predictor(self):
         golds = [0] * 10 + [1] * 10 + [2] * 10
         preds = [0] * 30
