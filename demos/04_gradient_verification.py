@@ -27,7 +27,7 @@ f, tensors = head_loss_fn(params, example, alpha=0.25)
 n_params = sum(v.size for _, v, _ in tensors)
 print(f"checking {n_params} parameters, two loss evaluations each...")
 
-report = grad_check(f, tensors, h=1e-4)
+report = grad_check(f, tensors)
 for name, err in sorted(report.per_param.items(), key=lambda kv: -kv[1])[:8]:
     print(f"  {name:<38} max rel err {err:.3e}")
 print(f"\nmax relative error {report.max_rel_err:.3e} at {report.worst_param}")

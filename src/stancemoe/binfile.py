@@ -62,18 +62,15 @@ class Reader:
         self.pos = start + n
         return start
 
-    def read(self, n: int, what: str) -> bytes:
-        start = self.take(n, what)
-        return self.buf[start : start + n]
-
     def unpack(self, fields: struct.Struct, what: str) -> tuple:
         return fields.unpack_from(self.buf, self.take(fields.size, what))
 
     def key(self, what: str, size: struct.Struct = U16) -> str:
         """A UTF-8 string behind its byte length, the field ``size``."""
         (n,) = size.unpack_from(self.buf, self.take(size.size, "{} length", what))
+        start = self.take(n, what)
         try:
-            return self.read(n, what).decode("utf-8")
+            return self.buf[start : start + n].decode("utf-8")
         except UnicodeDecodeError as err:
             self.fail(f"{what} is not valid UTF-8: {err}")
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -275,12 +276,11 @@ def _cmd_gradcheck(args, written: list) -> int:
     rng = np.random.default_rng(config.seed)
     vocab_size = 16
     example = _gradcheck_example(args.length, vocab_size, rng)
-    params = TrainConfig.from_dict({
-        **config.to_dict(), "max_len": max(config.max_len, args.length),
-    }).build_model(vocab_size, rng)
+    params = dataclasses.replace(
+        config, max_len=max(config.max_len, args.length)).build_model(vocab_size, rng)
     store = None if params.encoder else {example.id: rng.normal(size=(args.length, params.d))}
     f, tensors = head_loss_fn(params, example, config.label_smoothing, store)
-    report = grad_check(f, tensors, h=1e-4)
+    report = grad_check(f, tensors)
     for name, err in sorted(report.per_param.items()):
         print(f"  {name:<40} max rel err {err:.3e}")
     print(f"max relative error {report.max_rel_err:.3e} (worst: {report.worst_param})")

@@ -10,8 +10,6 @@ are one layer, :func:`pooled_experts`, each with its own row-weight rule.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from .ops import (
@@ -26,8 +24,6 @@ from .ops import (
     softmax,
     softmax_backward,
 )
-
-logger = logging.getLogger(__name__)
 
 EXPERT_NAMES = ("mean", "max", "self_attention", "cnn", "cue", "contrast")
 POOLED_NAMES = ("mean", "self_attention", "cue", "contrast")
@@ -56,8 +52,7 @@ class ExpertBank(ParamSet):
     TENSORS = ("attn_vector", "cnn_kernels", "cnn_biases")
     PARTS = ("proj", "cnn_proj")
 
-    def __init__(self, d, proj, attn_vector, kernels, cnn_proj, contrast_scale=3.0,
-                 eps=1e-8):
+    def __init__(self, d, proj, attn_vector, kernels, cnn_proj, contrast_scale, eps):
         if contrast_scale <= 0 or eps <= 0:
             raise ValueError("contrast_scale and eps must be positive")
         self.d = d
@@ -234,12 +229,9 @@ def _row_weights(bank: ExpertBank, name: str, stack: Padded, cue_positions,
     # up by ~1e8; when every mask is empty, nothing is pooled or projected.
     ind = _indicator(contrast_positions, stack)
     if not ind.any():
-        logger.debug("contrast expert: empty mask, emitting zero vector")
         return None
     n = ind.sum(axis=-1, keepdims=True)
     nonempty = (n > 0).astype(np.float64)
-    if not nonempty.all():
-        logger.debug("contrast expert: empty mask, emitting zero vector")
     return (stack.valid + (bank.contrast_scale - 1.0) * ind) / (n + bank.eps), nonempty, None
 
 

@@ -89,7 +89,8 @@ class ModelParams(ParamSet):
         """K models of one architecture as one fold-stacked model, whose
         forward pass on one example or a list gives the K models' outputs
         along a leading fold axis.  Each tensor is held once, as a (K, ...)
-        array; the models' tensors become views into it.  Rejects models
+        array; the models' tensors become views into it, and neither the
+        stack nor the models keep gradient buffers.  Rejects models
         that differ in a setting or in the path or shape of a tensor, naming
         the model's index."""
         if not models:
@@ -285,11 +286,13 @@ def model_backward(params: ModelParams, examples, out: ModelOutput,
     :func:`model_forward` call, whose stacks and encoder record the backward
     pass reuses.  The encoder receives no gradient when it is frozen or
     absent (precomputed embeddings), and no dL/dH is formed then; expert
-    and head gradients still accumulate.  A fold-stacked model has no
-    backward pass.
+    and head gradients still accumulate.  A model without gradient buffers,
+    a fold stack or a fold it holds (:func:`~stancemoe.ops.fold_stack`),
+    has no backward pass.
     """
-    if params.n_folds:
-        raise ValueError("a fold-stacked model is forward-only; run each fold's backward")
+    if params.classifier.grad_weight is None:
+        raise ValueError("this model is forward-only: a fold stack and the folds "
+                         "it holds keep no gradient buffers")
     batch = out.batch
     single = isinstance(examples, TokenizedExample)
     if single != batch.single or (not single and len(examples) != len(out.logits)):

@@ -131,15 +131,14 @@ def fold_stack(parts):
     over the K parts, and whose sub-sets (``PARTS``) are stacked the same
     way.  Each part's tensor becomes a view of its entry in the stack, so
     every value is held once and a write through either is seen by both.
-    An undeclared attribute is shared with ``parts[0]``.  The copy is
-    forward-only: its gradient buffers are None."""
+    An undeclared attribute is shared with ``parts[0]``.  The copy and the
+    parts are forward-only: their gradient buffers are None."""
     out = copy.copy(parts[0])
     for name in out.TENSORS:
         stack = np.stack([getattr(p, name) for p in parts])
-        for p, view in zip(parts, stack):
+        for p, view in zip([out, *parts], [stack, *stack]):
             setattr(p, name, view)
-        setattr(out, name, stack)
-        setattr(out, "grad_" + name, None)
+            setattr(p, "grad_" + name, None)
     for name in out.PARTS:
         part = getattr(out, name)
         if isinstance(part, dict):
@@ -355,8 +354,13 @@ class GradCheckReport:
         return self.max_rel_err < tol
 
 
-def grad_check(f, params, h: float = 1e-4) -> GradCheckReport:
-    """Verify analytic gradients of a scalar function by central differences.
+# the step of the central difference (f(x+h) - f(x-h)) / 2h
+GRAD_CHECK_STEP = 1e-4
+
+
+def grad_check(f, params) -> GradCheckReport:
+    """Verify analytic gradients of a scalar function by central differences
+    with a step of GRAD_CHECK_STEP.
 
     Args:
         f: Zero-argument callable returning the scalar loss.  Each call must
@@ -366,12 +370,12 @@ def grad_check(f, params, h: float = 1e-4) -> GradCheckReport:
         params: Iterable of ``(name, value, grad)`` triples; ``value`` and
             ``grad`` are same-shaped float64 arrays.  ``value`` is perturbed
             in place and restored.
-        h: Step for the central difference (f(x+h) - f(x-h)) / 2h.
 
     Returns:
         A :class:`GradCheckReport` with per-tensor and overall maxima of the
         relative error |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
     """
+    h = GRAD_CHECK_STEP
     params = [(name, value, grad) for name, value, grad in params]
     names = [name for name, _, _ in params]
     if len(set(names)) != len(names):

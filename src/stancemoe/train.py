@@ -85,20 +85,18 @@ class TrainConfig:
     def validate(self) -> None:
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ValueError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
-        if self.k < 2:
-            raise ValueError(f"k must be at least 2, got {self.k}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
-        if self.max_len < 2:
-            raise ValueError(f"max_len must be at least 2, got {self.max_len}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        for key, low in (("k", 2), ("epochs", 1), ("max_len", 2), ("batch_size", 1)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be at least {low}, got {getattr(self, key)}")
         for key in ("learning_rate", "hidden_dim", "cnn_filters", "contrast_scale", "epsilon"):
             if getattr(self, key) <= 0:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
         for key in ("seed", "warmup_steps", "weight_decay"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be non-negative, got {getattr(self, key)}")
+        for key in ("cue_lexicon", "contrast_lexicon", "embeddings_path"):
+            if getattr(self, key) == "":
+                raise ValueError(f"{key} must be a file path or null, got an empty string")
         head_experts(self.head, self.active_experts)
         if self.encoder not in ENCODER_MODES:
             raise ValueError(f"encoder must be one of {ENCODER_MODES}, got {self.encoder!r}")
@@ -117,9 +115,7 @@ class TrainConfig:
         return cls(**d)
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["active_experts"] = list(self.active_experts)
-        return d
+        return dataclasses.asdict(self)
 
     def build_model(self, vocab_size: int, rng: np.random.Generator) -> ModelParams:
         return ModelParams.init(
@@ -258,7 +254,8 @@ class EnsembleModel:
     model (:meth:`ModelParams.stack`) that every ensemble prediction runs,
     holding each parameter once as a (K, ...) array, and every fold's
     tensors become views into it, so a write to a fold is seen by the next
-    prediction.  A fold belongs to one ensemble at a time: building another
+    prediction.  The stack and its folds are forward-only and keep no
+    gradient buffers.  A fold belongs to one ensemble at a time: building another
     from the same folds re-points them to the new stack.
     """
 

@@ -120,7 +120,7 @@ def test_criterion_2_full_head_gradient_suite():
     )
     f, tensors = head_loss_fn(params, example, alpha=0.25)
     t0 = time.time()
-    report = grad_check(f, tensors, h=1e-4)
+    report = grad_check(f, tensors)
     elapsed = time.time() - t0
     assert report.max_rel_err < 1e-3, report.worst_param
     assert elapsed < 30.0

@@ -116,6 +116,20 @@ def test_stacked_model_rejects_a_backward_pass():
         model_backward(ensemble.stacked, examples[0], out, np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("model", MODELS, ids=list(MODELS))
+def test_a_stack_and_its_folds_keep_no_gradient_buffers(model):
+    ensemble = make_ensemble(2, **MODELS[model])
+    example = probe_examples(np.random.default_rng(3))[0]
+    store = None
+    if ensemble.stacked.encoder is None:
+        store = {example.id: np.random.default_rng(4).normal(size=(len(example.token_ids), D))}
+    for params in (ensemble.stacked, *(art.params for art in ensemble.folds)):
+        assert all(grad is None for _, _, grad in params.named_params())
+        out = model_forward(params, example, store)
+        with pytest.raises(ValueError, match="forward-only"):
+            model_backward(params, example, out, np.ones(out.logits.shape))
+
+
 # the overflow warns on its way to the non-finite logits
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_logits_name_the_example():

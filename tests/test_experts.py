@@ -225,7 +225,7 @@ class TestCnnRaggedStack:
             return 0.5 * float(np.sum(e * e))
 
         params = [("H", H.data, gH)] + [p for p in bank.named_params() if "cnn" in p[0]]
-        rep = grad_check(f, params, h=1e-4)
+        rep = grad_check(f, params)
         assert rep.max_rel_err < 1e-3, rep.worst_param
         f()
         assert not (gH * (1.0 - H.valid[..., None])).any()  # padding rows
@@ -416,7 +416,7 @@ class TestExpertGradients:
             return 0.5 * sum(float(np.sum(e * e)) for e in es)
 
         params = [("H", X, gH)] + list(bank.named_params())
-        rep = grad_check(f, params, h=1e-4)
+        rep = grad_check(f, params)
         assert rep.max_rel_err < 1e-3, rep.worst_param
         if ragged:
             f()

@@ -263,7 +263,7 @@ class TestGradCheck:
             g[:] = 2.0 * x
             return float(x[0] ** 2)
 
-        rep = grad_check(f, [("x", x, g)], h=1e-4)
+        rep = grad_check(f, [("x", x, g)])
         assert rep.max_rel_err < 1e-6
 
     def test_constant_function(self):
@@ -293,7 +293,7 @@ class TestGradCheck:
             return float(np.sqrt(x[0]))  # x - h < 0 -> nan
 
         with np.errstate(invalid="ignore"), pytest.raises(GradCheckError, match=r"x\[0\]"):
-            grad_check(f, [("x", x, g)], h=1e-4)
+            grad_check(f, [("x", x, g)])
 
     def test_duplicate_names_rejected(self):
         x = np.array([1.0])

@@ -272,6 +272,16 @@ class TestTrainFold:
         assert any("missing" in rec.message for rec in caplog.records)
         assert art.val_metrics.f1[2] == 0.0
 
+    def test_debug_log_holds_no_per_call_expert_records(self, corpus90, caplog):
+        """Training logs its epoch losses at DEBUG level, and nothing per expert
+        call, though some examples have an empty contrast mask."""
+        examples, vocab = corpus90
+        assert any(not ex.contrast_positions for ex in examples[:60])
+        with caplog.at_level("DEBUG"):
+            train_fold(small_config(epochs=1), examples[:60], examples[60:], len(vocab), seed=7)
+        assert any(rec.name == "stancemoe.train" for rec in caplog.records)
+        assert [rec.message for rec in caplog.records if rec.name == "stancemoe.experts"] == []
+
     def test_empty_split_rejected(self, corpus90):
         examples, vocab = corpus90
         with pytest.raises(ValueError):
@@ -344,6 +354,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=r'^embeddings_path is set but encoder is "toy"'):
             TrainConfig.from_dict({"embeddings_path": "store.smeb"})
         TrainConfig.from_dict({"embeddings_path": "store.smeb", "encoder": "precomputed"})
+
+    @pytest.mark.parametrize("key", ["cue_lexicon", "contrast_lexicon", "embeddings_path"])
+    def test_empty_path_names_key(self, key):
+        with pytest.raises(ValueError,
+                           match=rf"^{key} must be a file path or null, got an empty string$"):
+            TrainConfig.from_dict({key: "", "encoder": "precomputed"})
 
     @pytest.mark.parametrize("key, value", [
         ("k", 3.5), ("epochs", 2.0), ("batch_size", True), ("learning_rate", "abc"),
