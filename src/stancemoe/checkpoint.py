@@ -113,6 +113,7 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     folds = []
     for j, report in enumerate(reports):
         params = config.build_model(len(vocab), np.random.default_rng(0))
+        params.drop_grads()  # a loaded fold is forward-only
         for name, value, _ in params.named_params():
             key = f"fold{j}/{name}"
             if key not in tensors:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,11 +31,14 @@ class EncoderOutput:
     cache: tuple  # (X, Q, K, V, A), the intermediates encode_backward reads
 
 
+@lru_cache(maxsize=None)
 def sinusoidal_positions(max_len: int, d: int) -> np.ndarray:
     """Fixed sin/cos position table of shape (max_len, d).
 
     Scaled by 1/sqrt(d) so position rows have the same magnitude as the
     uniform(-1/sqrt(d), 1/sqrt(d)) token embeddings they are added to.
+    The table is built once per (max_len, d) and is read-only, so every
+    encoder of that shape, each fold's included, shares it.
     """
     pos = np.arange(max_len, dtype=np.float64)[:, None]
     idx = np.arange(d, dtype=np.float64)[None, :]
@@ -42,7 +46,9 @@ def sinusoidal_positions(max_len: int, d: int) -> np.ndarray:
     table = np.empty((max_len, d))
     table[:, 0::2] = np.sin(angle[:, 0::2])
     table[:, 1::2] = np.cos(angle[:, 1::2])
-    return table / np.sqrt(d)
+    table /= np.sqrt(d)
+    table.flags.writeable = False
+    return table
 
 
 class ToyEncoderParams(ParamSet):
@@ -183,7 +189,7 @@ def encode_backward(params: ToyEncoderParams, token_ids, dH: np.ndarray,
 #   per record: u16 id length | id (UTF-8) | u32 T | T*d float32, row-major
 # Ids are distinct.  Row 0 of each record is the CLS representation, so
 # T is at least 1.  Values are finite float32 on disk; a loaded record is
-# a float32 view of the file's bytes, widened to float64 by make_batch.
+# a read-only float32 array of its own, widened to float64 by make_batch.
 
 STORE_MAGIC = b"SMEB1\0"
 _HEADER = struct.Struct("<II")  # d, record count
@@ -236,8 +242,10 @@ def write_embedding_store(path, records) -> int:
 def read_embedding_store(path) -> tuple[dict[str, np.ndarray], int]:
     """Load a whole SMEB1 file; returns ({id: (T, d) H}, d).
 
-    The file is read in one call, and each H is a read-only float32 view
-    of those bytes, so the store takes the file's size in memory.
+    Records are streamed from the open file one field at a time, and each
+    H is read straight into a read-only, aligned float32 array of its own,
+    so the store takes about the file's size in memory, as many separate
+    arrays, and no copy of the whole file is ever held.
     :func:`~stancemoe.model.make_batch` widens the rows it looks up to
     float64, which is exact.
     """

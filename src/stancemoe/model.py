@@ -99,6 +99,12 @@ class ModelParams(ParamSet):
         return fold_stack(models)
 
     @property
+    def forward_only(self) -> bool:
+        """True for a model without gradient buffers (:meth:`drop_grads`): a
+        fold stack, a fold it holds, a trained fold and a loaded one."""
+        return self.classifier.grad_weight is None
+
+    @property
     def n_folds(self) -> int | None:
         """K for a fold-stacked model, None for one model."""
         weight = self.classifier.weight
@@ -169,8 +175,8 @@ def make_batch(params: ModelParams, examples, store=None) -> Batch:
     encoder, which makes its own rows, rejects a store.
 
     This is where stored rows become float64: a store read from disk holds
-    float32 views of the file (:func:`~stancemoe.encoder.read_embedding_store`),
-    and each batch widens only the rows it looks up, which is exact."""
+    float32 arrays (:func:`~stancemoe.encoder.read_embedding_store`), and
+    each batch widens only the rows it looks up, which is exact."""
     if params.encoder is None and store is None:
         raise ValueError("model has no encoder; precomputed embeddings required")
     if params.encoder is not None and store is not None:
@@ -253,7 +259,7 @@ def model_forward(params: ModelParams, examples, store=None) -> ModelOutput:
     if batch.H is None:
         encoded = encode(params.encoder, batch.ids)
         H = encoded.H
-        if not (params.n_folds or params.freeze_encoder):  # else no backward reads it
+        if not (params.forward_only or params.freeze_encoder):  # else no backward reads it
             encoder_cache = encoded.cache
         del encoded  # an unread record is freed before the experts run
     elif params.n_folds:  # every fold reads the same precomputed rows
@@ -286,13 +292,11 @@ def model_backward(params: ModelParams, examples, out: ModelOutput,
     :func:`model_forward` call, whose stacks and encoder record the backward
     pass reuses.  The encoder receives no gradient when it is frozen or
     absent (precomputed embeddings), and no dL/dH is formed then; expert
-    and head gradients still accumulate.  A model without gradient buffers,
-    a fold stack or a fold it holds (:func:`~stancemoe.ops.fold_stack`),
-    has no backward pass.
+    and head gradients still accumulate.  A forward-only model
+    (:attr:`ModelParams.forward_only`) has no backward pass.
     """
-    if params.classifier.grad_weight is None:
-        raise ValueError("this model is forward-only: a fold stack and the folds "
-                         "it holds keep no gradient buffers")
+    if params.forward_only:
+        raise ValueError("this model is forward-only: it keeps no gradient buffers")
     batch = out.batch
     single = isinstance(examples, TokenizedExample)
     if single != batch.single or (not single and len(examples) != len(out.logits)):

@@ -16,8 +16,8 @@ data then carry a leading fold axis too, and :func:`param_affine`, the
 one place where a parameter meets data, applies parameter entry k to
 entry k of that axis, so the same functions run K models in one pass, on
 one example or on a padded stack of them.  Each model's own tensor is
-then a view of its entry.  :meth:`ParamSet.zero_grads` walks the same
-declaration.
+then a view of its entry.  :meth:`ParamSet.zero_grads` and
+:meth:`ParamSet.drop_grads` walk the same declaration.
 
 Every parameter-times-data product is one BLAS call: data of any rank
 meets a plain (n, m) weight as ``x.reshape(-1, n) @ W``, and fold-stacked
@@ -72,14 +72,26 @@ class ParamSet:
     TENSORS: tuple[str, ...] = ()
     PARTS: tuple[str, ...] = ()
 
-    def zero_grads(self) -> None:
-        for name in self.TENSORS:
-            getattr(self, "grad_" + name)[...] = 0.0
+    def _subsets(self):
         for name in self.PARTS:
             part = getattr(self, name)
             for sub in part.values() if isinstance(part, dict) else (part,):
                 if sub is not None:
-                    sub.zero_grads()
+                    yield sub
+
+    def zero_grads(self) -> None:
+        for name in self.TENSORS:
+            getattr(self, "grad_" + name)[...] = 0.0
+        for sub in self._subsets():
+            sub.zero_grads()
+
+    def drop_grads(self) -> None:
+        """Make the set forward-only: every gradient buffer, its own and its
+        sub-sets', becomes None and its memory is freed."""
+        for name in self.TENSORS:
+            setattr(self, "grad_" + name, None)
+        for sub in self._subsets():
+            sub.drop_grads()
 
 
 class LinearParams(ParamSet):
@@ -87,7 +99,8 @@ class LinearParams(ParamSet):
 
     ``weight`` has shape (out_dim, in_dim) and ``bias`` shape (out_dim,).
     Gradient buffers always shape-match their parameters and accumulate
-    across backward calls until :meth:`zero_grads`.  A fold-stacked map
+    across backward calls until :meth:`zero_grads`, or are None once
+    :meth:`drop_grads` makes the map forward-only.  A fold-stacked map
     (:func:`fold_stack`) has a leading fold axis on both parameters and no
     gradient buffers.
     """
@@ -132,19 +145,26 @@ def fold_stack(parts):
     way.  Each part's tensor becomes a view of its entry in the stack, so
     every value is held once and a write through either is seen by both.
     An undeclared attribute is shared with ``parts[0]``.  The copy and the
-    parts are forward-only: their gradient buffers are None."""
+    parts are forward-only (:meth:`ParamSet.drop_grads`); the parts' buffers
+    are freed before any stack is built."""
+    for p in parts:
+        p.drop_grads()
+    return _stack_values(parts)
+
+
+def _stack_values(parts):
     out = copy.copy(parts[0])
     for name in out.TENSORS:
         stack = np.stack([getattr(p, name) for p in parts])
         for p, view in zip([out, *parts], [stack, *stack]):
             setattr(p, name, view)
-            setattr(p, "grad_" + name, None)
     for name in out.PARTS:
         part = getattr(out, name)
         if isinstance(part, dict):
-            part = {key: fold_stack([getattr(p, name)[key] for p in parts]) for key in part}
+            part = {key: _stack_values([getattr(p, name)[key] for p in parts])
+                    for key in part}
         elif part is not None:
-            part = fold_stack([getattr(p, name) for p in parts])
+            part = _stack_values([getattr(p, name) for p in parts])
         setattr(out, name, part)
     return out
 

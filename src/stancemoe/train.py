@@ -7,7 +7,6 @@ import dataclasses
 import logging
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -381,6 +380,10 @@ def train_fold(config: TrainConfig, train_examples, val_examples, vocab_size: in
     non-finite loss FloatingPointError naming the step's first such example.
     These, and any FloatingPointError or RuntimeWarning raised as an error,
     carry "fold f, epoch e, step s: " or "fold f, validation: " in front.
+
+    The returned model is forward-only, like a loaded fold: the optimizer
+    state and the gradient buffers are freed when training ends, before the
+    validation pass.
     """
     if not train_examples or not val_examples:
         raise ValueError("train and validation splits must be non-empty")
@@ -413,6 +416,7 @@ def train_fold(config: TrainConfig, train_examples, val_examples, vocab_size: in
                     if not finite.all():
                         bad = min(bad, rows[~finite].min())
                     model_backward(params, sub, out, dlogits * inv)
+                    del out  # frees this record before the next sub-batch's forward
                     epoch_loss += float(losses.sum()) / len(train_examples)
                 scale = min(1.0, step / config.warmup_steps) if config.warmup_steps else 1.0
                 # clips, updates, and zeroes the gradients for the next batch
@@ -424,6 +428,8 @@ def train_fold(config: TrainConfig, train_examples, val_examples, vocab_size: in
                 raise type(err)(f"fold {fold_index}, epoch {epoch}, step {step}: {err}") from err
         epoch_losses.append(epoch_loss)
         logger.debug("fold %d epoch %d: mean loss %.4f", fold_index, epoch, epoch_loss)
+    del adam  # its moment estimates and flat buffers
+    params.drop_grads()
 
     val_labels = {ex.label for ex in val_examples}
     if len(val_labels) < N_CLASSES:
@@ -461,6 +467,9 @@ def run_kfold(config: TrainConfig, examples, vocab: Vocab, store=None,
     args = (repeat(config), trains, vals, repeat(len(vocab)),
             range(config.seed, config.seed + k), repeat(store), range(k))
     if jobs > 1:
+        # imported here, so a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             artifacts = list(pool.map(train_fold, *args))
     else:

@@ -3,14 +3,20 @@ generated contents: an SMCK1 checkpoint of any head, expert subset,
 encoder mode and fold count, and an SMEB1 store of any ids, lengths and
 float32 values.  Loading gives back every value bit for bit (a store's
 records as the float32 on disk), and saving what was loaded gives back the
-same bytes.  Runs are derandomized, so every run draws the same cases."""
+same bytes.  Runs are derandomized, so every run draws the same cases.
+A failed read closes its file before it raises."""
+
+import gc
+import re
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stancemoe.checkpoint import load_checkpoint, save_checkpoint
-from stancemoe.encoder import read_embedding_store, write_embedding_store
+from stancemoe.checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
+from stancemoe.encoder import StoreFormatError, read_embedding_store, write_embedding_store
 from stancemoe.experts import EXPERT_NAMES
 from stancemoe.metrics import metrics_from_labels
 from stancemoe.text import RESERVED_TOKENS, CueLexicon, Vocab
@@ -116,10 +122,54 @@ def test_store_round_trip_is_bit_exact(tmp_path_factory, records):
     assert d == records[0][1].shape[1]
     assert list(store) == [example_id for example_id, _ in records]
     for example_id, H in records:
-        # the record is the bits on disk: a read-only float32 view, not widened
+        # the record is the bits on disk: a read-only, aligned float32 array
+        # of its own, not widened
         assert store[example_id].dtype == np.float32
         assert not store[example_id].flags.writeable
+        assert store[example_id].flags.c_contiguous
+        assert store[example_id].ctypes.data % 4 == 0
         assert store[example_id].tobytes() == H.astype("<f4").tobytes()
     again = path.with_name("again.smeb")
     write_embedding_store(again, store.items())
     assert again.read_bytes() == path.read_bytes()
+
+
+def small_store(path):
+    write_embedding_store(path, [("a", np.ones((4, 3), np.float32)),
+                                 ("bb", np.zeros((1, 3), np.float32))])
+    return read_embedding_store
+
+
+def small_checkpoint(path):
+    config = TrainConfig(k=2, hidden_dim=2, cnn_filters=1, max_len=4)
+    rng = np.random.default_rng(0)
+    folds = [FoldArtifact(j, config.build_model(4, rng), metrics_from_labels([0, 1, 2], [0, 1, 2]))
+             for j in range(2)]
+    save_checkpoint(path, EnsembleModel(folds=folds, weights=[0.5, 0.5]), config,
+                    Vocab(["x"]), CueLexicon(cue_tokens=frozenset({"c"}),
+                                             contrast_tokens=frozenset({"d"})))
+    return load_checkpoint
+
+
+@pytest.mark.parametrize("write, error", [(small_store, StoreFormatError),
+                                          (small_checkpoint, CheckpointFormatError)],
+                         ids=["store", "checkpoint"])
+def test_a_failed_read_closes_its_file(tmp_path, write, error):
+    """Every truncation, a bad magic and a trailing byte fail with the
+    format's error, and the file is closed by then: once the error and its
+    traceback are gone, no unclosed file is left for the collector to warn
+    about."""
+    path = tmp_path / "file.bin"
+    read = write(path)
+    whole = path.read_bytes()
+    cases = [whole[:n] for n in range(len(whole))] + [b"NOTME1" + whole[6:], whole + b"\0"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        for raw in cases:
+            path.write_bytes(raw)
+            with pytest.raises(error, match=f"^{re.escape(str(path))}: "):
+                read(path)
+        path.write_bytes(whole)
+        read(path)
+        gc.collect()
+    assert [str(w.message) for w in caught] == []

@@ -420,17 +420,30 @@ class TestCustomLexicons:
         assert ckpt.lexicon.contrast_tokens == {"talks"}
 
 
+def run_python(*args):
+    """A fresh interpreter that finds this package first on its path."""
+    src = os.path.dirname(os.path.dirname(stancemoe.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
 def test_synthetic_module_runs_without_warnings(tmp_path):
     """``python -m stancemoe.synthetic`` as README documents it, with any
     RuntimeWarning (such as runpy's module-already-imported warning) an
     error."""
-    src = os.path.dirname(os.path.dirname(stancemoe.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     out = tmp_path / "tiny.jsonl"
-    result = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "stancemoe.synthetic",
-         "--n", "3", "--seed", "1", "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=60)
+    result = run_python("-W", "error::RuntimeWarning", "-m", "stancemoe.synthetic",
+                        "--n", "3", "--seed", "1", "--out", str(out))
     assert result.returncode == 0, result.stderr
     assert len(out.read_text().splitlines()) == 3
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """Only ``--jobs`` above 1 imports concurrent.futures, and with it
+    multiprocessing; a serial run never pays for them."""
+    result = run_python("-c", "import sys, stancemoe.cli; "
+                              "print(sorted(m for m in sys.modules if 'multiprocessing' in m))")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

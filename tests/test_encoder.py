@@ -112,6 +112,13 @@ class TestSinusoidalPositions:
         table = sinusoidal_positions(16, 6)
         assert np.ptp(table, axis=0).max() > 0.0
 
+    def test_models_built_alike_share_one_read_only_table(self):
+        a, b = (ModelParams.init(20, 8, 16, np.random.default_rng(seed)) for seed in (0, 1))
+        assert a.encoder.positions is b.encoder.positions
+        assert not a.encoder.positions.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a.encoder.positions[0, 0] = 1.0
+
 
 def _last_value_set_to(value):
     """A store corruption: its last value, the file's last four bytes, set
@@ -136,9 +143,13 @@ class TestEmbeddingStore:
         store, d = read_embedding_store(path)
         assert d == 6
         for name, H in records:
-            # the on-disk bits, held as read-only float32 views
+            # the on-disk bits, each record a read-only, aligned float32
+            # array of its own
             assert store[name].dtype == np.float32
             assert not store[name].flags.writeable
+            assert store[name].flags.c_contiguous
+            assert store[name].ctypes.data % 4 == 0
+            assert store[name].base is None
             assert store[name].tobytes() == H.astype("<f4").tobytes()
 
     def test_load_precomputed_cls_row(self, tmp_path):

@@ -10,7 +10,8 @@ import pytest
 from stancemoe.experts import EXPERT_NAMES
 from stancemoe.metrics import metrics_from_labels
 from stancemoe.model import ModelParams, model_backward, model_forward
-from stancemoe.train import EnsembleModel, FoldArtifact, ensemble_forward
+from stancemoe.train import (EnsembleModel, FoldArtifact, TrainConfig, ensemble_forward,
+                             train_fold)
 from conftest import random_example, toy_example
 
 VOCAB, D, MAX_LEN = 20, 6, 16
@@ -118,12 +119,22 @@ def test_stacked_model_rejects_a_backward_pass():
 
 @pytest.mark.parametrize("model", MODELS, ids=list(MODELS))
 def test_a_stack_and_its_folds_keep_no_gradient_buffers(model):
-    ensemble = make_ensemble(2, **MODELS[model])
-    example = probe_examples(np.random.default_rng(3))[0]
+    """Neither a fold stack, nor the folds it holds, nor a fold that
+    train_fold has just trained keeps a gradient buffer."""
+    kwargs = MODELS[model]
+    ensemble = make_ensemble(2, **kwargs)
+    examples = probe_examples(np.random.default_rng(3))
+    example = examples[0]
     store = None
     if ensemble.stacked.encoder is None:
-        store = {example.id: np.random.default_rng(4).normal(size=(len(example.token_ids), D))}
-    for params in (ensemble.stacked, *(art.params for art in ensemble.folds)):
+        rng = np.random.default_rng(4)
+        store = {ex.id: rng.normal(size=(len(ex.token_ids), D)) for ex in examples}
+    config = TrainConfig(max_len=MAX_LEN, epochs=1, hidden_dim=D, cnn_filters=2,
+                         head=kwargs["head"], encoder=kwargs.get("encoder_mode", "toy"),
+                         active_experts=kwargs.get("active_experts", EXPERT_NAMES))
+    trained = train_fold(config, examples[:4], examples[4:], VOCAB, seed=0, store=store)
+    for params in (ensemble.stacked, *(art.params for art in ensemble.folds),
+                   trained.params):
         assert all(grad is None for _, _, grad in params.named_params())
         out = model_forward(params, example, store)
         with pytest.raises(ValueError, match="forward-only"):
