@@ -59,11 +59,12 @@ class VariantResult:
 
 
 def ablate(config: TrainConfig, train_examples, vocab, test_examples, store=None,
-           jobs: int = 1) -> list[VariantResult]:
+           jobs: int | None = None) -> list[VariantResult]:
     """Run the seven ablation variants; test_examples drive all reported
-    numbers (per-fold and ensemble).  One prediction of the fold-stacked
-    model per variant gives every fold's test logits; the ensemble's are
-    their weighted average."""
+    numbers (per-fold and ensemble).  Each variant's folds train in
+    ``jobs`` processes, as :func:`run_kfold` trains them.  One prediction
+    of the fold-stacked model per variant gives every fold's test logits;
+    the ensemble's are their weighted average."""
     if config.head != "moe":
         raise ValueError("ablation requires the moe head")
     golds = [ex.label for ex in test_examples]

@@ -79,8 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="training JSONL")
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--report", help="training report path (default: <out>.report.json)")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1,
-                   help="parallel fold workers")
+    p.add_argument("--jobs", type=_int_at_least(1), default=None,
+                   help="processes that train the folds (default: one per usable CPU, "
+                        "at most k; 1 is the serial run)")
 
     p = sub.add_parser("predict", help="ensemble inference over a JSONL file")
     p.add_argument("--model", required=True, help="checkpoint path")
@@ -99,8 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="training JSONL")
     p.add_argument("--test", required=True, help="held-out labeled JSONL")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1,
-                   help="parallel fold workers")
+    p.add_argument("--jobs", type=_int_at_least(1), default=None,
+                   help="processes that train the folds (default: one per usable CPU, "
+                        "at most k; 1 is the serial run)")
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the full model "
                                          "(hidden_dim 8 by default)")

@@ -3,12 +3,18 @@ orchestration, and F1-weighted logit ensembling."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import logging
 import math
 import numbers
+import os
+import pickle
+import signal
+import sys
+import traceback
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -456,24 +462,152 @@ def fold_weights(f1s) -> np.ndarray:
     return f1s / total
 
 
+# --- K-fold training in forked workers ---------------------------------------
+
+@functools.cache
+def _openblas():
+    """The (get, set) thread-count functions of the OpenBLAS numpy ships
+    (``scipy_openblas_..._num_threads64_`` in numpy 2's wheels,
+    ``openblas_...64_`` or ``openblas_...`` before), or None; looked up
+    once a process."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
+                               ("openblas_", "")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pins numpy's OpenBLAS, where found, to one thread, and restores its
+    count on exit."""
+    get, put = _openblas() or (lambda: 1, lambda n: None)
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+def _train_share(train, folds) -> dict:
+    """{fold: its artifact, or the Exception it raised}, stopping at the
+    first failure, as the serial run does."""
+    done = {}
+    for j in folds:
+        try:
+            done[j] = train(j)
+        except Exception as err:
+            done[j] = err
+            break
+    return done
+
+
+def _fork_worker(train, folds) -> tuple[int, int]:
+    """Forks a process that trains ``folds`` and pickles its share down a
+    pipe; returns its pid and the pipe's read end.  The child always ends
+    in os._exit, so it never runs this process's exit handlers."""
+    sys.stdout.flush()  # or the child would write this process's buffered output again
+    sys.stderr.flush()
+    read, write = os.pipe()
+    # OpenBLAS's fork handler stops its pool threads first, so the child's
+    # BLAS starts consistent; the package itself starts no thread
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, read
+    status = 1
+    try:
+        with open(write, "wb") as pipe:
+            pickle.dump(_train_share(train, folds), pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    except Exception:
+        traceback.print_exc()
+    finally:
+        os._exit(status)
+
+
+def _train_folds(train, k: int, jobs: int) -> dict:
+    """{fold: artifact or Exception} of folds 0..k-1: worker w of jobs - 1
+    forked ones trains the folds j with j % jobs == w, and this process
+    trains the rest meanwhile.  Every worker is reaped on every path, and
+    one still running when this returns or raises is killed first.  A
+    worker that ends without sending its share raises RuntimeError naming
+    its folds and exit status."""
+    workers = {}  # pid -> (read end, folds) of each worker not yet reaped
+    try:
+        for w in range(1, jobs):
+            pid, fd = _fork_worker(train, range(w, k, jobs))
+            workers[pid] = fd, range(w, k, jobs)
+        done = _train_share(train, range(0, k, jobs))
+        for pid, (fd, folds) in list(workers.items()):
+            try:
+                with open(fd, "rb", closefd=False) as pipe:
+                    done.update(pickle.load(pipe))  # streamed, one array at a time
+            except (EOFError, pickle.UnpicklingError):
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                os.close(workers.pop(pid)[0])
+                raise RuntimeError(f"the worker training folds {list(folds)} exited with "
+                                   f"status {status} without sending them") from None
+        return done
+    finally:
+        for pid, (fd, _) in workers.items():
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)  # a no-op for one that has exited
+            os.waitpid(pid, 0)
+
+
 def run_kfold(config: TrainConfig, examples, vocab: Vocab, store=None,
-              jobs: int = 1) -> EnsembleModel:
-    """Stratified K-fold training; fold j is seeded with ``seed + j``."""
+              jobs: int | None = None) -> EnsembleModel:
+    """Stratified K-fold training; fold j is seeded with ``seed + j``.
+
+    The folds train in ``jobs`` processes (None: one per usable CPU; at
+    most K): this one and forked workers, which inherit the inputs and
+    send back only their trained, forward-only folds.  Without os.fork or
+    an OpenBLAS thread count to pin, the default is 1.  Throughout, numpy's
+    OpenBLAS is pinned to one thread, so the trained bytes depend on
+    neither ``jobs`` nor the process's thread count.  A failure raises the
+    error of the lowest failing fold, as the serial run does.
+    """
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     splits = stratified_kfold(examples, config.k, config.seed)
     k = len(splits)
-    trains = [[examples[i] for i in train] for train, _ in splits]
-    vals = [[examples[i] for i in val] for _, val in splits]
-    # train_fold's arguments, one iterable each, zipped fold by fold by map
-    args = (repeat(config), trains, vals, repeat(len(vocab)),
-            range(config.seed, config.seed + k), repeat(store), range(k))
-    if jobs > 1:
-        # imported here, so a serial run never loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    if jobs is None:
+        usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1)
+        jobs = usable if hasattr(os, "fork") and _openblas() is not None else 1
+    jobs = min(jobs, k)
+    if jobs > 1 and not hasattr(os, "fork"):
+        raise ValueError(f"jobs={jobs} trains folds in forked processes, and this "
+                         "platform has no os.fork")
+    if jobs > 1 and _openblas() is None:
+        blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+        logger.warning("cannot pin the thread count of numpy's BLAS (%s): %d fold "
+                       "processes share the CPUs at its own count, and the trained "
+                       "bytes may depend on it", blas.get("name", "unknown"), jobs)
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            artifacts = list(pool.map(train_fold, *args))
-    else:
-        artifacts = list(map(train_fold, *args))
+    def train(j: int) -> FoldArtifact:
+        return train_fold(config, [examples[i] for i in splits[j][0]],
+                          [examples[i] for i in splits[j][1]], len(vocab),
+                          config.seed + j, store, j)
+
+    with _one_blas_thread():
+        done = _train_folds(train, k, jobs)
+    failed = [j for j in sorted(done) if isinstance(done[j], Exception)]
+    if failed:
+        raise done[failed[0]]
+    artifacts = [done[j] for j in range(k)]
     weights = fold_weights([a.val_macro_f1 for a in artifacts])
     return EnsembleModel(folds=artifacts, weights=weights)
 

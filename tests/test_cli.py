@@ -441,9 +441,29 @@ def test_synthetic_module_runs_without_warnings(tmp_path):
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    """Only ``--jobs`` above 1 imports concurrent.futures, and with it
-    multiprocessing; a serial run never pays for them."""
+    """The fold workers are bare forks, so no import of the package loads
+    multiprocessing."""
     result = run_python("-c", "import sys, stancemoe.cli; "
                               "print(sorted(m for m in sys.modules if 'multiprocessing' in m))")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_forked_folds_log_every_epoch_and_load_no_process_pool(tmp_path):
+    """``stancemoe -v train`` at the default ``--jobs`` logs each fold's mean
+    loss per epoch, from the workers' inherited handlers too, and never
+    imports multiprocessing or concurrent.futures."""
+    data, out = tmp_path / "train.jsonl", tmp_path / "model.smck"
+    result = run_python("-m", "stancemoe.synthetic", "--n", "60", "--seed", "11",
+                        "--out", str(data))
+    assert result.returncode == 0, result.stderr
+    result = run_python(
+        "-c", "import sys; from stancemoe.cli import main; rc = main(sys.argv[1:]); "
+              "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', "
+              "'concurrent')))); sys.exit(rc)",
+        "-v", "train", "--data", str(data), "--out", str(out), "--set", "k=3",
+        "--set", "epochs=2", "--set", "hidden_dim=8")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+    logged = set(re.findall(r"fold (\d) epoch (\d): mean loss", result.stderr))
+    assert logged == {(str(j), str(e)) for j in range(3) for e in range(2)}

@@ -1,6 +1,7 @@
 """Peak memory of the default K = 10 recipe, under tracemalloc: training
-keeps at most one fold's optimizer state and gradient buffers alive, and
-loading its checkpoint holds about one copy of the parameters."""
+keeps at most one fold's optimizer state and gradient buffers alive, in
+this process whether or not workers train some folds, and loading its
+checkpoint holds about one copy of the parameters."""
 
 import tracemalloc
 
@@ -28,12 +29,12 @@ def traced_peak(fn):
 
 @pytest.fixture(scope="module")
 def k10(tmp_path_factory, lexicon):
-    """(examples, vocab, ensemble, peak bytes of its run_kfold) of 300
+    """(examples, vocab, ensemble, peak bytes of its serial run_kfold) of 300
     synthetic texts."""
     path = tmp_path_factory.mktemp("k10") / "train.jsonl"
     write_jsonl(path, make_synthetic_dataset(300, 11))
     examples, vocab = load_dataset(path, lexicon)
-    ensemble, peak = traced_peak(lambda: run_kfold(CONFIG, examples, vocab))
+    ensemble, peak = traced_peak(lambda: run_kfold(CONFIG, examples, vocab, jobs=1))
     return examples, vocab, ensemble, peak
 
 
@@ -46,6 +47,15 @@ def test_run_kfold_peak_stays_under_25_models(k10):
     model = CONFIG.build_model(len(vocab), np.random.default_rng(0))
     param_bytes = sum(value.nbytes for _, value, _ in model.named_params())
     assert peak < 25 * param_bytes, peak / param_bytes
+
+
+def test_forked_training_peaks_no_higher_in_this_process(k10):
+    """With a worker training half the folds, this process trains the other
+    half and reads the worker's folds from its pipe one array at a time, so
+    its own peak stays at or under the serial one."""
+    examples, vocab, _, serial_peak = k10
+    _, peak = traced_peak(lambda: run_kfold(CONFIG, examples, vocab, jobs=2))
+    assert peak <= serial_peak, peak / serial_peak
 
 
 def test_load_checkpoint_peak_stays_under_175_percent_of_the_file(k10, tmp_path, lexicon):

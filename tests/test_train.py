@@ -1,10 +1,13 @@
+import logging
 import math
+import os
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from stancemoe import train as train_module
 from stancemoe.train import (
     Adam,
     EnsembleModel,
@@ -23,6 +26,24 @@ from stancemoe.train import (
 )
 
 LN3 = float(np.log(3.0))
+
+
+def assert_same_ensemble(a: EnsembleModel, b: EnsembleModel) -> None:
+    """Equal weights, and per fold equal epoch losses, validation scores and
+    tensors, bit for bit; toy encoders share one position table."""
+    np.testing.assert_array_equal(a.weights, b.weights)
+    for x, y in zip(a.folds, b.folds, strict=True):
+        assert x.fold_index == y.fold_index
+        if x.params.encoder is not None:
+            assert x.params.encoder.positions is y.params.encoder.positions
+        assert x.epoch_losses == y.epoch_losses
+        np.testing.assert_array_equal(x.val_metrics.confusion, y.val_metrics.confusion)
+        assert x.val_macro_f1 == y.val_macro_f1
+        for (name_x, val_x, _), (name_y, val_y, _) in zip(
+            x.params.named_params(), y.params.named_params(), strict=True
+        ):
+            assert name_x == name_y
+            np.testing.assert_array_equal(val_x, val_y)
 
 
 def small_config(**kw):
@@ -395,18 +416,22 @@ class TestRunKfoldAndEnsemble:
             assert art.val_metrics.confusion.sum() == 9
 
     def test_parallel_folds_match_serial_bitwise(self, corpus90):
+        """Forked fold workers train what the serial loop trains, bit for
+        bit: even and uneven shares, and precomputed rows from a store that
+        the workers inherit."""
         examples, vocab = corpus90
-        cfg = small_config(k=3, epochs=1, hidden_dim=8)
-        serial = run_kfold(cfg, examples[:30], vocab, jobs=1)
-        parallel = run_kfold(cfg, examples[:30], vocab, jobs=2)
-        np.testing.assert_array_equal(parallel.weights, serial.weights)
-        for a, b in zip(serial.folds, parallel.folds, strict=True):
-            assert a.epoch_losses == b.epoch_losses
-            for (name_a, val_a, _), (name_b, val_b, _) in zip(
-                a.params.named_params(), b.params.named_params(), strict=True
-            ):
-                assert name_a == name_b
-                np.testing.assert_array_equal(val_a, val_b)
+        rng = np.random.default_rng(22)
+        store = {ex.id: rng.normal(size=(len(ex.token_ids), 8)) for ex in examples[:40]}
+        for cfg, n, data, jobs_list in (
+            (small_config(k=3, epochs=1, hidden_dim=8), 30, None, (2,)),
+            (small_config(k=4, epochs=1, hidden_dim=8), 40, None, (2, 3)),
+            (small_config(k=4, epochs=1, hidden_dim=8, encoder="precomputed"), 40, store,
+             (2, 3)),
+        ):
+            serial = run_kfold(cfg, examples[:n], vocab, data, jobs=1)
+            for jobs in jobs_list:
+                assert_same_ensemble(run_kfold(cfg, examples[:n], vocab, data, jobs=jobs),
+                                     serial)
 
     def test_single_fold_ensemble_is_exact(self, corpus90):
         examples, vocab = corpus90
@@ -607,3 +632,131 @@ class TestFrozenEncoder:
                 assert not np.array_equal(trained, init)
         assert all(not n.startswith("encoder/")
                    for n, _, _ in art.params.trainable_params())
+
+
+def fork_spy(monkeypatch) -> list[int]:
+    """Patches os.fork with a spy that delegates to it and records, in this
+    process, the pid of every child it starts."""
+    real, pids = os.fork, []
+
+    def spy():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+needs_pin = pytest.mark.skipif(train_module._openblas() is None,
+                               reason="numpy's BLAS exports no OpenBLAS thread count")
+
+
+@needs_fork
+class TestForkedFolds:
+    """run_kfold's fold workers: shares, failures, worker count and the BLAS pin."""
+
+    CFG = small_config(k=3, epochs=1, hidden_dim=8)
+
+    def test_the_lowest_failing_fold_raises_and_no_worker_is_left(self, corpus90,
+                                                                   monkeypatch):
+        examples, vocab = corpus90
+        real = train_module.train_fold
+
+        def failing(config, train_ex, val_ex, vocab_size, seed, store=None, fold_index=0):
+            if fold_index in (1, 2):
+                raise NonFiniteGradientError(f"fold {fold_index}, epoch 0, step 1: planted")
+            return real(config, train_ex, val_ex, vocab_size, seed, store, fold_index)
+
+        monkeypatch.setattr(train_module, "train_fold", failing)  # before the fork
+        cfg = small_config(k=4, epochs=1, hidden_dim=8)
+        for jobs in (1, 3):
+            with pytest.raises(NonFiniteGradientError,
+                               match=r"^fold 1, epoch 0, step 1: planted$"):
+                run_kfold(cfg, examples[:40], vocab, jobs=jobs)
+            assert_no_child_left()
+
+    def test_a_worker_that_dies_is_named_with_its_status(self, corpus90, monkeypatch):
+        examples, vocab = corpus90
+        real = train_module.train_fold
+
+        def dying(config, train_ex, val_ex, vocab_size, seed, store=None, fold_index=0):
+            if fold_index == 1:  # the worker's share; the parent trains folds 0 and 2
+                os._exit(3)
+            return real(config, train_ex, val_ex, vocab_size, seed, store, fold_index)
+
+        monkeypatch.setattr(train_module, "train_fold", dying)
+        with pytest.raises(RuntimeError, match=r"folds \[1\] exited with status 3 "):
+            run_kfold(self.CFG, examples[:30], vocab, jobs=2)
+        assert_no_child_left()
+
+    def test_at_most_k_processes_train(self, corpus90, monkeypatch):
+        examples, vocab = corpus90
+        pids = fork_spy(monkeypatch)
+        run_kfold(self.CFG, examples[:30], vocab, jobs=64)
+        assert len(pids) == 2
+        assert_no_child_left()
+
+    def test_the_default_is_one_process_per_usable_cpu(self, corpus90, monkeypatch):
+        examples, vocab = corpus90
+        pids = fork_spy(monkeypatch)
+        run_kfold(self.CFG, examples[:30], vocab)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        pinned = train_module._openblas() is not None
+        assert len(pids) == (min(cpus, 3) - 1 if pinned else 0)
+
+    def test_jobs_below_one_fail(self, corpus90):
+        examples, vocab = corpus90
+        with pytest.raises(ValueError, match="jobs must be at least 1, got 0"):
+            run_kfold(self.CFG, examples[:30], vocab, jobs=0)
+
+    def test_without_a_pin_the_default_forks_nothing_and_jobs_warn(self, corpus90,
+                                                                  monkeypatch, caplog):
+        examples, vocab = corpus90
+        monkeypatch.setattr(train_module, "_openblas", lambda: None)
+        pids = fork_spy(monkeypatch)
+        serial = run_kfold(self.CFG, examples[:30], vocab)
+        assert pids == []
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+        with caplog.at_level(logging.WARNING, logger="stancemoe.train"):
+            assert_same_ensemble(run_kfold(self.CFG, examples[:30], vocab, jobs=2), serial)
+        (record,) = [r for r in caplog.records if "BLAS" in r.getMessage()]
+        assert f"numpy's BLAS ({blas})" in record.getMessage()
+        assert len(pids) == 1
+
+    def test_without_fork_the_default_is_serial_and_jobs_fail(self, corpus90,
+                                                             monkeypatch):
+        examples, vocab = corpus90
+        monkeypatch.delattr(os, "fork")
+        run_kfold(self.CFG, examples[:30], vocab)
+        with pytest.raises(ValueError, match="no os.fork"):
+            run_kfold(self.CFG, examples[:30], vocab, jobs=2)
+
+    @needs_pin
+    def test_folds_train_at_one_blas_thread_and_the_count_is_restored(self, corpus90,
+                                                                      monkeypatch):
+        examples, vocab = corpus90
+        get, put = train_module._openblas()
+        real = train_module.train_fold
+
+        def recording(*args, **kwargs):
+            art = real(*args, **kwargs)
+            art.blas_threads = get()  # pickled back with the fold
+            return art
+
+        monkeypatch.setattr(train_module, "train_fold", recording)
+        before = get()
+        put(2)
+        try:
+            ensemble = run_kfold(self.CFG, examples[:30], vocab, jobs=2)
+            assert get() == 2
+        finally:
+            put(before)
+        assert [art.blas_threads for art in ensemble.folds] == [1, 1, 1]
