@@ -2,6 +2,7 @@ import logging
 import math
 import os
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -695,6 +696,22 @@ class TestForkedFolds:
         monkeypatch.setattr(train_module, "train_fold", dying)
         with pytest.raises(RuntimeError, match=r"folds \[1\] exited with status 3 "):
             run_kfold(self.CFG, examples[:30], vocab, jobs=2)
+        assert_no_child_left()
+
+    def test_an_interrupt_stops_and_reaps_a_running_worker(self, corpus90, monkeypatch):
+        examples, vocab = corpus90
+
+        def interrupted(config, train_ex, val_ex, vocab_size, seed, store=None,
+                        fold_index=0):
+            if fold_index == 0:  # this process's share
+                raise KeyboardInterrupt
+            time.sleep(60)  # the worker's fold, still running at the interrupt
+
+        monkeypatch.setattr(train_module, "train_fold", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_kfold(self.CFG, examples[:30], vocab, jobs=2)
+        assert time.monotonic() - start < 30
         assert_no_child_left()
 
     def test_at_most_k_processes_train(self, corpus90, monkeypatch):
