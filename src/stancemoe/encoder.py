@@ -79,14 +79,6 @@ class ToyEncoderParams(ParamSet):
             value=LinearParams.init(d, d, rng),
         )
 
-    def __getstate__(self):
-        # the position table is a function of its shape, so a pickled
-        # encoder (a fold sent back from a worker) shares the receiver's
-        return {**self.__dict__, "positions": self.positions.shape}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state, positions=sinusoidal_positions(*state["positions"]))
-
     @property
     def d(self) -> int:
         return self.embedding.shape[-1]

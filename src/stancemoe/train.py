@@ -14,7 +14,9 @@ import pickle
 import signal
 import sys
 import traceback
+import warnings
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -513,28 +515,57 @@ def _train_share(train, folds) -> dict:
     return done
 
 
-def _fork_worker(train, folds) -> tuple[int, int]:
-    """Forks a process that trains ``folds`` and pickles its share down a
-    pipe; returns its pid and the pipe's read end.  The child always ends
-    in os._exit, so it never runs this process's exit handlers."""
+# CPython 3.12 and later warn, in the parent, when forking a process with
+# more than one OS thread; numpy's OpenBLAS keeps idle pool threads
+_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead"
+
+
+def _fork_worker(train, folds, workers: list) -> None:
+    """Forks a worker that trains ``folds`` and appends its [pipe read end,
+    folds, pid] to ``workers``.  The entry is appended before the fork and
+    the pid is read from the pipe, where the worker writes it first, so an
+    exception raised here after the fork loses neither the worker nor its
+    pipe."""
     sys.stdout.flush()  # or the child would write this process's buffered output again
     sys.stderr.flush()
+    parent = os.getpid()
     read, write = os.pipe()
-    # OpenBLAS's fork handler stops its pool threads first, so the child's
-    # BLAS starts consistent; the package itself starts no thread
-    pid = os.fork()
-    if pid:
+    try:
+        workers.append([read, folds, None])
+        with warnings.catch_warnings():
+            # OpenBLAS's own fork handler stops its pool threads first, so the
+            # child's BLAS starts consistent; the package starts no thread
+            warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+            os.fork()
+    finally:
+        if os.getpid() != parent:
+            _worker(train, folds, write)
         os.close(write)
-        return pid, read
+    workers[-1][2] = _worker_pid(read)
+
+
+def _worker(train, folds, write: int) -> NoReturn:
+    """A forked worker: writes its pid, then pickles its share, down the
+    pipe.  It always ends in os._exit, so it never returns into the
+    parent's frames or runs the parent's exit handlers."""
     status = 1
     try:
         with open(write, "wb") as pipe:
+            pipe.write(os.getpid().to_bytes(8, "little"))
+            pipe.flush()
             pickle.dump(_train_share(train, folds), pipe, pickle.HIGHEST_PROTOCOL)
         status = 0
     except Exception:
         traceback.print_exc()
     finally:
         os._exit(status)
+
+
+def _worker_pid(read: int) -> int | None:
+    """The pid a worker writes first down its pipe (one atomic write);
+    None if it ended before writing it, or was never forked."""
+    head = os.read(read, 8)
+    return int.from_bytes(head, "little") if head else None
 
 
 def _train_folds(train, k: int, jobs: int) -> dict:
@@ -544,27 +575,32 @@ def _train_folds(train, k: int, jobs: int) -> dict:
     one still running when this returns or raises is killed first.  A
     worker that ends without sending its share raises RuntimeError naming
     its folds and exit status."""
-    workers = {}  # pid -> (read end, folds) of each worker not yet reaped
+    workers = []  # [read end, folds, pid] of each worker not yet reaped
     try:
         for w in range(1, jobs):
-            pid, fd = _fork_worker(train, range(w, k, jobs))
-            workers[pid] = fd, range(w, k, jobs)
+            _fork_worker(train, range(w, k, jobs), workers)
         done = _train_share(train, range(0, k, jobs))
-        for pid, (fd, folds) in list(workers.items()):
+        while workers:
+            fd, folds, pid = workers[0]
             try:
                 with open(fd, "rb", closefd=False) as pipe:
                     done.update(pickle.load(pipe))  # streamed, one array at a time
             except (EOFError, pickle.UnpicklingError):
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                os.close(workers.pop(pid)[0])
+                status = (os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                          if pid else "unknown")
+                os.close(workers.pop(0)[0])
                 raise RuntimeError(f"the worker training folds {list(folds)} exited with "
                                    f"status {status} without sending them") from None
+            os.waitpid(pid, 0)
+            os.close(workers.pop(0)[0])
         return done
     finally:
-        for pid, (fd, _) in workers.items():
+        for fd, _, pid in workers:
+            pid = pid or _worker_pid(fd)
             os.close(fd)
-            os.kill(pid, signal.SIGKILL)  # a no-op for one that has exited
-            os.waitpid(pid, 0)
+            if pid:
+                os.kill(pid, signal.SIGKILL)  # a no-op for one that has exited
+                os.waitpid(pid, 0)
 
 
 def run_kfold(config: TrainConfig, examples, vocab: Vocab, store=None,

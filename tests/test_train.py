@@ -4,6 +4,7 @@ import os
 import re
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -31,12 +32,13 @@ LN3 = float(np.log(3.0))
 
 def assert_same_ensemble(a: EnsembleModel, b: EnsembleModel) -> None:
     """Equal weights, and per fold equal epoch losses, validation scores and
-    tensors, bit for bit; toy encoders share one position table."""
+    tensors, bit for bit."""
     np.testing.assert_array_equal(a.weights, b.weights)
     for x, y in zip(a.folds, b.folds, strict=True):
         assert x.fold_index == y.fold_index
         if x.params.encoder is not None:
-            assert x.params.encoder.positions is y.params.encoder.positions
+            np.testing.assert_array_equal(x.params.encoder.positions,
+                                          y.params.encoder.positions)
         assert x.epoch_losses == y.epoch_losses
         np.testing.assert_array_equal(x.val_metrics.confusion, y.val_metrics.confusion)
         assert x.val_macro_f1 == y.val_macro_f1
@@ -713,6 +715,47 @@ class TestForkedFolds:
             run_kfold(self.CFG, examples[:30], vocab, jobs=2)
         assert time.monotonic() - start < 30
         assert_no_child_left()
+
+    def test_the_fork_warning_of_a_multi_threaded_process_is_no_error(self, corpus90,
+                                                                       monkeypatch):
+        """CPython 3.12 and later warn in the parent after forking a process
+        with other OS threads, which OpenBLAS's idle pool threads are; the
+        test filters make that DeprecationWarning an error, and the fold
+        workers' forks ignore it."""
+        examples, vocab = corpus90
+        real = os.fork
+
+        def warning_fork():
+            pid = real()
+            if pid:
+                warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                              "fork() may lead to deadlocks in the child.",
+                              DeprecationWarning, stacklevel=2)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        serial = run_kfold(self.CFG, examples[:30], vocab, jobs=1)
+        assert_same_ensemble(run_kfold(self.CFG, examples[:30], vocab, jobs=2), serial)
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_an_error_raised_here_after_a_fork_loses_no_worker_or_pipe(self, corpus90,
+                                                                        monkeypatch):
+        examples, vocab = corpus90
+        real = os.fork
+
+        def failing_fork():
+            pid = real()
+            if pid:
+                raise OSError("planted after the fork")
+            return pid
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        fds = sorted(os.listdir("/dev/fd"))
+        with pytest.raises(OSError, match="planted after the fork"):
+            run_kfold(self.CFG, examples[:30], vocab, jobs=2)
+        assert_no_child_left()
+        assert sorted(os.listdir("/dev/fd")) == fds
 
     def test_at_most_k_processes_train(self, corpus90, monkeypatch):
         examples, vocab = corpus90
