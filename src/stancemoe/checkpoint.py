@@ -110,23 +110,26 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         r.fail(f"malformed metadata: missing key {err}")
     except (TypeError, ValueError) as err:
         r.fail(f"malformed metadata: {err}")
+    # every stored shape meets the declaration before any fold is allocated
+    shapes = config.architecture(len(vocab)).shapes()
+    expected = {f"fold{j}/{path}": shape for j in range(len(reports))
+                for path, shape in shapes.items()}
+    for key, shape in expected.items():
+        if key not in tensors:
+            r.fail(f"checkpoint is missing tensor {key!r}")
+        if tensors[key].shape != shape:
+            r.fail(f"tensor {key!r} has shape {tensors[key].shape}, expected {shape}")
+    for key in tensors:
+        if key not in expected:
+            r.fail(f"tensor {key!r} is not a parameter of any fold")
+    if len(reports) != len(weights):
+        r.fail("fold count and weight count disagree")
     folds = []
     for j, report in enumerate(reports):
-        params = config.build_model(len(vocab), np.random.default_rng(0))
-        params.drop_grads()  # a loaded fold is forward-only
-        for name, value, _ in params.named_params():
-            key = f"fold{j}/{name}"
-            if key not in tensors:
-                r.fail(f"checkpoint is missing tensor {key!r}")
-            stored = tensors.pop(key)
-            if stored.shape != value.shape:
-                r.fail(f"tensor {key!r} has shape {stored.shape}, expected {value.shape}")
-            value[:] = stored
+        # forward-only, each stored array freed once it is copied
+        params = config.architecture(len(vocab)).fill(
+            lambda path, _: tensors.pop(f"fold{j}/{path}"))
         folds.append(FoldArtifact(fold_index=j, params=params, val_metrics=report))
-    if tensors:
-        r.fail(f"tensor {next(iter(tensors))!r} is not a parameter of any fold")
-    if len(folds) != len(weights):
-        r.fail("fold count and weight count disagree")
     try:
         ensemble = EnsembleModel(folds=folds, weights=weights)
     except ValueError as err:

@@ -13,14 +13,15 @@ bounded reads and checks it shares with the SMCK1 checkpoint.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .binfile import U32, Reader, write_key
-from .ops import (LinearParams, Padded, ParamSet, affine, affine_backward, as_f64, softmax,
+from .ops import (LinearParams, Padded, ParamSet, Tensor, affine, affine_backward, softmax,
                   softmax_backward)
 from .text import UNK_ID
 
@@ -51,46 +52,32 @@ def sinusoidal_positions(max_len: int, d: int) -> np.ndarray:
     return table
 
 
+@dataclass(eq=False)
 class ToyEncoderParams(ParamSet):
-    """Embedding table, fixed position table (no parameter, so a fold stack
-    shares it), and one attention layer."""
+    """Embedding table and one attention layer, with the fixed position
+    table, which is no parameter: every encoder of one shape, each fold's
+    included, shares it."""
 
-    TENSORS = ("embedding",)
-    PARTS = ("query", "key", "value")
+    vocab_size: int
+    d: int
+    max_len: int
 
-    def __init__(self, embedding, positions, query, key, value):
-        self.embedding = as_f64(embedding)  # (|V|, d)
-        self.positions = as_f64(positions)  # (max_len, d), not trainable
-        self.query = query
-        self.key = key
-        self.value = value
-        self.grad_embedding = np.zeros_like(self.embedding)
+    def __post_init__(self):
+        self.query, self.key, self.value = (LinearParams(self.d, self.d) for _ in range(3))
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        return sinusoidal_positions(self.max_len, self.d)  # (max_len, d)
+
+    def declare(self):
+        # rows drawn uniform(-sqrt(3/d), sqrt(3/d)) have unit expected
+        # squared norm, keeping token identity visible next to positions
+        return (Tensor("embedding", (self.vocab_size, self.d), math.sqrt(3.0 / self.d)),
+                ("query", self.query), ("key", self.key), ("value", self.value))
 
     @classmethod
     def init(cls, vocab_size: int, d: int, max_len: int, rng: np.random.Generator):
-        # rows drawn uniform(-sqrt(3/d), sqrt(3/d)) have unit expected
-        # squared norm, keeping token identity visible next to positions
-        limit = np.sqrt(3.0 / d)
-        return cls(
-            embedding=rng.uniform(-limit, limit, size=(vocab_size, d)),
-            positions=sinusoidal_positions(max_len, d),
-            query=LinearParams.init(d, d, rng),
-            key=LinearParams.init(d, d, rng),
-            value=LinearParams.init(d, d, rng),
-        )
-
-    @property
-    def d(self) -> int:
-        return self.embedding.shape[-1]
-
-    @property
-    def vocab_size(self) -> int:
-        return self.embedding.shape[-2]
-
-    def named_params(self, prefix: str = "encoder"):
-        yield f"{prefix}/embedding", self.embedding, self.grad_embedding
-        for name in self.PARTS:
-            yield from getattr(self, name).named_params(f"{prefix}/{name}")
+        return cls(vocab_size, d, max_len).draw(rng)
 
 
 def _id_stack(token_ids) -> Padded:

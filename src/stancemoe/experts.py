@@ -10,12 +10,16 @@ are one layer, :func:`pooled_experts`, each with its own row-weight rule.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
 from .ops import (
     LinearParams,
     Padded,
     ParamSet,
+    Tensor,
     affine,
     affine_backward,
     conv1d,
@@ -30,6 +34,7 @@ POOLED_NAMES = ("mean", "self_attention", "cue", "contrast")
 KERNEL_SIZES = (2, 3, 4, 5)
 
 
+@dataclass(eq=False)
 class ExpertBank(ParamSet):
     """All trainable expert parameters for one model.
 
@@ -40,90 +45,67 @@ class ExpertBank(ParamSet):
     denominators away from zero.
 
     The CNN kernels of all sizes live in one tap-major (max(KERNEL_SIZES),
-    len(KERNEL_SIZES) * n_f, d) stack: entry [j, f] is tap j of filter f,
-    the filters ordered by kernel size, n_f of each.  A size-k filter has
-    taps 0..k-1; its taps from k on are no parameter, no product reads them,
-    and they stay zero.  The per-size ``kernels[k]`` (n_f, k, d) and
-    ``kernel_biases[k]`` (and their gradients) are views into the stacks.
-    ``filter_sizes`` holds each filter's kernel size and ``tap_starts[j]``
-    the first filter with a tap j; a fold stack shares both.
+    len(KERNEL_SIZES) * n_filters, d) stack ``cnn_kernels``: entry [j, f]
+    is tap j of filter f, the filters ordered by kernel size, n_filters of
+    each.  A size-k filter has taps 0..k-1; its taps from k on are no
+    parameter, no product reads them, and they stay zero.  The declared
+    per-size ``kernels[k]`` (n_filters, k, d) and ``kernel_biases[k]``
+    (and their gradients) are views into ``cnn_kernels`` and
+    ``cnn_biases``.  ``filter_sizes`` holds each filter's kernel size and
+    ``tap_starts[j]`` the first filter with a tap j.
     """
 
-    TENSORS = ("attn_vector", "cnn_kernels", "cnn_biases")
-    PARTS = ("proj", "cnn_proj")
+    d: int
+    n_filters: int
+    contrast_scale: float = 3.0
+    eps: float = 1e-8
 
-    def __init__(self, d, proj, attn_vector, kernels, cnn_proj, contrast_scale, eps):
-        if contrast_scale <= 0 or eps <= 0:
+    def __post_init__(self):
+        if self.contrast_scale <= 0 or self.eps <= 0:
             raise ValueError("contrast_scale and eps must be positive")
-        self.d = d
-        self.proj = proj  # dict name -> LinearParams, in EXPERT_NAMES order
-        self.attn_vector = attn_vector  # (d,)
-        self.grad_attn_vector = np.zeros_like(attn_vector)
-        n_f = kernels[KERNEL_SIZES[0]].shape[0]
-        self.filter_sizes = np.repeat(KERNEL_SIZES, n_f)
+        self.contrast_scale, self.eps = float(self.contrast_scale), float(self.eps)
+        self.proj = {name: LinearParams(self.d, self.d) for name in EXPERT_NAMES}
+        self.filter_sizes = np.repeat(KERNEL_SIZES, self.n_filters)
         self.tap_starts = tuple(
             int(np.searchsorted(self.filter_sizes, j, side="right"))
             for j in range(KERNEL_SIZES[-1]))
-        self.cnn_kernels = np.zeros((KERNEL_SIZES[-1], len(KERNEL_SIZES) * n_f, d))
-        self.cnn_biases = np.zeros(len(KERNEL_SIZES) * n_f)
-        self.grad_cnn_kernels = np.zeros_like(self.cnn_kernels)
-        self.grad_cnn_biases = np.zeros_like(self.cnn_biases)
-        for k in KERNEL_SIZES:
-            self.kernels[k][...] = kernels[k]
-        self.cnn_proj = cnn_proj  # LinearParams len(KERNEL_SIZES)*n_f -> d
-        self.contrast_scale = float(contrast_scale)
-        self.eps = float(eps)
+        self.cnn_proj = LinearParams(self.d, len(KERNEL_SIZES) * self.n_filters)
+
+    def declare(self):
+        d, n_f = self.d, self.n_filters
+        for name in EXPERT_NAMES:
+            yield f"{name}_proj", self.proj[name]
+        yield Tensor("attn_vector", (d,), 1.0 / math.sqrt(d))
+        for i, k in enumerate(KERNEL_SIZES):
+            rows = slice(i * n_f, (i + 1) * n_f)
+            yield Tensor(f"cnn/k{k}/kernels", (n_f, k, d), 1.0 / math.sqrt(k * d), "cnn_kernels",
+                         lambda stack, k=k, rows=rows: stack[..., :k, rows, :].swapaxes(-3, -2))
+            yield Tensor(f"cnn/k{k}/bias", (n_f,), None, "cnn_biases",
+                         lambda stack, rows=rows: stack[..., rows])
+        yield "cnn_feature_proj", self.cnn_proj
+
+    def arrays(self):
+        filters = len(KERNEL_SIZES) * self.n_filters
+        return {**super().arrays(), "cnn_kernels": (KERNEL_SIZES[-1], filters, self.d),
+                "cnn_biases": (filters,)}
 
     @classmethod
     def init(cls, d: int, n_filters: int, rng: np.random.Generator,
              contrast_scale: float = 3.0, eps: float = 1e-8) -> "ExpertBank":
-        proj = {name: LinearParams.init(d, d, rng) for name in EXPERT_NAMES}
-        limit = 1.0 / np.sqrt(d)
-        attn_vector = rng.uniform(-limit, limit, size=d)
-        kernels = {}
-        for k in KERNEL_SIZES:
-            klimit = 1.0 / np.sqrt(k * d)
-            kernels[k] = rng.uniform(-klimit, klimit, size=(n_filters, k, d))
-        cnn_proj = LinearParams.init(d, len(KERNEL_SIZES) * n_filters, rng)
-        return cls(d, proj, attn_vector, kernels, cnn_proj, contrast_scale, eps)
+        return cls(d, n_filters, contrast_scale, eps).draw(rng)
 
-    @property
-    def n_filters(self) -> int:
-        return self.cnn_biases.shape[-1] // len(KERNEL_SIZES)
-
-    def _per_size(self, stack: np.ndarray) -> dict[int, np.ndarray]:
-        """{k: view of kernel size k's rows, and of its k taps, in a CNN stack}
-        (None for the gradient buffers a fold-stacked bank does not have)."""
-        if stack is None:
-            return dict.fromkeys(KERNEL_SIZES)
-        n_f = self.n_filters
-        kernels = stack.ndim == self.cnn_kernels.ndim
-        views = {}
-        for i, k in enumerate(KERNEL_SIZES):
-            rows = slice(i * n_f, (i + 1) * n_f)
-            views[k] = (stack[..., :k, rows, :].swapaxes(-3, -2) if kernels
-                        else stack[..., rows])
-        return views
+    def _per_size(self, name: str) -> dict[int, np.ndarray]:
+        """{k: kernel size k's declared view} of the CNN stack ``name``."""
+        return dict(zip(KERNEL_SIZES, [self._tensor(t) for t in self.declare()
+                                       if isinstance(t, Tensor) and t.array == name]))
 
     @property
     def kernels(self) -> dict[int, np.ndarray]:
-        return self._per_size(self.cnn_kernels)
+        return self._per_size("cnn_kernels")
 
     @property
     def kernel_biases(self) -> dict[int, np.ndarray]:
-        return self._per_size(self.cnn_biases)
-
-    def named_params(self, prefix: str = "experts"):
-        for name in EXPERT_NAMES:
-            yield from self.proj[name].named_params(f"{prefix}/{name}_proj")
-        yield f"{prefix}/attn_vector", self.attn_vector, self.grad_attn_vector
-        kernels, biases = self.kernels, self.kernel_biases
-        grad_kernels = self._per_size(self.grad_cnn_kernels)
-        grad_biases = self._per_size(self.grad_cnn_biases)
-        for k in KERNEL_SIZES:
-            yield f"{prefix}/cnn/k{k}/kernels", kernels[k], grad_kernels[k]
-            yield f"{prefix}/cnn/k{k}/bias", biases[k], grad_biases[k]
-        yield from self.cnn_proj.named_params(f"{prefix}/cnn_feature_proj")
+        return self._per_size("cnn_biases")
 
 
 # --- the input rules -------------------------------------------------------

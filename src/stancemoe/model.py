@@ -37,52 +37,53 @@ def head_experts(head: str, active_experts) -> tuple[str, ...]:
     return active
 
 
+@dataclass(eq=False)
 class ModelParams(ParamSet):
-    """Every trainable tensor of one model, with paired gradient buffers.
+    """Every trainable tensor of one model.
 
     ``encoder`` is None in precomputed-embedding mode.  ``gate`` exists only
     for the moe head (its output width equals the number of active experts)
-    and ``fusion_proj`` only for the fusion head.  A fold-stacked model
-    (:meth:`stack`) holds K models of one architecture, each tensor with a
-    leading fold axis.
+    and ``fusion_proj`` only for the fusion head.  Built from its settings
+    alone, a model holds no array; :meth:`init` draws one to train.  A
+    fold-stacked model (:meth:`stack`) holds K models of one architecture,
+    each tensor with a leading fold axis.
     """
 
-    PARTS = ("encoder", "bank", "gate", "fusion_proj", "classifier")
+    vocab_size: int
+    d: int
+    max_len: int  # longest input it is built for; caps sub-batch size
+    n_filters: int = 8
+    contrast_scale: float = 3.0
+    eps: float = 1e-8
+    head: str = "moe"
+    active_experts: tuple[str, ...] = EXPERT_NAMES
+    encoder_mode: str = "toy"
+    freeze_encoder: bool = False
 
-    def __init__(self, d, active_experts, head, encoder, bank, gate, fusion_proj,
-                 classifier, freeze_encoder=False, max_len=128):
-        self.d = d
-        self.max_len = max_len  # longest input it is built for; caps sub-batch size
-        self.active_experts = head_experts(head, active_experts)
-        self.head = head
-        self.encoder = encoder
-        self.bank = bank
-        self.gate = gate
-        self.fusion_proj = fusion_proj
-        self.classifier = classifier
-        self.freeze_encoder = freeze_encoder
+    def __post_init__(self):
+        if self.encoder_mode not in ENCODER_MODES:
+            raise ValueError(f"unknown encoder mode {self.encoder_mode!r}")
+        self.active_experts = head_experts(self.head, self.active_experts)
+        d = self.d
+        self.encoder = (ToyEncoderParams(self.vocab_size, d, self.max_len)
+                        if self.encoder_mode == "toy" else None)
+        self.bank = ExpertBank(d, self.n_filters, self.contrast_scale, self.eps)
+        self.gate = LinearParams(len(self.active_experts), d) if self.head == "moe" else None
+        self.fusion_proj = (LinearParams(d, len(EXPERT_NAMES) * d)
+                            if self.head == "fusion" else None)
+        self.classifier = LinearParams(N_CLASSES, d)
+
+    def declare(self):
+        return (("encoder", self.encoder), ("experts", self.bank), ("gate", self.gate),
+                ("fusion_proj", self.fusion_proj), ("classifier", self.classifier))
 
     @classmethod
     def init(cls, vocab_size: int, d: int, max_len: int, rng: np.random.Generator,
-             n_filters: int = 8, contrast_scale: float = 3.0, eps: float = 1e-8,
-             head: str = "moe", active_experts=EXPERT_NAMES,
-             encoder_mode: str = "toy", freeze_encoder: bool = False) -> "ModelParams":
-        """Build a freshly initialized model.  Parameter draw order is fixed
-        (encoder, experts, gate, fusion projection, classifier) so a seeded
-        generator reproduces the same model bit for bit."""
-        if encoder_mode not in ENCODER_MODES:
-            raise ValueError(f"unknown encoder mode {encoder_mode!r}")
-        active = head_experts(head, active_experts)
-        encoder = None
-        if encoder_mode == "toy":
-            encoder = ToyEncoderParams.init(vocab_size, d, max_len, rng)
-        bank = ExpertBank.init(d, n_filters, rng, contrast_scale, eps)
-        gate = LinearParams.init(len(active), d, rng) if head == "moe" else None
-        fusion_proj = (LinearParams.init(d, len(EXPERT_NAMES) * d, rng)
-                       if head == "fusion" else None)
-        classifier = LinearParams.init(N_CLASSES, d, rng)
-        return cls(d, active, head, encoder, bank, gate, fusion_proj, classifier,
-                   freeze_encoder, max_len)
+             **settings) -> "ModelParams":
+        """A freshly initialized model of these settings, drawn from ``rng``
+        in declaration order (encoder, experts, gate, fusion projection,
+        classifier), so a seeded generator reproduces it bit for bit."""
+        return cls(vocab_size, d, max_len, **settings).draw(rng)
 
     @classmethod
     def stack(cls, models) -> "ModelParams":
@@ -110,15 +111,6 @@ class ModelParams(ParamSet):
         weight = self.classifier.weight
         return weight.shape[0] if weight.ndim == 3 else None
 
-    def named_params(self):
-        """All (path, value, grad) triples, in a fixed order."""
-        if self.encoder is not None:
-            yield from self.encoder.named_params("encoder")
-        yield from self.bank.named_params("experts")
-        for name in ("gate", "fusion_proj", "classifier"):
-            if getattr(self, name) is not None:
-                yield from getattr(self, name).named_params(name)
-
     def trainable_params(self):
         """named_params minus the encoder when it is frozen."""
         for triple in self.named_params():
@@ -135,13 +127,13 @@ def _settings(params: ModelParams) -> dict:
 
 def _check_same_architecture(models) -> None:
     ref_settings = _settings(models[0])
-    ref_shapes = {name: value.shape for name, value, _ in models[0].named_params()}
+    ref_shapes = models[0].shapes()
     for j, m in enumerate(models[1:], start=1):
         for what, value in _settings(m).items():
             if value != ref_settings[what]:
                 raise ValueError(f"fold {j}: {what} is {value!r}, "
                                  f"but {ref_settings[what]!r} in fold 0")
-        shapes = {name: value.shape for name, value, _ in m.named_params()}
+        shapes = m.shapes()
         for name in [*ref_shapes, *(shapes.keys() - ref_shapes.keys())]:
             if shapes.get(name) != ref_shapes.get(name):
                 raise ValueError(

@@ -9,14 +9,20 @@ stack with a length mask.
 The affine map, the softmax and the convolution act on the last axes, so a
 vector, a (T, d) matrix and a (B, T, d) stack all go through the same
 function.
-Each parameter set (:class:`ParamSet`) declares its tensors once, and
-:func:`fold_stack` reads that declaration to hold K models of one
-architecture as a fold stack, every parameter one (K, ...) array.  The
-data then carry a leading fold axis too, and :func:`param_affine`, the
-one place where a parameter meets data, applies parameter entry k to
-entry k of that axis, so the same functions run K models in one pass, on
-one example or on a padded stack of them.  Each model's own tensor is
-then a view of its entry.  :meth:`ParamSet.zero_grads` and
+Each parameter set (:class:`ParamSet`) declares its tensors once, from
+its settings: each tensor's path, shape and init rule (:class:`Tensor`).
+One builder allocates the values from that declaration, with gradient
+buffers only for a set that will train, and three fills follow it:
+:meth:`ParamSet.draw` from a seeded generator, in declaration order;
+:meth:`ParamSet.fill` from given arrays, which is how a checkpoint loads,
+with no random draw and no gradient buffer; and :func:`fold_stack`, which
+holds K models of one architecture as a fold stack, every parameter one
+(K, ...) array.  The data then carry a leading fold axis too, and
+:func:`param_affine`, the one place where a parameter meets data, applies
+parameter entry k to entry k of that axis, so the same functions run K
+models in one pass, on one example or on a padded stack of them.  Each
+model's own tensor is then a view of its entry.
+:meth:`ParamSet.named_params`, :meth:`ParamSet.zero_grads` and
 :meth:`ParamSet.drop_grads` walk the same declaration.
 
 Every parameter-times-data product is one BLAS call: data of any rank
@@ -33,13 +39,17 @@ product and return None in its place.
 
 from __future__ import annotations
 
-import copy
+import dataclasses
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "Tensor",
     "ParamSet",
     "LinearParams",
     "fold_stack",
@@ -55,117 +65,144 @@ __all__ = [
     "grad_check",
     "GradCheckReport",
     "GradCheckError",
-    "as_f64",
 ]
 
 
-def as_f64(x) -> np.ndarray:
-    """Coerce to a C-contiguous float64 array."""
-    return np.ascontiguousarray(x, dtype=np.float64)
+class Tensor(NamedTuple):
+    """One declared tensor: its path below its set, its shape and its init
+    rule, uniform(-limit, +limit), or zeros for a limit of None (a bias).
+    Its set holds it as the array attribute named by its path, beside
+    ``grad_<path>``, or, if it is part of a larger ``array``, as ``view``
+    of that array."""
+
+    path: str
+    shape: tuple[int, ...]
+    limit: float | None = None
+    array: str | None = None
+    view: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 class ParamSet:
-    """Parameter tensors declared once per class: ``TENSORS`` names the
-    arrays, each ``x`` with a same-shaped gradient buffer ``grad_x``;
-    ``PARTS`` the sub-sets, each one set, a dict of sets, or None."""
+    """Parameter tensors declared once, by :meth:`declare`: a set is a
+    dataclass of its settings and holds no array until one of the fills
+    (:meth:`draw`, :meth:`fill`, :func:`fold_stack`) allocates them."""
 
-    TENSORS: tuple[str, ...] = ()
-    PARTS: tuple[str, ...] = ()
+    def declare(self):
+        """The set's tensors and its sub-sets, as (path, set) pairs with None
+        for an absent one, in draw order."""
+        return ()
 
-    def _subsets(self):
-        for name in self.PARTS:
-            part = getattr(self, name)
-            for sub in part.values() if isinstance(part, dict) else (part,):
-                if sub is not None:
-                    yield sub
+    def arrays(self) -> dict[str, tuple[int, ...]]:
+        """Attribute name -> shape of each array the set itself holds: one
+        per tensor of its own that is not part of a larger array."""
+        return {t.path: t.shape for t in self.declare()
+                if isinstance(t, Tensor) and t.array is None}
+
+    def sets(self):
+        """The set and its sub-sets, depth first in declaration order."""
+        yield self
+        for entry in self.declare():
+            if not isinstance(entry, Tensor) and entry[1] is not None:
+                yield from entry[1].sets()
+
+    def declaration(self, prefix: str = ""):
+        """(owning set, path, Tensor) of every tensor of the set and its
+        sub-sets, in draw order."""
+        for entry in self.declare():
+            if isinstance(entry, Tensor):
+                yield self, prefix + entry.path, entry
+            elif entry[1] is not None:
+                yield from entry[1].declaration(f"{prefix}{entry[0]}/")
+
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        """Path -> declared shape of every tensor, in declaration order."""
+        return {path: t.shape for _, path, t in self.declaration()}
+
+    def _tensor(self, t: Tensor, kind: str = "") -> np.ndarray | None:
+        array = getattr(self, kind + (t.array or t.path))
+        return array if array is None or t.view is None else t.view(array)
+
+    def named_params(self):
+        """(path, value, grad) of every tensor, in declaration order; grad is
+        None in a forward-only set."""
+        for owner, path, t in self.declaration():
+            yield path, owner._tensor(t), owner._tensor(t, "grad_")
+
+    def _allocate(self, grads: bool, lead: tuple[int, ...] = ()) -> None:
+        """The one builder: zeroed arrays of the set's own (not its sub-sets'),
+        with leading axes ``lead``, and zeroed gradient buffers if ``grads``,
+        else None in their place."""
+        for name, shape in self.arrays().items():
+            setattr(self, name, np.zeros(lead + shape))
+            setattr(self, "grad_" + name, np.zeros(lead + shape) if grads else None)
+
+    def fill(self, source, grads: bool = False) -> "ParamSet":
+        """Allocate the set's arrays, forward-only unless ``grads``, and set
+        each tensor to ``source(path, tensor)``, in declaration order;
+        returns the set."""
+        for s in self.sets():
+            s._allocate(grads)
+        for owner, path, t in self.declaration():
+            owner._tensor(t)[...] = source(path, t)
+        return self
+
+    def draw(self, rng: np.random.Generator) -> "ParamSet":
+        """:meth:`fill` the set to train from ``rng``, each tensor drawn by its
+        init rule in declaration order, so a seeded generator gives the same
+        values bit for bit."""
+        return self.fill(lambda path, t: 0.0 if t.limit is None else
+                         rng.uniform(-t.limit, t.limit, size=t.shape), grads=True)
 
     def zero_grads(self) -> None:
-        for name in self.TENSORS:
-            getattr(self, "grad_" + name)[...] = 0.0
-        for sub in self._subsets():
-            sub.zero_grads()
+        for s in self.sets():
+            for name in s.arrays():
+                getattr(s, "grad_" + name)[...] = 0.0
 
     def drop_grads(self) -> None:
         """Make the set forward-only: every gradient buffer, its own and its
         sub-sets', becomes None and its memory is freed."""
-        for name in self.TENSORS:
-            setattr(self, "grad_" + name, None)
-        for sub in self._subsets():
-            sub.drop_grads()
+        for s in self.sets():
+            for name in s.arrays():
+                setattr(s, "grad_" + name, None)
 
 
+@dataclass(eq=False)
 class LinearParams(ParamSet):
-    """An affine map y = W x + b with paired gradient buffers.
+    """An affine map y = W x + b: ``weight`` (out_dim, in_dim), drawn
+    uniform(-1/sqrt(in_dim), +1/sqrt(in_dim)), and ``bias`` (out_dim,), zero.
 
-    ``weight`` has shape (out_dim, in_dim) and ``bias`` shape (out_dim,).
-    Gradient buffers always shape-match their parameters and accumulate
-    across backward calls until :meth:`zero_grads`, or are None once
-    :meth:`drop_grads` makes the map forward-only.  A fold-stacked map
-    (:func:`fold_stack`) has a leading fold axis on both parameters and no
-    gradient buffers.
+    Gradient buffers accumulate across backward calls until
+    :meth:`zero_grads`, or are None in a forward-only map.  A fold-stacked
+    map (:func:`fold_stack`) has a leading fold axis on both parameters.
     """
 
-    TENSORS = ("weight", "bias")
+    out_dim: int
+    in_dim: int
 
-    def __init__(self, weight, bias):
-        self.weight = as_f64(weight)
-        self.bias = as_f64(bias)
-        if self.weight.ndim != 2:
-            raise ValueError(f"weight must be 2-d, got shape {self.weight.shape}")
-        if self.bias.shape != (self.weight.shape[0],):
-            raise ValueError(
-                f"bias shape {self.bias.shape} does not match weight rows {self.weight.shape[0]}"
-            )
-        self.grad_weight = np.zeros_like(self.weight)
-        self.grad_bias = np.zeros_like(self.bias)
+    def declare(self):
+        return (Tensor("weight", (self.out_dim, self.in_dim), 1.0 / math.sqrt(self.in_dim)),
+                Tensor("bias", (self.out_dim,)))
 
     @classmethod
     def init(cls, out_dim: int, in_dim: int, rng: np.random.Generator) -> "LinearParams":
-        """Uniform(-1/sqrt(in_dim), +1/sqrt(in_dim)) weights, zero bias."""
-        limit = 1.0 / np.sqrt(in_dim)
-        return cls(rng.uniform(-limit, limit, size=(out_dim, in_dim)), np.zeros(out_dim))
-
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[-2]
-
-    @property
-    def in_dim(self) -> int:
-        return self.weight.shape[-1]
-
-    def named_params(self, prefix: str):
-        yield f"{prefix}/weight", self.weight, self.grad_weight
-        yield f"{prefix}/bias", self.bias, self.grad_bias
+        return cls(out_dim, in_dim).draw(rng)
 
 
 def fold_stack(parts):
-    """K parameter sets of one shape as one fold-stacked set: a shallow copy
-    of ``parts[0]`` whose declared tensors (``TENSORS``) are (K, ...) stacks
-    over the K parts, and whose sub-sets (``PARTS``) are stacked the same
-    way.  Each part's tensor becomes a view of its entry in the stack, so
-    every value is held once and a write through either is seen by both.
-    An undeclared attribute is shared with ``parts[0]``.  The copy and the
-    parts are forward-only (:meth:`ParamSet.drop_grads`); the parts' buffers
-    are freed before any stack is built."""
-    for p in parts:
-        p.drop_grads()
-    return _stack_values(parts)
-
-
-def _stack_values(parts):
-    out = copy.copy(parts[0])
-    for name in out.TENSORS:
-        stack = np.stack([getattr(p, name) for p in parts])
-        for p, view in zip([out, *parts], [stack, *stack]):
-            setattr(p, name, view)
-    for name in out.PARTS:
-        part = getattr(out, name)
-        if isinstance(part, dict):
-            part = {key: _stack_values([getattr(p, name)[key] for p in parts])
-                    for key in part}
-        elif part is not None:
-            part = _stack_values([getattr(p, name) for p in parts])
-        setattr(out, name, part)
+    """K parameter sets of one shape as one fold-stacked set of the settings
+    of ``parts[0]``, whose arrays are (K, ...) stacks of the parts', filled
+    one set at a time; each part's array becomes a view of its entry, so a
+    write through either is seen by both.  The stack and the parts are
+    forward-only: each part's gradient buffers are freed as its values
+    move into the stack."""
+    out = dataclasses.replace(parts[0])
+    for stack, *folds in zip(out.sets(), *(p.sets() for p in parts)):
+        stack._allocate(grads=False, lead=(len(folds),))
+        for name in stack.arrays():
+            array = np.stack([getattr(f, name) for f in folds], out=getattr(stack, name))
+            for f, view in zip(folds, array):
+                setattr(f, name, view)
+                setattr(f, "grad_" + name, None)
     return out
 
 

@@ -124,20 +124,17 @@ class TrainConfig:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
+    def architecture(self, vocab_size: int) -> ModelParams:
+        """This recipe's model, declared from its settings and holding no
+        array yet."""
+        return ModelParams(vocab_size, d=self.hidden_dim, max_len=self.max_len,
+                           n_filters=self.cnn_filters, contrast_scale=self.contrast_scale,
+                           eps=self.epsilon, head=self.head, active_experts=self.active_experts,
+                           encoder_mode=self.encoder, freeze_encoder=self.freeze_encoder)
+
     def build_model(self, vocab_size: int, rng: np.random.Generator) -> ModelParams:
-        return ModelParams.init(
-            vocab_size=vocab_size,
-            d=self.hidden_dim,
-            max_len=self.max_len,
-            rng=rng,
-            n_filters=self.cnn_filters,
-            contrast_scale=self.contrast_scale,
-            eps=self.epsilon,
-            head=self.head,
-            active_experts=self.active_experts,
-            encoder_mode=self.encoder,
-            freeze_encoder=self.freeze_encoder,
-        )
+        """This recipe's model, drawn from ``rng``, to train."""
+        return self.architecture(vocab_size).draw(rng)
 
 
 # --- label-smoothed cross entropy ----------------------------------------

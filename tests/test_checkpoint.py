@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ from stancemoe.checkpoint import (
 )
 from stancemoe.train import TrainConfig, ensemble_forward, evaluate_ensemble, run_kfold
 from conftest import nan_in_tensor
+from smck1_fixtures import FIXTURE_DIR, examples_and_store
+
+RECORDED = json.loads((FIXTURE_DIR / "smck1.json").read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +101,66 @@ class TestRoundtrip:
         logits_a = ensemble_forward(ensemble, examples[:20])[0]
         logits_b = ensemble_forward(ckpt.ensemble, examples[:20])[0]
         np.testing.assert_array_equal(logits_a, logits_b)
+
+
+class TestLoading:
+    def test_draws_no_random_number_and_every_fold_is_forward_only(
+            self, trained, lexicon, tmp_path, monkeypatch):
+        examples, vocab, cfg, ensemble = trained
+        path = tmp_path / "model.smck"
+        save_checkpoint(path, ensemble, cfg, vocab, lexicon)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("load_checkpoint asked for a random generator")
+
+        # checkpoint and model read np.random from the one numpy module
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        ckpt = load_checkpoint(path)
+        for params in [art.params for art in ckpt.ensemble.folds] + [ckpt.ensemble.stacked]:
+            assert params.forward_only
+            assert all(grad is None for _, _, grad in params.named_params())
+
+    def test_stored_shapes_are_checked_before_any_fold_is_allocated(self, tmp_path):
+        """A width-4 file whose config declares width 600 fails on its first
+        tensor at a peak of a few times the file, not of a width-600 model."""
+        raw = (FIXTURE_DIR / "moe_subset.smck").read_bytes()
+        (n,) = struct.unpack("<I", raw[6:10])
+        meta = json.loads(raw[10:10 + n])
+        meta["config"]["hidden_dim"] = 600
+        text = json.dumps(meta, sort_keys=True).encode("utf-8")
+        path = tmp_path / "wide.smck"
+        path.write_bytes(raw[:6] + struct.pack("<I", len(text)) + text + raw[10 + n:])
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointFormatError,
+                               match=r"tensor 'fold0/encoder/embedding' has shape \(13, 4\), "
+                                     r"expected \(13, 600\)"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * path.stat().st_size, peak / path.stat().st_size
+
+
+@pytest.mark.parametrize("record", RECORDED["fixtures"], ids=lambda record: record["file"])
+def test_a_committed_format_1_file_loads_resaves_and_predicts_as_written(record, tmp_path):
+    """Files written by an earlier commit: a path or order change made the
+    same way in save and load would pass every round trip, but not this."""
+    path = FIXTURE_DIR / record["file"]
+    ckpt = load_checkpoint(path)
+    resaved = tmp_path / "resaved.smck"
+    save_checkpoint(resaved, ckpt.ensemble, ckpt.config, ckpt.vocab, ckpt.lexicon)
+    assert resaved.read_bytes() == path.read_bytes()
+    for art, seed in zip(ckpt.ensemble.folds, record["fold_seeds"], strict=True):
+        fresh = ckpt.config.build_model(len(ckpt.vocab), np.random.default_rng(seed))
+        for (name, value, _), (fresh_name, fresh_value, _) in zip(
+                art.params.named_params(), fresh.named_params(), strict=True):
+            assert name == fresh_name
+            assert value.shape == fresh_value.shape, name
+            assert value.tobytes() == fresh_value.tobytes(), name
+    examples, store = examples_and_store(ckpt.vocab, ckpt.config, record["store_seed"])
+    logits = ensemble_forward(ckpt.ensemble, examples, store)[0]
+    np.testing.assert_allclose(logits, record["logits"], rtol=0, atol=1e-12)
 
 
 def _set_byte(raw: bytes, offset: int) -> bytes:

@@ -18,7 +18,7 @@ from stancemoe.encoder import (
 from stancemoe import encoder
 from stancemoe.metrics import metrics_from_labels
 from stancemoe.model import ModelParams, make_batch, model_backward, model_forward
-from stancemoe.ops import LinearParams, Padded, grad_check
+from stancemoe.ops import Padded, grad_check
 from stancemoe.train import EnsembleModel, FoldArtifact, ensemble_forward, predict_logits
 from conftest import random_example, toy_example
 
@@ -28,13 +28,7 @@ def precomputed_model(d):
 
 
 def zero_encoder(vocab_size=8, d=4, max_len=10):
-    return ToyEncoderParams(
-        embedding=np.zeros((vocab_size, d)),
-        positions=sinusoidal_positions(max_len, d),
-        query=LinearParams(np.zeros((d, d)), np.zeros(d)),
-        key=LinearParams(np.zeros((d, d)), np.zeros(d)),
-        value=LinearParams(np.zeros((d, d)), np.zeros(d)),
-    )
+    return ToyEncoderParams(vocab_size, d, max_len).fill(lambda path, _: 0.0, grads=True)
 
 
 class TestEncode:
@@ -314,8 +308,7 @@ def test_backward_from_the_forward_cache_equals_backward_from_ids(ragged):
     encode_backward(params, ids, dH)
     raw = _encoder_grads(params)
     assert cached.keys() == raw.keys()
-    assert {"encoder/embedding", "encoder/query/weight", "encoder/key/weight",
-            "encoder/value/weight"} <= cached.keys()
+    assert {"embedding", "query/weight", "key/weight", "value/weight"} <= cached.keys()
     for name, grad in cached.items():
         np.testing.assert_array_equal(grad, raw[name], err_msg=name)
         assert grad.any(), name

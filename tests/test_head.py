@@ -10,7 +10,9 @@ from conftest import random_example, toy_example
 
 
 def lin(weight, bias):
-    return LinearParams(np.asarray(weight, float), np.asarray(bias, float))
+    weight = np.asarray(weight, float)
+    values = {"weight": weight, "bias": bias}
+    return LinearParams(*weight.shape).fill(lambda path, _: values[path], grads=True)
 
 
 def make_parts(d=4, n_filters=2, seed=0, n_experts=6):
@@ -23,8 +25,9 @@ def make_parts(d=4, n_filters=2, seed=0, n_experts=6):
 
 def head_forward(head, bank, classifier, H, cue, contrast, fusion_proj=None):
     """model_forward of a head over all six experts on a precomputed H."""
-    params = ModelParams(bank.d, EXPERT_NAMES, head, None, bank, None, fusion_proj,
-                         classifier)
+    params = ModelParams(0, bank.d, H.shape[0], bank.n_filters, head=head,
+                         encoder_mode="precomputed")
+    params.bank, params.classifier, params.fusion_proj = bank, classifier, fusion_proj
     example = toy_example(range(H.shape[0]), cue, contrast)
     return model_forward(params, example, {example.id: H})
 

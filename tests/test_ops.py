@@ -20,7 +20,9 @@ LEADING = pytest.mark.parametrize("lead", [(), (5,), (2, 3)], ids=["vector", "ro
 
 
 def lin(weight, bias):
-    return LinearParams(np.asarray(weight, float), np.asarray(bias, float))
+    weight = np.asarray(weight, float)
+    values = {"weight": weight, "bias": bias}
+    return LinearParams(*weight.shape).fill(lambda path, _: values[path], grads=True)
 
 
 class TestAffine:
@@ -143,7 +145,7 @@ class TestBatchedMatchesRows:
     def test_affine_forward_and_backward(self):
         rng = np.random.default_rng(9)
         batched = LinearParams.init(3, 4, rng)
-        rows = LinearParams(batched.weight, batched.bias)
+        rows = lin(batched.weight, batched.bias)
         X = rng.normal(size=(2, 5, 4))
         dY = rng.normal(size=(2, 5, 3))
         Y = affine(batched, X)
