@@ -96,7 +96,7 @@ class ExpertBank(ParamSet):
 
     def _per_size(self, name: str) -> dict[int, np.ndarray]:
         """{k: kernel size k's declared view} of the CNN stack ``name``."""
-        return dict(zip(KERNEL_SIZES, [self._tensor(t) for t in self.declare()
+        return dict(zip(KERNEL_SIZES, [self._tensor(t) for t in self._declared
                                        if isinstance(t, Tensor) and t.array == name]))
 
     @property

@@ -11,13 +11,16 @@ vector, a (T, d) matrix and a (B, T, d) stack all go through the same
 function.
 Each parameter set (:class:`ParamSet`) declares its tensors once, from
 its settings: each tensor's path, shape and init rule (:class:`Tensor`).
-One builder allocates the values from that declaration, with gradient
-buffers only for a set that will train, and three fills follow it:
-:meth:`ParamSet.draw` from a seeded generator, in declaration order;
-:meth:`ParamSet.fill` from given arrays, which is how a checkpoint loads,
-with no random draw and no gradient buffer; and :func:`fold_stack`, which
-holds K models of one architecture as a fold stack, every parameter one
-(K, ...) array.  The data then carry a leading fold axis too, and
+One builder allocates the arrays from that declaration.  A set that will
+train gets one float64 value buffer for all of its arrays, its sub-sets'
+included, each a reshaped view of its slice, and one gradient buffer laid
+out the same way, so the optimizer steps one region of each in place; a
+forward-only set holds each array in an allocation of its own.  Two
+fills follow it: :meth:`ParamSet.draw` from a seeded generator, in
+declaration order, to train; and :meth:`ParamSet.fill` from given arrays,
+which is how a checkpoint loads, with no random draw and no gradient
+buffer.  :func:`fold_stack` holds K models of one architecture as a fold
+stack, every parameter one (K, ...) array.  The data then carry a leading fold axis too, and
 :func:`param_affine`, the one place where a parameter meets data, applies
 parameter entry k to entry k of that axis, so the same functions run K
 models in one pass, on one example or on a padded stack of them.  Each
@@ -40,6 +43,7 @@ product and return None in its place.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -92,23 +96,35 @@ class ParamSet:
         for an absent one, in draw order."""
         return ()
 
+    @functools.cached_property
+    def _declared(self) -> tuple:
+        """:meth:`declare`'s entries, built once: they depend only on the
+        settings and the sub-sets built from them, and :func:`fold_stack`
+        builds a new set."""
+        return tuple(self.declare())
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_declared", None)  # its views are lambdas, which do not pickle
+        return state
+
     def arrays(self) -> dict[str, tuple[int, ...]]:
         """Attribute name -> shape of each array the set itself holds: one
         per tensor of its own that is not part of a larger array."""
-        return {t.path: t.shape for t in self.declare()
+        return {t.path: t.shape for t in self._declared
                 if isinstance(t, Tensor) and t.array is None}
 
     def sets(self):
         """The set and its sub-sets, depth first in declaration order."""
         yield self
-        for entry in self.declare():
+        for entry in self._declared:
             if not isinstance(entry, Tensor) and entry[1] is not None:
                 yield from entry[1].sets()
 
     def declaration(self, prefix: str = ""):
         """(owning set, path, Tensor) of every tensor of the set and its
         sub-sets, in draw order."""
-        for entry in self.declare():
+        for entry in self._declared:
             if isinstance(entry, Tensor):
                 yield self, prefix + entry.path, entry
             elif entry[1] is not None:
@@ -128,20 +144,31 @@ class ParamSet:
         for owner, path, t in self.declaration():
             yield path, owner._tensor(t), owner._tensor(t, "grad_")
 
-    def _allocate(self, grads: bool, lead: tuple[int, ...] = ()) -> None:
-        """The one builder: zeroed arrays of the set's own (not its sub-sets'),
-        with leading axes ``lead``, and zeroed gradient buffers if ``grads``,
-        else None in their place."""
-        for name, shape in self.arrays().items():
-            setattr(self, name, np.zeros(lead + shape))
-            setattr(self, "grad_" + name, np.zeros(lead + shape) if grads else None)
+    def _allocate(self, grads: bool) -> None:
+        """The one builder: zeroed arrays for the set and its sub-sets.  A set
+        that trains (``grads``) gets one value buffer, each set's
+        :meth:`arrays` in :meth:`sets` order as reshaped views of its slices,
+        and one gradient buffer of the same layout; a frozen encoder, drawn
+        first, is a head of each and the tensors that train a tail.  A
+        forward-only set gets one allocation per array, so :func:`fold_stack`
+        frees a fold one array at a time, and None for each gradient."""
+        layout = [(s, name, shape) for s in self.sets() for name, shape in s.arrays().items()]
+        if not grads:
+            for s, name, shape in layout:
+                setattr(s, name, np.zeros(shape))
+                setattr(s, "grad_" + name, None)
+            return
+        ends = np.cumsum([math.prod(shape) for _, _, shape in layout]).tolist()
+        values, grad = np.zeros(ends[-1]), np.zeros(ends[-1])
+        for (s, name, shape), start, end in zip(layout, [0, *ends], ends):
+            setattr(s, name, values[start:end].reshape(shape))
+            setattr(s, "grad_" + name, grad[start:end].reshape(shape))
 
     def fill(self, source, grads: bool = False) -> "ParamSet":
         """Allocate the set's arrays, forward-only unless ``grads``, and set
         each tensor to ``source(path, tensor)``, in declaration order;
         returns the set."""
-        for s in self.sets():
-            s._allocate(grads)
+        self._allocate(grads)
         for owner, path, t in self.declaration():
             owner._tensor(t)[...] = source(path, t)
         return self
@@ -159,10 +186,13 @@ class ParamSet:
                 getattr(s, "grad_" + name)[...] = 0.0
 
     def drop_grads(self) -> None:
-        """Make the set forward-only: every gradient buffer, its own and its
-        sub-sets', becomes None and its memory is freed."""
+        """Make the set forward-only, held as a forward-only :meth:`fill`
+        holds it: every gradient, its own and its sub-sets', becomes None
+        and each array a copy in an allocation of its own, so the value and
+        gradient buffers are freed."""
         for s in self.sets():
             for name in s.arrays():
+                setattr(s, name, getattr(s, name).copy())
                 setattr(s, "grad_" + name, None)
 
 
@@ -190,16 +220,17 @@ class LinearParams(ParamSet):
 
 def fold_stack(parts):
     """K parameter sets of one shape as one fold-stacked set of the settings
-    of ``parts[0]``, whose arrays are (K, ...) stacks of the parts', filled
-    one set at a time; each part's array becomes a view of its entry, so a
-    write through either is seen by both.  The stack and the parts are
-    forward-only: each part's gradient buffers are freed as its values
-    move into the stack."""
+    of ``parts[0]``, whose arrays are (K, ...) stacks of the parts', built
+    one array at a time; each part's array becomes a view of its entry, so
+    a write through either is seen by both.  The stack and the parts are
+    forward-only: a forward-only part's arrays are freed as they move into
+    the stack, and a part's gradient views are dropped."""
     out = dataclasses.replace(parts[0])
     for stack, *folds in zip(out.sets(), *(p.sets() for p in parts)):
-        stack._allocate(grads=False, lead=(len(folds),))
         for name in stack.arrays():
-            array = np.stack([getattr(f, name) for f in folds], out=getattr(stack, name))
+            array = np.stack([getattr(f, name) for f in folds])
+            setattr(stack, name, array)
+            setattr(stack, "grad_" + name, None)
             for f, view in zip(folds, array):
                 setattr(f, name, view)
                 setattr(f, "grad_" + name, None)

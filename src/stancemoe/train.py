@@ -168,14 +168,52 @@ def label_smoothed_ce_grad(logits: np.ndarray, gold, alpha: float):
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-class Adam:
-    """Bias-corrected Adam over (name, value, grad) triples.
+def _region(params) -> tuple[np.ndarray, np.ndarray]:
+    """The slices of one value buffer and of one gradient buffer that the
+    (name, value, grad) triples span: one contiguous region of each, every
+    gradient at its value's place.  Raises ValueError naming the first
+    tensor out of place: one in another buffer, a gradient elsewhere, or
+    one past a gap."""
+    buffers, spans = None, []
+    for name, value, grad in params:
+        if grad is None:
+            raise ValueError(f"{name} has no gradient buffer: the model is forward-only")
+        owners = [a.base if isinstance(a.base, np.ndarray) else a for a in (value, grad)]
+        if buffers is None and owners[0] is not owners[1] and all(
+                o.flags.c_contiguous and o.dtype == np.float64 for o in owners):
+            buffers, starts = owners, [o.ctypes.data for o in owners]
+        at = value.ctypes.data - starts[0] if buffers else None
+        if (buffers is None or owners[0] is not buffers[0] or owners[1] is not buffers[1]
+                or (value.shape, value.strides) != (grad.shape, grad.strides)
+                or grad.ctypes.data - starts[1] != at):
+            raise ValueError(f"{name} is out of place: Adam steps tensors that span one "
+                             "region of one float64 buffer, with their gradients at the "
+                             "same places of another, as a drawn model's do")
+        reach = [(n - 1) * stride for n, stride in zip(value.shape, value.strides)]
+        spans.append(((at + sum(r for r in reach if r < 0)) // 8,
+                      (at + sum(r for r in reach if r > 0)) // 8 + 1, name))
+    spans.sort()
+    lo, end = spans[0][:2]
+    for start, hi, name in spans[1:]:
+        if start > end:
+            raise ValueError(f"{name} is out of place: a gap lies before it, so the tensors "
+                             "span no one region of their buffer")
+        end = max(end, hi)
+    return buffers[0].reshape(-1)[lo:end], buffers[1].reshape(-1)[lo:end]
 
-    The two moment estimates, a gradient buffer and a scratch buffer are
-    flat arrays over all tensors, built once with each tensor's view of the
-    update, so a step allocates no array of parameter size: it gathers the
-    gradients, takes their global norm, updates in whole-array passes,
-    subtracts each tensor's view and zeroes its gradient.  A non-zero
+
+class Adam:
+    """Bias-corrected Adam over (name, value, grad) triples that span one
+    region of one value buffer and the same region of one gradient buffer,
+    as a drawn model's do (:meth:`~stancemoe.ops.ParamSet.draw`).
+
+    The two moment estimates and a scratch array are one (3, n) allocation
+    over the region, so a step allocates no array of parameter size and
+    walks no tensor: it takes the gradients' global norm, writes the
+    update into the gradient region in whole-array passes, subtracts it
+    from the value region and zeroes the gradients with one fill.  Memory
+    of the region that no triple names, such as the CNN stack's padding
+    taps, keeps a zero gradient and so its value.  A non-zero
     ``weight_decay`` is applied decoupled from the moment estimates.
     """
 
@@ -186,18 +224,13 @@ class Adam:
         self.t = 0
         if not self.params:
             raise ValueError("Adam needs at least one parameter")
-        size = sum(value.size for _, value, _ in self.params)
-        self.m, self.v, self._grad, self._tmp = np.zeros((4, size))  # one allocation
-        self._updates, end = [], 0
-        for _, value, _ in self.params:
-            self._updates.append(self._grad[end : end + value.size].reshape(value.shape))
-            end += value.size
+        self._value, self._grad = _region(self.params)
+        self.m, self.v, self._tmp = np.zeros((3, self._value.size))  # one allocation
 
     def step(self, lr_scale: float = 1.0, max_norm: float | None = None) -> float:
         """One update at ``lr_scale`` times the rate, the gradients first scaled
         down to a global L2 norm of ``max_norm`` when over it; returns their norm."""
-        grad, tmp, m, v = self._grad, self._tmp, self.m, self.v
-        np.concatenate([g for _, _, g in self.params], axis=None, out=grad)
+        value, grad, tmp, m, v = self._value, self._grad, self._tmp, self.m, self.v
         norm = float(np.sqrt(grad @ grad))
         if not math.isfinite(norm):  # a NaN or inf, or finite squares that overflow
             for name, _, g in self.params:
@@ -225,12 +258,11 @@ class Adam:
         np.divide(m, bc1, out=grad)
         grad /= tmp
         grad *= lr
-        for (_, value, g), update in zip(self.params, self._updates):
-            value -= update
-            if self.weight_decay:
-                np.multiply(lr * self.weight_decay, value, out=update)
-                value -= update
-            g.fill(0.0)
+        value -= grad
+        if self.weight_decay:
+            np.multiply(lr * self.weight_decay, value, out=grad)
+            value -= grad
+        grad.fill(0.0)
         return norm
 
 
@@ -519,16 +551,18 @@ _FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) ma
 
 def _fork_worker(train, folds, workers: list) -> None:
     """Forks a worker that trains ``folds`` and appends its [pipe read end,
-    folds, pid] to ``workers``.  The entry is appended before the fork and
-    the pid is read from the pipe, where the worker writes it first, so an
-    exception raised here after the fork loses neither the worker nor its
-    pipe."""
+    folds, pid] to ``workers``.  The entry is appended before the fork, so
+    an exception raised here after the fork loses neither the worker nor
+    its pipe; the pid stays None until it is read from the pipe, where the
+    worker writes it first (:func:`_worker_pid`), so this process trains
+    on without waiting for the worker to start."""
     sys.stdout.flush()  # or the child would write this process's buffered output again
     sys.stderr.flush()
     parent = os.getpid()
     read, write = os.pipe()
     try:
         workers.append([read, folds, None])
+        _widen_pipe(write)
         with warnings.catch_warnings():
             # OpenBLAS's own fork handler stops its pool threads first, so the
             # child's BLAS starts consistent; the package starts no thread
@@ -538,7 +572,20 @@ def _fork_worker(train, folds, workers: list) -> None:
         if os.getpid() != parent:
             _worker(train, folds, write)
         os.close(write)
-    workers[-1][2] = _worker_pid(read)
+
+
+def _widen_pipe(fd: int) -> None:
+    """Enlarges the pipe of ``fd`` to Linux's limit for an unprivileged
+    process, so a worker whose pickled share fits writes it all and exits
+    while this process still trains; elsewhere, or where the call is
+    refused, such a worker waits for the reader."""
+    import fcntl
+
+    try:
+        with open("/proc/sys/fs/pipe-max-size", "rb") as limit:
+            fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, int(limit.read()))
+    except (AttributeError, OSError, ValueError):
+        pass
 
 
 def _worker(train, folds, write: int) -> NoReturn:
@@ -578,7 +625,8 @@ def _train_folds(train, k: int, jobs: int) -> dict:
             _fork_worker(train, range(w, k, jobs), workers)
         done = _train_share(train, range(0, k, jobs))
         while workers:
-            fd, folds, pid = workers[0]
+            fd, folds, _ = workers[0]
+            pid = workers[0][2] = _worker_pid(fd)
             try:
                 with open(fd, "rb", closefd=False) as pipe:
                     done.update(pickle.load(pipe))  # streamed, one array at a time

@@ -40,8 +40,8 @@ def k10(tmp_path_factory, lexicon):
 
 def test_run_kfold_peak_stays_under_25_models(k10):
     """The finished folds are forward-only and one fold trains at a time,
-    with its gradients and four Adam buffers: about K + 6 models'
-    parameters plus one sub-batch's activations live at the peak (18.6 at
+    with its gradients and three Adam buffers: about K + 5 models'
+    parameters plus one sub-batch's activations live at the peak (18.2 at
     d = 64)."""
     _, vocab, _, peak = k10
     model = CONFIG.build_model(len(vocab), np.random.default_rng(0))
