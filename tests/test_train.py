@@ -293,17 +293,17 @@ class TestFlatBuffers:
     @pytest.mark.parametrize("mode", FLAT_MODES.values(), ids=FLAT_MODES)
     def test_the_trainable_tensors_span_a_contiguous_tail(self, mode):
         params = small_config(**mode).build_model(40, np.random.default_rng(0))
+        triples = list(params.named_params())
         trainable = {name for name, _, _ in params.trainable_params()}
-        assert (params.freeze_encoder and params.encoder is not None) == (
-            len(trainable) < len(list(params.named_params())))
-        ranges = [where for (name, _, _), (_, _, where, _) in
-                  zip(params.named_params(), spans(params.named_params()))]
-        names = [name for name, _, _ in params.named_params()]
-        head = max((hi for name, (_, hi) in zip(names, ranges) if name not in trainable),
+        frozen = params.freeze_encoder and params.encoder is not None
+        assert frozen == (len(trainable) < len(triples))
+        found = spans(triples)
+        size = found[0][0].size
+        ranges = {name: where for (name, _, _), (_, _, where, _) in zip(triples, found)}
+        head = max((hi for name, (_, hi) in ranges.items() if name not in trainable),
                    default=0)
-        assert head == min(lo for name, (lo, _) in zip(names, ranges) if name in trainable)
-        size = spans(params.named_params())[0][0].size
-        assert max(hi for _, hi in ranges) == size
+        assert head == min(lo for name, (lo, _) in ranges.items() if name in trainable)
+        assert max(hi for _, hi in ranges.values()) == size
         assert Adam(params.trainable_params(), lr=0.1).m.size == size - head
 
     def test_trained_loaded_and_stacked_models_hold_no_gradient_buffer(self, corpus90,
