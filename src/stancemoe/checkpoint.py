@@ -21,7 +21,7 @@ import numpy as np
 
 from .binfile import U8, U32, Reader, write_key
 from .metrics import macro_metrics
-from .text import CueLexicon, Vocab
+from .text import RESERVED_TOKENS, CueLexicon, Vocab
 from .train import EnsembleModel, FoldArtifact, TrainConfig
 
 CHECKPOINT_MAGIC = b"SMCK1\0"
@@ -96,9 +96,17 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         tensors[key] = r.array(_VALUES, dims, "tensor {!r}", key)
     r.finish(f"{n_records} tensors")
 
+    tokens = meta["vocab"]
+    if not isinstance(tokens, list):
+        r.fail(f"malformed metadata: vocab is a JSON {type(tokens).__name__}, not a list")
+    seen = set(RESERVED_TOKENS)
+    for i, token in enumerate(tokens):
+        if not isinstance(token, str) or token in seen:
+            r.fail(f"malformed metadata: vocab[{i}] {token!r} is not a new, non-reserved string")
+        seen.add(token)
     try:
         config = TrainConfig.from_dict(meta["config"])
-        vocab = Vocab(meta["vocab"])
+        vocab = Vocab(tokens)
         lexicon = CueLexicon(
             cue_tokens=frozenset(meta["cue_tokens"]),
             contrast_tokens=frozenset(meta["contrast_tokens"]),

@@ -145,6 +145,9 @@ def _load_lexicon(config: TrainConfig) -> CueLexicon:
 def _load_store(config: TrainConfig, cli_path=None):
     """Load the SMEB1 store when the encoder mode needs one; check widths."""
     if config.encoder != "precomputed":
+        if cli_path is not None:
+            raise ValueError(f"--embeddings is set but the checkpoint's encoder is "
+                             f"{config.encoder!r}, which reads no store")
         return None
     path = cli_path or config.embeddings_path
     if not path:

@@ -112,11 +112,9 @@ class ModelParams(ParamSet):
         return weight.shape[0] if weight.ndim == 3 else None
 
     def trainable_params(self):
-        """named_params minus the encoder when it is frozen."""
-        for triple in self.named_params():
-            if self.freeze_encoder and triple[0].startswith("encoder/"):
-                continue
-            yield triple
+        """named_params minus the encoder when it is frozen, as the
+        :class:`~stancemoe.ops.Region` of the flat buffers they fill."""
+        return self.named_params(self.encoder if self.freeze_encoder else None)
 
 
 def _settings(params: ModelParams) -> dict:

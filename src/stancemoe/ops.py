@@ -14,17 +14,18 @@ its settings: each tensor's path, shape and init rule (:class:`Tensor`).
 One builder allocates the arrays from that declaration.  A set that will
 train gets one float64 value buffer for all of its arrays, its sub-sets'
 included, each a reshaped view of its slice, and one gradient buffer laid
-out the same way, so the optimizer steps one region of each in place; a
-forward-only set holds each array in an allocation of its own.  Two
-fills follow it: :meth:`ParamSet.draw` from a seeded generator, in
-declaration order, to train; and :meth:`ParamSet.fill` from given arrays,
-which is how a checkpoint loads, with no random draw and no gradient
-buffer.  :func:`fold_stack` holds K models of one architecture as a fold
-stack, every parameter one (K, ...) array.  The data then carry a leading fold axis too, and
-:func:`param_affine`, the one place where a parameter meets data, applies
-parameter entry k to entry k of that axis, so the same functions run K
-models in one pass, on one example or on a padded stack of them.  Each
-model's own tensor is then a view of its entry.
+out the same way, and keeps both: :meth:`ParamSet.named_params` hands
+the optimizer the region of each that it steps in place.  A forward-only
+set holds each array in an allocation of its own.  Two fills follow it:
+:meth:`ParamSet.draw` from a seeded generator, in declaration order, to
+train; and :meth:`ParamSet.fill` from given arrays, which is how a
+checkpoint loads, with no random draw and no gradient buffer.
+:func:`fold_stack` holds K models of one architecture as a fold stack,
+every parameter one (K, ...) array.  The data then carry a leading fold
+axis too, and :func:`param_affine`, the one place where a parameter
+meets data, applies parameter entry k to entry k of that axis, so the
+same functions run K models in one pass, on one example or on a padded
+stack of them.  Each model's own tensor is then a view of its entry.
 :meth:`ParamSet.named_params`, :meth:`ParamSet.zero_grads` and
 :meth:`ParamSet.drop_grads` walk the same declaration.
 
@@ -54,6 +55,7 @@ import numpy as np
 
 __all__ = [
     "Tensor",
+    "Region",
     "ParamSet",
     "LinearParams",
     "fold_stack",
@@ -86,10 +88,22 @@ class Tensor(NamedTuple):
     view: Callable[[np.ndarray], np.ndarray] | None = None
 
 
+class Region(list):
+    """(path, value, grad) triples whose values and gradients fill
+    ``values`` and ``grads``, one region of a set's value buffer and the same
+    region of its gradient buffer; both are None where it keeps none."""
+
+    def __init__(self, triples, values=None, grads=None):
+        super().__init__(triples)
+        self.values, self.grads = values, grads
+
+
 class ParamSet:
     """Parameter tensors declared once, by :meth:`declare`: a set is a
     dataclass of its settings and holds no array until one of the fills
     (:meth:`draw`, :meth:`fill`, :func:`fold_stack`) allocates them."""
+
+    _flat = None  # (values, grads): the flat buffers of a set drawn to train
 
     def declare(self):
         """The set's tensors and its sub-sets, as (path, set) pairs with None
@@ -106,6 +120,7 @@ class ParamSet:
     def __getstate__(self):
         state = self.__dict__.copy()
         state.pop("_declared", None)  # its views are lambdas, which do not pickle
+        state.pop("_flat", None)  # a copy's arrays are not views of its buffers
         return state
 
     def arrays(self) -> dict[str, tuple[int, ...]]:
@@ -138,31 +153,36 @@ class ParamSet:
         array = getattr(self, kind + (t.array or t.path))
         return array if array is None or t.view is None else t.view(array)
 
-    def named_params(self):
-        """(path, value, grad) of every tensor, in declaration order; grad is
-        None in a forward-only set."""
-        for owner, path, t in self.declaration():
-            yield path, owner._tensor(t), owner._tensor(t, "grad_")
+    def named_params(self, frozen: "ParamSet | None" = None) -> Region:
+        """(path, value, grad) of every tensor in declaration order but those
+        of ``frozen``, a sub-set drawn first, as a :class:`Region` of the
+        flat buffers (the whole of each, or the tail past ``frozen``'s
+        arrays); grad is None in a forward-only set."""
+        skip = set(frozen.sets() if frozen else ())
+        triples = [(path, owner._tensor(t), owner._tensor(t, "grad_"))
+                   for owner, path, t in self.declaration() if owner not in skip]
+        head = sum(math.prod(shape) for s in skip for shape in s.arrays().values())
+        return Region(triples, *(b[head:] for b in self._flat or ()))
 
     def _allocate(self, grads: bool) -> None:
         """The one builder: zeroed arrays for the set and its sub-sets.  A set
         that trains (``grads``) gets one value buffer, each set's
         :meth:`arrays` in :meth:`sets` order as reshaped views of its slices,
-        and one gradient buffer of the same layout; a frozen encoder, drawn
-        first, is a head of each and the tensors that train a tail.  A
-        forward-only set gets one allocation per array, so :func:`fold_stack`
-        frees a fold one array at a time, and None for each gradient."""
+        and one gradient buffer of the same layout, and keeps both; a frozen
+        encoder, drawn first, is a head of each and the tensors that train a
+        tail.  A forward-only set gets one allocation per array, so
+        :func:`fold_stack` frees a fold one array at a time, and None for
+        each gradient."""
         layout = [(s, name, shape) for s in self.sets() for name, shape in s.arrays().items()]
-        if not grads:
-            for s, name, shape in layout:
-                setattr(s, name, np.zeros(shape))
-                setattr(s, "grad_" + name, None)
-            return
         ends = np.cumsum([math.prod(shape) for _, _, shape in layout]).tolist()
-        values, grad = np.zeros(ends[-1]), np.zeros(ends[-1])
+        self._flat = (np.zeros(ends[-1]), np.zeros(ends[-1])) if grads else None
         for (s, name, shape), start, end in zip(layout, [0, *ends], ends):
-            setattr(s, name, values[start:end].reshape(shape))
-            setattr(s, "grad_" + name, grad[start:end].reshape(shape))
+            if grads:
+                value, grad = (b[start:end].reshape(shape) for b in self._flat)
+            else:
+                value, grad = np.zeros(shape), None
+            setattr(s, name, value)
+            setattr(s, "grad_" + name, grad)
 
     def fill(self, source, grads: bool = False) -> "ParamSet":
         """Allocate the set's arrays, forward-only unless ``grads``, and set
@@ -190,6 +210,7 @@ class ParamSet:
         holds it: every gradient, its own and its sub-sets', becomes None
         and each array a copy in an allocation of its own, so the value and
         gradient buffers are freed."""
+        self._flat = None
         for s in self.sets():
             for name in s.arrays():
                 setattr(s, name, getattr(s, name).copy())
@@ -224,7 +245,7 @@ def fold_stack(parts):
     one array at a time; each part's array becomes a view of its entry, so
     a write through either is seen by both.  The stack and the parts are
     forward-only: a forward-only part's arrays are freed as they move into
-    the stack, and a part's gradient views are dropped."""
+    the stack, and a part's gradient views and flat buffers are dropped."""
     out = dataclasses.replace(parts[0])
     for stack, *folds in zip(out.sets(), *(p.sets() for p in parts)):
         for name in stack.arrays():
@@ -234,6 +255,8 @@ def fold_stack(parts):
             for f, view in zip(folds, array):
                 setattr(f, name, view)
                 setattr(f, "grad_" + name, None)
+    for p in parts:
+        p._flat = None
     return out
 
 

@@ -24,7 +24,7 @@ from .experts import EXPERT_NAMES
 from .metrics import MetricsReport, metrics_from_labels
 from .model import (ENCODER_MODES, ModelParams, head_experts, model_backward,
                     model_forward)
-from .ops import log_softmax, softmax
+from .ops import Region, log_softmax, softmax
 from .text import N_CLASSES, TokenizedExample, Vocab, stratified_kfold
 
 logger = logging.getLogger(__name__)
@@ -168,44 +168,10 @@ def label_smoothed_ce_grad(logits: np.ndarray, gold, alpha: float):
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-def _region(params) -> tuple[np.ndarray, np.ndarray]:
-    """The slices of one value buffer and of one gradient buffer that the
-    (name, value, grad) triples span: one contiguous region of each, every
-    gradient at its value's place.  Raises ValueError naming the first
-    tensor out of place: one in another buffer, a gradient elsewhere, or
-    one past a gap."""
-    buffers, spans = None, []
-    for name, value, grad in params:
-        if grad is None:
-            raise ValueError(f"{name} has no gradient buffer: the model is forward-only")
-        owners = [a.base if isinstance(a.base, np.ndarray) else a for a in (value, grad)]
-        if buffers is None and owners[0] is not owners[1] and all(
-                o.flags.c_contiguous and o.dtype == np.float64 for o in owners):
-            buffers, starts = owners, [o.ctypes.data for o in owners]
-        at = value.ctypes.data - starts[0] if buffers else None
-        if (buffers is None or owners[0] is not buffers[0] or owners[1] is not buffers[1]
-                or (value.shape, value.strides) != (grad.shape, grad.strides)
-                or grad.ctypes.data - starts[1] != at):
-            raise ValueError(f"{name} is out of place: Adam steps tensors that span one "
-                             "region of one float64 buffer, with their gradients at the "
-                             "same places of another, as a drawn model's do")
-        reach = [(n - 1) * stride for n, stride in zip(value.shape, value.strides)]
-        spans.append(((at + sum(r for r in reach if r < 0)) // 8,
-                      (at + sum(r for r in reach if r > 0)) // 8 + 1, name))
-    spans.sort()
-    lo, end = spans[0][:2]
-    for start, hi, name in spans[1:]:
-        if start > end:
-            raise ValueError(f"{name} is out of place: a gap lies before it, so the tensors "
-                             "span no one region of their buffer")
-        end = max(end, hi)
-    return buffers[0].reshape(-1)[lo:end], buffers[1].reshape(-1)[lo:end]
-
-
 class Adam:
-    """Bias-corrected Adam over (name, value, grad) triples that span one
-    region of one value buffer and the same region of one gradient buffer,
-    as a drawn model's do (:meth:`~stancemoe.ops.ParamSet.draw`).
+    """Bias-corrected Adam over the :class:`~stancemoe.ops.Region` of a
+    drawn model's flat buffers that its
+    :meth:`~stancemoe.model.ModelParams.trainable_params` returns.
 
     The two moment estimates and a scratch array are one (3, n) allocation
     over the region, so a step allocates no array of parameter size and
@@ -217,14 +183,17 @@ class Adam:
     ``weight_decay`` is applied decoupled from the moment estimates.
     """
 
-    def __init__(self, params, lr: float, weight_decay: float = 0.0):
-        self.params = [(name, value, grad) for name, value, grad in params]
+    def __init__(self, params: Region, lr: float, weight_decay: float = 0.0):
+        if not isinstance(params, Region):
+            raise TypeError("Adam steps the region of a model's flat buffers that its "
+                            f"trainable_params() returns, not a {type(params).__name__}")
+        if params.grads is None:
+            raise ValueError("the model keeps no flat gradient buffer: it is forward-only "
+                             "(trained, loaded or stacked) or a pickled copy")
+        self.params, self._value, self._grad = params, params.values, params.grads
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        if not self.params:
-            raise ValueError("Adam needs at least one parameter")
-        self._value, self._grad = _region(self.params)
         self.m, self.v, self._tmp = np.zeros((3, self._value.size))  # one allocation
 
     def step(self, lr_scale: float = 1.0, max_norm: float | None = None) -> float:
@@ -759,8 +728,6 @@ def head_loss_fn(params: ModelParams, example: TokenizedExample, alpha: float,
     Returns (f, tensors): each call of ``f`` zeroes the gradient buffers,
     runs forward + backward, and returns the scalar loss.
     """
-    tensors = list(params.trainable_params())
-
     def f() -> float:
         params.zero_grads()
         out = model_forward(params, example, store)
@@ -768,4 +735,4 @@ def head_loss_fn(params: ModelParams, example: TokenizedExample, alpha: float,
         model_backward(params, example, out, dlogits)
         return loss
 
-    return f, tensors
+    return f, params.trainable_params()

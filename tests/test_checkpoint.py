@@ -123,13 +123,9 @@ class TestLoading:
     def test_stored_shapes_are_checked_before_any_fold_is_allocated(self, tmp_path):
         """A width-4 file whose config declares width 600 fails on its first
         tensor at a peak of a few times the file, not of a width-600 model."""
-        raw = (FIXTURE_DIR / "moe_subset.smck").read_bytes()
-        (n,) = struct.unpack("<I", raw[6:10])
-        meta = json.loads(raw[10:10 + n])
-        meta["config"]["hidden_dim"] = 600
-        text = json.dumps(meta, sort_keys=True).encode("utf-8")
         path = tmp_path / "wide.smck"
-        path.write_bytes(raw[:6] + struct.pack("<I", len(text)) + text + raw[10 + n:])
+        path.write_bytes(_rewritten("moe_subset.smck",
+                                    lambda meta: meta["config"].update(hidden_dim=600)))
         tracemalloc.start()
         try:
             with pytest.raises(CheckpointFormatError,
@@ -208,6 +204,17 @@ def _changed_copy_of_first_tensor(raw: bytes) -> bytes:
     return _append_record(raw, _record(raw[key:key + key_len].decode("utf-8"), value))
 
 
+def _rewritten(fixture: str, change) -> bytes:
+    """The committed ``fixture`` file with ``change`` applied to its
+    metadata, in place."""
+    raw = (FIXTURE_DIR / fixture).read_bytes()
+    (n,) = struct.unpack("<I", raw[6:10])
+    meta = json.loads(raw[10:10 + n])
+    change(meta)
+    text = json.dumps(meta, sort_keys=True).encode("utf-8")
+    return raw[:6] + struct.pack("<I", len(text)) + text + raw[10 + n:]
+
+
 def _metadata(**changes) -> bytes:
     """Metadata with every key present and no folds, updated with ``changes``."""
     meta = {"format": 1, "config": TrainConfig().to_dict(), "vocab": [],
@@ -280,6 +287,33 @@ class TestFormatErrors:
         assert raw.count(b'"format": 1') == 1
         path.write_bytes(raw.replace(b'"format": 1', b'"format": 7'))
         with pytest.raises(CheckpointFormatError, match="format 7"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("fixture, index, token, match", [
+        ("stacked_precomputed.smck", 0, 17, r"vocab\[0\] 17 is not a new, non-reserved string$"),
+        ("stacked_precomputed.smck", 0, None, r"vocab\[0\] None is not a new"),
+        ("stacked_precomputed.smck", 1, "the", r"vocab\[1\] 'the' is not a new"),
+        ("stacked_precomputed.smck", 0, "[PAD]", r"vocab\[0\] '\[PAD\]' is not a new"),
+        ("stacked_precomputed.smck", None, "abc", "vocab is a JSON str, not a list"),
+        ("fusion.smck", 0, 17, r"vocab\[0\] 17 is not a new, non-reserved string$"),
+        ("moe_subset.smck", 0, 17, r"vocab\[0\] 17 is not a new, non-reserved string$"),
+    ], ids=["number", "null", "repeat", "reserved", "string", "fusion-number",
+            "moe-subset-number"])
+    def test_malformed_vocab_names_the_first_bad_entry(self, tmp_path, fixture, index,
+                                                        token, match):
+        """Each of these once loaded, with a shorter vocabulary or one whose
+        tokens encode as UNK, and shapes that still fit."""
+        def change(meta):
+            assert meta["vocab"][0] == "the"
+            if index is None:
+                meta["vocab"] = token
+            else:
+                meta["vocab"][index] = token
+
+        path = tmp_path / fixture
+        path.write_bytes(_rewritten(fixture, change))
+        with pytest.raises(CheckpointFormatError,
+                           match=f"^{path}: malformed metadata: {match}"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("metadata,match", [

@@ -151,6 +151,16 @@ class TestPredict:
                      "--data", str(unlabeled), "--out", str(out)]) == 0
         assert len(out.read_text().strip().split("\n")) == 2
 
+    def test_embeddings_for_a_toy_encoder_checkpoint_fails(self, data_dir, model_path,
+                                                           capsys):
+        out = data_dir / "toy-store-preds.jsonl"
+        rc = main(["predict", "--model", str(model_path), "--embeddings", "bogus.smeb",
+                   "--data", str(data_dir / "test.jsonl"), "--out", str(out)])
+        assert rc == 1
+        assert ("--embeddings is set but the checkpoint's encoder is 'toy', which reads "
+                "no store") in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     def test_report_files(self, data_dir, model_path):
@@ -165,6 +175,16 @@ class TestEval:
         assert len(csv) == 4
         total = sum(int(v) for line in csv[1:] for v in line.split(",")[1:])
         assert total == 30
+
+    def test_embeddings_for_a_toy_encoder_checkpoint_fails(self, data_dir, model_path,
+                                                           capsys):
+        out = data_dir / "toy-store-eval"
+        rc = main(["eval", "--model", str(model_path), "--embeddings", "/nonexistent",
+                   "--data", str(data_dir / "test.jsonl"), "--out", str(out)])
+        assert rc == 1
+        assert ("--embeddings is set but the checkpoint's encoder is 'toy', which reads "
+                "no store") in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

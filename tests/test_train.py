@@ -15,6 +15,7 @@ import pytest
 from stancemoe import train as train_module
 from stancemoe.checkpoint import load_checkpoint, save_checkpoint
 from stancemoe.model import ModelParams
+from stancemoe.ops import Region
 from stancemoe.train import (
     Adam,
     EnsembleModel,
@@ -61,6 +62,14 @@ def packed(*arrays) -> list[np.ndarray]:
     ends = np.cumsum([np.size(a) for a in arrays]).tolist()
     return [buffer[start:end].reshape(np.shape(a))
             for a, start, end in zip(arrays, [0, *ends], ends)]
+
+
+def packed_region(values, grads, names=None) -> Region:
+    """``packed`` values and gradients as the Region Adam steps: (name,
+    value, grad) triples, named p0, p1, ... unless ``names`` are given, over
+    the whole of both buffers."""
+    names = names or [f"p{i}" for i in range(len(values))]
+    return Region(zip(names, values, grads), values[0].base, grads[0].base)
 
 
 def small_config(**kw):
@@ -134,7 +143,7 @@ class TestLabelSmoothedCE:
 
 class TestAdam:
     def param(self, value, grad):
-        return [("p", np.array([value]), np.array([grad]))]
+        return packed_region(packed(np.array([value])), packed(np.array([grad])))
 
     def test_first_step_is_signed_lr(self):
         for g in (0.3, -2.0, 1e-3):
@@ -153,9 +162,9 @@ class TestAdam:
         assert not opt.m[0].any() and not opt.v[0].any()
 
     def test_constant_gradient_moves_monotonically(self):
-        value = np.array([0.0])
-        grad = np.array([0.0])
-        opt = Adam([("p", value, grad)], lr=0.05)
+        triples = self.param(0.0, 0.0)
+        (_, value, grad), = triples
+        opt = Adam(triples, lr=0.05)
         history = [value[0]]
         for _ in range(5):
             grad[:] = 3.0  # re-set since step() zeroes it
@@ -164,7 +173,8 @@ class TestAdam:
         assert all(b < a for a, b in zip(history, history[1:]))
 
     def test_non_finite_gradient_names_parameter(self):
-        triples = [("layer/weight", np.zeros(2), np.array([1.0, np.nan]))]
+        triples = packed_region(packed(np.zeros(2)), packed(np.array([1.0, np.nan])),
+                                ["layer/weight"])
         opt = Adam(triples, lr=0.1)
         with pytest.raises(NonFiniteGradientError, match="layer/weight"):
             opt.step()
@@ -179,8 +189,7 @@ class TestAdam:
         ref = [v.copy() for v in values]
         m = [np.zeros(s) for s in shapes]
         v = [np.zeros(s) for s in shapes]
-        opt = Adam([(f"p{i}", x, g) for i, (x, g) in enumerate(zip(values, grads))],
-                   lr=0.01, weight_decay=weight_decay)
+        opt = Adam(packed_region(values, grads), lr=0.01, weight_decay=weight_decay)
         for t in range(1, 6):
             step_grads = [rng.normal(size=s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
             for g, new in zip(grads, step_grads):
@@ -207,8 +216,7 @@ class TestAdam:
 
     def test_non_finite_gradient_names_the_tensor_it_is_in(self):
         grads = packed(np.ones(3), np.array([[1.0, np.inf], [0.0, 2.0]]), np.ones(4))
-        triples = [(f"p{i}", v, g) for i, (v, g) in
-                   enumerate(zip(packed(*map(np.zeros_like, grads)), grads))]
+        triples = packed_region(packed(*map(np.zeros_like, grads)), grads)
         opt = Adam(triples, lr=0.1)
         with pytest.raises(NonFiniteGradientError, match=r"^non-finite gradient in p1$"):
             opt.step()
@@ -226,7 +234,7 @@ class TestAdam:
                        np.array([1.0, 0.0, -1e200]))
         values = packed(np.array([1.0, -2.0]), np.array([[0.5]]), np.array([3.0, 4.0, 5.0]))
         before = [v.copy() for v in values]
-        opt = Adam([(f"p{i}", v, g) for i, (v, g) in enumerate(zip(values, grads))], lr=0.1)
+        opt = Adam(packed_region(values, grads), lr=0.1)
         assert opt.step(max_norm=max_norm) == math.inf
         assert not any(g.any() for g in grads)
         if max_norm is not None:  # clipped to a zero gradient, so nothing moves
@@ -237,7 +245,7 @@ class TestAdam:
     def test_a_step_allocates_no_parameter_sized_array(self, weight_decay):
         rng = np.random.default_rng(4)
         params = TrainConfig().build_model(150, rng)
-        triples = list(params.trainable_params())
+        triples = params.trainable_params()
         opt = Adam(triples, lr=5e-5, weight_decay=weight_decay)
         for _, _, grad in triples:
             grad[...] = rng.normal(size=grad.shape)
@@ -304,7 +312,12 @@ class TestFlatBuffers:
                    default=0)
         assert head == min(lo for name, (lo, _) in ranges.items() if name in trainable)
         assert max(hi for _, hi in ranges.values()) == size
-        assert Adam(params.trainable_params(), lr=0.1).m.size == size - head
+        region = params.trainable_params()
+        assert [name for name, _, _ in region] == [n for n, _, _ in triples if n in trainable]
+        for flat, buffer in zip((region.values, region.grads), found[0][:2]):
+            assert tuple((b - byte_bounds(buffer)[0]) // 8 for b in byte_bounds(flat)) == (
+                head, size)
+        assert Adam(region, lr=0.1).m.size == size - head
 
     def test_trained_loaded_and_stacked_models_hold_no_gradient_buffer(self, corpus90,
                                                                       tmp_path, lexicon):
@@ -324,25 +337,51 @@ class TestFlatBuffers:
             assert all(getattr(s, "grad_" + name) is None
                        for s in model.sets() for name in s.arrays())
 
-    def test_adam_rejects_tensors_that_span_no_one_region_naming_the_first_out_of_place(self):
+    def test_adam_rejects_triples_that_are_not_a_region_naming_trainable_params(self):
         params = small_config().build_model(40, np.random.default_rng(0))
-        triples = list(params.named_params())
-        names = [name for name, _, _ in triples]
-        other = list(small_config().build_model(40, np.random.default_rng(0)).named_params())
-        with pytest.raises(ValueError, match=r"^classifier/bias is out of place: Adam steps"):
-            Adam(triples[:-1] + other[-1:], lr=0.1)
-        gap = names.index("encoder/key/weight")
-        with pytest.raises(ValueError, match=r"^encoder/key/bias is out of place: a gap"):
-            Adam(triples[:gap] + triples[gap + 1:], lr=0.1)
-        (n0, v0, g0), (n1, v1, g1) = (triples[names.index(f"experts/{e}_proj/weight")]
-                                      for e in ("mean", "max"))
-        with pytest.raises(ValueError, match=r"^experts/mean_proj/weight is out of place"):
-            Adam([(n0, v0, g1), (n1, v1, g0)], lr=0.1)
-        with pytest.raises(ValueError, match=r"^p1 is out of place"):
-            Adam([("p0", np.zeros(2), np.zeros(2)), ("p1", np.zeros(2), np.zeros(2))], lr=0.1)
-        params.drop_grads()
-        with pytest.raises(ValueError, match=r"^encoder/embedding has no gradient buffer"):
-            Adam(params.named_params(), lr=0.1)
+        region = params.trainable_params()
+        for triples in (list(region), iter(region), (t for t in region)):
+            with pytest.raises(TypeError, match=r"trainable_params\(\) returns, not a"):
+                Adam(triples, lr=0.1)
+
+    def test_adam_rejects_a_forward_only_model_and_a_pickled_copy(self):
+        cfg = small_config()
+        dropped, part, drawn = (cfg.build_model(40, np.random.default_rng(j)) for j in range(3))
+        dropped.drop_grads()
+        stack = ModelParams.stack([part, cfg.build_model(40, np.random.default_rng(3))])
+        # a copy's gradients are arrays of their own: no step could reach them
+        copy = pickle.loads(pickle.dumps(drawn))
+        assert not copy.forward_only
+        for model in (dropped, part, stack, copy):
+            region = model.trainable_params()
+            assert region.values is None and region.grads is None
+            with pytest.raises(ValueError, match=r"^the model keeps no flat gradient buffer: "
+                                                 r"it is forward-only"):
+                Adam(region, lr=0.1)
+        assert drawn.trainable_params().grads is not None  # the original keeps its own
+
+    @pytest.mark.parametrize("mode", [{}, {"freeze_encoder": True}], ids=["toy", "frozen"])
+    def test_the_flat_buffers_die_when_train_fold_returns(self, corpus90, monkeypatch, mode):
+        examples, vocab = corpus90
+        refs = []
+
+        class SpyAdam(Adam):
+            def __init__(self, params, *args, **kwargs):
+                super().__init__(params, *args, **kwargs)
+                refs.extend(weakref.ref(a if a.base is None else a.base)
+                            for a in (params.values, params.grads))
+
+        monkeypatch.setattr(train_module, "Adam", SpyAdam)
+        cfg = small_config(epochs=1, **mode)
+        art = train_fold(cfg, examples[:40], examples[40:60], len(vocab), seed=0)
+        assert len(refs) == 2 and [ref() for ref in refs] == [None, None]
+        # the trained fold pickles as a forward-only fill of its values does
+        # after the same validation pass
+        values = {name: value for name, value, _ in art.params.named_params()}
+        filled = cfg.architecture(len(vocab)).fill(lambda path, _: values[path])
+        evaluate_model(filled, examples[40:60])
+        assert len(pickle.dumps(art)) == len(pickle.dumps(
+            FoldArtifact(art.fold_index, filled, art.val_metrics, art.epoch_losses)))
 
 
 class TestFoldWeights:
@@ -702,9 +741,8 @@ class TestPrecomputedEmbeddings:
 class TestOptionalKnobs:
     def test_clip_gradients_global_norm(self):
         def update(grads, scale=1.0, **step):
-            params = [(f"p{i}", value, g) for i, (value, g) in
-                      enumerate(zip(packed(*(np.zeros(2) for _ in grads)),
-                                    packed(*(g * scale for g in grads))))]
+            params = packed_region(packed(*(np.zeros(2) for _ in grads)),
+                                   packed(*(g * scale for g in grads)))
             norm = Adam(params, lr=0.1).step(**step)
             return norm, np.concatenate([value for _, value, _ in params])
 
@@ -719,9 +757,9 @@ class TestOptionalKnobs:
         assert np.array_equal(update(grads, max_norm=10.0)[1], unclipped)
 
     def test_weight_decay_shrinks_parameters(self):
-        value = np.array([2.0])
-        grad = np.array([0.0])
-        opt = Adam([("p", value, grad)], lr=0.1, weight_decay=0.5)
+        triples = packed_region(packed(np.array([2.0])), packed(np.array([0.0])))
+        (_, value, _), = triples
+        opt = Adam(triples, lr=0.1, weight_decay=0.5)
         opt.step()
         assert abs(value[0] - 2.0 * (1 - 0.1 * 0.5)) <= 1e-12
 
