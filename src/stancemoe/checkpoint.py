@@ -45,6 +45,12 @@ class LoadedCheckpoint:
 
 def save_checkpoint(path, ensemble: EnsembleModel, config: TrainConfig,
                     vocab: Vocab, lexicon: CueLexicon) -> None:
+    """Write the ensemble with its config, vocabulary and lexicons.  Rejects
+    an empty vocabulary token, which no tokenizer produces, naming its
+    index, and a non-finite tensor, naming it, before the file is opened."""
+    for i, token in enumerate(vocab.tail):
+        if not token:
+            raise ValueError(f"vocab[{i}] is an empty token, which no tokenizer produces")
     meta = {
         "format": CHECKPOINT_FORMAT,
         "config": config.to_dict(),
@@ -103,6 +109,8 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     for i, token in enumerate(tokens):
         if not isinstance(token, str) or token in seen:
             r.fail(f"malformed metadata: vocab[{i}] {token!r} is not a new, non-reserved string")
+        if not token:
+            r.fail(f"malformed metadata: vocab[{i}] is an empty token")
         seen.add(token)
     try:
         config = TrainConfig.from_dict(meta["config"])

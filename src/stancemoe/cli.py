@@ -25,6 +25,7 @@ from .text import (
 )
 from .train import (
     TrainConfig,
+    _one_blas_thread,
     ensemble_forward,
     evaluate_ensemble,
     head_loss_fn,
@@ -143,13 +144,16 @@ def _load_lexicon(config: TrainConfig) -> CueLexicon:
 
 
 def _load_store(config: TrainConfig, cli_path=None):
-    """Load the SMEB1 store when the encoder mode needs one; check widths."""
+    """Load the SMEB1 store when the encoder mode needs one; check widths.
+    ``cli_path``, the --embeddings flag, overrides the config's store."""
+    if cli_path == "":
+        raise ValueError("--embeddings is an empty path; name an SMEB1 store")
     if config.encoder != "precomputed":
         if cli_path is not None:
             raise ValueError(f"--embeddings is set but the checkpoint's encoder is "
                              f"{config.encoder!r}, which reads no store")
         return None
-    path = cli_path or config.embeddings_path
+    path = config.embeddings_path if cli_path is None else cli_path
     if not path:
         raise ValueError("precomputed encoder mode needs --embeddings or embeddings_path")
     store, d = read_embedding_store(path)
@@ -184,7 +188,8 @@ def _cmd_train(args, written: list) -> int:
     os.replace(tmp, args.out)
     written.append(args.out)
 
-    report = training_report(ensemble, config, examples, store)
+    with _one_blas_thread():  # the same in-sample logits at any BLAS thread count
+        report = training_report(ensemble, config, examples, store)
     report_path = args.report or f"{args.out}.report.json"
     _write_text(report_path, _dump_json(report), written)
 
@@ -207,7 +212,8 @@ def _cmd_predict(args, written: list) -> int:
     store = _load_store(ckpt.config, args.embeddings)
     examples, _ = load_dataset(args.data, ckpt.lexicon, ckpt.config.max_len,
                                vocab=ckpt.vocab, require_labels=False)
-    _, probs, classes, gates = ensemble_forward(ckpt.ensemble, examples, store)
+    with _one_blas_thread():  # the same predictions at any BLAS thread count
+        _, probs, classes, gates = ensemble_forward(ckpt.ensemble, examples, store)
     lines = [json.dumps({
         "id": ex.id,
         "probs": [float(p) for p in row],
@@ -225,7 +231,8 @@ def _cmd_eval(args, written: list) -> int:
     store = _load_store(ckpt.config, args.embeddings)
     examples, _ = load_dataset(args.data, ckpt.lexicon, ckpt.config.max_len,
                                vocab=ckpt.vocab)
-    report, _ = evaluate_ensemble(ckpt.ensemble, examples, store)
+    with _one_blas_thread():  # the same metrics at any BLAS thread count
+        report, _ = evaluate_ensemble(ckpt.ensemble, examples, store)
     os.makedirs(args.out, exist_ok=True)
     _write_text(os.path.join(args.out, "report.json"), _dump_json(report.to_dict()), written)
     _write_text(os.path.join(args.out, "report.txt"), report_text(report), written)

@@ -6,6 +6,10 @@ contrast-amplified pooling over the contrast mask D.  Each expert projects
 to the model width d, so the gating head can mix them freely.  The four
 that take a row-weighted sum of H (mean, self-attention, cue, contrast)
 are one layer, :func:`pooled_experts`, each with its own row-weight rule.
+Mean, cue and contrast pooling and max pooling depend on no parameter
+before their projection: :func:`row_statistics` forms those statistics as
+the layer and max pooling form them (:func:`_pooled_input`), so rows that
+never change (a store's) are pooled once and only projected each step.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ from .ops import (
 
 EXPERT_NAMES = ("mean", "max", "self_attention", "cnn", "cue", "contrast")
 POOLED_NAMES = ("mean", "self_attention", "cue", "contrast")
+# the experts whose projected input depends on no parameter, in the row
+# order of their statistics
+STATISTICS = ("mean", "cue", "contrast", "max")
 KERNEL_SIZES = (2, 3, 4, 5)
 
 
@@ -217,6 +224,91 @@ def _row_weights(bank: ExpertBank, name: str, stack: Padded, cue_positions,
     return (stack.valid + (bank.contrast_scale - 1.0) * ind) / (n + bank.eps), nonempty, None
 
 
+def _pooled_input(bank: ExpertBank, name: str, X: np.ndarray, stack: Padded,
+                  cue_positions, contrast_positions):
+    """The (..., d) input of expert ``name``'s projection on the rows X of
+    ``stack`` (a pooled expert's row-weighted sum, or max pooling's column
+    max over each sequence's real rows) and the (..., 1) 0/1 flag its output
+    is multiplied by (None when every output counts).  None when every
+    contrast mask is empty."""
+    if name == "max":
+        masked = X + stack.fill[..., None] if stack.ragged else X
+        return masked.max(axis=-2), None
+    pool = _row_weights(bank, name, stack, cue_positions, contrast_positions)
+    if pool is None:
+        return None
+    w, flag, _ = pool
+    return _pool(w, X), flag
+
+
+@dataclass
+class Statistics:
+    """The parameter-free statistics of some rows: ``values[i]`` is the
+    (..., d) input of expert STATISTICS[i]'s projection (:func:`_pooled_input`)
+    and ``flag`` the (..., 1) indicator of a non-empty contrast mask, which
+    the contrast vector is multiplied by.  The contrast sum of a sequence
+    whose mask is empty is never read; it is zero when every mask is."""
+
+    values: np.ndarray  # (len(STATISTICS), ..., d)
+    flag: np.ndarray  # (..., 1)
+
+    def take(self, index) -> "Statistics":
+        """The statistics of the sequences ``index`` of the leading axis."""
+        return Statistics(self.values[:, index], self.flag[index])
+
+    def repeat(self, k: int) -> "Statistics":
+        """The same statistics k times along a new leading axis (the flag
+        broadcasts against it as it is)."""
+        return Statistics(self.values[:, None].repeat(k, axis=1), self.flag)
+
+
+def row_statistics(bank: ExpertBank, H, cue_positions, contrast_positions) -> Statistics:
+    """The statistics of the rows of H: the mean, cue and contrast pooled
+    sums and the column max, formed as the pooled layer and max pooling
+    form them."""
+    X, stack = _rows(H)
+    values = np.zeros((len(STATISTICS),) + X.shape[:-2] + X.shape[-1:])
+    flag = np.zeros(stack.lengths.shape + (1,))
+    for i, name in enumerate(STATISTICS):
+        pool = _pooled_input(bank, name, X, stack, cue_positions, contrast_positions)
+        if pool is not None:  # None: every contrast mask is empty, the sum stays zero
+            values[i] = pool[0]
+            flag = flag if pool[1] is None else pool[1]
+    return Statistics(values, flag)
+
+
+def project_statistics(bank: ExpertBank, names, stats: Statistics) -> dict[str, np.ndarray]:
+    """{name: vector} of the experts in ``names`` that are in STATISTICS,
+    each its own projection of its statistic; the contrast vector is zero
+    where the contrast mask is empty, and nothing is projected for it when
+    every mask is."""
+    vectors = {}
+    for name, u in zip(STATISTICS, stats.values):
+        if name not in names:
+            continue
+        if name == "contrast" and not stats.flag.any():
+            vectors[name] = np.zeros(u.shape[:-1] + (bank.d,))
+            continue
+        e = affine(bank.proj[name], u)
+        vectors[name] = e * stats.flag if name == "contrast" else e
+    return vectors
+
+
+def project_statistics_backward(bank: ExpertBank, grads: dict, stats: Statistics) -> None:
+    """Backward pass of :func:`project_statistics` for the dL/de of the
+    experts in ``grads`` ({name: gradient}): accumulates the projections'
+    gradients, reading the statistics instead of pooling the rows again."""
+    for name, u in zip(STATISTICS, stats.values):
+        if name not in grads:
+            continue
+        de = grads[name]
+        if name == "contrast":
+            if not stats.flag.any():
+                continue
+            de = de * stats.flag
+        affine_backward(bank.proj[name], u, de, input_grad=False)
+
+
 def pooled_experts(bank: ExpertBank, H, names, cue_positions=None,
                    contrast_positions=None) -> list[np.ndarray]:
     """The vectors of the pooled experts in ``names``, in that order.
@@ -225,12 +317,12 @@ def pooled_experts(bank: ExpertBank, H, names, cue_positions=None,
     X, stack = _rows(H)
     vectors = []
     for name in names:
-        pool = _row_weights(bank, name, stack, cue_positions, contrast_positions)
+        pool = _pooled_input(bank, name, X, stack, cue_positions, contrast_positions)
         if pool is None:
             vectors.append(np.zeros(X.shape[:-2] + (bank.d,)))
             continue
-        w, flag, _ = pool
-        e = affine(bank.proj[name], _pool(w, X))
+        u, flag = pool
+        e = affine(bank.proj[name], u)
         vectors.append(e if flag is None else e * flag)
     return vectors
 
@@ -315,8 +407,7 @@ def expert_contrast_backward(bank, H, contrast_positions, de: np.ndarray) -> np.
 def expert_max(bank: ExpertBank, H) -> np.ndarray:
     """Project the columnwise max over rows of H."""
     X, stack = _rows(H)
-    masked = X + stack.fill[..., None] if stack.ragged else X
-    return affine(bank.proj["max"], masked.max(axis=-2))
+    return affine(bank.proj["max"], _pooled_input(bank, "max", X, stack, None, None)[0])
 
 
 def expert_max_backward(bank: ExpertBank, H, de: np.ndarray,
@@ -386,34 +477,57 @@ def expert_cnn_backward(bank: ExpertBank, H, de: np.ndarray,
 # --- all experts -------------------------------------------------------------
 
 def run_all_experts(bank: ExpertBank, H, cue_positions, contrast_positions,
-                    active=EXPERT_NAMES) -> list[np.ndarray]:
+                    active=EXPERT_NAMES, stats: Statistics | None = None) -> list[np.ndarray]:
     """Evaluate the experts named in ``active`` (:func:`canonical_experts`);
-    returns their vectors in the canonical EXPERT_NAMES order.  Max pooling
-    and the CNN are called by their module names at call time, so a wrapper
-    installed on this module (a profiler, a test double) sees those calls."""
+    returns their vectors in the canonical EXPERT_NAMES order.  Given the
+    rows' ``stats`` (:func:`row_statistics`), mean, max, cue and contrast
+    pooling project those and read neither the rows nor the masks.  Max
+    pooling, self-attention and the CNN are called by their module names
+    at call time, so a wrapper installed on this module (a profiler, a test
+    double) sees those calls."""
     names = canonical_experts(active)
-    pooled = [name for name in names if name in POOLED_NAMES]
-    vectors = dict(zip(pooled, pooled_experts(bank, H, pooled, cue_positions,
-                                              contrast_positions)))
-    for name, forward in (("max", expert_max), ("cnn", expert_cnn)):
-        if name in names:
-            vectors[name] = forward(bank, H)
+    if stats is None:
+        pooled = [name for name in names if name in POOLED_NAMES]
+        vectors = dict(zip(pooled, pooled_experts(bank, H, pooled, cue_positions,
+                                                  contrast_positions)))
+        if "max" in names:
+            vectors["max"] = expert_max(bank, H)
+    else:
+        vectors = project_statistics(bank, names, stats)
+        if "self_attention" in names:
+            vectors["self_attention"] = expert_selfattn(bank, H)
+    if "cnn" in names:
+        vectors["cnn"] = expert_cnn(bank, H)
     return [vectors[name] for name in names]
 
 
 def run_all_experts_backward(bank: ExpertBank, H, cue_positions, contrast_positions,
-                             active, dvecs, input_grad: bool = True) -> np.ndarray | None:
+                             active, dvecs, input_grad: bool = True,
+                             stats: Statistics | None = None) -> np.ndarray | None:
     """Backward pass of :func:`run_all_experts` for dL/de_i in ``dvecs``, one
     per active expert; accumulates expert gradients and returns the summed
     dL/dH, shaped like the rows of H.  Without ``input_grad`` (nothing
-    consumes dL/dH) no expert forms its share of it and the result is None."""
+    consumes dL/dH) no expert forms its share of it and the result is None.
+    Given the forward's ``stats``, mean, max, cue and contrast pooling read
+    them, and no dL/dH can be formed."""
     names = canonical_experts(active)
     _check_gradients(names, dvecs)
     grads = dict(zip(names, dvecs))
-    pooled = [name for name in grads if name in POOLED_NAMES]
-    dH = pooled_experts_backward(bank, H, pooled, [grads[name] for name in pooled],
-                                 cue_positions, contrast_positions, input_grad)
-    for name, backward in (("max", expert_max_backward), ("cnn", expert_cnn_backward)):
+    if stats is None:
+        pooled = [name for name in grads if name in POOLED_NAMES]
+        dH = pooled_experts_backward(bank, H, pooled, [grads[name] for name in pooled],
+                                     cue_positions, contrast_positions, input_grad)
+        backwards = (("max", expert_max_backward), ("cnn", expert_cnn_backward))
+    elif input_grad:
+        raise ValueError("the statistics of rows carry no input gradient; pass the "
+                         "masks instead to form dL/dH")
+    else:
+        project_statistics_backward(bank, grads, stats)
+        if "self_attention" in grads:
+            pooled_experts_backward(bank, H, ("self_attention",), (grads["self_attention"],),
+                                    input_grad=False)
+        dH, backwards = None, (("cnn", expert_cnn_backward),)
+    for name, backward in backwards:
         if name in grads:
             dH_i = backward(bank, H, grads[name], input_grad=input_grad)
             if input_grad:

@@ -8,8 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import ToyEncoderParams, encode, encode_backward
-from .experts import (EXPERT_NAMES, ExpertBank, canonical_experts, check_positions,
-                      run_all_experts, run_all_experts_backward)
+from .experts import (EXPERT_NAMES, STATISTICS, ExpertBank, Statistics, canonical_experts,
+                      check_positions, row_statistics, run_all_experts,
+                      run_all_experts_backward)
 from .head import (
     classify,
     classify_backward,
@@ -141,20 +142,94 @@ def _check_same_architecture(models) -> None:
 
 @dataclass
 class Batch:
-    """Examples as padded stacks: token ids, cue and contrast indicators, and
-    the precomputed token matrices when the model has no encoder.  A list
-    of B examples gives (B, T, ...) stacks; one example the same without
-    the leading axis."""
+    """Examples as padded stacks.  On the toy encoder: token ids and cue and
+    contrast indicators.  From a store: the precomputed token matrices and
+    their pooled statistics (:func:`~stancemoe.experts.row_statistics`),
+    which stand in for the masks.  A list of B examples gives (B, T, ...)
+    stacks; one example the same without the leading axis."""
 
-    ids: Padded  # (..., T) token ids
-    cue: np.ndarray  # (..., T) 0/1
-    contrast: np.ndarray  # (..., T) 0/1
+    single: bool  # one example, with no leading batch axis
+    ids: Padded | None = None  # (..., T) token ids
+    cue: np.ndarray | None = None  # (..., T) 0/1
+    contrast: np.ndarray | None = None  # (..., T) 0/1
     H: Padded | None = None  # (..., T, d) precomputed rows
+    stats: Statistics | None = None  # (4, ..., d) statistics of H
 
-    @property
-    def single(self) -> bool:
-        """One example, with no leading batch axis."""
-        return self.ids.data.ndim == 1
+
+def _check_store(params: ModelParams, store) -> None:
+    """Rows come from a store exactly when the model has no encoder."""
+    if params.encoder is None and store is None:
+        raise ValueError("model has no encoder; precomputed embeddings required")
+    if params.encoder is not None and store is not None:
+        raise ValueError("model has the toy encoder, which makes its own rows; a store of "
+                         "precomputed rows is read only in encoder mode 'precomputed'")
+
+
+def _stored_rows(params: ModelParams, examples, store) -> list:
+    """Each example's rows, as ``store`` holds them, in list order.  Rejects
+    a mask position out of range, an id the store lacks and rows of
+    another width or count, naming the id."""
+    rows = []
+    for ex in examples:
+        check_positions(len(ex.token_ids), ex.cue_positions, ex.contrast_positions)
+        if ex.id not in store:
+            raise KeyError(f"id {ex.id!r} not found in the embedding store")
+        rows.append(store[ex.id])
+        _check_rows(params, ex, rows[-1])
+    return rows
+
+
+def _stack(rows, single: bool) -> Padded:
+    """Stored rows as float64, one example's or a list's padded stack."""
+    if single:
+        return Padded(np.asarray(rows[0], dtype=np.float64), np.intp(len(rows[0])))
+    return Padded.stack(rows)
+
+
+def _masks(examples, T: int, single: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, T) 0/1 cue and contrast indicators of B examples; (T,) for
+    a single one."""
+    cue = np.zeros((len(examples), T))
+    contrast = np.zeros((len(examples), T))
+    for b, ex in enumerate(examples):
+        if ex.cue_positions:
+            cue[b, list(ex.cue_positions)] = 1.0
+        if ex.contrast_positions:
+            contrast[b, list(ex.contrast_positions)] = 1.0
+    return (cue[0], contrast[0]) if single else (cue, contrast)
+
+
+class PreparedRows:
+    """A store's rows for a fixed list of examples, checked, with each
+    example's statistics pooled from its own rows: what every batch of
+    those examples reads, formed once, for models of the settings of
+    ``params``.  Keyed by example id, as the store is; an id that repeats
+    must repeat its mask positions, as its statistics are shared."""
+
+    def __init__(self, params: ModelParams, examples, store):
+        _check_store(params, store)
+        self.rows = _stored_rows(params, examples, store)
+        values = np.empty((len(STATISTICS), len(examples), params.d))
+        flag = np.empty((len(examples), 1))
+        for i, (ex, H) in enumerate(zip(examples, self.rows)):
+            stats = row_statistics(params.bank, np.asarray(H, dtype=np.float64),
+                                   ex.cue_positions, ex.contrast_positions)
+            values[:, i], flag[i] = stats.values, stats.flag
+        self.stats = Statistics(values, flag)
+        self.position = {}
+        for i, ex in enumerate(examples):
+            first = examples[self.position.setdefault(ex.id, i)]
+            if (first.cue_positions, first.contrast_positions) != (ex.cue_positions,
+                                                                   ex.contrast_positions):
+                raise ValueError(f"id {ex.id!r} repeats with other mask positions")
+
+    def take(self, examples) -> tuple[list, Statistics]:
+        """The rows and statistics of ``examples``, in list order."""
+        try:
+            index = [self.position[ex.id] for ex in examples]
+        except KeyError as err:
+            raise KeyError(f"id {err.args[0]!r} is not among the prepared examples") from None
+        return [self.rows[i] for i in index], self.stats.take(index)
 
 
 def make_batch(params: ModelParams, examples, store=None) -> Batch:
@@ -164,49 +239,37 @@ def make_batch(params: ModelParams, examples, store=None) -> Batch:
     encoder: a model without one needs a store, and one with the toy
     encoder, which makes its own rows, rejects a store.
 
-    This is where stored rows become float64: a store read from disk holds
-    float32 arrays (:func:`~stancemoe.encoder.read_embedding_store`), and
-    each batch widens only the rows it looks up, which is exact."""
-    if params.encoder is None and store is None:
-        raise ValueError("model has no encoder; precomputed embeddings required")
-    if params.encoder is not None and store is not None:
-        raise ValueError("model has the toy encoder, which makes its own rows; a store of "
-                         "precomputed rows is read only in encoder mode 'precomputed'")
+    A plain store's rows are checked and pooled into their statistics here,
+    in the padded stack; :class:`PreparedRows` did both once, and a batch
+    of its examples only gathers them.  This is where stored rows become
+    float64: a store read from disk holds float32 arrays
+    (:func:`~stancemoe.encoder.read_embedding_store`), and each batch
+    widens only the rows it looks up, which is exact."""
     single = isinstance(examples, TokenizedExample)
     if single:
         examples = [examples]
-    rows = None if store is None else []
+    _check_store(params, store)
+    if isinstance(store, PreparedRows):
+        rows, stats = store.take(examples)
+        return Batch(single, H=_stack(rows, single), stats=stats.take(0) if single else stats)
+    if store is not None:
+        H = _stack(_stored_rows(params, examples, store), single)
+        masks = _masks(examples, H.shape[-2], single)
+        return Batch(single, H=H, stats=row_statistics(params.bank, H, *masks))
     for ex in examples:
         check_positions(len(ex.token_ids), ex.cue_positions, ex.contrast_positions)
-        if store is not None:
-            if ex.id not in store:
-                raise KeyError(f"id {ex.id!r} not found in the embedding store")
-            rows.append(store[ex.id])
-            _check_rows(params, ex, rows[-1])
     if single:
         ids = Padded(np.asarray(examples[0].token_ids, dtype=np.intp),
                      np.intp(len(examples[0].token_ids)))
-        H = None if rows is None else ids.like(np.asarray(rows[0], dtype=np.float64))
     else:
         ids = Padded.stack([ex.token_ids for ex in examples], dtype=np.intp)
-        H = None if rows is None else ids.like(ids.pad(rows))
-    cue = np.zeros((len(examples), ids.shape[-1]))
-    contrast = np.zeros((len(examples), ids.shape[-1]))
-    for b, ex in enumerate(examples):
-        if ex.cue_positions:
-            cue[b, list(ex.cue_positions)] = 1.0
-        if ex.contrast_positions:
-            contrast[b, list(ex.contrast_positions)] = 1.0
-    if single:
-        return Batch(ids, cue[0], contrast[0], H)
-    return Batch(ids, cue, contrast, H)
+    return Batch(single, ids, *_masks(examples, ids.shape[-1], single))
 
 
 def _check_rows(params: ModelParams, example: TokenizedExample, H: np.ndarray) -> None:
     if H.ndim != 2 or H.shape[1] != params.d:
-        raise ValueError(
-            f"precomputed embeddings have width {H.shape[-1]}, model expects {params.d}"
-        )
+        raise ValueError(f"precomputed embeddings for {example.id!r} have width "
+                         f"{H.shape[-1]}, model expects {params.d}")
     if H.shape[0] != len(example.token_ids):
         raise ValueError(
             f"precomputed embeddings for {example.id!r} have {H.shape[0]} rows, "
@@ -236,28 +299,31 @@ def model_forward(params: ModelParams, examples, store=None) -> ModelOutput:
     """Run the whole model on one example or on a list of examples.
 
     ``store`` maps an example id to its precomputed token matrix (row 0 =
-    CLS, one row per token), which :func:`make_batch` looks up and checks;
-    a model without an encoder needs one, and the toy encoder, which
-    produces the matrices itself, takes none.
+    CLS, one row per token), which :func:`make_batch` looks up and checks,
+    or is the :class:`PreparedRows` of the examples; a model without an
+    encoder needs one, and the toy encoder, which produces the matrices
+    itself, takes none.
 
     A fold-stacked model (:meth:`ModelParams.stack`) takes the same inputs
     and gives every field but ``batch`` a leading fold axis, with the K
     models' outputs: (K, ...) for one example, (K, B, ...) for a list.
+    Stored rows are pooled into their statistics before the fold axis is
+    added, once per example rather than once per fold.
     """
     batch = make_batch(params, examples, store)
-    encoder_cache = None
-    if batch.H is None:
+    encoder_cache, H, stats = None, batch.H, batch.stats
+    if H is None:
         encoded = encode(params.encoder, batch.ids)
         H = encoded.H
         if not (params.forward_only or params.freeze_encoder):  # else no backward reads it
             encoder_cache = encoded.cache
         del encoded  # an unread record is freed before the experts run
-    elif params.n_folds:  # every fold reads the same precomputed rows
-        H = batch.H.like(np.broadcast_to(batch.H.data, (params.n_folds,) + batch.H.shape))
-    else:
-        H = batch.H
+    elif params.n_folds:  # every fold reads the same precomputed rows and statistics
+        H = H.like(np.broadcast_to(H.data, (params.n_folds,) + H.shape))
+        stats = stats.repeat(params.n_folds)
     h_cls = H.data[..., 0, :]
-    vectors = run_all_experts(params.bank, H, batch.cue, batch.contrast, params.active_experts)
+    vectors = run_all_experts(params.bank, H, batch.cue, batch.contrast, params.active_experts,
+                              stats)
 
     if params.head == "moe":
         g = gate_forward(params.gate, h_cls)
@@ -306,7 +372,8 @@ def model_backward(params: ModelParams, examples, out: ModelOutput,
 
     train_encoder = params.encoder is not None and not params.freeze_encoder
     dH = run_all_experts_backward(params.bank, out.H, batch.cue, batch.contrast,
-                                  params.active_experts, dvecs, input_grad=train_encoder)
+                                  params.active_experts, dvecs, input_grad=train_encoder,
+                                  stats=batch.stats)
     if train_encoder:
         if dh_cls is not None:
             dH[..., 0, :] += dh_cls

@@ -368,11 +368,17 @@ class Padded:
 
     @classmethod
     def stack(cls, sequences, dtype=np.float64) -> "Padded":
-        """Zero-pad a list of arrays of shape (T_i, ...), or of runs of T_i
-        scalars, into one stack."""
+        """Zero-pad a list of arrays of shape (T_i, ...), each copied into
+        its slice, or of runs of T_i scalars (through :meth:`pad`), into one
+        stack."""
         lengths = np.fromiter(map(len, sequences), np.intp, len(sequences))
         out = cls(np.empty((len(sequences), lengths.max()), dtype), lengths)
-        out.data = out.pad(sequences, dtype)
+        if getattr(sequences[0], "ndim", 1) < 2:  # a tuple of ids is not converted
+            out.data = out.pad(sequences, dtype)
+            return out
+        out.data = np.zeros(out.real.shape + np.shape(sequences[0])[1:], dtype)
+        for row, seq in zip(out.data, sequences):
+            row[: len(seq)] = seq
         return out
 
     def pad(self, sequences, dtype=np.float64) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .experts import EXPERT_NAMES
 from .metrics import MetricsReport, metrics_from_labels
-from .model import (ENCODER_MODES, ModelParams, head_experts, model_backward,
+from .model import (ENCODER_MODES, ModelParams, PreparedRows, head_experts, model_backward,
                     model_forward)
 from .ops import Region, log_softmax, softmax
 from .text import N_CLASSES, TokenizedExample, Vocab, stratified_kfold
@@ -628,6 +628,10 @@ def run_kfold(config: TrainConfig, examples, vocab: Vocab, store=None,
     OpenBLAS is pinned to one thread, so the trained bytes depend on
     neither ``jobs`` nor the process's thread count.  A failure raises the
     error of the lowest failing fold, as the serial run does.
+
+    A store's rows are checked and pooled into their statistics once, as
+    :class:`~stancemoe.model.PreparedRows`, before any fold trains: an id
+    the store lacks, or rows of the wrong width or count, fail here.
     """
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -653,6 +657,8 @@ def run_kfold(config: TrainConfig, examples, vocab: Vocab, store=None,
                           config.seed + j, store, j)
 
     with _one_blas_thread():
+        if store is not None:  # checked and pooled once; every fold worker inherits it
+            store = PreparedRows(config.architecture(len(vocab)), examples, store)
         done = _train_folds(train, k, jobs)
     failed = [j for j in sorted(done) if isinstance(done[j], Exception)]
     if failed:

@@ -60,8 +60,7 @@ def test_batch_gradients_equal_summed_single_example_gradients(head, encoder_mod
         np.testing.assert_allclose(batched[name], want, rtol=1e-10, atol=1e-14, err_msg=name)
 
 
-@pytest.mark.parametrize("encoder_mode,freeze", [("toy", True), ("precomputed", False)],
-                         ids=["frozen", "precomputed"])
+@pytest.mark.parametrize("encoder_mode,freeze", [("toy", True)], ids=["frozen"])
 def test_no_input_gradient_when_nothing_consumes_it(monkeypatch, encoder_mode, freeze):
     """With no trainable encoder the backward forms no dL/dH, and every
     parameter gradient is bit for bit that of a backward which does."""
@@ -69,9 +68,7 @@ def test_no_input_gradient_when_nothing_consumes_it(monkeypatch, encoder_mode, f
     params = ModelParams.init(VOCAB, D, MAX_LEN, rng, n_filters=2,
                               encoder_mode=encoder_mode, freeze_encoder=freeze)
     examples = mixed_examples(rng)
-    store = ({ex.id: rng.normal(size=(len(ex.token_ids), D)) for ex in examples}
-             if encoder_mode == "precomputed" else None)
-    out = model_forward(params, examples, store)
+    out = model_forward(params, examples)
     _, dlogits = label_smoothed_ce_grad(out.logits, [ex.label for ex in examples], 0.25)
     real = experts.run_all_experts_backward
     returned = []
@@ -95,6 +92,107 @@ def test_no_input_gradient_when_nothing_consumes_it(monkeypatch, encoder_mode, f
     assert returned[0] is None and returned[1].shape == (len(examples), 12, D)
     for name, want in formed.items():
         np.testing.assert_array_equal(skipped[name], want, err_msg=name)
+
+
+def indicators(examples, T):
+    """The (B, T) 0/1 cue and contrast indicators of ``examples``."""
+    cue, contrast = np.zeros((2, len(examples), T))
+    for b, ex in enumerate(examples):
+        cue[b, list(ex.cue_positions)] = 1.0
+        contrast[b, list(ex.contrast_positions)] = 1.0
+    return cue, contrast
+
+
+def test_stored_rows_backward_reads_the_forward_statistics(monkeypatch):
+    """From stored rows the backward forms no dL/dH and pools nothing: it
+    reads the statistics of the forward record, and every parameter
+    gradient equals, within 1e-12, that of a backward which pools the rows
+    of the padded stack again and forms dL/dH."""
+    rng = np.random.default_rng(3)
+    params = ModelParams.init(VOCAB, D, MAX_LEN, rng, n_filters=2, encoder_mode="precomputed")
+    examples = mixed_examples(rng)
+    store = {ex.id: rng.normal(size=(len(ex.token_ids), D)) for ex in examples}
+    out = model_forward(params, examples, store)
+    _, dlogits = label_smoothed_ce_grad(out.logits, [ex.label for ex in examples], 0.25)
+    real = experts.run_all_experts_backward
+    returned = []
+    cue, contrast = indicators(examples, out.H.shape[-2])
+
+    def spy(*args, **kwargs):
+        assert kwargs["stats"] is out.batch.stats and args[2] is None and args[3] is None
+        returned.append(real(*args, **kwargs))
+        return returned[-1]
+
+    def pooling(bank, H, _cue, _contrast, active, dvecs, **kwargs):
+        returned.append(real(bank, H, cue, contrast, active, dvecs, input_grad=True))
+        return None
+
+    for name in ("row_statistics", "_pooled_input"):  # nothing is pooled again
+        monkeypatch.setattr(experts, name, None)
+    params.zero_grads()
+    monkeypatch.setattr(model, "run_all_experts_backward", spy)
+    model_backward(params, examples, out, dlogits)
+    read = grads(params)
+    monkeypatch.undo()
+    params.zero_grads()
+    monkeypatch.setattr(model, "run_all_experts_backward", pooling)
+    model_backward(params, examples, out, dlogits)
+    pooled = grads(params)
+    assert returned[0] is None and returned[1].shape == (len(examples), 12, D)
+    for name, want in pooled.items():
+        np.testing.assert_allclose(read[name], want, rtol=1e-12, atol=1e-15, err_msg=name)
+
+
+def test_prepared_statistics_match_the_pooled_layer_in_a_padded_stack():
+    """Each example's statistics, formed once from its own rows, are within
+    1e-12 what the pooled layer and max pooling form for it inside a padded
+    stack: the pooled sums and column max (the contrast sum where the mask
+    is not empty; elsewhere it is never read), the contrast flag, and the
+    projected vectors."""
+    rng = np.random.default_rng(4)
+    params = ModelParams.init(VOCAB, D, MAX_LEN, rng, n_filters=2, encoder_mode="precomputed")
+    examples = mixed_examples(rng)
+    store = {ex.id: rng.normal(size=(len(ex.token_ids), D)).astype(np.float32)
+             for ex in examples}
+    prepared = model.PreparedRows(params, examples, store).stats
+    H = Padded.stack([store[ex.id] for ex in examples])
+    masks = indicators(examples, H.shape[-2])
+    stacked = experts.row_statistics(params.bank, H, *masks)
+    np.testing.assert_array_equal(prepared.flag, stacked.flag)
+    assert not prepared.flag.all()  # the no-contrast example
+    for name, got, want in zip(experts.STATISTICS, prepared.values, stacked.values):
+        rows = prepared.flag[:, 0] > 0 if name == "contrast" else slice(None)
+        np.testing.assert_allclose(got[rows], want[rows], rtol=0, atol=1e-12, err_msg=name)
+    fixed = ("mean", "cue", "contrast")
+    pooled = experts.pooled_experts(params.bank, H, fixed, *masks)
+    pooled.append(experts.expert_max(params.bank, H))
+    projected = experts.project_statistics(params.bank, experts.STATISTICS, prepared)
+    for name, want in zip(fixed + ("max",), pooled):
+        np.testing.assert_allclose(projected[name], want, rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_prepared_rows_refuse_an_id_that_repeats_with_other_masks():
+    """Prepared statistics are keyed by id, as the store is, so an id that
+    repeats must mark the same positions."""
+    params = ModelParams.init(VOCAB, D, MAX_LEN, np.random.default_rng(6), n_filters=2,
+                              encoder_mode="precomputed")
+    one = toy_example([1, 5, 6, 7], cue=(1,), example_id="twice")
+    store = {"twice": np.zeros((4, D))}
+    model.PreparedRows(params, [one, one], store)
+    with pytest.raises(ValueError, match="id 'twice' repeats with other mask positions"):
+        model.PreparedRows(params, [one, toy_example([1, 5, 6, 7], cue=(2,),
+                                                     example_id="twice")], store)
+
+
+def test_stored_rows_padded_by_slice_copies_equal_pad_bit_for_bit():
+    """Padded.stack copies each example's rows into its slice, widening
+    float32 to float64; Padded.pad puts the concatenated rows in place
+    through the mask.  The bytes are the same."""
+    rng = np.random.default_rng(5)
+    rows = [rng.normal(size=(T, D)).astype(np.float32) for T in (3, 1, 12, 7, 12)]
+    stack = Padded.stack(rows)
+    assert stack.data.dtype == np.float64
+    assert stack.data.tobytes() == stack.pad(rows).tobytes()
 
 
 def test_a_mask_position_out_of_range_fails_by_value():

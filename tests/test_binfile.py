@@ -56,7 +56,7 @@ def checkpoints(draw):
                          freeze_encoder=draw(st.booleans()),
                          hidden_dim=draw(st.integers(1, 6)), cnn_filters=draw(st.integers(1, 3)),
                          max_len=draw(st.integers(2, 8)))
-    tokens = draw(st.lists(UTF8_TEXT.filter(lambda t: t not in RESERVED_TOKENS),
+    tokens = draw(st.lists(UTF8_TEXT.filter(lambda t: t and t not in RESERVED_TOKENS),
                            max_size=6, unique=True))
     vocab = Vocab(tokens)
     lexicon = CueLexicon(cue_tokens=draw(LEXICON_TOKENS), contrast_tokens=draw(LEXICON_TOKENS))

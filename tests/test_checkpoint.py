@@ -11,6 +11,7 @@ from stancemoe.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from stancemoe.text import Vocab
 from stancemoe.train import TrainConfig, ensemble_forward, evaluate_ensemble, run_kfold
 from conftest import nan_in_tensor
 from smck1_fixtures import FIXTURE_DIR, examples_and_store
@@ -69,6 +70,15 @@ class TestRoundtrip:
             np.testing.assert_array_equal(probs_a, probs_b)
             np.testing.assert_array_equal(gate_a, gate_b)
             assert cls_a == cls_b
+
+    def test_an_empty_vocabulary_token_is_not_written(self, trained, lexicon, tmp_path):
+        """No tokenizer makes an empty token, so the reader refuses one too."""
+        _, vocab, cfg, ensemble = trained
+        path = tmp_path / "empty-token.smck"
+        with pytest.raises(ValueError, match=r"^vocab\[2\] is an empty token"):
+            save_checkpoint(path, ensemble, cfg, Vocab([*vocab.tail[:2], "", *vocab.tail[2:]]),
+                            lexicon)
+        assert not path.exists()
 
     def test_save_is_deterministic(self, trained, lexicon, tmp_path):
         examples, vocab, cfg, ensemble = trained
@@ -297,8 +307,9 @@ class TestFormatErrors:
         ("stacked_precomputed.smck", None, "abc", "vocab is a JSON str, not a list"),
         ("fusion.smck", 0, 17, r"vocab\[0\] 17 is not a new, non-reserved string$"),
         ("moe_subset.smck", 0, 17, r"vocab\[0\] 17 is not a new, non-reserved string$"),
+        ("stacked_precomputed.smck", 2, "", r"vocab\[2\] is an empty token$"),
     ], ids=["number", "null", "repeat", "reserved", "string", "fusion-number",
-            "moe-subset-number"])
+            "moe-subset-number", "empty"])
     def test_malformed_vocab_names_the_first_bad_entry(self, tmp_path, fixture, index,
                                                         token, match):
         """Each of these once loaded, with a shorter vocabulary or one whose

@@ -200,7 +200,30 @@ def store_setup(data_dir):
     return store10, wrong
 
 
+@pytest.fixture(scope="module")
+def precomputed_model(data_dir, store_setup):
+    """A precomputed-encoder checkpoint whose config names its store."""
+    out = data_dir / "pre-named.smck"
+    assert main(["train", *FAST, "--set", "encoder=precomputed",
+                 "--set", f'embeddings_path="{store_setup[0]}"',
+                 "--data", str(data_dir / "train.jsonl"), "--out", str(out)]) == 0
+    return out
+
+
 class TestPrecomputedMode:
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_an_empty_embeddings_flag_fails_naming_it(self, data_dir, precomputed_model,
+                                                      capsys, command):
+        """An empty --embeddings is not the config's store."""
+        capsys.readouterr()
+        out = data_dir / f"empty-flag-{command}"
+        rc = main([command, "--model", str(precomputed_model), "--embeddings", "",
+                   "--data", str(data_dir / "train.jsonl"), "--out", str(out)])
+        assert rc == 1
+        assert error_lines(capsys.readouterr().err) == [
+            "error: --embeddings is an empty path; name an SMEB1 store"]
+        assert not out.exists()
+
     def test_train_and_mismatched_predict(self, data_dir, store_setup, capsys):
         store, wrong = store_setup
         out = data_dir / "pre.smck"

@@ -19,6 +19,7 @@ from stancemoe.experts import (
     expert_selfattn,
     pooled_experts,
     pooled_experts_backward,
+    row_statistics,
     run_all_experts,
     run_all_experts_backward,
 )
@@ -353,6 +354,16 @@ class TestRunAllExperts:
         H = np.random.default_rng(25).normal(size=(4, 3))
         with pytest.raises(ValueError, match="expected 2 expert gradients.*got 1"):
             run_all_experts_backward(bank, H, {1}, {2}, ("mean", "cnn"), [np.ones(3)])
+
+    def test_statistics_stand_in_for_the_masks_but_form_no_input_gradient(self):
+        bank = make_bank(d=3, seed=28)
+        H = np.random.default_rng(28).normal(size=(4, 3))
+        stats = row_statistics(bank, H, {1}, {2})
+        for got, want in zip(run_all_experts(bank, H, None, None, EXPERT_NAMES, stats),
+                             run_all_experts(bank, H, {1}, {2})):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        with pytest.raises(ValueError, match="no input gradient"):
+            run_all_experts_backward(bank, H, None, None, ("mean",), [np.ones(3)], stats=stats)
 
     def test_unknown_expert_name_rejected(self):
         with pytest.raises(ValueError, match="pooler9000"):

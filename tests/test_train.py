@@ -730,6 +730,25 @@ class TestPrecomputedEmbeddings:
         with pytest.raises(ValueError, match="toy encoder"):
             train_fold(cfg, examples[:60], examples[60:], len(vocab), seed=1, store=store)
 
+    @pytest.mark.parametrize("fault", ["missing id", "width", "row count"])
+    def test_a_bad_store_fails_run_kfold_before_any_fold_trains(self, corpus90, monkeypatch,
+                                                                 fault):
+        """run_kfold checks every example's rows once, before the folds
+        (and the fold workers) start; the error names the id."""
+        examples, vocab = corpus90
+        store = {ex.id: np.zeros((len(ex.token_ids), 12)) for ex in examples}
+        bad = examples[37]
+        T = len(bad.token_ids)
+        if fault == "missing id":
+            del store[bad.id]
+        else:
+            store[bad.id] = np.zeros((T, 5) if fault == "width" else (T + 1, 12))
+        trained = []
+        monkeypatch.setattr(train_module, "train_fold", lambda *args: trained.append(args))
+        with pytest.raises((KeyError, ValueError), match=f"'{bad.id}'"):
+            run_kfold(small_config(encoder="precomputed"), examples, vocab, store)
+        assert not trained
+
     def test_missing_id_reported(self, corpus90):
         examples, vocab = corpus90
         cfg = small_config(encoder="precomputed")
