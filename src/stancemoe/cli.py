@@ -25,7 +25,6 @@ from .text import (
 )
 from .train import (
     TrainConfig,
-    _one_blas_thread,
     ensemble_forward,
     evaluate_ensemble,
     head_loss_fn,
@@ -188,8 +187,7 @@ def _cmd_train(args, written: list) -> int:
     os.replace(tmp, args.out)
     written.append(args.out)
 
-    with _one_blas_thread():  # the same in-sample logits at any BLAS thread count
-        report = training_report(ensemble, config, examples, store)
+    report = training_report(ensemble, config, examples, store)
     report_path = args.report or f"{args.out}.report.json"
     _write_text(report_path, _dump_json(report), written)
 
@@ -212,8 +210,7 @@ def _cmd_predict(args, written: list) -> int:
     store = _load_store(ckpt.config, args.embeddings)
     examples, _ = load_dataset(args.data, ckpt.lexicon, ckpt.config.max_len,
                                vocab=ckpt.vocab, require_labels=False)
-    with _one_blas_thread():  # the same predictions at any BLAS thread count
-        _, probs, classes, gates = ensemble_forward(ckpt.ensemble, examples, store)
+    _, probs, classes, gates = ensemble_forward(ckpt.ensemble, examples, store)
     lines = [json.dumps({
         "id": ex.id,
         "probs": [float(p) for p in row],
@@ -231,8 +228,7 @@ def _cmd_eval(args, written: list) -> int:
     store = _load_store(ckpt.config, args.embeddings)
     examples, _ = load_dataset(args.data, ckpt.lexicon, ckpt.config.max_len,
                                vocab=ckpt.vocab)
-    with _one_blas_thread():  # the same metrics at any BLAS thread count
-        report, _ = evaluate_ensemble(ckpt.ensemble, examples, store)
+    report, _ = evaluate_ensemble(ckpt.ensemble, examples, store)
     os.makedirs(args.out, exist_ok=True)
     _write_text(os.path.join(args.out, "report.json"), _dump_json(report.to_dict()), written)
     _write_text(os.path.join(args.out, "report.txt"), report_text(report), written)

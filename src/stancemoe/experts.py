@@ -14,6 +14,7 @@ never change (a store's) are pooled once and only projected each step.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -214,14 +215,17 @@ def _row_weights(bank: ExpertBank, name: str, stack: Padded, cue_positions,
         ind = _indicator(cue_positions, stack)
         return ind / (ind.sum(axis=-1, keepdims=True) + bank.eps), None, None
     # contrast: all rows, contrast rows amplified, over the mask size.  An
-    # empty mask zeroes the output, as dividing by eps alone would blow it
-    # up by ~1e8; when every mask is empty, nothing is pooled or projected.
+    # empty mask zeroes the weights and the output, as dividing by eps alone
+    # would blow them up by ~1e8 (and rows near the float range to inf, which
+    # a zero flag turns into NaN); when every mask is empty, nothing is
+    # pooled or projected.
     ind = _indicator(contrast_positions, stack)
     if not ind.any():
         return None
     n = ind.sum(axis=-1, keepdims=True)
     nonempty = (n > 0).astype(np.float64)
-    return (stack.valid + (bank.contrast_scale - 1.0) * ind) / (n + bank.eps), nonempty, None
+    w = (stack.valid + (bank.contrast_scale - 1.0) * ind) / (n + bank.eps) * nonempty
+    return w, nonempty, None
 
 
 def _pooled_input(bank: ExpertBank, name: str, X: np.ndarray, stack: Padded,
@@ -247,7 +251,7 @@ class Statistics:
     (..., d) input of expert STATISTICS[i]'s projection (:func:`_pooled_input`)
     and ``flag`` the (..., 1) indicator of a non-empty contrast mask, which
     the contrast vector is multiplied by.  The contrast sum of a sequence
-    whose mask is empty is never read; it is zero when every mask is."""
+    whose mask is empty is zero, and never read."""
 
     values: np.ndarray  # (len(STATISTICS), ..., d)
     flag: np.ndarray  # (..., 1)
@@ -430,13 +434,14 @@ def expert_max_backward(bank: ExpertBank, H, de: np.ndarray,
 # every sequence flattened end to end, (..., R, d).  Each row starts one
 # window per filter; window t of a sequence counts for kernel size k when
 # t + k <= length, and each size mean-pools its own counted windows.  A
-# window that reads a padding row or runs on into the next sequence is one
-# those weights zero, so sequences never mix, and in the backward pass no
-# gradient reaches a padding row.
+# window that reads a padding row or runs on into the next sequence is not
+# counted: the pooling leaves it out (even a NaN row cannot reach it), so
+# sequences never mix, and in the backward pass no gradient reaches a
+# padding row.
 
 def cnn_features(bank: ExpertBank, H) -> tuple[np.ndarray, tuple]:
     """Concatenated mean-pooled ReLU conv features, one block of n_f per
-    kernel size, and the cache the backward pass reads.
+    kernel size, and the record the backward pass reads.
 
     Kernel sizes longer than a sequence contribute a zero block, so the
     features always have length len(KERNEL_SIZES) * n_filters.
@@ -449,21 +454,31 @@ def cnn_features(bank: ExpertBank, H) -> tuple[np.ndarray, tuple]:
     pre = pre.reshape(X.shape[:-1] + pre.shape[-1:])  # (..., T, n_f * sizes)
     # windows per sequence and kernel size; 1/count weights each counted window
     counts = stack.lengths[..., None] - bank.filter_sizes + 1
-    weights = ((np.arange(T)[:, None] < counts[..., None, :])
-               / np.maximum(counts, 1)[..., None, :])
-    feats = (np.maximum(pre, 0.0) * weights).sum(axis=-2)
+    counted = np.arange(T)[:, None] < counts[..., None, :]
+    weights = counted / np.maximum(counts, 1)[..., None, :]
+    relu = np.maximum(pre, 0.0)
+    if rows.shape[-2] > T:  # windows that run on into the next sequence's rows
+        np.copyto(relu, 0.0, where=~counted)  # left out, not weighted by zero: 0 * NaN is NaN
+    feats = (relu * weights).sum(axis=-2)
     return feats, (rows, pre, weights)
+
+
+def _project_cnn(bank: ExpertBank, feats: np.ndarray) -> np.ndarray:
+    """The CNN expert's vector: its features through both projections."""
+    return affine(bank.proj["cnn"], affine(bank.cnn_proj, feats))
 
 
 def expert_cnn(bank: ExpertBank, H) -> np.ndarray:
     """Project the multi-kernel CNN feature vector."""
-    feats, _ = cnn_features(bank, H)
-    return affine(bank.proj["cnn"], affine(bank.cnn_proj, feats))
+    return _project_cnn(bank, cnn_features(bank, H)[0])
 
 
-def expert_cnn_backward(bank: ExpertBank, H, de: np.ndarray,
-                        input_grad: bool = True) -> np.ndarray | None:
-    feats, (rows, pre, weights) = cnn_features(bank, H)
+def expert_cnn_backward(bank: ExpertBank, H, de: np.ndarray, input_grad: bool = True,
+                        record: tuple | None = None) -> np.ndarray | None:
+    """Backward pass of :func:`expert_cnn`.  Given the forward's ``record``
+    (what :func:`cnn_features` returned for H), it reads that; given only
+    H, it runs the convolution again first."""
+    feats, (rows, pre, weights) = cnn_features(bank, H) if record is None else record
     inner = affine(bank.cnn_proj, feats)
     dinner = affine_backward(bank.proj["cnn"], inner, de)
     dfeats = affine_backward(bank.cnn_proj, feats, dinner)
@@ -477,14 +492,17 @@ def expert_cnn_backward(bank: ExpertBank, H, de: np.ndarray,
 # --- all experts -------------------------------------------------------------
 
 def run_all_experts(bank: ExpertBank, H, cue_positions, contrast_positions,
-                    active=EXPERT_NAMES, stats: Statistics | None = None) -> list[np.ndarray]:
+                    active=EXPERT_NAMES, stats: Statistics | None = None,
+                    record: dict | None = None) -> list[np.ndarray]:
     """Evaluate the experts named in ``active`` (:func:`canonical_experts`);
     returns their vectors in the canonical EXPERT_NAMES order.  Given the
     rows' ``stats`` (:func:`row_statistics`), mean, max, cue and contrast
-    pooling project those and read neither the rows nor the masks.  Max
-    pooling, self-attention and the CNN are called by their module names
-    at call time, so a wrapper installed on this module (a profiler, a test
-    double) sees those calls."""
+    pooling project those and read neither the rows nor the masks.  Given
+    a dict ``record``, the CNN keeps its forward record there under "cnn"
+    (what :func:`cnn_features` returned), which its backward reads.  Max
+    pooling, self-attention and the CNN (or, with a record, its features)
+    are called by their module names at call time, so a wrapper installed
+    on this module (a profiler, a test double) sees those calls."""
     names = canonical_experts(active)
     if stats is None:
         pooled = [name for name in names if name in POOLED_NAMES]
@@ -496,28 +514,35 @@ def run_all_experts(bank: ExpertBank, H, cue_positions, contrast_positions,
         vectors = project_statistics(bank, names, stats)
         if "self_attention" in names:
             vectors["self_attention"] = expert_selfattn(bank, H)
-    if "cnn" in names:
+    if "cnn" in names and record is None:
         vectors["cnn"] = expert_cnn(bank, H)
+    elif "cnn" in names:
+        record["cnn"] = cnn_features(bank, H)
+        vectors["cnn"] = _project_cnn(bank, record["cnn"][0])
     return [vectors[name] for name in names]
 
 
 def run_all_experts_backward(bank: ExpertBank, H, cue_positions, contrast_positions,
                              active, dvecs, input_grad: bool = True,
-                             stats: Statistics | None = None) -> np.ndarray | None:
+                             stats: Statistics | None = None,
+                             cnn_record: tuple | None = None) -> np.ndarray | None:
     """Backward pass of :func:`run_all_experts` for dL/de_i in ``dvecs``, one
     per active expert; accumulates expert gradients and returns the summed
     dL/dH, shaped like the rows of H.  Without ``input_grad`` (nothing
     consumes dL/dH) no expert forms its share of it and the result is None.
     Given the forward's ``stats``, mean, max, cue and contrast pooling read
-    them, and no dL/dH can be formed."""
+    them, and no dL/dH can be formed.  Given the CNN's forward record
+    (``record["cnn"]`` of :func:`run_all_experts`), the CNN reads it instead
+    of running the convolution again."""
     names = canonical_experts(active)
     _check_gradients(names, dvecs)
     grads = dict(zip(names, dvecs))
+    cnn = ("cnn", functools.partial(expert_cnn_backward, record=cnn_record))
     if stats is None:
         pooled = [name for name in grads if name in POOLED_NAMES]
         dH = pooled_experts_backward(bank, H, pooled, [grads[name] for name in pooled],
                                      cue_positions, contrast_positions, input_grad)
-        backwards = (("max", expert_max_backward), ("cnn", expert_cnn_backward))
+        backwards = (("max", expert_max_backward), cnn)
     elif input_grad:
         raise ValueError("the statistics of rows carry no input gradient; pass the "
                          "masks instead to form dL/dH")
@@ -526,7 +551,7 @@ def run_all_experts_backward(bank: ExpertBank, H, cue_positions, contrast_positi
         if "self_attention" in grads:
             pooled_experts_backward(bank, H, ("self_attention",), (grads["self_attention"],),
                                     input_grad=False)
-        dH, backwards = None, (("cnn", expert_cnn_backward),)
+        dH, backwards = None, (cnn,)
     for name, backward in backwards:
         if name in grads:
             dH_i = backward(bank, H, grads[name], input_grad=input_grad)

@@ -293,6 +293,7 @@ class ModelOutput:
     probs: np.ndarray
     batch: Batch
     encoder_cache: tuple | None  # the encoder's forward record, if a backward reads it
+    cnn_record: tuple | None  # the CNN's forward record, if a backward reads it
 
 
 def model_forward(params: ModelParams, examples, store=None) -> ModelOutput:
@@ -308,7 +309,9 @@ def model_forward(params: ModelParams, examples, store=None) -> ModelOutput:
     and gives every field but ``batch`` a leading fold axis, with the K
     models' outputs: (K, ...) for one example, (K, B, ...) for a list.
     Stored rows are pooled into their statistics before the fold axis is
-    added, once per example rather than once per fold.
+    added, once per example rather than once per fold.  A model that trains
+    on stored rows keeps the CNN's forward record, which the backward reads
+    instead of running the convolution again.
     """
     batch = make_batch(params, examples, store)
     encoder_cache, H, stats = None, batch.H, batch.stats
@@ -322,8 +325,9 @@ def model_forward(params: ModelParams, examples, store=None) -> ModelOutput:
         H = H.like(np.broadcast_to(H.data, (params.n_folds,) + H.shape))
         stats = stats.repeat(params.n_folds)
     h_cls = H.data[..., 0, :]
+    record = {} if stats is not None and not params.forward_only else None
     vectors = run_all_experts(params.bank, H, batch.cue, batch.contrast, params.active_experts,
-                              stats)
+                              stats, record)
 
     if params.head == "moe":
         g = gate_forward(params.gate, h_cls)
@@ -337,7 +341,8 @@ def model_forward(params: ModelParams, examples, store=None) -> ModelOutput:
     logits, probs = classify(params.classifier, fused)
     return ModelOutput(H=H, h_cls=h_cls, expert_vectors=vectors, gate_weights=g, fused=fused,
                        logits=logits, probs=probs, batch=batch,
-                       encoder_cache=encoder_cache)
+                       encoder_cache=encoder_cache,
+                       cnn_record=record.get("cnn") if record else None)
 
 
 def model_backward(params: ModelParams, examples, out: ModelOutput,
@@ -345,8 +350,8 @@ def model_backward(params: ModelParams, examples, out: ModelOutput,
     """Accumulate gradients for dL/dlogits through the whole model.
 
     ``examples`` and ``out`` are the input and the record of one
-    :func:`model_forward` call, whose stacks and encoder record the backward
-    pass reuses.  The encoder receives no gradient when it is frozen or
+    :func:`model_forward` call, whose stacks and encoder and CNN records the
+    backward pass reuses.  The encoder receives no gradient when it is frozen or
     absent (precomputed embeddings), and no dL/dH is formed then; expert
     and head gradients still accumulate.  A forward-only model
     (:attr:`ModelParams.forward_only`) has no backward pass.
@@ -373,7 +378,7 @@ def model_backward(params: ModelParams, examples, out: ModelOutput,
     train_encoder = params.encoder is not None and not params.freeze_encoder
     dH = run_all_experts_backward(params.bank, out.H, batch.cue, batch.contrast,
                                   params.active_experts, dvecs, input_grad=train_encoder,
-                                  stats=batch.stats)
+                                  stats=batch.stats, cnn_record=out.cnn_record)
     if train_encoder:
         if dh_cls is not None:
             dH[..., 0, :] += dh_cls

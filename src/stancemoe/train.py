@@ -3,7 +3,6 @@ orchestration, and F1-weighted logit ensembling."""
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 import logging
@@ -361,8 +360,10 @@ def _check_logits(logits: np.ndarray, examples) -> None:
 def predict_logits(params: ModelParams, examples, store=None) -> np.ndarray:
     """Forward a dataset in length-bucketed sub-batches; returns an (n, 3)
     logit matrix in input order, or the (K, n, 3) logits of every fold of a
-    fold-stacked model."""
-    return _forward_buckets(params, examples, store)[0]
+    fold-stacked model.  Runs at one BLAS thread (:func:`_one_blas_thread`),
+    so the logits are the same bytes at any thread count."""
+    with _one_blas_thread():
+        return _forward_buckets(params, examples, store)[0]
 
 
 def evaluate_model(params: ModelParams, examples, store=None) -> MetricsReport:
@@ -487,17 +488,23 @@ def _openblas():
     return None
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
+class _one_blas_thread:
     """Pins numpy's OpenBLAS, where found, to one thread, and restores its
-    count on exit."""
-    get, put = _openblas() or (lambda: 1, lambda n: None)
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
+    count on exit.  Named and used as a function, like
+    ``contextlib.nullcontext``; a class rather than a generator, and it sets
+    no count that is already one, as every prediction enters it."""
+
+    __slots__ = ("before",)
+
+    def __enter__(self):
+        blas = _openblas()
+        self.before = blas[0]() if blas else 1
+        if self.before != 1:
+            blas[1](1)
+
+    def __exit__(self, *exc):
+        if self.before != 1:
+            _openblas()[1](self.before)
 
 
 def _train_share(train, folds) -> dict:
@@ -680,15 +687,17 @@ def ensemble_forward(ensemble: EnsembleModel, examples, store=None):
     one example; (n, 3), (n, 3), (n,) and (n, E) for a list of n, where E
     is the number of active experts.  Argmax ties resolve to the lowest
     class index.  A non-finite fold logit raises FloatingPointError naming
-    the example (the first in input order, for a list).
+    the example (the first in input order, for a list).  Runs at one BLAS
+    thread, as :func:`predict_logits` does.
     """
     single = isinstance(examples, TokenizedExample)
-    if single:
-        out = model_forward(ensemble.stacked, examples, store)
-        fold_logits, fold_gates = out.logits, out.gate_weights
-        _check_logits(fold_logits[..., None, :], [examples])
-    else:
-        fold_logits, fold_gates = _forward_buckets(ensemble.stacked, examples, store)
+    with _one_blas_thread():
+        if single:
+            out = model_forward(ensemble.stacked, examples, store)
+            fold_logits, fold_gates = out.logits, out.gate_weights
+            _check_logits(fold_logits[..., None, :], [examples])
+        else:
+            fold_logits, fold_gates = _forward_buckets(ensemble.stacked, examples, store)
     logits = ensemble.average(fold_logits)
     classes = logits.argmax(axis=-1)
     return (logits, softmax(logits), int(classes) if single else classes,

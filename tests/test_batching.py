@@ -1,9 +1,12 @@
 """A padded, length-masked batch is the same model as one example at a time."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from stancemoe import experts, model
+from stancemoe.checkpoint import load_checkpoint
 from stancemoe.encoder import ToyEncoderParams, encode, encode_backward
 from stancemoe.experts import KERNEL_SIZES
 from stancemoe.model import ModelParams, model_backward, model_forward
@@ -11,6 +14,7 @@ from stancemoe.ops import Padded
 from stancemoe.train import (ROWS_PER_MAX_LEN, Adam, label_smoothed_ce_grad, length_buckets,
                              predict_logits)
 from conftest import random_example, toy_example
+from smck1_fixtures import FIXTURE_DIR, examples_and_store
 
 VOCAB, D, MAX_LEN = 20, 6, 16
 
@@ -143,12 +147,120 @@ def test_stored_rows_backward_reads_the_forward_statistics(monkeypatch):
         np.testing.assert_allclose(read[name], want, rtol=1e-12, atol=1e-15, err_msg=name)
 
 
+def counting_cnn_features(monkeypatch):
+    """Counts the calls of experts.cnn_features from here on."""
+    calls = []
+    real = experts.cnn_features
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experts, "cnn_features", counted)
+    return calls
+
+
+@pytest.mark.parametrize("prepared", [False, True], ids=["store", "prepared"])
+def test_stored_row_training_backward_reads_the_cnn_record(monkeypatch, prepared):
+    """A model that trains on stored rows keeps the CNN's forward record:
+    the forward runs the convolution once and the backward not at all, and
+    every gradient is bit for bit that of the raw-input CNN backward, which
+    runs it again, for one example and for a padded list."""
+    rng = np.random.default_rng(8)
+    params = ModelParams.init(VOCAB, D, MAX_LEN, rng, n_filters=2, encoder_mode="precomputed")
+    examples = mixed_examples(rng)
+    store = {ex.id: rng.normal(size=(len(ex.token_ids), D)) for ex in examples}
+    if prepared:
+        store = model.PreparedRows(params, examples, store)
+    for batch in (examples[2], examples):
+        labels = batch.label if batch is examples[2] else [ex.label for ex in batch]
+        calls = counting_cnn_features(monkeypatch)
+        out = model_forward(params, batch, store)
+        assert len(calls) == 1 and out.cnn_record is not None
+        _, dlogits = label_smoothed_ce_grad(out.logits, labels, 0.25)
+        params.zero_grads()
+        model_backward(params, batch, out, dlogits)
+        assert len(calls) == 1
+        recorded = grads(params)
+        params.zero_grads()
+        model_backward(params, batch, dataclasses.replace(out, cnn_record=None), dlogits)
+        assert len(calls) == 2
+        for name, want in grads(params).items():
+            assert np.array_equal(recorded[name], want), name
+        monkeypatch.undo()
+
+
+def test_forward_only_models_and_the_toy_path_keep_no_cnn_record(monkeypatch, tmp_path):
+    """A fold stack, a trained (forward-only) fold and a loaded fold run the
+    forward they ran before and keep no CNN record, and the toy encoder's
+    forward and backward still run the convolution twice, frozen or not."""
+    ckpt = load_checkpoint(FIXTURE_DIR / "stacked_precomputed.smck")
+    examples, store = examples_and_store(ckpt.vocab, ckpt.config, 7)
+    loaded = ckpt.ensemble.folds[0].params
+    rng = np.random.default_rng(9)
+    trained = ModelParams.init(VOCAB, D, MAX_LEN, rng, n_filters=2, encoder_mode="precomputed")
+    trained.drop_grads()
+    trained_rows = {ex.id: rng.normal(size=(len(ex.token_ids), D)) for ex in examples}
+    for params, rows in ((ckpt.ensemble.stacked, store), (loaded, store),
+                         (trained, trained_rows)):
+        assert params.forward_only
+        for batch in (examples[1], examples):
+            assert model_forward(params, batch, rows).cnn_record is None
+    for freeze in (False, True):
+        params = ModelParams.init(VOCAB, D, MAX_LEN, rng, n_filters=2, freeze_encoder=freeze)
+        toy = mixed_examples(rng)
+        calls = counting_cnn_features(monkeypatch)
+        out = model_forward(params, toy)
+        assert out.cnn_record is None
+        _, dlogits = label_smoothed_ce_grad(out.logits, [ex.label for ex in toy], 0.25)
+        model_backward(params, toy, out, dlogits)
+        assert len(calls) == 2
+        monkeypatch.undo()
+
+
+def test_an_empty_contrast_mask_pools_nothing_beside_rows_near_the_float_range():
+    """An empty contrast mask gets zero row weights, so in a padded list of
+    empty and non-empty masks an example whose rows are 1e308 has its own
+    single-example logits, which are finite; weights of valid/eps would
+    overflow its pooled sum, and the zero flag would make that NaN."""
+    rng = np.random.default_rng(7)
+    params = ModelParams.init(VOCAB, D, MAX_LEN, rng, n_filters=2, encoder_mode="precomputed")
+    examples = mixed_examples(rng)
+    empty = [not ex.contrast_positions for ex in examples]
+    assert 0 < sum(empty) < len(examples)
+    store = {ex.id: np.full((len(ex.token_ids), D), 1e308) if none
+             else rng.normal(size=(len(ex.token_ids), D)) for ex, none in zip(examples, empty)}
+    logits = predict_logits(params, examples, store)
+    for row, ex in zip(logits, examples):
+        single = model_forward(params, ex, store).logits
+        assert np.isfinite(single).all()
+        np.testing.assert_allclose(row, single, rtol=1e-12, atol=0)
+
+
+def test_a_non_finite_example_leaves_its_neighbours_in_a_padded_list_as_they_are_alone():
+    """The CNN convolves a list's rows end to end, so a window past one
+    sequence's end reads the next one's rows; it is left out, and NaN rows
+    make only their own example's logits NaN."""
+    rng = np.random.default_rng(10)
+    params = ModelParams.init(VOCAB, D, MAX_LEN, rng, n_filters=2, encoder_mode="precomputed")
+    examples = mixed_examples(rng)
+    store = {ex.id: rng.normal(size=(len(ex.token_ids), D)) for ex in examples}
+    for bad in range(len(examples)):
+        rows = {**store, examples[bad].id: np.full_like(store[examples[bad].id], np.nan)}
+        logits = model_forward(params, examples, rows).logits
+        for i, ex in enumerate(examples):
+            if i == bad:
+                assert np.isnan(logits[i]).all()
+            else:
+                np.testing.assert_allclose(logits[i], model_forward(params, ex, rows).logits,
+                                           rtol=0, atol=1e-12)
+
+
 def test_prepared_statistics_match_the_pooled_layer_in_a_padded_stack():
     """Each example's statistics, formed once from its own rows, are within
     1e-12 what the pooled layer and max pooling form for it inside a padded
-    stack: the pooled sums and column max (the contrast sum where the mask
-    is not empty; elsewhere it is never read), the contrast flag, and the
-    projected vectors."""
+    stack: the pooled sums and column max (the contrast sum is zero where
+    the mask is empty), the contrast flag, and the projected vectors."""
     rng = np.random.default_rng(4)
     params = ModelParams.init(VOCAB, D, MAX_LEN, rng, n_filters=2, encoder_mode="precomputed")
     examples = mixed_examples(rng)
@@ -161,8 +273,7 @@ def test_prepared_statistics_match_the_pooled_layer_in_a_padded_stack():
     np.testing.assert_array_equal(prepared.flag, stacked.flag)
     assert not prepared.flag.all()  # the no-contrast example
     for name, got, want in zip(experts.STATISTICS, prepared.values, stacked.values):
-        rows = prepared.flag[:, 0] > 0 if name == "contrast" else slice(None)
-        np.testing.assert_allclose(got[rows], want[rows], rtol=0, atol=1e-12, err_msg=name)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
     fixed = ("mean", "cue", "contrast")
     pooled = experts.pooled_experts(params.bank, H, fixed, *masks)
     pooled.append(experts.expert_max(params.bank, H))

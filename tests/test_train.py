@@ -14,6 +14,7 @@ import pytest
 
 from stancemoe import train as train_module
 from stancemoe.checkpoint import load_checkpoint, save_checkpoint
+from stancemoe.metrics import metrics_from_labels
 from stancemoe.model import ModelParams
 from stancemoe.ops import Region
 from stancemoe.train import (
@@ -669,16 +670,14 @@ class TestPrecomputedEmbeddings:
                        fold_index=2)
         assert isinstance(excinfo.value.__cause__, NonFiniteGradientError)
 
-    # the overflow warns on its way to the non-finite logits
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_logits_name_the_first_example_in_input_order(self, corpus90):
         from stancemoe.model import ModelParams
 
         examples, vocab = corpus90
         rng = np.random.default_rng(22)
         store = {ex.id: rng.normal(size=(len(ex.token_ids), 12)) for ex in examples[:6]}
-        for i in (4, 2):  # rows that overflow every expert
-            store[examples[i].id][:] = 1e308
+        for i in (4, 2):  # rows non-finite for the example alone, which NaN passes on silently
+            store[examples[i].id][:] = np.nan
         cfg = small_config(encoder="precomputed")
         folds = [cfg.build_model(len(vocab), np.random.default_rng(j)) for j in range(2)]
         for params in (folds[0], ModelParams.stack(folds)):
@@ -1020,3 +1019,37 @@ class TestForkedFolds:
         finally:
             put(before)
         assert [art.blas_threads for art in ensemble.folds] == [1, 1, 1]
+
+
+@needs_pin
+def test_predictions_are_the_same_bytes_at_one_and_two_blas_threads(corpus90, monkeypatch):
+    """predict_logits and ensemble_forward, on a list and on one example,
+    forward at one OpenBLAS thread and restore the process's count, so
+    their logits are the same bytes at one thread and at two."""
+    examples, vocab = corpus90
+    cfg = small_config(hidden_dim=64, max_len=64)
+    folds = [FoldArtifact(j, cfg.build_model(len(vocab), np.random.default_rng(j)),
+                          metrics_from_labels([0, 1, 2], [0, 1, j % 3])) for j in range(3)]
+    ensemble = EnsembleModel(folds=folds, weights=[0.5, 0.3, 0.2])
+    get, put = train_module._openblas()
+    seen = []
+    real = train_module.model_forward
+
+    def recording(*args, **kwargs):
+        seen.append(get())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(train_module, "model_forward", recording)
+    before = get()
+    logits = {}
+    try:
+        for threads in (1, 2):
+            put(threads)
+            logits[threads] = [predict_logits(folds[0].params, examples).tobytes(),
+                               ensemble_forward(ensemble, examples)[0].tobytes(),
+                               ensemble_forward(ensemble, examples[0])[0].tobytes()]
+            assert get() == threads
+    finally:
+        put(before)
+    assert logits[1] == logits[2]
+    assert seen and set(seen) == {1}
