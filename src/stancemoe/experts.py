@@ -3,18 +3,17 @@
 In canonical order: mean pooling, max pooling, self-attention pooling,
 multi-kernel CNN, lexical-cue pooling over the cue mask C, and
 contrast-amplified pooling over the contrast mask D.  Each expert projects
-to the model width d, so the gating head can mix them freely.  The four
-that take a row-weighted sum of H (mean, self-attention, cue, contrast)
-are one layer, :func:`pooled_experts`, each with its own row-weight rule.
-Mean, cue and contrast pooling and max pooling depend on no parameter
-before their projection: :func:`row_statistics` forms those statistics as
-the layer and max pooling form them (:func:`_pooled_input`), so rows that
-never change (a store's) are pooled once and only projected each step.
+to the model width d, so the gating head can mix them freely.  Mean, max,
+cue and contrast pooling depend on no parameter before their projection:
+:func:`row_statistics` forms those four statistics of the rows once per
+forward, :func:`run_all_experts` only projects them, and the backward
+reads them.  Self-attention and the CNN pool the rows themselves.  Each
+expert alone (:func:`expert_mean` and the rest) is the same layer with one
+expert active.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -35,9 +34,11 @@ from .ops import (
 )
 
 EXPERT_NAMES = ("mean", "max", "self_attention", "cnn", "cue", "contrast")
+# the experts whose dL/dH is a row-weighted sum, in the order of the one
+# product that forms it
 POOLED_NAMES = ("mean", "self_attention", "cue", "contrast")
-# the experts whose projected input depends on no parameter, in the row
-# order of their statistics
+# the experts whose projected input depends on no parameter, in the order
+# their statistics are formed
 STATISTICS = ("mean", "cue", "contrast", "max")
 KERNEL_SIZES = (2, 3, 4, 5)
 
@@ -130,14 +131,6 @@ def canonical_experts(names) -> tuple[str, ...]:
     return chosen
 
 
-def _check_pooled(names) -> None:
-    """Rejects a name in ``names`` that is not a pooled expert, naming it."""
-    bad = [name for name in names if name not in POOLED_NAMES]
-    if bad:
-        raise ValueError(f"not pooled expert name(s): {bad}; expected names from "
-                         f"{POOLED_NAMES}")
-
-
 def _check_gradients(names, dvecs) -> None:
     """Rejects a gradient list ``dvecs`` that is not one per expert in ``names``."""
     if len(dvecs) != len(names):
@@ -186,10 +179,13 @@ def _pool(w: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 # --- the pooled experts ----------------------------------------------------
 #
-# Mean, self-attention, lexical-cue and contrast pooling are one layer: each
-# expert pools the rows of H with its own (..., T) row weights, in its own
-# product, and projects the result with its own d x d map.  An expert is
-# only its row-weight rule.
+# Mean, lexical-cue and contrast pooling take a row-weighted sum of H, each
+# with its own row-weight rule, and max pooling takes its column max.  None
+# of the four has a parameter before its projection, so each pools a
+# statistic of the rows (:func:`row_statistics`), formed once per forward
+# and then only projected (:func:`project_statistics`); their backward
+# reads it and never pools the rows again.  Self-attention pooling's row
+# weights depend on its attention vector, so it pools the rows itself.
 
 def attention_weights(bank: ExpertBank, H) -> tuple[np.ndarray, np.ndarray]:
     """Token weights alpha_i = softmax_i(s_i), which sum to one over each
@@ -201,19 +197,15 @@ def attention_weights(bank: ExpertBank, H) -> tuple[np.ndarray, np.ndarray]:
 
 def _row_weights(bank: ExpertBank, name: str, stack: Padded, cue_positions,
                  contrast_positions):
-    """The row-weight rule of pooled expert ``name`` on the rows of
-    ``stack``: its (..., T) row weights, the (..., 1) 0/1 flag its output is
-    multiplied by (None when every output counts) and, for self-attention,
-    the scores its weights are the softmax of.  None when every contrast
-    mask is empty."""
+    """The row-weight rule of expert ``name`` (mean, cue or contrast) on the
+    rows of ``stack``: its (..., T) row weights and the (..., 1) 0/1 flag
+    its output is multiplied by (None when every output counts).  None when
+    every contrast mask is empty."""
     if name == "mean":
-        return stack.valid / stack.lengths[..., None], None, None
-    if name == "self_attention":
-        alpha, scores = attention_weights(bank, stack)
-        return alpha, None, scores
+        return stack.valid / stack.lengths[..., None], None
     if name == "cue":  # the eps-regularized mean of the cue rows
         ind = _indicator(cue_positions, stack)
-        return ind / (ind.sum(axis=-1, keepdims=True) + bank.eps), None, None
+        return ind / (ind.sum(axis=-1, keepdims=True) + bank.eps), None
     # contrast: all rows, contrast rows amplified, over the mask size.  An
     # empty mask zeroes the weights and the output, as dividing by eps alone
     # would blow them up by ~1e8 (and rows near the float range to inf, which
@@ -224,60 +216,71 @@ def _row_weights(bank: ExpertBank, name: str, stack: Padded, cue_positions,
         return None
     n = ind.sum(axis=-1, keepdims=True)
     nonempty = (n > 0).astype(np.float64)
-    w = (stack.valid + (bank.contrast_scale - 1.0) * ind) / (n + bank.eps) * nonempty
-    return w, nonempty, None
+    return (stack.valid + (bank.contrast_scale - 1.0) * ind) / (n + bank.eps) * nonempty, nonempty
+
+
+def _masked(X: np.ndarray, stack: Padded) -> np.ndarray:
+    """The rows X with every padding row at -inf, so a column max skips it."""
+    return X + stack.fill[..., None] if stack.ragged else X
 
 
 def _pooled_input(bank: ExpertBank, name: str, X: np.ndarray, stack: Padded,
                   cue_positions, contrast_positions):
     """The (..., d) input of expert ``name``'s projection on the rows X of
-    ``stack`` (a pooled expert's row-weighted sum, or max pooling's column
-    max over each sequence's real rows) and the (..., 1) 0/1 flag its output
-    is multiplied by (None when every output counts).  None when every
+    ``stack`` (a row-weighted sum, or max pooling's column max over each
+    sequence's real rows) and the (..., 1) 0/1 flag its output is
+    multiplied by (None when every output counts).  None when every
     contrast mask is empty."""
     if name == "max":
-        masked = X + stack.fill[..., None] if stack.ragged else X
-        return masked.max(axis=-2), None
+        return _masked(X, stack).max(axis=-2), None
     pool = _row_weights(bank, name, stack, cue_positions, contrast_positions)
     if pool is None:
         return None
-    w, flag, _ = pool
+    w, flag = pool
     return _pool(w, X), flag
 
 
 @dataclass
 class Statistics:
-    """The parameter-free statistics of some rows: ``values[i]`` is the
-    (..., d) input of expert STATISTICS[i]'s projection (:func:`_pooled_input`)
-    and ``flag`` the (..., 1) indicator of a non-empty contrast mask, which
-    the contrast vector is multiplied by.  The contrast sum of a sequence
-    whose mask is empty is zero, and never read."""
+    """The parameter-free statistics of some rows: ``values[name]`` is the
+    (..., d) input of expert ``name``'s projection (:func:`_pooled_input`),
+    for the experts of STATISTICS they were formed for, and ``flag`` the
+    (..., 1) indicator of a non-empty contrast mask, which the contrast
+    vector is multiplied by, or None when every contrast mask is empty or
+    no contrast statistic was formed.  The contrast sum of a sequence whose
+    mask is empty is zero, and never read."""
 
-    values: np.ndarray  # (len(STATISTICS), ..., d)
-    flag: np.ndarray  # (..., 1)
+    values: dict[str, np.ndarray]
+    flag: np.ndarray | None
 
     def take(self, index) -> "Statistics":
         """The statistics of the sequences ``index`` of the leading axis."""
-        return Statistics(self.values[:, index], self.flag[index])
+        flag = self.flag[index]
+        return Statistics({name: u[index] for name, u in self.values.items()},
+                          flag if flag.any() else None)
 
     def repeat(self, k: int) -> "Statistics":
         """The same statistics k times along a new leading axis (the flag
         broadcasts against it as it is)."""
-        return Statistics(self.values[:, None].repeat(k, axis=1), self.flag)
+        return Statistics({name: u[None].repeat(k, axis=0) for name, u in self.values.items()},
+                          self.flag)
 
 
-def row_statistics(bank: ExpertBank, H, cue_positions, contrast_positions) -> Statistics:
-    """The statistics of the rows of H: the mean, cue and contrast pooled
-    sums and the column max, formed as the pooled layer and max pooling
-    form them."""
+def row_statistics(bank: ExpertBank, H, cue_positions, contrast_positions,
+                   names=STATISTICS) -> Statistics:
+    """The statistics of the rows of H for the experts in ``names`` that
+    have one: the mean, cue and contrast pooled sums and the column max."""
     X, stack = _rows(H)
-    values = np.zeros((len(STATISTICS),) + X.shape[:-2] + X.shape[-1:])
-    flag = np.zeros(stack.lengths.shape + (1,))
-    for i, name in enumerate(STATISTICS):
+    values, flag = {}, None
+    for name in STATISTICS:
+        if name not in names:
+            continue
         pool = _pooled_input(bank, name, X, stack, cue_positions, contrast_positions)
-        if pool is not None:  # None: every contrast mask is empty, the sum stays zero
-            values[i] = pool[0]
-            flag = flag if pool[1] is None else pool[1]
+        if pool is None:  # every contrast mask is empty: the sum stays zero
+            values[name] = np.zeros(X.shape[:-2] + X.shape[-1:])
+            continue
+        values[name] = pool[0]
+        flag = flag if pool[1] is None else pool[1]
     return Statistics(values, flag)
 
 
@@ -287,10 +290,11 @@ def project_statistics(bank: ExpertBank, names, stats: Statistics) -> dict[str, 
     where the contrast mask is empty, and nothing is projected for it when
     every mask is."""
     vectors = {}
-    for name, u in zip(STATISTICS, stats.values):
+    for name in STATISTICS:
         if name not in names:
             continue
-        if name == "contrast" and not stats.flag.any():
+        u = stats.values[name]
+        if name == "contrast" and stats.flag is None:
             vectors[name] = np.zeros(u.shape[:-1] + (bank.d,))
             continue
         e = affine(bank.proj[name], u)
@@ -298,134 +302,42 @@ def project_statistics(bank: ExpertBank, names, stats: Statistics) -> dict[str, 
     return vectors
 
 
-def project_statistics_backward(bank: ExpertBank, grads: dict, stats: Statistics) -> None:
+def project_statistics_backward(bank: ExpertBank, grads: dict, stats: Statistics,
+                                input_grad: bool) -> dict[str, np.ndarray]:
     """Backward pass of :func:`project_statistics` for the dL/de of the
     experts in ``grads`` ({name: gradient}): accumulates the projections'
-    gradients, reading the statistics instead of pooling the rows again."""
-    for name, u in zip(STATISTICS, stats.values):
+    gradients, reading the statistics, and returns {name: dL/d statistic}
+    (None without ``input_grad``) of each expert whose statistic was
+    projected."""
+    dstats = {}
+    for name in STATISTICS:
         if name not in grads:
             continue
         de = grads[name]
         if name == "contrast":
-            if not stats.flag.any():
+            if stats.flag is None:
                 continue
             de = de * stats.flag
-        affine_backward(bank.proj[name], u, de, input_grad=False)
-
-
-def pooled_experts(bank: ExpertBank, H, names, cue_positions=None,
-                   contrast_positions=None) -> list[np.ndarray]:
-    """The vectors of the pooled experts in ``names``, in that order.
-    Rejects a name that is not in POOLED_NAMES, naming it."""
-    _check_pooled(names)
-    X, stack = _rows(H)
-    vectors = []
-    for name in names:
-        pool = _pooled_input(bank, name, X, stack, cue_positions, contrast_positions)
-        if pool is None:
-            vectors.append(np.zeros(X.shape[:-2] + (bank.d,)))
-            continue
-        u, flag = pool
-        e = affine(bank.proj[name], u)
-        vectors.append(e if flag is None else e * flag)
-    return vectors
-
-
-def pooled_experts_backward(bank: ExpertBank, H, names, dvecs, cue_positions=None,
-                            contrast_positions=None,
-                            input_grad: bool = True) -> np.ndarray | None:
-    """Backward pass of :func:`pooled_experts` for dL/de_i in ``dvecs``:
-    accumulates the experts' parameter gradients and returns their summed
-    dL/dH, shaped like the rows of H (None without ``input_grad``).  Each
-    expert's row weights meet its pooled vector's gradient, and the score
-    gradient meets the attention vector, as one (..., T, P) @ (..., P, d)
-    product.  Rejects a name that is not pooled and a ``dvecs`` that is not
-    one gradient per name."""
-    _check_pooled(names)
-    _check_gradients(names, dvecs)
-    X, stack = _rows(H)
-    weights, vectors = [], []  # (..., T) row weights and the (..., d) vectors they meet
-    for name, de in zip(names, dvecs):
-        pool = _row_weights(bank, name, stack, cue_positions, contrast_positions)
-        if pool is None:
-            continue
-        w, flag, scores = pool
-        du = affine_backward(bank.proj[name], _pool(w, X), de if flag is None else de * flag,
-                             input_grad or scores is not None)
-        weights.append(w)
-        vectors.append(du)
-        if scores is not None:  # self-attention: the score term
-            dscores = softmax_backward(w, (X @ du[..., :, None])[..., 0])
-            dpre = dscores * (1.0 - scores**2)  # through tanh
-            bank.grad_attn_vector += dpre.reshape(-1) @ X.reshape(-1, bank.d)
-            weights.append(dpre)
-            vectors.append(np.broadcast_to(bank.attn_vector, du.shape))
-    if not input_grad:
-        return None
-    if not weights:
-        return np.zeros_like(X)
-    return np.stack(weights, axis=-1) @ np.stack(vectors, axis=-2)
-
-
-# each pooled expert alone: the shared layer with one expert
-
-def expert_mean(bank: ExpertBank, H) -> np.ndarray:
-    """Project the unweighted row mean of H."""
-    return pooled_experts(bank, H, ("mean",))[0]
-
-
-def expert_mean_backward(bank: ExpertBank, H, de: np.ndarray) -> np.ndarray:
-    return pooled_experts_backward(bank, H, ("mean",), (de,))
+        dstats[name] = affine_backward(bank.proj[name], stats.values[name], de, input_grad)
+    return dstats
 
 
 def expert_selfattn(bank: ExpertBank, H) -> np.ndarray:
     """Project the attention-weighted row sum of H."""
-    return pooled_experts(bank, H, ("self_attention",))[0]
-
-
-def expert_selfattn_backward(bank: ExpertBank, H, de: np.ndarray) -> np.ndarray:
-    return pooled_experts_backward(bank, H, ("self_attention",), (de,))
-
-
-def expert_cue(bank: ExpertBank, H, cue_positions) -> np.ndarray:
-    """Project the eps-regularized mean of rows at the cue positions."""
-    return pooled_experts(bank, H, ("cue",), cue_positions)[0]
-
-
-def expert_cue_backward(bank, H, cue_positions, de: np.ndarray) -> np.ndarray:
-    return pooled_experts_backward(bank, H, ("cue",), (de,), cue_positions)
-
-
-def expert_contrast(bank: ExpertBank, H, contrast_positions) -> np.ndarray:
-    """Sum all rows with contrast rows amplified, normalized by the mask
-    size; an empty contrast mask gives the zero vector."""
-    return pooled_experts(bank, H, ("contrast",), None, contrast_positions)[0]
-
-
-def expert_contrast_backward(bank, H, contrast_positions, de: np.ndarray) -> np.ndarray:
-    return pooled_experts_backward(bank, H, ("contrast",), (de,), None, contrast_positions)
-
-
-# --- max pooling --------------------------------------------------------
-
-def expert_max(bank: ExpertBank, H) -> np.ndarray:
-    """Project the columnwise max over rows of H."""
     X, stack = _rows(H)
-    return affine(bank.proj["max"], _pooled_input(bank, "max", X, stack, None, None)[0])
+    return affine(bank.proj["self_attention"], _pool(attention_weights(bank, stack)[0], X))
 
 
-def expert_max_backward(bank: ExpertBank, H, de: np.ndarray,
-                        input_grad: bool = True) -> np.ndarray | None:
-    X, stack = _rows(H)
-    masked = X + stack.fill[..., None] if stack.ragged else X
-    du = affine_backward(bank.proj["max"], masked.max(axis=-2), de, input_grad)
-    if not input_grad:
-        return None
-    # ties route to the lowest row index (argmax picks the first maximum)
-    arg = masked.argmax(axis=-2)[..., None, :]
-    dH = np.zeros_like(X)
-    np.put_along_axis(dH, arg, du[..., None, :], axis=-2)
-    return dH
+def _selfattn_backward(bank: ExpertBank, X: np.ndarray, stack: Padded, de: np.ndarray):
+    """Backward pass of :func:`expert_selfattn` for dL/de: accumulates its
+    gradients and returns the (..., T) weights and the (..., d) vectors
+    whose products sum to its dL/dH, the row weights' term and the score
+    term."""
+    alpha, scores = attention_weights(bank, stack)
+    du = affine_backward(bank.proj["self_attention"], _pool(alpha, X), de)
+    dpre = softmax_backward(alpha, (X @ du[..., :, None])[..., 0]) * (1.0 - scores**2)  # tanh
+    bank.grad_attn_vector += dpre.reshape(-1) @ X.reshape(-1, bank.d)
+    return (alpha, dpre), (du, np.broadcast_to(bank.attn_vector, du.shape))
 
 
 # --- multi-kernel CNN ----------------------------------------------------
@@ -495,25 +407,21 @@ def run_all_experts(bank: ExpertBank, H, cue_positions, contrast_positions,
                     active=EXPERT_NAMES, stats: Statistics | None = None,
                     record: dict | None = None) -> list[np.ndarray]:
     """Evaluate the experts named in ``active`` (:func:`canonical_experts`);
-    returns their vectors in the canonical EXPERT_NAMES order.  Given the
-    rows' ``stats`` (:func:`row_statistics`), mean, max, cue and contrast
-    pooling project those and read neither the rows nor the masks.  Given
-    a dict ``record``, the CNN keeps its forward record there under "cnn"
-    (what :func:`cnn_features` returned), which its backward reads.  Max
-    pooling, self-attention and the CNN (or, with a record, its features)
-    are called by their module names at call time, so a wrapper installed
-    on this module (a profiler, a test double) sees those calls."""
+    returns their vectors in the canonical EXPERT_NAMES order.  Mean, max,
+    cue and contrast pooling project the rows' ``stats``
+    (:func:`row_statistics`, formed here from the masks when not given)
+    and read neither the rows nor the masks.  Given a dict ``record``, the
+    CNN keeps its forward record there under "cnn" (what
+    :func:`cnn_features` returned), which its backward reads.
+    Self-attention and the CNN (or, with a record, its features) are called
+    by their module names at call time, so a wrapper installed on this
+    module (a profiler, a test double) sees those calls."""
     names = canonical_experts(active)
     if stats is None:
-        pooled = [name for name in names if name in POOLED_NAMES]
-        vectors = dict(zip(pooled, pooled_experts(bank, H, pooled, cue_positions,
-                                                  contrast_positions)))
-        if "max" in names:
-            vectors["max"] = expert_max(bank, H)
-    else:
-        vectors = project_statistics(bank, names, stats)
-        if "self_attention" in names:
-            vectors["self_attention"] = expert_selfattn(bank, H)
+        stats = row_statistics(bank, H, cue_positions, contrast_positions, names)
+    vectors = project_statistics(bank, names, stats)
+    if "self_attention" in names:
+        vectors["self_attention"] = expert_selfattn(bank, H)
     if "cnn" in names and record is None:
         vectors["cnn"] = expert_cnn(bank, H)
     elif "cnn" in names:
@@ -530,31 +438,94 @@ def run_all_experts_backward(bank: ExpertBank, H, cue_positions, contrast_positi
     per active expert; accumulates expert gradients and returns the summed
     dL/dH, shaped like the rows of H.  Without ``input_grad`` (nothing
     consumes dL/dH) no expert forms its share of it and the result is None.
-    Given the forward's ``stats``, mean, max, cue and contrast pooling read
-    them, and no dL/dH can be formed.  Given the CNN's forward record
-    (``record["cnn"]`` of :func:`run_all_experts`), the CNN reads it instead
-    of running the convolution again."""
+    Mean, max, cue and contrast pooling read the forward's ``stats`` (pooled
+    here from the masks when not given); their dL/dH comes from the row
+    weights, which need the cue and contrast masks, and each column's
+    argmax.  The row weights of every row-weighted sum meet their vectors'
+    gradients, and self-attention's score gradient meets the attention
+    vector, as one (..., T, P) @ (..., P, d) product.  Given the CNN's
+    forward record (``record["cnn"]`` of :func:`run_all_experts`), the CNN
+    reads it instead of running the convolution again."""
     names = canonical_experts(active)
     _check_gradients(names, dvecs)
     grads = dict(zip(names, dvecs))
-    cnn = ("cnn", functools.partial(expert_cnn_backward, record=cnn_record))
+    missing = [f"{name} mask" for name, mask in (("cue", cue_positions),
+                                                 ("contrast", contrast_positions))
+               if name in grads and mask is None]
+    if input_grad and missing:
+        raise ValueError(f"forming dL/dH needs the {' and '.join(missing)}; the statistics "
+                         "of rows stand in for the masks only without it")
     if stats is None:
-        pooled = [name for name in grads if name in POOLED_NAMES]
-        dH = pooled_experts_backward(bank, H, pooled, [grads[name] for name in pooled],
-                                     cue_positions, contrast_positions, input_grad)
-        backwards = (("max", expert_max_backward), cnn)
-    elif input_grad:
-        raise ValueError("the statistics of rows carry no input gradient; pass the "
-                         "masks instead to form dL/dH")
-    else:
-        project_statistics_backward(bank, grads, stats)
-        if "self_attention" in grads:
-            pooled_experts_backward(bank, H, ("self_attention",), (grads["self_attention"],),
-                                    input_grad=False)
-        dH, backwards = None, (cnn,)
-    for name, backward in backwards:
-        if name in grads:
-            dH_i = backward(bank, H, grads[name], input_grad=input_grad)
-            if input_grad:
-                dH += dH_i  # in place, so at most two dL/dH are live
+        stats = row_statistics(bank, H, cue_positions, contrast_positions, names)
+    dstats = project_statistics_backward(bank, grads, stats, input_grad)
+    X, stack = _rows(H)
+    weights, vectors = [], []  # (..., T) row weights and the (..., d) vectors they meet
+    for name in POOLED_NAMES:
+        if name == "self_attention" and name in grads:
+            w, v = _selfattn_backward(bank, X, stack, grads[name])
+            weights += w
+            vectors += v
+        elif name in dstats and input_grad:
+            weights.append(_row_weights(bank, name, stack, cue_positions, contrast_positions)[0])
+            vectors.append(dstats[name])
+    dH = None
+    if input_grad:
+        dH = np.stack(weights, axis=-1) @ np.stack(vectors, axis=-2) if weights else np.zeros_like(X)
+        if "max" in dstats:  # each column's gradient at its argmax row, ties at the lowest
+            dH_max = np.zeros_like(X)
+            np.put_along_axis(dH_max, _masked(X, stack).argmax(axis=-2)[..., None, :],
+                              dstats["max"][..., None, :], axis=-2)
+            dH += dH_max  # in place, so at most two dL/dH are live
+    if "cnn" in grads:
+        dH_cnn = expert_cnn_backward(bank, H, grads["cnn"], input_grad=input_grad,
+                                     record=cnn_record)
+        if input_grad:
+            dH += dH_cnn
     return dH
+
+
+# --- each expert alone -------------------------------------------------------
+#
+# Mean, max, cue and contrast pooling alone, and self-attention's backward,
+# are the experts' layer with that one expert active.
+
+def expert_mean(bank: ExpertBank, H) -> np.ndarray:
+    """Project the unweighted row mean of H."""
+    return run_all_experts(bank, H, None, None, ("mean",))[0]
+
+
+def expert_mean_backward(bank: ExpertBank, H, de: np.ndarray) -> np.ndarray:
+    return run_all_experts_backward(bank, H, None, None, ("mean",), (de,))
+
+
+def expert_max(bank: ExpertBank, H) -> np.ndarray:
+    """Project the columnwise max over rows of H."""
+    return run_all_experts(bank, H, None, None, ("max",))[0]
+
+
+def expert_max_backward(bank: ExpertBank, H, de: np.ndarray,
+                        input_grad: bool = True) -> np.ndarray | None:
+    return run_all_experts_backward(bank, H, None, None, ("max",), (de,), input_grad)
+
+
+def expert_selfattn_backward(bank: ExpertBank, H, de: np.ndarray) -> np.ndarray:
+    return run_all_experts_backward(bank, H, None, None, ("self_attention",), (de,))
+
+
+def expert_cue(bank: ExpertBank, H, cue_positions) -> np.ndarray:
+    """Project the eps-regularized mean of rows at the cue positions."""
+    return run_all_experts(bank, H, cue_positions, None, ("cue",))[0]
+
+
+def expert_cue_backward(bank, H, cue_positions, de: np.ndarray) -> np.ndarray:
+    return run_all_experts_backward(bank, H, cue_positions, None, ("cue",), (de,))
+
+
+def expert_contrast(bank: ExpertBank, H, contrast_positions) -> np.ndarray:
+    """Sum all rows with contrast rows amplified, normalized by the mask
+    size; an empty contrast mask gives the zero vector."""
+    return run_all_experts(bank, H, None, contrast_positions, ("contrast",))[0]
+
+
+def expert_contrast_backward(bank, H, contrast_positions, de: np.ndarray) -> np.ndarray:
+    return run_all_experts_backward(bank, H, None, contrast_positions, ("contrast",), (de,))

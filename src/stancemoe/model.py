@@ -142,18 +142,19 @@ def _check_same_architecture(models) -> None:
 
 @dataclass
 class Batch:
-    """Examples as padded stacks.  On the toy encoder: token ids and cue and
-    contrast indicators.  From a store: the precomputed token matrices and
-    their pooled statistics (:func:`~stancemoe.experts.row_statistics`),
-    which stand in for the masks.  A list of B examples gives (B, T, ...)
-    stacks; one example the same without the leading axis."""
+    """Examples as padded stacks: token ids on the toy encoder, the
+    precomputed token matrices from a store, and cue and contrast
+    indicators; from :class:`PreparedRows`, the rows' pooled statistics
+    (:func:`~stancemoe.experts.row_statistics`) stand in for the masks.  A
+    list of B examples gives (B, T, ...) stacks; one example the same
+    without the leading axis."""
 
     single: bool  # one example, with no leading batch axis
     ids: Padded | None = None  # (..., T) token ids
     cue: np.ndarray | None = None  # (..., T) 0/1
     contrast: np.ndarray | None = None  # (..., T) 0/1
     H: Padded | None = None  # (..., T, d) precomputed rows
-    stats: Statistics | None = None  # (4, ..., d) statistics of H
+    stats: Statistics | None = None  # prepared statistics of H
 
 
 def _check_store(params: ModelParams, store) -> None:
@@ -209,12 +210,15 @@ class PreparedRows:
     def __init__(self, params: ModelParams, examples, store):
         _check_store(params, store)
         self.rows = _stored_rows(params, examples, store)
-        values = np.empty((len(STATISTICS), len(examples), params.d))
+        values = {name: np.empty((len(examples), params.d))
+                  for name in STATISTICS if name in params.active_experts}
         flag = np.empty((len(examples), 1))
         for i, (ex, H) in enumerate(zip(examples, self.rows)):
             stats = row_statistics(params.bank, np.asarray(H, dtype=np.float64),
-                                   ex.cue_positions, ex.contrast_positions)
-            values[:, i], flag[i] = stats.values, stats.flag
+                                   ex.cue_positions, ex.contrast_positions, params.active_experts)
+            for name, u in stats.values.items():
+                values[name][i] = u
+            flag[i] = 0.0 if stats.flag is None else stats.flag
         self.stats = Statistics(values, flag)
         self.position = {}
         for i, ex in enumerate(examples):
@@ -223,13 +227,14 @@ class PreparedRows:
                                                                    ex.contrast_positions):
                 raise ValueError(f"id {ex.id!r} repeats with other mask positions")
 
-    def take(self, examples) -> tuple[list, Statistics]:
-        """The rows and statistics of ``examples``, in list order."""
+    def take(self, examples, single: bool = False) -> tuple[list, Statistics]:
+        """The rows and statistics of ``examples``, in list order; the
+        statistics without a leading axis for a ``single`` example."""
         try:
             index = [self.position[ex.id] for ex in examples]
         except KeyError as err:
             raise KeyError(f"id {err.args[0]!r} is not among the prepared examples") from None
-        return [self.rows[i] for i in index], self.stats.take(index)
+        return [self.rows[i] for i in index], self.stats.take(index[0] if single else index)
 
 
 def make_batch(params: ModelParams, examples, store=None) -> Batch:
@@ -239,9 +244,9 @@ def make_batch(params: ModelParams, examples, store=None) -> Batch:
     encoder: a model without one needs a store, and one with the toy
     encoder, which makes its own rows, rejects a store.
 
-    A plain store's rows are checked and pooled into their statistics here,
-    in the padded stack; :class:`PreparedRows` did both once, and a batch
-    of its examples only gathers them.  This is where stored rows become
+    A plain store's rows are checked here, and :func:`model_forward` pools
+    them in the padded stack; :class:`PreparedRows` did both once, and a
+    batch of its examples only gathers them.  This is where stored rows become
     float64: a store read from disk holds float32 arrays
     (:func:`~stancemoe.encoder.read_embedding_store`), and each batch
     widens only the rows it looks up, which is exact."""
@@ -250,12 +255,11 @@ def make_batch(params: ModelParams, examples, store=None) -> Batch:
         examples = [examples]
     _check_store(params, store)
     if isinstance(store, PreparedRows):
-        rows, stats = store.take(examples)
-        return Batch(single, H=_stack(rows, single), stats=stats.take(0) if single else stats)
+        rows, stats = store.take(examples, single)
+        return Batch(single, H=_stack(rows, single), stats=stats)
     if store is not None:
         H = _stack(_stored_rows(params, examples, store), single)
-        masks = _masks(examples, H.shape[-2], single)
-        return Batch(single, H=H, stats=row_statistics(params.bank, H, *masks))
+        return Batch(single, None, *_masks(examples, H.shape[-2], single), H=H)
     for ex in examples:
         check_positions(len(ex.token_ids), ex.cue_positions, ex.contrast_positions)
     if single:
@@ -292,6 +296,7 @@ class ModelOutput:
     logits: np.ndarray
     probs: np.ndarray
     batch: Batch
+    stats: Statistics  # the pooled statistics the experts projected
     encoder_cache: tuple | None  # the encoder's forward record, if a backward reads it
     cnn_record: tuple | None  # the CNN's forward record, if a backward reads it
 
@@ -308,10 +313,11 @@ def model_forward(params: ModelParams, examples, store=None) -> ModelOutput:
     A fold-stacked model (:meth:`ModelParams.stack`) takes the same inputs
     and gives every field but ``batch`` a leading fold axis, with the K
     models' outputs: (K, ...) for one example, (K, B, ...) for a list.
-    Stored rows are pooled into their statistics before the fold axis is
-    added, once per example rather than once per fold.  A model that trains
-    on stored rows keeps the CNN's forward record, which the backward reads
-    instead of running the convolution again.
+    The rows are pooled into their statistics once (stored rows before the
+    fold axis is added, once per example rather than once per fold), unless
+    :class:`PreparedRows` pooled them.  A model that trains on stored rows
+    keeps the CNN's forward record, which the backward reads instead of
+    running the convolution again.
     """
     batch = make_batch(params, examples, store)
     encoder_cache, H, stats = None, batch.H, batch.stats
@@ -321,11 +327,13 @@ def model_forward(params: ModelParams, examples, store=None) -> ModelOutput:
         if not (params.forward_only or params.freeze_encoder):  # else no backward reads it
             encoder_cache = encoded.cache
         del encoded  # an unread record is freed before the experts run
-    elif params.n_folds:  # every fold reads the same precomputed rows and statistics
+    if stats is None:
+        stats = row_statistics(params.bank, H, batch.cue, batch.contrast, params.active_experts)
+    if batch.ids is None and params.n_folds:  # every fold reads the same stored rows
         H = H.like(np.broadcast_to(H.data, (params.n_folds,) + H.shape))
         stats = stats.repeat(params.n_folds)
     h_cls = H.data[..., 0, :]
-    record = {} if stats is not None and not params.forward_only else None
+    record = {} if batch.ids is None and not params.forward_only else None
     vectors = run_all_experts(params.bank, H, batch.cue, batch.contrast, params.active_experts,
                               stats, record)
 
@@ -340,7 +348,7 @@ def model_forward(params: ModelParams, examples, store=None) -> ModelOutput:
             fused = affine(params.fusion_proj, np.concatenate(vectors, axis=-1))
     logits, probs = classify(params.classifier, fused)
     return ModelOutput(H=H, h_cls=h_cls, expert_vectors=vectors, gate_weights=g, fused=fused,
-                       logits=logits, probs=probs, batch=batch,
+                       logits=logits, probs=probs, batch=batch, stats=stats,
                        encoder_cache=encoder_cache,
                        cnn_record=record.get("cnn") if record else None)
 
@@ -350,7 +358,7 @@ def model_backward(params: ModelParams, examples, out: ModelOutput,
     """Accumulate gradients for dL/dlogits through the whole model.
 
     ``examples`` and ``out`` are the input and the record of one
-    :func:`model_forward` call, whose stacks and encoder and CNN records the
+    :func:`model_forward` call, whose stacks, statistics and records the
     backward pass reuses.  The encoder receives no gradient when it is frozen or
     absent (precomputed embeddings), and no dL/dH is formed then; expert
     and head gradients still accumulate.  A forward-only model
@@ -378,7 +386,7 @@ def model_backward(params: ModelParams, examples, out: ModelOutput,
     train_encoder = params.encoder is not None and not params.freeze_encoder
     dH = run_all_experts_backward(params.bank, out.H, batch.cue, batch.contrast,
                                   params.active_experts, dvecs, input_grad=train_encoder,
-                                  stats=batch.stats, cnn_record=out.cnn_record)
+                                  stats=out.stats, cnn_record=out.cnn_record)
     if train_encoder:
         if dh_cls is not None:
             dH[..., 0, :] += dh_cls

@@ -8,7 +8,7 @@ import pytest
 from stancemoe import experts, model
 from stancemoe.checkpoint import load_checkpoint
 from stancemoe.encoder import ToyEncoderParams, encode, encode_backward
-from stancemoe.experts import KERNEL_SIZES
+from stancemoe.experts import EXPERT_NAMES, KERNEL_SIZES, STATISTICS
 from stancemoe.model import ModelParams, model_backward, model_forward
 from stancemoe.ops import Padded
 from stancemoe.train import (ROWS_PER_MAX_LEN, Adam, label_smoothed_ce_grad, length_buckets,
@@ -36,19 +36,37 @@ def grads(params):
     return {name: grad.copy() for name, _, grad in params.named_params()}
 
 
-@pytest.mark.parametrize("head,encoder_mode", [("moe", "toy"), ("stacked", "toy"),
-                                               ("fusion", "toy"), ("moe", "precomputed")])
-def test_batch_gradients_equal_summed_single_example_gradients(head, encoder_mode):
+SUBSET = ("max", "self_attention", "contrast")  # max and contrast statistics, no mean
+
+
+@pytest.mark.parametrize("head,rows,active", [
+    pytest.param("moe", "toy", EXPERT_NAMES, id="moe-toy"),
+    pytest.param("stacked", "toy", EXPERT_NAMES, id="stacked-toy"),
+    pytest.param("fusion", "toy", EXPERT_NAMES, id="fusion-toy"),
+    pytest.param("moe", "store", EXPERT_NAMES, id="moe-precomputed"),
+    pytest.param("moe", "prepared", EXPERT_NAMES, id="moe-prepared"),
+    pytest.param("moe", "toy", SUBSET, id="subset-toy"),
+    pytest.param("moe", "store", SUBSET, id="subset-precomputed"),
+    pytest.param("moe", "prepared", SUBSET, id="subset-prepared"),
+])
+def test_batch_gradients_equal_summed_single_example_gradients(head, rows, active):
+    """A padded list's gradients are the sum of its examples' alone, on the
+    toy encoder, a plain store and PreparedRows; an expert subset forms the
+    statistics of its own experts and no others."""
     rng = np.random.default_rng(0)
     params = ModelParams.init(VOCAB, D, MAX_LEN, rng, n_filters=2, head=head,
-                              encoder_mode=encoder_mode)
+                              encoder_mode="toy" if rows == "toy" else "precomputed",
+                              active_experts=active)
     examples = mixed_examples(rng)
     store = ({ex.id: rng.normal(size=(len(ex.token_ids), D)) for ex in examples}
-             if encoder_mode == "precomputed" else None)
+             if rows != "toy" else None)
+    if rows == "prepared":
+        store = model.PreparedRows(params, examples, store)
     labels = np.array([ex.label for ex in examples])
 
     params.zero_grads()
     out = model_forward(params, examples, store)
+    assert list(out.stats.values) == [name for name in STATISTICS if name in active]
     _, dlogits = label_smoothed_ce_grad(out.logits, labels, 0.25)
     model_backward(params, examples, out, dlogits)
     batched = grads(params)
@@ -107,15 +125,14 @@ def indicators(examples, T):
     return cue, contrast
 
 
-def test_stored_rows_backward_reads_the_forward_statistics(monkeypatch):
-    """From stored rows the backward forms no dL/dH and pools nothing: it
-    reads the statistics of the forward record, and every parameter
-    gradient equals, within 1e-12, that of a backward which pools the rows
-    of the padded stack again and forms dL/dH."""
-    rng = np.random.default_rng(3)
-    params = ModelParams.init(VOCAB, D, MAX_LEN, rng, n_filters=2, encoder_mode="precomputed")
-    examples = mixed_examples(rng)
-    store = {ex.id: rng.normal(size=(len(ex.token_ids), D)) for ex in examples}
+def backward_reading_the_forward_statistics(monkeypatch, params, examples, store=None):
+    """Runs model_backward twice on one forward's record: once with
+    experts.row_statistics and experts._pooled_input patched away, so it
+    must read the statistics of the record, and once with a backward given
+    the masks and statistics pooled afresh, which forms dL/dH whether or
+    not the model consumes it.  Every parameter gradient must agree within
+    1e-12; returns the two backwards' dL/dH (each with the CLS gradient
+    added when the encoder trains)."""
     out = model_forward(params, examples, store)
     _, dlogits = label_smoothed_ce_grad(out.logits, [ex.label for ex in examples], 0.25)
     real = experts.run_all_experts_backward
@@ -123,13 +140,13 @@ def test_stored_rows_backward_reads_the_forward_statistics(monkeypatch):
     cue, contrast = indicators(examples, out.H.shape[-2])
 
     def spy(*args, **kwargs):
-        assert kwargs["stats"] is out.batch.stats and args[2] is None and args[3] is None
+        assert kwargs["stats"] is out.stats
         returned.append(real(*args, **kwargs))
         return returned[-1]
 
-    def pooling(bank, H, _cue, _contrast, active, dvecs, **kwargs):
+    def pooling(bank, H, _cue, _contrast, active, dvecs, input_grad, **kwargs):
         returned.append(real(bank, H, cue, contrast, active, dvecs, input_grad=True))
-        return None
+        return returned[-1] if input_grad else None
 
     for name in ("row_statistics", "_pooled_input"):  # nothing is pooled again
         monkeypatch.setattr(experts, name, None)
@@ -141,10 +158,38 @@ def test_stored_rows_backward_reads_the_forward_statistics(monkeypatch):
     params.zero_grads()
     monkeypatch.setattr(model, "run_all_experts_backward", pooling)
     model_backward(params, examples, out, dlogits)
-    pooled = grads(params)
-    assert returned[0] is None and returned[1].shape == (len(examples), 12, D)
-    for name, want in pooled.items():
+    monkeypatch.undo()
+    for name, want in grads(params).items():
         np.testing.assert_allclose(read[name], want, rtol=1e-12, atol=1e-15, err_msg=name)
+    return returned
+
+
+def test_stored_rows_backward_reads_the_forward_statistics(monkeypatch):
+    """From stored rows the backward forms no dL/dH and pools nothing: it
+    reads the statistics of the forward record, and every parameter
+    gradient equals, within 1e-12, that of a backward which pools the rows
+    of the padded stack again and forms dL/dH."""
+    rng = np.random.default_rng(3)
+    params = ModelParams.init(VOCAB, D, MAX_LEN, rng, n_filters=2, encoder_mode="precomputed")
+    examples = mixed_examples(rng)
+    store = {ex.id: rng.normal(size=(len(ex.token_ids), D)) for ex in examples}
+    returned = backward_reading_the_forward_statistics(monkeypatch, params, examples, store)
+    assert returned[0] is None and returned[1].shape == (len(examples), 12, D)
+
+
+@pytest.mark.parametrize("freeze", [False, True], ids=["trainable", "frozen"])
+def test_toy_backward_reads_the_forward_statistics(monkeypatch, freeze):
+    """On the toy encoder the backward pools nothing either: a trainable
+    encoder's dL/dH comes from the row weights and each column's argmax,
+    and it and every parameter gradient equal, within 1e-12, those of a
+    backward given statistics pooled afresh; a frozen one forms none."""
+    rng = np.random.default_rng(11)
+    params = ModelParams.init(VOCAB, D, MAX_LEN, rng, n_filters=2, freeze_encoder=freeze)
+    returned = backward_reading_the_forward_statistics(monkeypatch, params, mixed_examples(rng))
+    if freeze:
+        assert returned[0] is None
+    else:
+        np.testing.assert_allclose(returned[0], returned[1], rtol=1e-12, atol=1e-15)
 
 
 def counting_cnn_features(monkeypatch):
@@ -258,9 +303,10 @@ def test_a_non_finite_example_leaves_its_neighbours_in_a_padded_list_as_they_are
 
 def test_prepared_statistics_match_the_pooled_layer_in_a_padded_stack():
     """Each example's statistics, formed once from its own rows, are within
-    1e-12 what the pooled layer and max pooling form for it inside a padded
-    stack: the pooled sums and column max (the contrast sum is zero where
-    the mask is empty), the contrast flag, and the projected vectors."""
+    1e-12 what the statistics layer forms for it inside a padded stack: the
+    pooled sums and column max (the contrast sum is zero where the mask is
+    empty) and the contrast flag; and their projections are within 1e-12
+    what mean, max, cue and contrast pooling, each alone, give there."""
     rng = np.random.default_rng(4)
     params = ModelParams.init(VOCAB, D, MAX_LEN, rng, n_filters=2, encoder_mode="precomputed")
     examples = mixed_examples(rng)
@@ -268,17 +314,20 @@ def test_prepared_statistics_match_the_pooled_layer_in_a_padded_stack():
              for ex in examples}
     prepared = model.PreparedRows(params, examples, store).stats
     H = Padded.stack([store[ex.id] for ex in examples])
-    masks = indicators(examples, H.shape[-2])
-    stacked = experts.row_statistics(params.bank, H, *masks)
+    cue, contrast = indicators(examples, H.shape[-2])
+    stacked = experts.row_statistics(params.bank, H, cue, contrast)
     np.testing.assert_array_equal(prepared.flag, stacked.flag)
     assert not prepared.flag.all()  # the no-contrast example
-    for name, got, want in zip(experts.STATISTICS, prepared.values, stacked.values):
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
-    fixed = ("mean", "cue", "contrast")
-    pooled = experts.pooled_experts(params.bank, H, fixed, *masks)
-    pooled.append(experts.expert_max(params.bank, H))
-    projected = experts.project_statistics(params.bank, experts.STATISTICS, prepared)
-    for name, want in zip(fixed + ("max",), pooled):
+    assert list(prepared.values) == list(stacked.values) == list(STATISTICS)
+    for name in STATISTICS:
+        np.testing.assert_allclose(prepared.values[name], stacked.values[name], rtol=0,
+                                   atol=1e-12, err_msg=name)
+    bank = params.bank
+    alone = {"mean": experts.expert_mean(bank, H), "max": experts.expert_max(bank, H),
+             "cue": experts.expert_cue(bank, H, cue),
+             "contrast": experts.expert_contrast(bank, H, contrast)}
+    projected = experts.project_statistics(bank, STATISTICS, prepared)
+    for name, want in alone.items():
         np.testing.assert_allclose(projected[name], want, rtol=0, atol=1e-12, err_msg=name)
 
 

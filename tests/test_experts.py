@@ -17,8 +17,6 @@ from stancemoe.experts import (
     expert_max_backward,
     expert_mean,
     expert_selfattn,
-    pooled_experts,
-    pooled_experts_backward,
     row_statistics,
     run_all_experts,
     run_all_experts_backward,
@@ -356,14 +354,22 @@ class TestRunAllExperts:
             run_all_experts_backward(bank, H, {1}, {2}, ("mean", "cnn"), [np.ones(3)])
 
     def test_statistics_stand_in_for_the_masks_but_form_no_input_gradient(self):
+        """Given the rows' statistics, the experts project them and read no
+        mask; forming dL/dH needs the masks, and without them the backward
+        refuses, naming them, before it accumulates any gradient."""
         bank = make_bank(d=3, seed=28)
         H = np.random.default_rng(28).normal(size=(4, 3))
         stats = row_statistics(bank, H, {1}, {2})
         for got, want in zip(run_all_experts(bank, H, None, None, EXPERT_NAMES, stats),
                              run_all_experts(bank, H, {1}, {2})):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
-        with pytest.raises(ValueError, match="no input gradient"):
-            run_all_experts_backward(bank, H, None, None, ("mean",), [np.ones(3)], stats=stats)
+        bank.zero_grads()
+        dvecs = [np.ones(3)] * len(EXPERT_NAMES)
+        with pytest.raises(ValueError, match="needs the cue mask and contrast mask"):
+            run_all_experts_backward(bank, H, None, None, EXPERT_NAMES, dvecs, stats=stats)
+        with pytest.raises(ValueError, match="needs the contrast mask;"):
+            run_all_experts_backward(bank, H, {1}, None, EXPERT_NAMES, dvecs, stats=stats)
+        assert not any(grad.any() for _, _, grad in bank.named_params())
 
     def test_unknown_expert_name_rejected(self):
         with pytest.raises(ValueError, match="pooler9000"):
@@ -372,21 +378,6 @@ class TestRunAllExperts:
         # the layer itself: an unknown name is not dropped
         with pytest.raises(ValueError, match="maxx"):
             run_all_experts(make_bank(d=3), np.zeros((4, 3)), {1}, {2}, ("mean", "maxx", "cnn"))
-
-    @pytest.mark.parametrize("name", ["max", "cnn", "maxx"])
-    def test_pooled_layer_rejects_a_name_it_does_not_pool(self, name):
-        bank = make_bank(d=3, seed=26)
-        H = np.random.default_rng(26).normal(size=(4, 3))
-        with pytest.raises(ValueError, match=rf"not pooled expert name\(s\): \['{name}'\]"):
-            pooled_experts(bank, H, ("mean", name), {1}, {2})
-        with pytest.raises(ValueError, match=rf"not pooled expert name\(s\): \['{name}'\]"):
-            pooled_experts_backward(bank, H, ("mean", name), [np.ones(3)] * 2, {1}, {2})
-
-    def test_pooled_backward_rejects_one_gradient_for_two_experts(self):
-        bank = make_bank(d=3, seed=27)
-        H = np.random.default_rng(27).normal(size=(4, 3))
-        with pytest.raises(ValueError, match="expected 2 expert gradients.*got 1"):
-            pooled_experts_backward(bank, H, ("mean", "cue"), [np.ones(3)], {1}, {2})
 
 
 def ragged_input(rng):
