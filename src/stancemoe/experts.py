@@ -138,6 +138,15 @@ def _check_gradients(names, dvecs) -> None:
                          f"expert, got {len(dvecs)}")
 
 
+def _require_masks(task: str, names, cue, contrast) -> None:
+    """Rejects a cue or contrast mask of None that ``task`` needs, naming it."""
+    missing = [f"{name} mask" for name, mask in (("cue", cue), ("contrast", contrast))
+               if name in names and mask is None]
+    if missing:
+        raise ValueError(f"{task} needs the {' and '.join(missing)}; the statistics of rows "
+                         "stand in for the masks only where no dL/dH is formed")
+
+
 def check_positions(T: int, *masks) -> None:
     """Rejects a position of any of the ``masks`` (sets of row indices)
     outside [0, T), naming it."""
@@ -270,6 +279,7 @@ def row_statistics(bank: ExpertBank, H, cue_positions, contrast_positions,
                    names=STATISTICS) -> Statistics:
     """The statistics of the rows of H for the experts in ``names`` that
     have one: the mean, cue and contrast pooled sums and the column max."""
+    _require_masks("pooling the rows", names, cue_positions, contrast_positions)
     X, stack = _rows(H)
     values, flag = {}, None
     for name in STATISTICS:
@@ -375,21 +385,17 @@ def cnn_features(bank: ExpertBank, H) -> tuple[np.ndarray, tuple]:
     return feats, (rows, pre, weights)
 
 
-def _project_cnn(bank: ExpertBank, feats: np.ndarray) -> np.ndarray:
-    """The CNN expert's vector: its features through both projections."""
-    return affine(bank.proj["cnn"], affine(bank.cnn_proj, feats))
-
-
-def expert_cnn(bank: ExpertBank, H) -> np.ndarray:
-    """Project the multi-kernel CNN feature vector."""
-    return _project_cnn(bank, cnn_features(bank, H)[0])
+def expert_cnn(bank: ExpertBank, H) -> tuple[np.ndarray, tuple]:
+    """Project the multi-kernel CNN feature vector; returns it and the
+    forward record its backward can read (what :func:`cnn_features` returned)."""
+    record = cnn_features(bank, H)
+    return affine(bank.proj["cnn"], affine(bank.cnn_proj, record[0])), record
 
 
 def expert_cnn_backward(bank: ExpertBank, H, de: np.ndarray, input_grad: bool = True,
                         record: tuple | None = None) -> np.ndarray | None:
-    """Backward pass of :func:`expert_cnn`.  Given the forward's ``record``
-    (what :func:`cnn_features` returned for H), it reads that; given only
-    H, it runs the convolution again first."""
+    """Backward pass of :func:`expert_cnn`: reads the forward's ``record``
+    or, given only H, runs the convolution again first."""
     feats, (rows, pre, weights) = cnn_features(bank, H) if record is None else record
     inner = affine(bank.cnn_proj, feats)
     dinner = affine_backward(bank.proj["cnn"], inner, de)
@@ -411,22 +417,20 @@ def run_all_experts(bank: ExpertBank, H, cue_positions, contrast_positions,
     cue and contrast pooling project the rows' ``stats``
     (:func:`row_statistics`, formed here from the masks when not given)
     and read neither the rows nor the masks.  Given a dict ``record``, the
-    CNN keeps its forward record there under "cnn" (what
-    :func:`cnn_features` returned), which its backward reads.
-    Self-attention and the CNN (or, with a record, its features) are called
-    by their module names at call time, so a wrapper installed on this
-    module (a profiler, a test double) sees those calls."""
+    CNN's forward record (the second value of :func:`expert_cnn`), which its
+    backward reads, is kept there under "cnn".  Self-attention and the CNN
+    are called by their module names at call time, so a wrapper installed
+    on this module (a profiler, a test double) sees those calls."""
     names = canonical_experts(active)
     if stats is None:
         stats = row_statistics(bank, H, cue_positions, contrast_positions, names)
     vectors = project_statistics(bank, names, stats)
     if "self_attention" in names:
         vectors["self_attention"] = expert_selfattn(bank, H)
-    if "cnn" in names and record is None:
-        vectors["cnn"] = expert_cnn(bank, H)
-    elif "cnn" in names:
-        record["cnn"] = cnn_features(bank, H)
-        vectors["cnn"] = _project_cnn(bank, record["cnn"][0])
+    if "cnn" in names:
+        vectors["cnn"], cnn = expert_cnn(bank, H)
+        if record is not None:
+            record["cnn"] = cnn
     return [vectors[name] for name in names]
 
 
@@ -449,12 +453,8 @@ def run_all_experts_backward(bank: ExpertBank, H, cue_positions, contrast_positi
     names = canonical_experts(active)
     _check_gradients(names, dvecs)
     grads = dict(zip(names, dvecs))
-    missing = [f"{name} mask" for name, mask in (("cue", cue_positions),
-                                                 ("contrast", contrast_positions))
-               if name in grads and mask is None]
-    if input_grad and missing:
-        raise ValueError(f"forming dL/dH needs the {' and '.join(missing)}; the statistics "
-                         "of rows stand in for the masks only without it")
+    if input_grad:
+        _require_masks("forming dL/dH", names, cue_positions, contrast_positions)
     if stats is None:
         stats = row_statistics(bank, H, cue_positions, contrast_positions, names)
     dstats = project_statistics_backward(bank, grads, stats, input_grad)
@@ -503,9 +503,8 @@ def expert_max(bank: ExpertBank, H) -> np.ndarray:
     return run_all_experts(bank, H, None, None, ("max",))[0]
 
 
-def expert_max_backward(bank: ExpertBank, H, de: np.ndarray,
-                        input_grad: bool = True) -> np.ndarray | None:
-    return run_all_experts_backward(bank, H, None, None, ("max",), (de,), input_grad)
+def expert_max_backward(bank: ExpertBank, H, de: np.ndarray) -> np.ndarray:
+    return run_all_experts_backward(bank, H, None, None, ("max",), (de,))
 
 
 def expert_selfattn_backward(bank: ExpertBank, H, de: np.ndarray) -> np.ndarray:

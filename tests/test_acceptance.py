@@ -78,7 +78,7 @@ def test_criterion_1_formula_oracle_equivalence():
              sl.sl_expert_selfattn(bank.proj["self_attention"].weight,
                                    bank.proj["self_attention"].bias,
                                    bank.attn_vector, H)),
-            (expert_cnn(bank, H),
+            (expert_cnn(bank, H)[0],
              sl.sl_expert_cnn(bank.proj["cnn"].weight, bank.proj["cnn"].bias,
                               bank.kernels, bank.kernel_biases,
                               bank.cnn_proj.weight, bank.cnn_proj.bias, H)),

@@ -1,6 +1,7 @@
 """A padded, length-masked batch is the same model as one example at a time."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -192,17 +193,81 @@ def test_toy_backward_reads_the_forward_statistics(monkeypatch, freeze):
         np.testing.assert_allclose(returned[0], returned[1], rtol=1e-12, atol=1e-15)
 
 
-def counting_cnn_features(monkeypatch):
-    """Counts the calls of experts.cnn_features from here on."""
+def counting_calls(monkeypatch, name):
+    """Records the (args, kwargs) of each call of experts.<name> from here on."""
     calls = []
-    real = experts.cnn_features
+    real = getattr(experts, name)
 
     def counted(*args, **kwargs):
-        calls.append(None)
+        calls.append((args, kwargs))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(experts, "cnn_features", counted)
+    monkeypatch.setattr(experts, name, counted)
     return calls
+
+
+CNN_PATHS = ("trainable", "frozen", "store", "prepared", "fold-stack")
+
+
+def cnn_path(path, rng):
+    """(params, rows, examples) of one way a forward reaches the CNN: a
+    trainable or frozen toy model, a model training on a plain store or on
+    PreparedRows, or a loaded fold stack (forward-only)."""
+    if path == "fold-stack":
+        ckpt = load_checkpoint(FIXTURE_DIR / "stacked_precomputed.smck")
+        examples, store = examples_and_store(ckpt.vocab, ckpt.config, 7)
+        return ckpt.ensemble.stacked, store, examples
+    examples = mixed_examples(rng)
+    if path in ("trainable", "frozen"):
+        return (ModelParams.init(VOCAB, D, MAX_LEN, rng, n_filters=2,
+                                 freeze_encoder=path == "frozen"), None, examples)
+    params = ModelParams.init(VOCAB, D, MAX_LEN, rng, n_filters=2, encoder_mode="precomputed")
+    store = {ex.id: rng.normal(size=(len(ex.token_ids), D)) for ex in examples}
+    if path == "prepared":
+        store = model.PreparedRows(params, examples, store)
+    return params, store, examples
+
+
+@pytest.mark.parametrize("path", CNN_PATHS)
+def test_every_path_runs_the_cnn_through_expert_cnn(monkeypatch, path):
+    """Each forward, on one example and on a list, calls experts.expert_cnn
+    by module name exactly once, with (bank, H) alone; only a model that
+    trains on stored rows keeps the record it returns, and the backward
+    runs the convolution again only on the toy encoder."""
+    params, rows, examples = cnn_path(path, np.random.default_rng(12))
+    stored = path in ("store", "prepared")
+    for batch in (examples[2], examples):
+        calls = counting_calls(monkeypatch, "expert_cnn")
+        features = counting_calls(monkeypatch, "cnn_features")
+        out = model_forward(params, batch, rows)
+        assert len(calls) == 1 and len(features) == 1
+        assert calls[0] == ((params.bank, out.H), {})
+        assert (out.cnn_record is not None) == stored
+        if not params.forward_only:
+            labels = [ex.label for ex in batch] if batch is examples else batch.label
+            _, dlogits = label_smoothed_ce_grad(out.logits, labels, 0.25)
+            model_backward(params, batch, out, dlogits)
+            assert len(calls) == 1 and len(features) == (1 if stored else 2)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("path", CNN_PATHS)
+def test_only_stored_row_training_holds_the_cnn_record_past_its_call(monkeypatch, path):
+    """The record expert_cnn returns outlives the forward only where a
+    backward reads it: in a model that trains on stored rows."""
+    params, rows, examples = cnn_path(path, np.random.default_rng(13))
+    real, alive = experts.expert_cnn, []
+
+    def watching(bank, H):
+        e, record = real(bank, H)
+        alive.append(weakref.ref(record[1][1]))  # its pre-activations
+        return e, record
+
+    monkeypatch.setattr(experts, "expert_cnn", watching)
+    for batch in (examples[2], examples):
+        out = model_forward(params, batch, rows)
+        assert (alive[-1]() is not None) == (path in ("store", "prepared"))
+        assert (out.cnn_record is not None) == (alive[-1]() is not None)
 
 
 @pytest.mark.parametrize("prepared", [False, True], ids=["store", "prepared"])
@@ -219,7 +284,7 @@ def test_stored_row_training_backward_reads_the_cnn_record(monkeypatch, prepared
         store = model.PreparedRows(params, examples, store)
     for batch in (examples[2], examples):
         labels = batch.label if batch is examples[2] else [ex.label for ex in batch]
-        calls = counting_cnn_features(monkeypatch)
+        calls = counting_calls(monkeypatch, "cnn_features")
         out = model_forward(params, batch, store)
         assert len(calls) == 1 and out.cnn_record is not None
         _, dlogits = label_smoothed_ce_grad(out.logits, labels, 0.25)
@@ -254,7 +319,7 @@ def test_forward_only_models_and_the_toy_path_keep_no_cnn_record(monkeypatch, tm
     for freeze in (False, True):
         params = ModelParams.init(VOCAB, D, MAX_LEN, rng, n_filters=2, freeze_encoder=freeze)
         toy = mixed_examples(rng)
-        calls = counting_cnn_features(monkeypatch)
+        calls = counting_calls(monkeypatch, "cnn_features")
         out = model_forward(params, toy)
         assert out.cnn_record is None
         _, dlogits = label_smoothed_ce_grad(out.logits, [ex.label for ex in toy], 0.25)

@@ -148,7 +148,7 @@ class TestCnnExpert:
             bank.kernel_biases[k][:] = 0.0
         bank.cnn_proj.bias[:] = 0.0
         H = np.random.default_rng(8).normal(size=(6, 3))
-        np.testing.assert_allclose(expert_cnn(bank, H), bank.proj["cnn"].bias, atol=1e-15)
+        np.testing.assert_allclose(expert_cnn(bank, H)[0], bank.proj["cnn"].bias, atol=1e-15)
 
     def test_constant_sequence_all_ones_kernel(self):
         bank = make_bank(d=3, n_filters=1, seed=9)
@@ -181,7 +181,7 @@ class TestCnnExpert:
                 bank.kernels, bank.kernel_biases,
                 bank.cnn_proj.weight, bank.cnn_proj.bias, H,
             )
-            np.testing.assert_allclose(expert_cnn(bank, H), expected, atol=1e-12)
+            np.testing.assert_allclose(expert_cnn(bank, H)[0], expected, atol=1e-12)
 
 
 class TestCnnRaggedStack:
@@ -219,7 +219,7 @@ class TestCnnRaggedStack:
 
         def f():
             bank.zero_grads()
-            e = expert_cnn(bank, H)
+            e = expert_cnn(bank, H)[0]
             gH[:] = expert_cnn_backward(bank, H, e)
             return 0.5 * float(np.sum(e * e))
 
@@ -308,7 +308,7 @@ def direct_outputs(bank, H, C, D, names=EXPERT_NAMES):
         "mean": lambda: expert_mean(bank, H),
         "max": lambda: expert_max(bank, H),
         "self_attention": lambda: expert_selfattn(bank, H),
-        "cnn": lambda: expert_cnn(bank, H),
+        "cnn": lambda: expert_cnn(bank, H)[0],
         "cue": lambda: expert_cue(bank, H, C),
         "contrast": lambda: expert_contrast(bank, H, D),
     }
@@ -370,6 +370,25 @@ class TestRunAllExperts:
         with pytest.raises(ValueError, match="needs the contrast mask;"):
             run_all_experts_backward(bank, H, {1}, None, EXPERT_NAMES, dvecs, stats=stats)
         assert not any(grad.any() for _, _, grad in bank.named_params())
+
+    def test_pooling_without_statistics_names_a_missing_mask(self):
+        """Given neither statistics nor a cue or contrast mask, the forward
+        refuses, naming the mask, and so does a backward that forms no dL/dH."""
+        bank = make_bank(d=3, seed=29)
+        H = np.random.default_rng(29).normal(size=(4, 3))
+        with pytest.raises(ValueError, match="pooling the rows needs the cue mask and contrast"):
+            run_all_experts(bank, H, None, None, ("cue", "contrast"))
+        with pytest.raises(ValueError, match="needs the cue mask;"):
+            run_all_experts(bank, H, None, {2}, EXPERT_NAMES)
+        with pytest.raises(ValueError, match="needs the cue mask;"):
+            expert_cue(bank, H, None)
+        with pytest.raises(ValueError, match="needs the contrast mask;"):
+            expert_contrast(bank, H, None)
+        with pytest.raises(ValueError, match="pooling the rows needs the contrast mask;"):
+            run_all_experts_backward(bank, H, {1}, None, ("contrast",), [np.ones(3)],
+                                     input_grad=False)
+        # mean and max pooling read no mask
+        run_all_experts(bank, H, None, None, ("mean", "max"))
 
     def test_unknown_expert_name_rejected(self):
         with pytest.raises(ValueError, match="pooler9000"):
