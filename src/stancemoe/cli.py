@@ -119,7 +119,10 @@ def _resolve_config(args, **defaults) -> TrainConfig:
     raw: dict = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:  # bytes that are not UTF-8, or text that is not JSON
+                raise ValueError(f"{args.config}: config is not UTF-8 JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
     for item in getattr(args, "overrides", []):

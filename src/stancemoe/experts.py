@@ -175,6 +175,8 @@ def _indicator(positions, stack: Padded) -> np.ndarray:
     indices (one sequence) or already as an indicator."""
     if isinstance(positions, np.ndarray):
         return positions
+    if stack.lengths.ndim:
+        raise ValueError("a set of positions marks one sequence; a stack takes a (B, T) indicator")
     check_positions(stack.valid.shape[-1], positions)
     ind = np.zeros(stack.valid.shape)
     ind[sorted(positions)] = 1.0
@@ -233,26 +235,10 @@ def _masked(X: np.ndarray, stack: Padded) -> np.ndarray:
     return X + stack.fill[..., None] if stack.ragged else X
 
 
-def _pooled_input(bank: ExpertBank, name: str, X: np.ndarray, stack: Padded,
-                  cue_positions, contrast_positions):
-    """The (..., d) input of expert ``name``'s projection on the rows X of
-    ``stack`` (a row-weighted sum, or max pooling's column max over each
-    sequence's real rows) and the (..., 1) 0/1 flag its output is
-    multiplied by (None when every output counts).  None when every
-    contrast mask is empty."""
-    if name == "max":
-        return _masked(X, stack).max(axis=-2), None
-    pool = _row_weights(bank, name, stack, cue_positions, contrast_positions)
-    if pool is None:
-        return None
-    w, flag = pool
-    return _pool(w, X), flag
-
-
 @dataclass
 class Statistics:
     """The parameter-free statistics of some rows: ``values[name]`` is the
-    (..., d) input of expert ``name``'s projection (:func:`_pooled_input`),
+    (..., d) input of expert ``name``'s projection (:func:`row_statistics`),
     for the experts of STATISTICS they were formed for, and ``flag`` the
     (..., 1) indicator of a non-empty contrast mask, which the contrast
     vector is multiplied by, or None when every contrast mask is empty or
@@ -278,19 +264,21 @@ class Statistics:
 def row_statistics(bank: ExpertBank, H, cue_positions, contrast_positions,
                    names=STATISTICS) -> Statistics:
     """The statistics of the rows of H for the experts in ``names`` that
-    have one: the mean, cue and contrast pooled sums and the column max."""
+    have one: for max pooling the column max over real rows, for the others
+    the rows summed under :func:`_row_weights` (zero when every contrast mask is empty)."""
     _require_masks("pooling the rows", names, cue_positions, contrast_positions)
     X, stack = _rows(H)
     values, flag = {}, None
     for name in STATISTICS:
         if name not in names:
             continue
-        pool = _pooled_input(bank, name, X, stack, cue_positions, contrast_positions)
-        if pool is None:  # every contrast mask is empty: the sum stays zero
+        if name == "max":
+            values[name] = _masked(X, stack).max(axis=-2)
+        elif (pool := _row_weights(bank, name, stack, cue_positions, contrast_positions)) is None:
             values[name] = np.zeros(X.shape[:-2] + X.shape[-1:])
-            continue
-        values[name] = pool[0]
-        flag = flag if pool[1] is None else pool[1]
+        else:
+            values[name] = _pool(pool[0], X)
+            flag = flag if pool[1] is None else pool[1]
     return Statistics(values, flag)
 
 

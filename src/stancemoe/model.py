@@ -180,18 +180,10 @@ def _stored_rows(params: ModelParams, examples, store) -> list:
     return rows
 
 
-def _stack(rows, single: bool) -> Padded:
-    """Stored rows as float64, one example's or a list's padded stack."""
-    if single:
-        return Padded(np.asarray(rows[0], dtype=np.float64), np.intp(len(rows[0])))
-    return Padded.stack(rows)
-
-
 def _masks(examples, T: int, single: bool) -> tuple[np.ndarray, np.ndarray]:
     """The (B, T) 0/1 cue and contrast indicators of B examples; (T,) for
     a single one."""
-    cue = np.zeros((len(examples), T))
-    contrast = np.zeros((len(examples), T))
+    cue, contrast = np.zeros((2, len(examples), T))
     for b, ex in enumerate(examples):
         if ex.cue_positions:
             cue[b, list(ex.cue_positions)] = 1.0
@@ -212,20 +204,20 @@ class PreparedRows:
         self.rows = _stored_rows(params, examples, store)
         values = {name: np.empty((len(examples), params.d))
                   for name in STATISTICS if name in params.active_experts}
-        flag = np.empty((len(examples), 1))
-        for i, (ex, H) in enumerate(zip(examples, self.rows)):
-            stats = row_statistics(params.bank, np.asarray(H, dtype=np.float64),
-                                   ex.cue_positions, ex.contrast_positions, params.active_experts)
-            for name, u in stats.values.items():
-                values[name][i] = u
-            flag[i] = 0.0 if stats.flag is None else stats.flag
-        self.stats = Statistics(values, flag)
+        flag = np.zeros((len(examples), 1))
         self.position = {}
-        for i, ex in enumerate(examples):
+        for i, (ex, H) in enumerate(zip(examples, self.rows)):
             first = examples[self.position.setdefault(ex.id, i)]
             if (first.cue_positions, first.contrast_positions) != (ex.cue_positions,
                                                                    ex.contrast_positions):
                 raise ValueError(f"id {ex.id!r} repeats with other mask positions")
+            stats = row_statistics(params.bank, np.asarray(H, dtype=np.float64),
+                                   ex.cue_positions, ex.contrast_positions, params.active_experts)
+            for name, u in stats.values.items():
+                values[name][i] = u
+            if stats.flag is not None:
+                flag[i] = stats.flag
+        self.stats = Statistics(values, flag)
 
     def take(self, examples, single: bool = False) -> tuple[list, Statistics]:
         """The rows and statistics of ``examples``, in list order; the
@@ -256,17 +248,13 @@ def make_batch(params: ModelParams, examples, store=None) -> Batch:
     _check_store(params, store)
     if isinstance(store, PreparedRows):
         rows, stats = store.take(examples, single)
-        return Batch(single, H=_stack(rows, single), stats=stats)
+        return Batch(single, H=Padded.of(rows, single), stats=stats)
     if store is not None:
-        H = _stack(_stored_rows(params, examples, store), single)
+        H = Padded.of(_stored_rows(params, examples, store), single)
         return Batch(single, None, *_masks(examples, H.shape[-2], single), H=H)
     for ex in examples:
         check_positions(len(ex.token_ids), ex.cue_positions, ex.contrast_positions)
-    if single:
-        ids = Padded(np.asarray(examples[0].token_ids, dtype=np.intp),
-                     np.intp(len(examples[0].token_ids)))
-    else:
-        ids = Padded.stack([ex.token_ids for ex in examples], dtype=np.intp)
+    ids = Padded.of([ex.token_ids for ex in examples], single, np.intp)
     return Batch(single, ids, *_masks(examples, ids.shape[-1], single))
 
 

@@ -381,6 +381,14 @@ class Padded:
             row[: len(seq)] = seq
         return out
 
+    @classmethod
+    def of(cls, sequences, single: bool, dtype=np.float64) -> "Padded":
+        """The one sequence of ``sequences`` with no leading axis when
+        ``single``, else their padded stack (:meth:`stack`)."""
+        if not single:
+            return cls.stack(sequences, dtype)
+        return cls(np.asarray(sequences[0], dtype=dtype), np.intp(len(sequences[0])))
+
     def pad(self, sequences, dtype=np.float64) -> np.ndarray:
         """The (B, T, ...) array of B sequences of this stack's lengths,
         zero on padding: their rows, concatenated, go into place through

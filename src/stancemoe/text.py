@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import string
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from itertools import compress, islice, repeat
@@ -110,10 +111,24 @@ class CueLexicon:
                     raise ValueError(f"bad {name} lexicon entry: {t!r}")
 
 
+@contextmanager
+def _open_utf8(path):
+    """``path`` open as UTF-8; a byte that is not UTF-8 fails naming its line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:  # the decoder runs a block ahead of the lines
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            lineno = next((n for n, line in enumerate(fh, start=1)
+                           if any("\udc80" <= c <= "\udcff" for c in line)), "?")
+        raise DatasetFormatError(f"{path}:{lineno}: not UTF-8: byte "
+                                 f"0x{exc.object[exc.start]:02x} ({exc.reason})") from exc
+
+
 def read_lexicon_file(path) -> frozenset[str]:
     """One lowercase token per line; blank lines and '#' comments ignored."""
     tokens = set()
-    with open(path, encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -214,7 +229,7 @@ def load_dataset(
     examples: list[TokenizedExample] = []
     id_lines: dict[str, int] = {}
     strings: dict[str, str] = {}  # each token string of the file -> its first occurrence
-    with open(path, encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -231,15 +246,12 @@ def load_dataset(
                 raise DatasetFormatError(f"{path}:{lineno}: id {row['id']!r} repeats "
                                          f"that of line {id_lines[row['id']]}")
             id_lines[row["id"]] = lineno
-            label: int | None = None
-            if "label" in row and row["label"] is not None:
-                raw = row["label"]
-                if not isinstance(raw, str) or raw not in _LABEL_TO_INDEX:
-                    raise DatasetFormatError(
-                        f"{path}:{lineno}: unknown label {raw!r} "
-                        f"(expected one of {', '.join(LABEL_NAMES)})"
-                    )
-                label = _LABEL_TO_INDEX[raw]
+            label = row.get("label")
+            if label is not None:
+                if not isinstance(label, str) or label not in _LABEL_TO_INDEX:
+                    raise DatasetFormatError(f"{path}:{lineno}: unknown label {label!r} "
+                                             f"(expected one of {', '.join(LABEL_NAMES)})")
+                label = _LABEL_TO_INDEX[label]
             elif require_labels:
                 raise DatasetFormatError(f"{path}:{lineno}: missing required 'label'")
             tokens = tokenize(row["text"], max_len)

@@ -128,7 +128,7 @@ def indicators(examples, T):
 
 def backward_reading_the_forward_statistics(monkeypatch, params, examples, store=None):
     """Runs model_backward twice on one forward's record: once with
-    experts.row_statistics and experts._pooled_input patched away, so it
+    experts.row_statistics patched away, so it
     must read the statistics of the record, and once with a backward given
     the masks and statistics pooled afresh, which forms dL/dH whether or
     not the model consumes it.  Every parameter gradient must agree within
@@ -149,7 +149,7 @@ def backward_reading_the_forward_statistics(monkeypatch, params, examples, store
         returned.append(real(bank, H, cue, contrast, active, dvecs, input_grad=True))
         return returned[-1] if input_grad else None
 
-    for name in ("row_statistics", "_pooled_input"):  # nothing is pooled again
+    for name in ("row_statistics",):  # nothing is pooled again
         monkeypatch.setattr(experts, name, None)
     params.zero_grads()
     monkeypatch.setattr(model, "run_all_experts_backward", spy)

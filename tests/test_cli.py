@@ -82,6 +82,18 @@ class TestTrain:
         assert f"{key} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("content, detail", [(b"not json", "Expecting value"),
+                                                 (b'{"k": "\xff"}', "can't decode byte 0xff")],
+                             ids=["not-json", "not-utf8"])
+    def test_a_bad_config_file_is_named(self, data_dir, capsys, content, detail):
+        cfg_path = data_dir / "bad-config.json"
+        cfg_path.write_bytes(content)
+        rc = main(["train", "--config", str(cfg_path), "--data", str(data_dir / "train.jsonl"),
+                   "--out", str(data_dir / "bad-config.smck")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg_path}: config is not UTF-8 JSON: ") and detail in err
+
     def test_config_file_and_set_precedence(self, data_dir):
         cfg_path = data_dir / "cfg.json"
         cfg_path.write_text(json.dumps({"epochs": 1, "k": 2, "hidden_dim": 10,

@@ -390,6 +390,30 @@ class TestRunAllExperts:
         # mean and max pooling read no mask
         run_all_experts(bank, H, None, None, ("mean", "max"))
 
+    def test_a_set_of_positions_with_a_stack_is_rejected(self):
+        """A set of mask positions marks one sequence: with a stack of
+        three it is refused, not read as rows of the batch axis, forward
+        and backward; the stack's (B, T) indicator and one sequence's set
+        (a 0-d length) are read."""
+        rng = np.random.default_rng(30)
+        bank = make_bank(d=4, seed=30)
+        H, C, D = ragged_input(rng)
+        message = r"a set of positions marks one sequence; a stack takes a \(B, T\) indicator"
+        with pytest.raises(ValueError, match=message):
+            run_all_experts(bank, H, {1}, D)
+        with pytest.raises(ValueError, match=message):
+            run_all_experts(bank, H, C, {1})
+        with pytest.raises(ValueError, match=message):
+            run_all_experts_backward(bank, H, {1}, D, ("cue",), [np.ones((3, 4))])
+        with pytest.raises(ValueError, match=message):
+            expert_cue(bank, H, {1})
+        with pytest.raises(ValueError, match=message):
+            expert_contrast(bank, H, {1})
+        run_all_experts(bank, H, C, D)
+        one = Padded.of([H.data[2]], single=True)  # one sequence: a 0-d length
+        np.testing.assert_array_equal(expert_cue(bank, one, {2}),
+                                      expert_cue(bank, H.data[2], {2}))
+
     def test_unknown_expert_name_rejected(self):
         with pytest.raises(ValueError, match="pooler9000"):
             ModelParams.init(20, 4, 8, np.random.default_rng(0),

@@ -126,6 +126,13 @@ class TestLexicons:
         with pytest.raises(DatasetFormatError):
             read_lexicon_file(p)
 
+    def test_bytes_that_are_not_utf8_name_the_file_and_line(self, tmp_path):
+        p = tmp_path / "lex.txt"
+        p.write_bytes(b"# cues\r\nfoo\rbar\n\nclaims\xff\nbaz\n")
+        with pytest.raises(DatasetFormatError,
+                           match=rf"^{re.escape(str(p))}:5: not UTF-8: byte 0xff"):
+            read_lexicon_file(p)
+
     def test_empty_lexicon_rejected(self):
         with pytest.raises(ValueError):
             CueLexicon(cue_tokens=frozenset(), contrast_tokens=frozenset({"but"}))
@@ -192,6 +199,18 @@ class TestLoadDataset:
         p = tmp_path / "data.jsonl"
         p.write_text("\n".join(lines), encoding="utf-8")
         with pytest.raises(DatasetFormatError, match=rf"^{re.escape(str(p))}: no examples$"):
+            load_dataset(p, lexicon)
+
+    @pytest.mark.parametrize("bad_line", [2, 400])
+    def test_bytes_that_are_not_utf8_name_the_file_and_line(self, tmp_path, lexicon, bad_line):
+        # line 400 lies past the first block the text layer decodes
+        lines = [json.dumps({"id": f"e{i}", "text": "officials say talks resume",
+                             "label": "neutral"}).encode() for i in range(1, 500)]
+        lines[bad_line - 1] = lines[bad_line - 1].replace(b"talks", b"t\xffalks")
+        p = tmp_path / "data.jsonl"
+        p.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(DatasetFormatError,
+                           match=rf"^{re.escape(str(p))}:{bad_line}: not UTF-8: byte 0xff"):
             load_dataset(p, lexicon)
 
     def test_repeated_id_names_both_lines(self, tmp_path, lexicon):
