@@ -326,7 +326,9 @@ def main(argv=None) -> int:
                 os.remove(path)
             except OSError:
                 pass
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message; the message is shown bare
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

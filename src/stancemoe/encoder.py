@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,7 +65,7 @@ class ToyEncoderParams(ParamSet):
     def __post_init__(self):
         self.query, self.key, self.value = (LinearParams(self.d, self.d) for _ in range(3))
 
-    @cached_property
+    @property
     def positions(self) -> np.ndarray:
         return sinusoidal_positions(self.max_len, self.d)  # (max_len, d)
 
@@ -106,10 +106,8 @@ def embed_sequence(params: ToyEncoderParams, token_ids) -> np.ndarray:
     padded = isinstance(token_ids, Padded)
     ids = _clip_ids(params, token_ids.data if padded else token_ids)
     T = ids.shape[-1]
-    if T > params.positions.shape[0]:
-        raise ValueError(
-            f"sequence length {T} exceeds position table size {params.positions.shape[0]}"
-        )
+    if T > params.max_len:
+        raise ValueError(f"sequence length {T} exceeds position table size {params.max_len}")
     X = np.take(params.embedding, ids, axis=-2) + params.positions[:T]
     if padded and token_ids.ragged:
         X *= token_ids.valid[..., None]

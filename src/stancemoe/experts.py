@@ -58,10 +58,11 @@ class ExpertBank(ParamSet):
     is tap j of filter f, the filters ordered by kernel size, n_filters of
     each.  A size-k filter has taps 0..k-1; its taps from k on are no
     parameter, no product reads them, and they stay zero.  The declared
-    per-size ``kernels[k]`` (n_filters, k, d) and ``kernel_biases[k]``
-    (and their gradients) are views into ``cnn_kernels`` and
-    ``cnn_biases``.  ``filter_sizes`` holds each filter's kernel size and
-    ``tap_starts[j]`` the first filter with a tap j.
+    per-size tensors ``cnn/k{k}/kernels`` (n_filters, k, d) and
+    ``cnn/k{k}/bias`` (n_filters,), as :meth:`named_params` gives them with
+    their gradients, are views into ``cnn_kernels`` and ``cnn_biases``.
+    ``filter_sizes`` holds each filter's kernel size and ``tap_starts[j]``
+    the first filter with a tap j.
     """
 
     d: int
@@ -102,19 +103,6 @@ class ExpertBank(ParamSet):
     def init(cls, d: int, n_filters: int, rng: np.random.Generator,
              contrast_scale: float = 3.0, eps: float = 1e-8) -> "ExpertBank":
         return cls(d, n_filters, contrast_scale, eps).draw(rng)
-
-    def _per_size(self, name: str) -> dict[int, np.ndarray]:
-        """{k: kernel size k's declared view} of the CNN stack ``name``."""
-        return dict(zip(KERNEL_SIZES, [self._tensor(t) for t in self._declared
-                                       if isinstance(t, Tensor) and t.array == name]))
-
-    @property
-    def kernels(self) -> dict[int, np.ndarray]:
-        return self._per_size("cnn_kernels")
-
-    @property
-    def kernel_biases(self) -> dict[int, np.ndarray]:
-        return self._per_size("cnn_biases")
 
 
 # --- the input rules -------------------------------------------------------

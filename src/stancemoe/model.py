@@ -157,8 +157,11 @@ class Batch:
     stats: Statistics | None = None  # prepared statistics of H
 
 
-def _check_store(params: ModelParams, store) -> None:
-    """Rows come from a store exactly when the model has no encoder."""
+def _check_inputs(params: ModelParams, examples, store) -> None:
+    """There is an example, and rows come from a store exactly when the
+    model has no encoder."""
+    if not examples:
+        raise ValueError("the list of examples is empty")
     if params.encoder is None and store is None:
         raise ValueError("model has no encoder; precomputed embeddings required")
     if params.encoder is not None and store is not None:
@@ -168,16 +171,24 @@ def _check_store(params: ModelParams, store) -> None:
 
 def _stored_rows(params: ModelParams, examples, store) -> list:
     """Each example's rows, as ``store`` holds them, in list order.  Rejects
-    a mask position out of range, an id the store lacks and rows of
+    what :func:`_check_example` rejects, an id the store lacks and rows of
     another width or count, naming the id."""
     rows = []
     for ex in examples:
-        check_positions(len(ex.token_ids), ex.cue_positions, ex.contrast_positions)
+        _check_example(ex)
         if ex.id not in store:
             raise KeyError(f"id {ex.id!r} not found in the embedding store")
         rows.append(store[ex.id])
         _check_rows(params, ex, rows[-1])
     return rows
+
+
+def _check_example(ex: TokenizedExample) -> None:
+    """Rejects an example with no tokens, naming it, and a mask position
+    out of range."""
+    if not ex.token_ids:
+        raise ValueError(f"example {ex.id!r} has no tokens")
+    check_positions(len(ex.token_ids), ex.cue_positions, ex.contrast_positions)
 
 
 def _masks(examples, T: int, single: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -200,7 +211,7 @@ class PreparedRows:
     must repeat its mask positions, as its statistics are shared."""
 
     def __init__(self, params: ModelParams, examples, store):
-        _check_store(params, store)
+        _check_inputs(params, examples, store)
         self.rows = _stored_rows(params, examples, store)
         values = {name: np.empty((len(examples), params.d))
                   for name in STATISTICS if name in params.active_experts}
@@ -234,7 +245,8 @@ def make_batch(params: ModelParams, examples, store=None) -> Batch:
     (T_i, d) rows (row 0 = CLS, one row per token) looked up by its id in
     ``store``.  Rows come from a store exactly when the model has no
     encoder: a model without one needs a store, and one with the toy
-    encoder, which makes its own rows, rejects a store.
+    encoder, which makes its own rows, rejects a store.  An empty list
+    fails, and so does an example with no tokens, naming it.
 
     A plain store's rows are checked here, and :func:`model_forward` pools
     them in the padded stack; :class:`PreparedRows` did both once, and a
@@ -245,7 +257,7 @@ def make_batch(params: ModelParams, examples, store=None) -> Batch:
     single = isinstance(examples, TokenizedExample)
     if single:
         examples = [examples]
-    _check_store(params, store)
+    _check_inputs(params, examples, store)
     if isinstance(store, PreparedRows):
         rows, stats = store.take(examples, single)
         return Batch(single, H=Padded.of(rows, single), stats=stats)
@@ -253,7 +265,7 @@ def make_batch(params: ModelParams, examples, store=None) -> Batch:
         H = Padded.of(_stored_rows(params, examples, store), single)
         return Batch(single, None, *_masks(examples, H.shape[-2], single), H=H)
     for ex in examples:
-        check_positions(len(ex.token_ids), ex.cue_positions, ex.contrast_positions)
+        _check_example(ex)
     ids = Padded.of([ex.token_ids for ex in examples], single, np.intp)
     return Batch(single, ids, *_masks(examples, ids.shape[-1], single))
 

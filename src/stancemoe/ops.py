@@ -369,14 +369,14 @@ class Padded:
     @classmethod
     def stack(cls, sequences, dtype=np.float64) -> "Padded":
         """Zero-pad a list of arrays of shape (T_i, ...), each copied into
-        its slice, or of runs of T_i scalars (through :meth:`pad`), into one
-        stack."""
+        its slice, or of runs of T_i scalars, put in place through ``real``
+        in one assignment, into one stack."""
         lengths = np.fromiter(map(len, sequences), np.intp, len(sequences))
         out = cls(np.empty((len(sequences), lengths.max()), dtype), lengths)
-        if getattr(sequences[0], "ndim", 1) < 2:  # a tuple of ids is not converted
-            out.data = out.pad(sequences, dtype)
-            return out
         out.data = np.zeros(out.real.shape + np.shape(sequences[0])[1:], dtype)
+        if out.data.ndim == 2:  # runs of ids: fromiter reads each tuple unconverted
+            out.data[out.real] = np.fromiter(chain.from_iterable(sequences), dtype, lengths.sum())
+            return out
         for row, seq in zip(out.data, sequences):
             row[: len(seq)] = seq
         return out
@@ -388,15 +388,6 @@ class Padded:
         if not single:
             return cls.stack(sequences, dtype)
         return cls(np.asarray(sequences[0], dtype=dtype), np.intp(len(sequences[0])))
-
-    def pad(self, sequences, dtype=np.float64) -> np.ndarray:
-        """The (B, T, ...) array of B sequences of this stack's lengths,
-        zero on padding: their rows, concatenated, go into place through
-        ``real`` in one assignment."""
-        data = np.zeros(self.real.shape + np.shape(sequences[0])[1:], dtype)
-        data[self.real] = (np.concatenate(sequences) if data.ndim > self.real.ndim else
-                           np.fromiter(chain.from_iterable(sequences), dtype, self.lengths.sum()))
-        return data
 
     def like(self, data: np.ndarray) -> "Padded":
         """Another stack of the same sequences and lengths, holding ``data``."""

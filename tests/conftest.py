@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stancemoe.experts import KERNEL_SIZES
 from stancemoe.synthetic import make_synthetic_dataset, write_jsonl
 from stancemoe.text import TokenizedExample, default_lexicon, load_dataset
 
@@ -66,6 +67,14 @@ def random_example(rng, vocab_size, T, with_masks=True, label=None, example_id="
         contrast_positions=contrast,
         label=int(rng.integers(0, 3)) if label is None else label,
     )
+
+
+def cnn_views(bank):
+    """({k: kernels}, {k: bias}) of ``bank``: each kernel size's declared
+    views into the CNN stacks, read by path from named_params()."""
+    values = {path: value for path, value, _ in bank.named_params()}
+    return ({k: values[f"cnn/k{k}/kernels"] for k in KERNEL_SIZES},
+            {k: values[f"cnn/k{k}/bias"] for k in KERNEL_SIZES})
 
 
 def nan_in_tensor(raw: bytes, key: str) -> bytes:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import straightline as sl
-from conftest import random_example
+from conftest import cnn_views, random_example
 from stancemoe.ablation import ABLATION_ROWS, ablate
 from stancemoe.checkpoint import load_checkpoint
 from stancemoe.cli import main as cli_main
@@ -80,7 +80,7 @@ def test_criterion_1_formula_oracle_equivalence():
                                    bank.attn_vector, H)),
             (expert_cnn(bank, H)[0],
              sl.sl_expert_cnn(bank.proj["cnn"].weight, bank.proj["cnn"].bias,
-                              bank.kernels, bank.kernel_biases,
+                              *cnn_views(bank),
                               bank.cnn_proj.weight, bank.cnn_proj.bias, H)),
             (expert_cue(bank, H, C),
              sl.sl_expert_cue(bank.proj["cue"].weight, bank.proj["cue"].bias,

@@ -12,9 +12,11 @@ from stancemoe.encoder import ToyEncoderParams, encode, encode_backward
 from stancemoe.experts import EXPERT_NAMES, KERNEL_SIZES, STATISTICS
 from stancemoe.model import ModelParams, model_backward, model_forward
 from stancemoe.ops import Padded
-from stancemoe.train import (ROWS_PER_MAX_LEN, Adam, label_smoothed_ce_grad, length_buckets,
+from stancemoe.metrics import metrics_from_labels
+from stancemoe.train import (ROWS_PER_MAX_LEN, Adam, EnsembleModel, FoldArtifact,
+                             ensemble_forward, label_smoothed_ce_grad, length_buckets,
                              predict_logits)
-from conftest import random_example, toy_example
+from conftest import cnn_views, random_example, toy_example
 from smck1_fixtures import FIXTURE_DIR, examples_and_store
 
 VOCAB, D, MAX_LEN = 20, 6, 16
@@ -409,15 +411,17 @@ def test_prepared_rows_refuse_an_id_that_repeats_with_other_masks():
                                                      example_id="twice")], store)
 
 
-def test_stored_rows_padded_by_slice_copies_equal_pad_bit_for_bit():
+def test_stored_rows_padded_by_slice_copies_equal_masked_placement_bit_for_bit():
     """Padded.stack copies each example's rows into its slice, widening
-    float32 to float64; Padded.pad puts the concatenated rows in place
-    through the mask.  The bytes are the same."""
+    float32 to float64; putting the concatenated rows in place through the
+    mask of real rows, on zeros, gives the same bytes."""
     rng = np.random.default_rng(5)
     rows = [rng.normal(size=(T, D)).astype(np.float32) for T in (3, 1, 12, 7, 12)]
     stack = Padded.stack(rows)
     assert stack.data.dtype == np.float64
-    assert stack.data.tobytes() == stack.pad(rows).tobytes()
+    expected = np.zeros(stack.real.shape + (D,))
+    expected[stack.real] = np.concatenate(rows)
+    assert stack.data.tobytes() == expected.tobytes()
 
 
 def test_a_mask_position_out_of_range_fails_by_value():
@@ -426,6 +430,31 @@ def test_a_mask_position_out_of_range_fails_by_value():
     for examples in (bad, [toy_example([1, 5]), bad]):
         with pytest.raises(ValueError, match=r"mask positions \[-1, 9\] out of range for length 4"):
             model_forward(params, examples)
+
+
+def test_an_empty_list_and_an_example_with_no_tokens_fail_by_name():
+    """make_batch, and so PreparedRows, rejects an empty list, and an
+    example with no tokens by its id, on the toy path and from a store;
+    predicting an empty list still gives empty arrays."""
+    toy = ModelParams.init(VOCAB, D, MAX_LEN, np.random.default_rng(0), n_filters=2)
+    stored = ModelParams.init(VOCAB, D, MAX_LEN, np.random.default_rng(0), n_filters=2,
+                              encoder_mode="precomputed")
+    blank = toy_example([], example_id="blank")
+    store = {"blank": np.zeros((0, D)), "toy": np.zeros((2, D))}
+    for params, rows in ((toy, None), (stored, store)):
+        with pytest.raises(ValueError, match="^the list of examples is empty$"):
+            model_forward(params, [], rows)
+        for examples in (blank, [toy_example([1, 5]), blank]):
+            with pytest.raises(ValueError, match="^example 'blank' has no tokens$"):
+                model_forward(params, examples, rows)
+        assert predict_logits(params, [], rows).shape == (0, 3)
+        ensemble = EnsembleModel([FoldArtifact(0, params, metrics_from_labels([0], [0]))], [1.0])
+        assert [np.shape(a) for a in ensemble_forward(ensemble, [], rows)] == [
+            (0, 3), (0, 3), (0,), (0, len(EXPERT_NAMES))]
+    with pytest.raises(ValueError, match="^the list of examples is empty$"):
+        model.PreparedRows(stored, [], store)
+    with pytest.raises(ValueError, match="^example 'blank' has no tokens$"):
+        model.PreparedRows(stored, [toy_example([1, 5]), blank], store)
 
 
 def test_padded_encoder_stack_equals_each_sequence_alone():
@@ -466,7 +495,7 @@ def test_cnn_padding_taps_stay_zero_through_training_steps():
         for i, k in enumerate(KERNEL_SIZES):
             rows = slice(i * bank.n_filters, (i + 1) * bank.n_filters)
             assert not bank.cnn_kernels[k:, rows].any()
-            assert np.shares_memory(bank.kernels[k], bank.cnn_kernels)
+            assert np.shares_memory(cnn_views(bank)[0][k], bank.cnn_kernels)
 
 
 def test_predict_logits_equal_single_example_logits_and_ignore_neighbours():

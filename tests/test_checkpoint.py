@@ -327,6 +327,14 @@ class TestFormatErrors:
                            match=f"^{path}: malformed metadata: {match}"):
             load_checkpoint(path)
 
+    def test_a_weight_list_one_short_names_the_file(self, tmp_path):
+        """Every fold's tensors are present, so the count check is reached."""
+        path = tmp_path / "short-weights.smck"
+        path.write_bytes(_rewritten("moe_subset.smck", lambda meta: meta["weights"].pop()))
+        with pytest.raises(CheckpointFormatError,
+                           match=f"^{path}: fold count and weight count disagree$"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("metadata,match", [
         (b"[]", "JSON list, not an object"),
         (b'{"format": 1}', r"missing key\(s\) \['config', 'vocab'"),

@@ -253,6 +253,22 @@ class TestPrecomputedMode:
         assert "4" in err and "10" in err
         assert not preds.exists()
 
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_an_id_the_store_lacks_is_named_without_quotes(self, data_dir, precomputed_model,
+                                                             capsys, command):
+        """The message is printed as it is, not quoted as str() of the
+        KeyError quotes it."""
+        capsys.readouterr()
+        data = data_dir / "missing-id.jsonl"
+        write_jsonl(data, [{"id": "nope", "label": "neutral", "text": "talks continue"}])
+        out = data_dir / f"missing-id-{command}"
+        rc = main([command, "--model", str(precomputed_model), "--data", str(data),
+                   "--out", str(out)])
+        assert rc == 1
+        assert error_lines(capsys.readouterr().err) == [
+            "error: id 'nope' not found in the embedding store"]
+        assert not out.exists()
+
 
 class TestNonFiniteInputs:
     """One NaN in a checkpoint or a store fails predict by name, before any

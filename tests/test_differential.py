@@ -20,7 +20,7 @@ from stancemoe.model import ModelParams, PreparedRows, model_backward, model_for
 from stancemoe.text import CueLexicon, Vocab, make_example
 from stancemoe.train import (EnsembleModel, FoldArtifact, ensemble_forward,
                              label_smoothed_ce_grad, predict_logits)
-from conftest import random_example, toy_example
+from conftest import cnn_views, random_example, toy_example
 
 VOCAB, D, MAX_LEN = 20, 6, 16
 REPORT = metrics_from_labels([0, 1, 2], [0, 1, 2])
@@ -187,7 +187,7 @@ def straight_line_logits(params: ModelParams, ex, H: np.ndarray) -> np.ndarray:
         "max": lambda: sl.sl_expert_max(*proj("max"), H),
         "self_attention": lambda: sl.sl_expert_selfattn(*proj("self_attention"),
                                                         bank.attn_vector, H),
-        "cnn": lambda: sl.sl_expert_cnn(*proj("cnn"), bank.kernels, bank.kernel_biases,
+        "cnn": lambda: sl.sl_expert_cnn(*proj("cnn"), *cnn_views(bank),
                                         bank.cnn_proj.weight, bank.cnn_proj.bias, H),
         "cue": lambda: sl.sl_expert_cue(*proj("cue"), H, ex.cue_positions, bank.eps),
         "contrast": lambda: sl.sl_expert_contrast(*proj("contrast"), H, ex.contrast_positions,

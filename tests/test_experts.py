@@ -23,6 +23,7 @@ from stancemoe.experts import (
 )
 from stancemoe.model import ModelParams
 from stancemoe.ops import Padded, grad_check
+from conftest import cnn_views
 
 
 def make_bank(d=4, n_filters=2, seed=0, **kw):
@@ -143,19 +144,17 @@ class TestSelfAttentionExpert:
 class TestCnnExpert:
     def test_zero_kernels_zero_biases_leave_projection_bias(self):
         bank = make_bank(d=3, n_filters=2, seed=8)
-        for k in KERNEL_SIZES:
-            bank.kernels[k][:] = 0.0
-            bank.kernel_biases[k][:] = 0.0
+        bank.cnn_kernels[:] = 0.0
+        bank.cnn_biases[:] = 0.0
         bank.cnn_proj.bias[:] = 0.0
         H = np.random.default_rng(8).normal(size=(6, 3))
         np.testing.assert_allclose(expert_cnn(bank, H)[0], bank.proj["cnn"].bias, atol=1e-15)
 
     def test_constant_sequence_all_ones_kernel(self):
         bank = make_bank(d=3, n_filters=1, seed=9)
-        for k in KERNEL_SIZES:
-            bank.kernels[k][:] = 0.0
-            bank.kernel_biases[k][:] = 0.0
-        bank.kernels[2][:] = 1.0
+        bank.cnn_kernels[:] = 0.0
+        bank.cnn_biases[:] = 0.0
+        bank.cnn_kernels[:2, 0] = 1.0  # both taps of the one size-2 filter
         c = np.array([0.5, 1.0, -0.25])
         H = np.tile(c, (5, 1))
         feats, _ = cnn_features(bank, H)
@@ -178,7 +177,7 @@ class TestCnnExpert:
             H = rng.normal(size=(T, 3))
             expected = sl.sl_expert_cnn(
                 bank.proj["cnn"].weight, bank.proj["cnn"].bias,
-                bank.kernels, bank.kernel_biases,
+                *cnn_views(bank),
                 bank.cnn_proj.weight, bank.cnn_proj.bias, H,
             )
             np.testing.assert_allclose(expert_cnn(bank, H)[0], expected, atol=1e-12)
@@ -212,8 +211,8 @@ class TestCnnRaggedStack:
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(32)
         bank = make_bank(d=4, n_filters=2, seed=32)
-        for k in KERNEL_SIZES:  # nonzero biases, so some windows sit below the ReLU
-            bank.kernel_biases[k][:] = rng.normal(scale=0.3, size=2)
+        # nonzero biases, so some windows sit below the ReLU
+        bank.cnn_biases[:] = rng.normal(scale=0.3, size=2 * len(KERNEL_SIZES))
         H = self.stack(rng)
         gH = np.zeros_like(H.data)
 

@@ -14,6 +14,7 @@ import pytest
 
 from stancemoe import train as train_module
 from stancemoe.checkpoint import load_checkpoint, save_checkpoint
+from stancemoe.encoder import sinusoidal_positions
 from stancemoe.metrics import metrics_from_labels
 from stancemoe.model import ModelParams
 from stancemoe.ops import Region
@@ -955,6 +956,18 @@ class TestForkedFolds:
         assert_same_ensemble(run_kfold(cfg, examples[:30], vocab, jobs=2), serial)
         assert_no_child_left()
         assert seen[0] > 1 << 16 and seen[1::2] == [True, True], seen
+
+    def test_every_fold_reads_the_one_position_table_and_holds_no_copy(self, corpus90):
+        """The position table is no parameter: a fold trained here and one
+        received from a worker both read this process's table, and neither
+        keeps a copy of its own, so none crosses the pipe."""
+        examples, vocab = corpus90
+        ensemble = run_kfold(self.CFG, examples[:30], vocab, jobs=2)
+        assert_no_child_left()
+        for art in ensemble.folds:
+            enc = art.params.encoder
+            assert enc.positions is sinusoidal_positions(enc.max_len, enc.d)
+            assert "positions" not in vars(enc)
 
     def test_at_most_k_processes_train(self, corpus90, monkeypatch):
         examples, vocab = corpus90
