@@ -102,9 +102,10 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         tensors[key] = r.array(_VALUES, dims, "tensor {!r}", key)
     r.finish(f"{n_records} tensors")
 
+    for key in ("vocab", "cue_tokens", "contrast_tokens", "weights"):
+        if not isinstance(meta[key], list):
+            r.fail(f"malformed metadata: {key} is a JSON {type(meta[key]).__name__}, not a list")
     tokens = meta["vocab"]
-    if not isinstance(tokens, list):
-        r.fail(f"malformed metadata: vocab is a JSON {type(tokens).__name__}, not a list")
     seen = set(RESERVED_TOKENS)
     for i, token in enumerate(tokens):
         if not isinstance(token, str) or token in seen:

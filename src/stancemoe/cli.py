@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -146,8 +147,8 @@ def _load_lexicon(config: TrainConfig) -> CueLexicon:
 
 
 def _load_store(config: TrainConfig, cli_path=None):
-    """Load the SMEB1 store when the encoder mode needs one; check widths.
-    ``cli_path``, the --embeddings flag, overrides the config's store."""
+    """Load the SMEB1 store when the encoder mode needs one (the model checks
+    its width).  ``cli_path``, the --embeddings flag, overrides the config's."""
     if cli_path == "":
         raise ValueError("--embeddings is an empty path; name an SMEB1 store")
     if config.encoder != "precomputed":
@@ -158,41 +159,42 @@ def _load_store(config: TrainConfig, cli_path=None):
     path = config.embeddings_path if cli_path is None else cli_path
     if not path:
         raise ValueError("precomputed encoder mode needs --embeddings or embeddings_path")
-    store, d = read_embedding_store(path)
-    if d != config.hidden_dim:
-        raise ValueError(
-            f"embedding store width {d} does not match model hidden_dim {config.hidden_dim}"
-        )
-    return store
+    return read_embedding_store(path)[0]
 
 
-def _write_text(path, text: str, written: list) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+def _stage(path, staged: list) -> str:
+    """The path ``<path>.tmp`` to write the output ``path`` to: :func:`main`
+    moves every staged file into place once the command has returned, and
+    removes any that is left.  Rejects a directory, which no file replaces,
+    and a path staged already, whose first output the second would replace."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"output path {path} is a directory")
+    if os.path.realpath(path) in map(os.path.realpath, staged):
+        raise ValueError(f"output path {path} is named twice")
+    staged.append(path)
+    return f"{path}.tmp"
+
+
+def _write_text(path, text: str, staged: list) -> None:
+    with open(_stage(path, staged), "w", encoding="utf-8") as fh:
         fh.write(text)
-    os.replace(tmp, path)
-    written.append(path)
 
 
 def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _cmd_train(args, written: list) -> int:
+def _cmd_train(args, staged: list) -> int:
     config = _resolve_config(args)
     lexicon = _load_lexicon(config)
     examples, vocab = load_dataset(args.data, lexicon, config.max_len)
     store = _load_store(config)
     ensemble = run_kfold(config, examples, vocab, store, jobs=args.jobs)
 
-    tmp = f"{args.out}.tmp"
-    checkpoint.save_checkpoint(tmp, ensemble, config, vocab, lexicon)
-    os.replace(tmp, args.out)
-    written.append(args.out)
-
+    checkpoint.save_checkpoint(_stage(args.out, staged), ensemble, config, vocab, lexicon)
     report = training_report(ensemble, config, examples, store)
     report_path = args.report or f"{args.out}.report.json"
-    _write_text(report_path, _dump_json(report), written)
+    _write_text(report_path, _dump_json(report), staged)
 
     for fold in report["folds"]:
         print(f"fold {fold['fold']}: val_macro_f1={fold['val_macro_f1']:.4f} "
@@ -208,7 +210,7 @@ def _gate_dict(ckpt, gate: np.ndarray) -> dict:
     return {name: float(w) for name, w in zip(names, gate)}
 
 
-def _cmd_predict(args, written: list) -> int:
+def _cmd_predict(args, staged: list) -> int:
     ckpt = checkpoint.load_checkpoint(args.model)
     store = _load_store(ckpt.config, args.embeddings)
     examples, _ = load_dataset(args.data, ckpt.lexicon, ckpt.config.max_len,
@@ -221,28 +223,27 @@ def _cmd_predict(args, written: list) -> int:
         "gate_weights": _gate_dict(ckpt, gate),
     }, sort_keys=True, allow_nan=False)
         for ex, row, cls, gate in zip(examples, probs, classes, gates)]
-    _write_text(args.out, "\n".join(lines) + "\n", written)
+    _write_text(args.out, "\n".join(lines) + "\n", staged)
     print(f"wrote {len(lines)} predictions to {args.out}")
     return 0
 
 
-def _cmd_eval(args, written: list) -> int:
+def _cmd_eval(args, staged: list) -> int:
     ckpt = checkpoint.load_checkpoint(args.model)
     store = _load_store(ckpt.config, args.embeddings)
     examples, _ = load_dataset(args.data, ckpt.lexicon, ckpt.config.max_len,
                                vocab=ckpt.vocab)
     report, _ = evaluate_ensemble(ckpt.ensemble, examples, store)
     os.makedirs(args.out, exist_ok=True)
-    _write_text(os.path.join(args.out, "report.json"), _dump_json(report.to_dict()), written)
-    _write_text(os.path.join(args.out, "report.txt"), report_text(report), written)
-    _write_text(os.path.join(args.out, "confusion.csv"), confusion_csv(report.confusion),
-                written)
+    _write_text(os.path.join(args.out, "report.json"), _dump_json(report.to_dict()), staged)
+    _write_text(os.path.join(args.out, "report.txt"), report_text(report), staged)
+    _write_text(os.path.join(args.out, "confusion.csv"), confusion_csv(report.confusion), staged)
     print(f"accuracy={report.accuracy:.4f} macro_f1={report.macro_f1:.4f}")
     print(f"reports written to {args.out}")
     return 0
 
 
-def _cmd_ablate(args, written: list) -> int:
+def _cmd_ablate(args, staged: list) -> int:
     config = _resolve_config(args)
     lexicon = _load_lexicon(config)
     train_examples, vocab = load_dataset(args.data, lexicon, config.max_len)
@@ -252,15 +253,15 @@ def _cmd_ablate(args, written: list) -> int:
                               jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
     _write_text(os.path.join(args.out, "ablation.json"),
-                _dump_json(ablation.results_to_dict(results)), written)
+                _dump_json(ablation.results_to_dict(results)), staged)
     classwise = ablation.classwise_table_text(results)
     overall = ablation.overall_table_text(results)
-    _write_text(os.path.join(args.out, "classwise.txt"), classwise, written)
-    _write_text(os.path.join(args.out, "overall.txt"), overall, written)
+    _write_text(os.path.join(args.out, "classwise.txt"), classwise, staged)
+    _write_text(os.path.join(args.out, "overall.txt"), overall, staged)
     for res in results:
         name = res.label.replace("/", "_").replace(" ", "_").lower()
         _write_text(os.path.join(args.out, f"confusion_{name}.csv"),
-                    confusion_csv(res.ensemble_report.confusion), written)
+                    confusion_csv(res.ensemble_report.confusion), staged)
     print(classwise)
     print(overall)
     print(f"reports written to {args.out}")
@@ -282,7 +283,7 @@ def _gradcheck_example(T: int, vocab_size: int, rng) -> TokenizedExample:
     )
 
 
-def _cmd_gradcheck(args, written: list) -> int:
+def _cmd_gradcheck(args, staged: list) -> int:
     config = _resolve_config(args, hidden_dim=8)  # a small probe model
     rng = np.random.default_rng(config.seed)
     vocab_size = 16
@@ -315,21 +316,23 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
-    written: list[str] = []
+    staged: list[str] = []  # outputs written as <path>.tmp, moved into place on success
     try:
-        return _COMMANDS[args.command](args, written)
+        status = _COMMANDS[args.command](args, staged)
+        for path in staged:
+            os.replace(f"{path}.tmp", path)
+        return status
     except BrokenPipeError:
         raise
     except Exception as exc:
-        for path in written:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
         # str() of a KeyError quotes its message; the message is shown bare
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 1
+    finally:
+        for path in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(f"{path}.tmp")
 
 
 if __name__ == "__main__":

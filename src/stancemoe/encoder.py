@@ -75,20 +75,14 @@ class ToyEncoderParams(ParamSet):
         return (Tensor("embedding", (self.vocab_size, self.d), math.sqrt(3.0 / self.d)),
                 ("query", self.query), ("key", self.key), ("value", self.value))
 
-    @classmethod
-    def init(cls, vocab_size: int, d: int, max_len: int, rng: np.random.Generator):
-        return cls(vocab_size, d, max_len).draw(rng)
-
 
 def _id_stack(token_ids) -> Padded:
-    """The ids as a Padded stack: one sequence of T ids is data (T,) with a
-    0-d length; a Padded (B, T) stack passes through."""
-    if isinstance(token_ids, Padded):
-        return token_ids
-    ids = np.asarray(token_ids, dtype=np.intp)
-    if ids.size == 0:
+    """The ids as a Padded stack (:meth:`~stancemoe.ops.Padded.one`);
+    rejects an empty sequence."""
+    ids = Padded.one(token_ids, np.intp)
+    if not ids.data.size:
         raise ValueError("cannot encode an empty sequence")
-    return Padded(ids, np.intp(ids.size))
+    return ids
 
 
 def _clip_ids(params: ToyEncoderParams, token_ids) -> np.ndarray:

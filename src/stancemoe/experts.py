@@ -99,11 +99,6 @@ class ExpertBank(ParamSet):
         return {**super().arrays(), "cnn_kernels": (KERNEL_SIZES[-1], filters, self.d),
                 "cnn_biases": (filters,)}
 
-    @classmethod
-    def init(cls, d: int, n_filters: int, rng: np.random.Generator,
-             contrast_scale: float = 3.0, eps: float = 1e-8) -> "ExpertBank":
-        return cls(d, n_filters, contrast_scale, eps).draw(rng)
-
 
 # --- the input rules -------------------------------------------------------
 
@@ -152,10 +147,18 @@ def check_positions(T: int, *masks) -> None:
 
 def _rows(H) -> tuple[np.ndarray, Padded]:
     """The (..., T, d) rows of H and the Padded stack carrying their lengths
-    and masks."""
-    if isinstance(H, Padded):
-        return H.data, H
-    return H, Padded(H, np.intp(H.shape[0]))
+    and masks (:meth:`~stancemoe.ops.Padded.one`)."""
+    stack = Padded.one(H)
+    return stack.data, stack
+
+
+def indicators(position_sets, T: int) -> np.ndarray:
+    """The (B, T) 0/1 indicators of B sets of row indices."""
+    ind = np.zeros((len(position_sets), T))
+    for row, positions in zip(ind, position_sets):
+        if positions:  # an empty fancy-index assignment still costs about 1 µs
+            row[list(positions)] = 1.0
+    return ind
 
 
 def _indicator(positions, stack: Padded) -> np.ndarray:
@@ -166,9 +169,7 @@ def _indicator(positions, stack: Padded) -> np.ndarray:
     if stack.lengths.ndim:
         raise ValueError("a set of positions marks one sequence; a stack takes a (B, T) indicator")
     check_positions(stack.valid.shape[-1], positions)
-    ind = np.zeros(stack.valid.shape)
-    ind[sorted(positions)] = 1.0
-    return ind
+    return indicators([positions], stack.valid.shape[-1])[0]
 
 
 def _pool(w: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .encoder import ToyEncoderParams, encode, encode_backward
 from .experts import (EXPERT_NAMES, STATISTICS, ExpertBank, Statistics, canonical_experts,
-                      check_positions, row_statistics, run_all_experts,
+                      check_positions, indicators, row_statistics, run_all_experts,
                       run_all_experts_backward)
 from .head import (
     classify,
@@ -77,14 +77,6 @@ class ModelParams(ParamSet):
     def declare(self):
         return (("encoder", self.encoder), ("experts", self.bank), ("gate", self.gate),
                 ("fusion_proj", self.fusion_proj), ("classifier", self.classifier))
-
-    @classmethod
-    def init(cls, vocab_size: int, d: int, max_len: int, rng: np.random.Generator,
-             **settings) -> "ModelParams":
-        """A freshly initialized model of these settings, drawn from ``rng``
-        in declaration order (encoder, experts, gate, fusion projection,
-        classifier), so a seeded generator reproduces it bit for bit."""
-        return cls(vocab_size, d, max_len, **settings).draw(rng)
 
     @classmethod
     def stack(cls, models) -> "ModelParams":
@@ -194,12 +186,8 @@ def _check_example(ex: TokenizedExample) -> None:
 def _masks(examples, T: int, single: bool) -> tuple[np.ndarray, np.ndarray]:
     """The (B, T) 0/1 cue and contrast indicators of B examples; (T,) for
     a single one."""
-    cue, contrast = np.zeros((2, len(examples), T))
-    for b, ex in enumerate(examples):
-        if ex.cue_positions:
-            cue[b, list(ex.cue_positions)] = 1.0
-        if ex.contrast_positions:
-            contrast[b, list(ex.contrast_positions)] = 1.0
+    cue = indicators([ex.cue_positions for ex in examples], T)
+    contrast = indicators([ex.contrast_positions for ex in examples], T)
     return (cue[0], contrast[0]) if single else (cue, contrast)
 
 

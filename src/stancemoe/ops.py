@@ -200,6 +200,14 @@ class ParamSet:
         return self.fill(lambda path, t: 0.0 if t.limit is None else
                          rng.uniform(-t.limit, t.limit, size=t.shape), grads=True)
 
+    @classmethod
+    def init(cls, *settings, rng: np.random.Generator | None = None, **named) -> "ParamSet":
+        """A set of these settings drawn to train from ``rng`` (:meth:`draw`),
+        which is given by keyword or as the last positional argument."""
+        if rng is None:
+            *settings, rng = settings
+        return cls(*settings, **named).draw(rng)
+
     def zero_grads(self) -> None:
         for s in self.sets():
             for name in s.arrays():
@@ -233,10 +241,6 @@ class LinearParams(ParamSet):
     def declare(self):
         return (Tensor("weight", (self.out_dim, self.in_dim), 1.0 / math.sqrt(self.in_dim)),
                 Tensor("bias", (self.out_dim,)))
-
-    @classmethod
-    def init(cls, out_dim: int, in_dim: int, rng: np.random.Generator) -> "LinearParams":
-        return cls(out_dim, in_dim).draw(rng)
 
 
 def fold_stack(parts):
@@ -382,12 +386,19 @@ class Padded:
         return out
 
     @classmethod
+    def one(cls, sequence, dtype=None) -> "Padded":
+        """One sequence of T entries as a stack with no leading axis: data
+        (T, ...) and a 0-d length.  A Padded stack passes through."""
+        if isinstance(sequence, Padded):
+            return sequence
+        data = np.asarray(sequence, dtype=dtype)
+        return cls(data, np.intp(len(data)))
+
+    @classmethod
     def of(cls, sequences, single: bool, dtype=np.float64) -> "Padded":
-        """The one sequence of ``sequences`` with no leading axis when
-        ``single``, else their padded stack (:meth:`stack`)."""
-        if not single:
-            return cls.stack(sequences, dtype)
-        return cls(np.asarray(sequences[0], dtype=dtype), np.intp(len(sequences[0])))
+        """The one sequence of ``sequences`` (:meth:`one`) when ``single``,
+        else their padded stack (:meth:`stack`)."""
+        return cls.one(sequences[0], dtype) if single else cls.stack(sequences, dtype)
 
     def like(self, data: np.ndarray) -> "Padded":
         """Another stack of the same sequences and lengths, holding ``data``."""

@@ -2,6 +2,8 @@
 of the fold-stacked model; its reports equal those of each fold alone and
 of the ensemble."""
 
+import pytest
+
 from stancemoe.ablation import ABLATION_ROWS, ablate
 from stancemoe.train import TrainConfig, evaluate_ensemble, evaluate_model
 
@@ -18,3 +20,9 @@ def test_reports_equal_per_fold_and_ensemble_evaluation(corpus90):
             assert report.to_dict() == evaluate_model(art.params, test_ex).to_dict()
         want, _ = evaluate_ensemble(res.ensemble, test_ex)
         assert res.ensemble_report.to_dict() == want.to_dict()
+
+
+def test_a_head_other_than_moe_is_rejected(corpus90):
+    examples, vocab = corpus90
+    with pytest.raises(ValueError, match="^ablation requires the moe head$"):
+        ablate(TrainConfig(head="stacked"), examples[:60], vocab, examples[60:])

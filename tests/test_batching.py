@@ -457,6 +457,40 @@ def test_an_empty_list_and_an_example_with_no_tokens_fail_by_name():
         model.PreparedRows(stored, [toy_example([1, 5]), blank], store)
 
 
+def _stored_model():
+    return ModelParams.init(VOCAB, D, MAX_LEN, np.random.default_rng(0), n_filters=2,
+                            encoder_mode="precomputed")
+
+
+def _take_an_unprepared_id():
+    prepared = model.PreparedRows(_stored_model(), [toy_example([1, 5])], {"toy": np.zeros((2, D))})
+    prepared.take([toy_example([1, 5], example_id="other")])
+
+
+def _backward_of_another_call():
+    params = ModelParams.init(VOCAB, D, MAX_LEN, np.random.default_rng(0), n_filters=2)
+    pair = [toy_example([1, 5, 6]), toy_example([1, 5])]
+    model_backward(params, pair[:1], model_forward(params, pair), np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ModelParams(VOCAB, D, MAX_LEN, encoder_mode="bert"), ValueError,
+     "^unknown encoder mode 'bert'$"),
+    (lambda: ModelParams(VOCAB, D, MAX_LEN, contrast_scale=0.0), ValueError,
+     "^contrast_scale and eps must be positive$"),
+    (lambda: ModelParams.stack([]), ValueError, "^cannot stack zero models$"),
+    (lambda: model_forward(_stored_model(), toy_example([1, 5])), ValueError,
+     "^model has no encoder; precomputed embeddings required$"),
+    (_take_an_unprepared_id, KeyError, "id 'other' is not among the prepared examples"),
+    (_backward_of_another_call, ValueError,
+     "^the examples are not those of this forward record$"),
+], ids=["encoder-mode", "contrast-scale", "stack-of-none", "no-store", "unprepared-id",
+        "another-record"])
+def test_a_model_input_that_does_not_fit_fails_by_name(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_padded_encoder_stack_equals_each_sequence_alone():
     rng = np.random.default_rng(2)
     enc = ToyEncoderParams.init(VOCAB, D, MAX_LEN, rng)

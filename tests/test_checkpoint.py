@@ -354,11 +354,23 @@ class TestFormatErrors:
          r"malformed metadata: confusion matrix entry \[0, 0\] is 1.7, not a non-negative"),
         (_metadata(fold_val_metrics=[{"confusion": [[1, 0, 0], [0, -1, 0], [0, 0, 2]]}]),
          r"malformed metadata: confusion matrix entry \[1, 1\] is -1, not a non-negative"),
+        (b"{not json", "metadata is not valid JSON: Expecting property name"),
+        (_metadata(cue_tokens="claims"),
+         "malformed metadata: cue_tokens is a JSON str, not a list"),
+        (_metadata(contrast_tokens="however"),
+         "malformed metadata: contrast_tokens is a JSON str, not a list"),
+        (_metadata(cue_tokens={"claims": 1}),
+         "malformed metadata: cue_tokens is a JSON dict, not a list"),
+        (_metadata(weights=0.5), "malformed metadata: weights is a JSON float, not a list"),
+        (_metadata(weights=[1.0], fold_val_metrics=[{"confusion": np.eye(3, dtype=int).tolist()}]),
+         "checkpoint is missing tensor 'fold0/encoder/embedding'"),
     ], ids=["not-an-object", "missing-keys", "weights-not-numbers", "empty-cue-lexicon",
             "zero-folds", "fold-metrics-numbers", "fold-metrics-missing-key",
             "fold-metrics-object", "fold-metrics-string", "fold-metrics-nulls",
             "cue-lexicon-number", "fold-confusion-not-3x3", "fold-confusion-fractional",
-            "fold-confusion-negative"])
+            "fold-confusion-negative", "not-json", "cue-lexicon-string",
+            "contrast-lexicon-string", "cue-lexicon-object", "weights-number",
+            "missing-fold-tensor"])
     def test_malformed_metadata(self, tmp_path, metadata, match):
         path = tmp_path / "model.smck"
         path.write_bytes(b"SMCK1\0" + struct.pack("<I", len(metadata)) + metadata

@@ -94,6 +94,22 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg_path}: config is not UTF-8 JSON: ") and detail in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--config", "{config}"], "{config}: config must be a JSON object"),
+        (["--set", "k"], "--set expects KEY=VALUE, got 'k'"),
+        (["--set", "encoder=precomputed"],
+         "precomputed encoder mode needs --embeddings or embeddings_path"),
+    ], ids=["config-not-an-object", "set-without-equals", "precomputed-without-store"])
+    def test_a_rejected_setting_is_named(self, data_dir, capsys, argv, message):
+        config = data_dir / "list-config.json"
+        config.write_text("[1, 2]")
+        out = data_dir / "rejected.smck"
+        rc = main(["train", *(arg.format(config=config) for arg in argv),
+                   "--data", str(data_dir / "train.jsonl"), "--out", str(out)])
+        assert rc == 1
+        assert error_lines(capsys.readouterr().err) == [f"error: {message.format(config=config)}"]
+        assert not out.exists()
+
     def test_config_file_and_set_precedence(self, data_dir):
         cfg_path = data_dir / "cfg.json"
         cfg_path.write_text(json.dumps({"epochs": 1, "k": 2, "hidden_dim": 10,
@@ -220,6 +236,69 @@ def precomputed_model(data_dir, store_setup):
                  "--set", f'embeddings_path="{store_setup[0]}"',
                  "--data", str(data_dir / "train.jsonl"), "--out", str(out)]) == 0
     return out
+
+
+class TestOutputsMoveIntoPlaceOnSuccess:
+    """Every output is written as <path>.tmp and moved onto its path once
+    the command has returned: a failed or interrupted command leaves each
+    output path as it was and no .tmp file."""
+
+    def test_a_report_that_cannot_be_written_leaves_the_old_checkpoint(
+            self, data_dir, model_path, tmp_path, capsys):
+        out = tmp_path / "m.smck"
+        out.write_bytes(model_path.read_bytes())
+        (tmp_path / "m.smck.report.json").write_text("{}\n")
+        rc = main(["train", *FAST, "--set", "seed=5", "--data", str(data_dir / "train.jsonl"),
+                   "--out", str(out), "--report", str(tmp_path / "nodir" / "r.json")])
+        assert rc == 1
+        assert "No such file or directory" in capsys.readouterr().err
+        assert out.read_bytes() == model_path.read_bytes()
+        assert (tmp_path / "m.smck.report.json").read_text() == "{}\n"
+        assert sorted(os.listdir(tmp_path)) == ["m.smck", "m.smck.report.json"]
+
+    def test_a_report_named_as_the_checkpoint_leaves_the_old_checkpoint(
+            self, data_dir, tmp_path, capsys):
+        out = tmp_path / "m.smck"
+        out.write_bytes(b"old")
+        same = f"{tmp_path}/./m.smck"
+        rc = main(["train", *FAST, "--data", str(data_dir / "train.jsonl"), "--out", str(out),
+                   "--report", same])
+        assert rc == 1
+        assert error_lines(capsys.readouterr().err) == [
+            f"error: output path {same} is named twice"]
+        assert out.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["m.smck"]
+
+    def test_predict_onto_a_directory_fails_and_leaves_no_tmp_file(
+            self, data_dir, model_path, tmp_path, capsys):
+        out = tmp_path / "outdir"
+        out.mkdir()
+        rc = main(["predict", "--model", str(model_path), "--data", str(data_dir / "test.jsonl"),
+                   "--out", str(out)])
+        assert rc == 1
+        assert error_lines(capsys.readouterr().err) == [
+            f"error: output path {out} is a directory"]
+        assert os.listdir(tmp_path) == ["outdir"] and os.listdir(out) == []
+
+    def test_an_interrupt_after_the_checkpoint_is_staged_leaves_the_old_one(
+            self, data_dir, tmp_path, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "training_report", interrupted)
+        out = tmp_path / "m.smck"
+        out.write_bytes(b"old")
+        with pytest.raises(KeyboardInterrupt):
+            main(["train", *FAST, "--data", str(data_dir / "train.jsonl"), "--out", str(out)])
+        assert out.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["m.smck"]
+
+    def test_a_successful_eval_leaves_its_three_files_only(self, data_dir, model_path,
+                                                           tmp_path):
+        out = tmp_path / "eval"
+        assert main(["eval", "--model", str(model_path), "--data",
+                     str(data_dir / "test.jsonl"), "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["confusion.csv", "report.json", "report.txt"]
 
 
 class TestPrecomputedMode:
@@ -379,6 +458,10 @@ class TestGradcheckCommand:
         assert rc == 0
         assert "PASS" in out
         assert "encoder/" not in out
+
+    def test_an_error_above_the_tolerance_fails(self, capsys):
+        assert main(["gradcheck", "--tolerance", "1e-300"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
 
     def test_hidden_dim_sets_the_probe_width(self, monkeypatch, capsys):
         widths = []

@@ -70,6 +70,11 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode(params, [1, 3, 4, 5])
 
+    def test_an_empty_sequence_is_rejected(self):
+        params = ToyEncoderParams.init(6, 4, 3, np.random.default_rng(4))
+        with pytest.raises(ValueError, match="^cannot encode an empty sequence$"):
+            encode(params, [])
+
     def test_gradients_pass_finite_differences(self):
         rng = np.random.default_rng(5)
         params = ToyEncoderParams.init(9, 5, 8, rng)
@@ -234,8 +239,10 @@ class TestEmbeddingStore:
         (_last_value_set_to(np.nan), "record 'a' holds a non-finite value"),
         (_last_value_set_to(np.inf), "record 'a' holds a non-finite value"),
         (_last_value_set_to(-np.inf), "record 'a' holds a non-finite value"),
+        # a count of 2 and record "a" twice
+        (lambda raw: raw[:10] + struct.pack("<I", 2) + raw[14:] * 2, "duplicate record id 'a'"),
     ], ids=["truncated", "trailing-bytes", "id-not-utf8", "huge-payload", "zero-rows",
-            "nan", "inf", "-inf"])
+            "nan", "inf", "-inf", "duplicate-id"])
     def test_corrupt_file_is_format_error(self, tmp_path, corrupt, message):
         path = tmp_path / "emb.smeb"
         write_embedding_store(path, [("a", np.ones((4, 3), np.float32))])
@@ -273,7 +280,10 @@ class TestEmbeddingStore:
          "record 'b' holds a non-finite value"),
         # a finite float64 beyond float32's range would be stored as inf
         ([("a", np.array([[1e39]]))], "record 'a' holds a non-finite value as float32"),
-    ], ids=["duplicate-id", "first-not-2d", "zero-rows", "nan", "beyond-float32"])
+        ([], "refusing to write an empty embedding store"),
+        ([("é" * 32768, np.zeros((1, 3)))], "record id too long: 'ééé"),
+    ], ids=["duplicate-id", "first-not-2d", "zero-rows", "nan", "beyond-float32", "empty",
+            "id-too-long"])
     def test_writer_rejects_what_the_reader_rejects(self, tmp_path, records, message):
         path = tmp_path / "emb.smeb"
         with pytest.raises(ValueError, match=message):

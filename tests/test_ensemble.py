@@ -168,6 +168,10 @@ class TestEnsembleRejects:
         with pytest.raises(ValueError, match="finite, non-negative"):
             make_ensemble(2, weights=weights)
 
+    def test_one_weight_too_few(self):
+        with pytest.raises(ValueError, match="^one weight per fold required$"):
+            make_ensemble(2, weights=[1.0])
+
     def test_folds_of_different_shapes_name_the_fold_and_parameter(self):
         rng = np.random.default_rng(3)
         params = [ModelParams.init(VOCAB, D, MAX_LEN, rng, n_filters=n) for n in (2, 2, 3)]

@@ -297,6 +297,11 @@ class TestGradCheck:
         with np.errstate(invalid="ignore"), pytest.raises(GradCheckError, match=r"x\[0\]"):
             grad_check(f, [("x", x, g)])
 
+    def test_non_finite_loss_at_the_probe_point(self):
+        x, g = np.array([1.0]), np.zeros(1)
+        with pytest.raises(GradCheckError, match="^loss is non-finite at the probe point: nan$"):
+            grad_check(lambda: np.nan, [("x", x, g)])
+
     def test_duplicate_names_rejected(self):
         x = np.array([1.0])
         g = np.zeros(1)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import re
@@ -133,6 +134,13 @@ class TestLexicons:
                            match=rf"^{re.escape(str(p))}:5: not UTF-8: byte 0xff"):
             read_lexicon_file(p)
 
+    def test_a_file_with_no_entries_is_named(self, tmp_path):
+        p = tmp_path / "lex.txt"
+        p.write_text("# only a comment\n\n")
+        with pytest.raises(DatasetFormatError,
+                           match=rf"^{re.escape(str(p))}: lexicon file has no entries$"):
+            read_lexicon_file(p)
+
     def test_empty_lexicon_rejected(self):
         with pytest.raises(ValueError):
             CueLexicon(cue_tokens=frozenset(), contrast_tokens=frozenset({"but"}))
@@ -180,6 +188,12 @@ class TestLoadDataset:
     def test_malformed_json_names_line(self, tmp_path, lexicon):
         p = self.write(tmp_path, ['{"id": "a", "text": "x", "label": "neutral"}', "{nope"])
         with pytest.raises(DatasetFormatError, match=":2:"):
+            load_dataset(p, lexicon)
+
+    def test_a_line_that_is_not_an_object_names_the_line(self, tmp_path, lexicon):
+        p = self.write(tmp_path, ['{"id": "a", "text": "x", "label": "neutral"}', '["b", "y"]'])
+        with pytest.raises(DatasetFormatError,
+                           match=rf"^{re.escape(str(p))}:2: expected a JSON object$"):
             load_dataset(p, lexicon)
 
     def test_missing_key_rejected(self, tmp_path, lexicon):
@@ -360,6 +374,12 @@ class TestStratifiedKfold:
         examples, _ = corpus90
         with pytest.raises(ValueError):
             stratified_kfold(examples, k=1, seed=0)
+
+    def test_an_unlabeled_example_is_named(self, corpus90):
+        examples, _ = corpus90
+        unlabeled = [*examples, dataclasses.replace(examples[0], id="u", label=None)]
+        with pytest.raises(ValueError, match="^example 'u' has no label; k-fold needs labeled"):
+            stratified_kfold(unlabeled, k=2, seed=0)
 
     def test_small_class_names_class(self, corpus90):
         examples, _ = corpus90
