@@ -165,18 +165,23 @@ def _load_store(config: TrainConfig, cli_path=None):
 def _stage(path, staged: list) -> str:
     """The path ``<path>.tmp`` to write the output ``path`` to: :func:`main`
     moves every staged file into place once the command has returned, and
-    removes any that is left.  Rejects a directory, which no file replaces,
-    and a path staged already, whose first output the second would replace."""
+    removes any that is left.  Every command stages all its outputs before
+    it reads an input.  Rejects a directory, which no file replaces, a path
+    whose parent exists but is not a directory, and a path staged already,
+    whose first output the second would replace."""
     if os.path.isdir(path):
         raise IsADirectoryError(f"output path {path} is a directory")
+    parent = os.path.dirname(path)
+    if os.path.exists(parent) and not os.path.isdir(parent):
+        raise NotADirectoryError(f"output path {parent} is not a directory")
     if os.path.realpath(path) in map(os.path.realpath, staged):
         raise ValueError(f"output path {path} is named twice")
     staged.append(path)
     return f"{path}.tmp"
 
 
-def _write_text(path, text: str, staged: list) -> None:
-    with open(_stage(path, staged), "w", encoding="utf-8") as fh:
+def _write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
@@ -185,16 +190,17 @@ def _dump_json(obj) -> str:
 
 
 def _cmd_train(args, staged: list) -> int:
+    out = _stage(args.out, staged)
+    report_out = _stage(args.report or f"{args.out}.report.json", staged)
     config = _resolve_config(args)
     lexicon = _load_lexicon(config)
     examples, vocab = load_dataset(args.data, lexicon, config.max_len)
     store = _load_store(config)
     ensemble = run_kfold(config, examples, vocab, store, jobs=args.jobs)
 
-    checkpoint.save_checkpoint(_stage(args.out, staged), ensemble, config, vocab, lexicon)
+    checkpoint.save_checkpoint(out, ensemble, config, vocab, lexicon)
     report = training_report(ensemble, config, examples, store)
-    report_path = args.report or f"{args.out}.report.json"
-    _write_text(report_path, _dump_json(report), staged)
+    _write_text(report_out, _dump_json(report))
 
     for fold in report["folds"]:
         print(f"fold {fold['fold']}: val_macro_f1={fold['val_macro_f1']:.4f} "
@@ -205,45 +211,48 @@ def _cmd_train(args, staged: list) -> int:
     return 0
 
 
-def _gate_dict(ckpt, gate: np.ndarray) -> dict:
-    names = ckpt.ensemble.folds[0].params.active_experts
-    return {name: float(w) for name, w in zip(names, gate)}
-
-
 def _cmd_predict(args, staged: list) -> int:
+    out = _stage(args.out, staged)
     ckpt = checkpoint.load_checkpoint(args.model)
     store = _load_store(ckpt.config, args.embeddings)
     examples, _ = load_dataset(args.data, ckpt.lexicon, ckpt.config.max_len,
                                vocab=ckpt.vocab, require_labels=False)
     _, probs, classes, gates = ensemble_forward(ckpt.ensemble, examples, store)
+    names = ckpt.ensemble.stacked.active_experts
     lines = [json.dumps({
         "id": ex.id,
         "probs": [float(p) for p in row],
         "class": LABEL_NAMES[cls],
-        "gate_weights": _gate_dict(ckpt, gate),
+        "gate_weights": {name: float(w) for name, w in zip(names, gate)},
     }, sort_keys=True, allow_nan=False)
         for ex, row, cls, gate in zip(examples, probs, classes, gates)]
-    _write_text(args.out, "\n".join(lines) + "\n", staged)
+    _write_text(out, "\n".join(lines) + "\n")
     print(f"wrote {len(lines)} predictions to {args.out}")
     return 0
 
 
 def _cmd_eval(args, staged: list) -> int:
+    json_out, text_out, csv_out = [_stage(os.path.join(args.out, name), staged)
+                                   for name in ("report.json", "report.txt", "confusion.csv")]
     ckpt = checkpoint.load_checkpoint(args.model)
     store = _load_store(ckpt.config, args.embeddings)
     examples, _ = load_dataset(args.data, ckpt.lexicon, ckpt.config.max_len,
                                vocab=ckpt.vocab)
     report, _ = evaluate_ensemble(ckpt.ensemble, examples, store)
     os.makedirs(args.out, exist_ok=True)
-    _write_text(os.path.join(args.out, "report.json"), _dump_json(report.to_dict()), staged)
-    _write_text(os.path.join(args.out, "report.txt"), report_text(report), staged)
-    _write_text(os.path.join(args.out, "confusion.csv"), confusion_csv(report.confusion), staged)
+    _write_text(json_out, _dump_json(report.to_dict()))
+    _write_text(text_out, report_text(report))
+    _write_text(csv_out, confusion_csv(report.confusion))
     print(f"accuracy={report.accuracy:.4f} macro_f1={report.macro_f1:.4f}")
     print(f"reports written to {args.out}")
     return 0
 
 
 def _cmd_ablate(args, staged: list) -> int:
+    outs = [_stage(os.path.join(args.out, name), staged) for name in (
+        "ablation.json", "classwise.txt", "overall.txt",
+        *(f"confusion_{label.replace('/', '_').replace(' ', '_').lower()}.csv"
+          for label, _ in ablation.ABLATION_ROWS))]
     config = _resolve_config(args)
     lexicon = _load_lexicon(config)
     train_examples, vocab = load_dataset(args.data, lexicon, config.max_len)
@@ -251,17 +260,13 @@ def _cmd_ablate(args, staged: list) -> int:
     store = _load_store(config)
     results = ablation.ablate(config, train_examples, vocab, test_examples, store,
                               jobs=args.jobs)
-    os.makedirs(args.out, exist_ok=True)
-    _write_text(os.path.join(args.out, "ablation.json"),
-                _dump_json(ablation.results_to_dict(results)), staged)
     classwise = ablation.classwise_table_text(results)
     overall = ablation.overall_table_text(results)
-    _write_text(os.path.join(args.out, "classwise.txt"), classwise, staged)
-    _write_text(os.path.join(args.out, "overall.txt"), overall, staged)
-    for res in results:
-        name = res.label.replace("/", "_").replace(" ", "_").lower()
-        _write_text(os.path.join(args.out, f"confusion_{name}.csv"),
-                    confusion_csv(res.ensemble_report.confusion), staged)
+    texts = [_dump_json(ablation.results_to_dict(results)), classwise, overall,
+             *(confusion_csv(res.ensemble_report.confusion) for res in results)]
+    os.makedirs(args.out, exist_ok=True)
+    for path, text in zip(outs, texts, strict=True):
+        _write_text(path, text)
     print(classwise)
     print(overall)
     print(f"reports written to {args.out}")

@@ -97,14 +97,13 @@ def embed_sequence(params: ToyEncoderParams, token_ids) -> np.ndarray:
     plus d, with zero rows on padding.  A fold-stacked encoder puts its
     fold axis first.  Out-of-vocabulary ids become UNK.
     """
-    padded = isinstance(token_ids, Padded)
-    ids = _clip_ids(params, token_ids.data if padded else token_ids)
+    ids = Padded.one(token_ids, np.intp)
     T = ids.shape[-1]
     if T > params.max_len:
         raise ValueError(f"sequence length {T} exceeds position table size {params.max_len}")
-    X = np.take(params.embedding, ids, axis=-2) + params.positions[:T]
-    if padded and token_ids.ragged:
-        X *= token_ids.valid[..., None]
+    X = np.take(params.embedding, _clip_ids(params, ids.data), axis=-2) + params.positions[:T]
+    if ids.ragged:
+        X *= ids.valid[..., None]
     return X
 
 

@@ -114,13 +114,6 @@ def canonical_experts(names) -> tuple[str, ...]:
     return chosen
 
 
-def _check_gradients(names, dvecs) -> None:
-    """Rejects a gradient list ``dvecs`` that is not one per expert in ``names``."""
-    if len(dvecs) != len(names):
-        raise ValueError(f"expected {len(names)} expert gradients, one per active "
-                         f"expert, got {len(dvecs)}")
-
-
 def _require_masks(task: str, names, cue, contrast) -> None:
     """Rejects a cue or contrast mask of None that ``task`` needs, naming it."""
     missing = [f"{name} mask" for name, mask in (("cue", cue), ("contrast", contrast))
@@ -428,7 +421,9 @@ def run_all_experts_backward(bank: ExpertBank, H, cue_positions, contrast_positi
     forward record (``record["cnn"]`` of :func:`run_all_experts`), the CNN
     reads it instead of running the convolution again."""
     names = canonical_experts(active)
-    _check_gradients(names, dvecs)
+    if len(dvecs) != len(names):
+        raise ValueError(f"expected {len(names)} expert gradients, one per active "
+                         f"expert, got {len(dvecs)}")
     grads = dict(zip(names, dvecs))
     if input_grad:
         _require_masks("forming dL/dH", names, cue_positions, contrast_positions)

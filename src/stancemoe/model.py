@@ -170,8 +170,14 @@ def _stored_rows(params: ModelParams, examples, store) -> list:
         _check_example(ex)
         if ex.id not in store:
             raise KeyError(f"id {ex.id!r} not found in the embedding store")
-        rows.append(store[ex.id])
-        _check_rows(params, ex, rows[-1])
+        H = store[ex.id]
+        if H.ndim != 2 or H.shape[1] != params.d:
+            raise ValueError(f"precomputed embeddings for {ex.id!r} have width "
+                             f"{H.shape[-1]}, model expects {params.d}")
+        if H.shape[0] != len(ex.token_ids):
+            raise ValueError(f"precomputed embeddings for {ex.id!r} have {H.shape[0]} rows, "
+                             f"but the example has {len(ex.token_ids)} tokens")
+        rows.append(H)
     return rows
 
 
@@ -256,17 +262,6 @@ def make_batch(params: ModelParams, examples, store=None) -> Batch:
         _check_example(ex)
     ids = Padded.of([ex.token_ids for ex in examples], single, np.intp)
     return Batch(single, ids, *_masks(examples, ids.shape[-1], single))
-
-
-def _check_rows(params: ModelParams, example: TokenizedExample, H: np.ndarray) -> None:
-    if H.ndim != 2 or H.shape[1] != params.d:
-        raise ValueError(f"precomputed embeddings for {example.id!r} have width "
-                         f"{H.shape[-1]}, model expects {params.d}")
-    if H.shape[0] != len(example.token_ids):
-        raise ValueError(
-            f"precomputed embeddings for {example.id!r} have {H.shape[0]} rows, "
-            f"but the example has {len(example.token_ids)} tokens"
-        )
 
 
 @dataclass

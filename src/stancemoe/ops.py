@@ -376,8 +376,8 @@ class Padded:
         its slice, or of runs of T_i scalars, put in place through ``real``
         in one assignment, into one stack."""
         lengths = np.fromiter(map(len, sequences), np.intp, len(sequences))
-        out = cls(np.empty((len(sequences), lengths.max()), dtype), lengths)
-        out.data = np.zeros(out.real.shape + np.shape(sequences[0])[1:], dtype)
+        out = cls(np.zeros((len(sequences), lengths.max(), *np.shape(sequences[0])[1:]), dtype),
+                  lengths)
         if out.data.ndim == 2:  # runs of ids: fromiter reads each tuple unconverted
             out.data[out.real] = np.fromiter(chain.from_iterable(sequences), dtype, lengths.sum())
             return out

@@ -2,9 +2,12 @@
 of the fold-stacked model; its reports equal those of each fold alone and
 of the ensemble."""
 
+import json
+import os
+
 import pytest
 
-from stancemoe.ablation import ABLATION_ROWS, ablate
+from stancemoe.ablation import ABLATION_ROWS, ablate, results_to_dict
 from stancemoe.train import TrainConfig, evaluate_ensemble, evaluate_model
 
 
@@ -26,3 +29,22 @@ def test_a_head_other_than_moe_is_rejected(corpus90):
     examples, vocab = corpus90
     with pytest.raises(ValueError, match="^ablation requires the moe head$"):
         ablate(TrainConfig(head="stacked"), examples[:60], vocab, examples[60:])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_the_results_are_the_same_at_any_jobs(corpus90):
+    """Each variant's folds trained serially and in a forked worker give the
+    same tables and bit-identical fold parameters."""
+    examples, vocab = corpus90
+    cfg = TrainConfig(k=2, epochs=1, hidden_dim=8, max_len=32, batch_size=8, cnn_filters=2)
+    serial, forked = (ablate(cfg, examples[:60], vocab, examples[60:], jobs=jobs)
+                      for jobs in (1, 2))
+    assert (json.dumps(results_to_dict(serial), sort_keys=True)
+            == json.dumps(results_to_dict(forked), sort_keys=True))
+    for one, two in zip(serial, forked, strict=True):
+        for fold_one, fold_two in zip(one.ensemble.folds, two.ensemble.folds, strict=True):
+            pairs = zip(fold_one.params.named_params(), fold_two.params.named_params(),
+                        strict=True)
+            for (path, value, _), (path_two, value_two, _) in pairs:
+                assert (path, value.shape, value.tobytes()) == (
+                    path_two, value_two.shape, value_two.tobytes()), (one.label, path)

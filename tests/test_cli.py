@@ -16,6 +16,7 @@ from stancemoe.synthetic import make_synthetic_dataset, write_jsonl
 from stancemoe.text import LABEL_NAMES, default_lexicon, load_dataset
 from stancemoe.train import ensemble_forward, head_loss_fn
 from conftest import nan_in_tensor
+from smck1_fixtures import FIXTURE_DIR, TEXTS
 
 FAST = ["--set", "k=2", "--set", "epochs=1", "--set", "hidden_dim=10",
         "--set", "max_len=32", "--set", "cnn_filters=2"]
@@ -169,6 +170,19 @@ class TestPredict:
         assert f"{empty}: no examples" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_subset_model_names_only_its_experts(self, tmp_path):
+        data = tmp_path / "texts.jsonl"
+        data.write_text("".join(json.dumps({"id": f"t{i}", "text": text}) + "\n"
+                                for i, text in enumerate(TEXTS)))
+        out = tmp_path / "preds.jsonl"
+        assert main(["predict", "--model", str(FIXTURE_DIR / "moe_subset.smck"),
+                     "--data", str(data), "--out", str(out)]) == 0
+        lines = [json.loads(l) for l in out.read_text().strip().split("\n")]
+        assert [l["id"] for l in lines] == [f"t{i}" for i in range(len(TEXTS))]
+        for line in lines:
+            assert set(line["gate_weights"]) == {"mean", "cnn", "contrast"}
+            assert abs(sum(line["gate_weights"].values()) - 1.0) <= 1e-9
+
     def test_unlabeled_input_accepted(self, data_dir, model_path):
         unlabeled = data_dir / "unlabeled.jsonl"
         rows = [{"id": f"u{i}", "text": t} for i, t in
@@ -299,6 +313,59 @@ class TestOutputsMoveIntoPlaceOnSuccess:
         assert main(["eval", "--model", str(model_path), "--data",
                      str(data_dir / "test.jsonl"), "--out", str(out)]) == 0
         assert sorted(os.listdir(out)) == ["confusion.csv", "report.json", "report.txt"]
+
+
+class TestOutputsAreCheckedBeforeAnyWork:
+    """Every command stages all its outputs before it reads an input: an
+    output path that cannot be written fails by name before any file is
+    loaded, any fold trained or any example predicted, and leaves every path
+    as it was, with no .tmp file."""
+
+    @pytest.mark.parametrize("argv, error", [
+        (["train", "--data", "in.jsonl", "--out", "outdir"],
+         "output path outdir is a directory"),
+        (["train", "--data", "in.jsonl", "--out", "m", "--report", "outdir"],
+         "output path outdir is a directory"),
+        (["train", "--data", "in.jsonl", "--out", "m", "--report", "m"],
+         "output path m is named twice"),
+        (["predict", "--model", "m.smck", "--data", "in.jsonl", "--out", "outdir"],
+         "output path outdir is a directory"),
+        (["eval", "--model", "m.smck", "--data", "in.jsonl", "--out", "afile"],
+         "output path afile is not a directory"),
+        (["eval", "--model", "m.smck", "--data", "in.jsonl", "--out", "outdir"],
+         "output path outdir/confusion.csv is a directory"),
+        (["ablate", "--data", "in.jsonl", "--test", "in.jsonl", "--out", "afile"],
+         "output path afile is not a directory"),
+        (["ablate", "--data", "in.jsonl", "--test", "in.jsonl", "--out", "outdir"],
+         "output path outdir/confusion_stancemoe.csv is a directory"),
+    ], ids=["train-out-directory", "train-report-directory", "train-named-twice",
+            "predict-out-directory", "eval-out-file", "eval-output-directory",
+            "ablate-out-file", "ablate-output-directory"])
+    def test_a_bad_output_path_fails_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                     argv, error):
+        def refuse(name):
+            def called(*args, **kwargs):
+                pytest.fail(f"{name} ran before the outputs were checked")
+            return called
+
+        for module, name in ((cli, "load_dataset"), (cli.checkpoint, "load_checkpoint"),
+                             (cli, "run_kfold"), (cli.ablation, "ablate"),
+                             (cli, "ensemble_forward"), (cli, "evaluate_ensemble")):
+            monkeypatch.setattr(module, name, refuse(name))
+        monkeypatch.chdir(tmp_path)
+        os.makedirs("outdir/confusion.csv")
+        os.makedirs("outdir/confusion_stancemoe.csv")
+        (tmp_path / "afile").write_text("old")
+
+        def tree():
+            return sorted((root, sorted(dirs), sorted(files))
+                          for root, dirs, files in os.walk("."))
+
+        before = tree()
+        assert main(argv) == 1
+        assert error_lines(capsys.readouterr().err) == [f"error: {error}"]
+        assert tree() == before
+        assert (tmp_path / "afile").read_text() == "old"
 
 
 class TestPrecomputedMode:
