@@ -162,18 +162,21 @@ def _load_store(config: TrainConfig, cli_path=None):
     return read_embedding_store(path)[0]
 
 
-def _stage(path, staged: list) -> str:
+def _stage(path, staged: list, made: bool = False) -> str:
     """The path ``<path>.tmp`` to write the output ``path`` to: :func:`main`
     moves every staged file into place once the command has returned, and
     removes any that is left.  Every command stages all its outputs before
     it reads an input.  Rejects a directory, which no file replaces, a path
-    whose parent exists but is not a directory, and a path staged already,
-    whose first output the second would replace."""
+    whose parent exists but is not a directory, or does not exist and is not
+    ``made`` by the command, and a path staged already, whose first output
+    the second would replace."""
     if os.path.isdir(path):
         raise IsADirectoryError(f"output path {path} is a directory")
     parent = os.path.dirname(path)
     if os.path.exists(parent) and not os.path.isdir(parent):
         raise NotADirectoryError(f"output path {parent} is not a directory")
+    if not (made or os.path.isdir(parent or os.curdir)):
+        raise FileNotFoundError(f"output path {path}: directory {parent} does not exist")
     if os.path.realpath(path) in map(os.path.realpath, staged):
         raise ValueError(f"output path {path} is named twice")
     staged.append(path)
@@ -232,7 +235,7 @@ def _cmd_predict(args, staged: list) -> int:
 
 
 def _cmd_eval(args, staged: list) -> int:
-    json_out, text_out, csv_out = [_stage(os.path.join(args.out, name), staged)
+    json_out, text_out, csv_out = [_stage(os.path.join(args.out, name), staged, made=True)
                                    for name in ("report.json", "report.txt", "confusion.csv")]
     ckpt = checkpoint.load_checkpoint(args.model)
     store = _load_store(ckpt.config, args.embeddings)
@@ -249,7 +252,7 @@ def _cmd_eval(args, staged: list) -> int:
 
 
 def _cmd_ablate(args, staged: list) -> int:
-    outs = [_stage(os.path.join(args.out, name), staged) for name in (
+    outs = [_stage(os.path.join(args.out, name), staged, made=True) for name in (
         "ablation.json", "classwise.txt", "overall.txt",
         *(f"confusion_{label.replace('/', '_').replace(' ', '_').lower()}.csv"
           for label, _ in ablation.ABLATION_ROWS))]
@@ -323,6 +326,8 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     staged: list[str] = []  # outputs written as <path>.tmp, moved into place on success
     try:
+        if getattr(args, "out", None) == "":
+            raise ValueError("--out is an empty path; name the output")
         status = _COMMANDS[args.command](args, staged)
         for path in staged:
             os.replace(f"{path}.tmp", path)

@@ -94,6 +94,8 @@ class ExpertBank(ParamSet):
                          lambda stack, rows=rows: stack[..., rows])
         yield "cnn_feature_proj", self.cnn_proj
 
+    TRANSPOSED = ("cnn_kernels",)
+
     def arrays(self):
         filters = len(KERNEL_SIZES) * self.n_filters
         return {**super().arrays(), "cnn_kernels": (KERNEL_SIZES[-1], filters, self.d),

@@ -26,6 +26,8 @@ axis too, and :func:`param_affine`, the one place where a parameter
 meets data, applies parameter entry k to entry k of that axis, so the
 same functions run K models in one pass, on one example or on a padded
 stack of them.  Each model's own tensor is then a view of its entry.
+The stack holds each weight with its last two axes swapped, so forward
+products read it row-major, which OpenBLAS does faster (:func:`fold_stack`).
 :meth:`ParamSet.named_params`, :meth:`ParamSet.zero_grads` and
 :meth:`ParamSet.drop_grads` walk the same declaration.
 
@@ -122,6 +124,10 @@ class ParamSet:
         state.pop("_declared", None)  # its views are lambdas, which do not pickle
         state.pop("_flat", None)  # a copy's arrays are not views of its buffers
         return state
+
+    # arrays a fold stack holds with their last two axes swapped, as its forward
+    # products read them (see fold_stack); a set that trains keeps the declared order
+    TRANSPOSED: tuple[str, ...] = ()
 
     def arrays(self) -> dict[str, tuple[int, ...]]:
         """Attribute name -> shape of each array the set itself holds: one
@@ -238,6 +244,8 @@ class LinearParams(ParamSet):
     out_dim: int
     in_dim: int
 
+    TRANSPOSED = ("weight",)
+
     def declare(self):
         return (Tensor("weight", (self.out_dim, self.in_dim), 1.0 / math.sqrt(self.in_dim)),
                 Tensor("bias", (self.out_dim,)))
@@ -249,14 +257,25 @@ def fold_stack(parts):
     one array at a time; each part's array becomes a view of its entry, so
     a write through either is seen by both.  The stack and the parts are
     forward-only: a forward-only part's arrays are freed as they move into
-    the stack, and a part's gradient views and flat buffers are dropped."""
+    the stack, and a part's gradient views and flat buffers are dropped.
+
+    Each :attr:`ParamSet.TRANSPOSED` array is a C-contiguous buffer with its
+    last two axes swapped, (K, in, out) for a weight and (K, W, d, F) for the
+    CNN kernels, exposed in the declared order as a view.  OpenBLAS 0.3.31
+    takes 1.3-1.5x as long for a few rows times a transposed operand:
+    (60, 64) @ (64, 64) in 8.39 against 5.98 us, the fold-stacked
+    (3, 51, 64) @ (3, 64, 32) in 16.3 against 10.6 us; level from ~480 rows."""
     out = dataclasses.replace(parts[0])
     for stack, *folds in zip(out.sets(), *(p.sets() for p in parts)):
-        for name in stack.arrays():
-            array = np.stack([getattr(f, name) for f in folds])
+        for name, shape in stack.arrays().items():
+            if name in stack.TRANSPOSED:
+                array = np.empty((len(folds), *shape[:-2], shape[-1], shape[-2])).swapaxes(-1, -2)
+            else:
+                array = np.empty((len(folds), *shape))
             setattr(stack, name, array)
             setattr(stack, "grad_" + name, None)
             for f, view in zip(folds, array):
+                view[...] = getattr(f, name)
                 setattr(f, name, view)
                 setattr(f, "grad_" + name, None)
     for p in parts:

@@ -179,9 +179,13 @@ class Adam:
     from the value region and zeroes the gradients with one fill.  Memory
     of the region that no triple names, such as the CNN stack's padding
     taps, keeps a zero gradient and so its value.  A non-zero
-    ``weight_decay`` is applied decoupled from the moment estimates.
+    ``weight_decay`` is applied decoupled from the moment estimates.  The
+    step that takes the values' L2 norm from finite to non-finite (a NaN,
+    an inf or a value too large to square) raises FloatingPointError
+    naming the first such tensor, before any overflow warning could.
     """
 
+    @np.errstate(over="ignore")
     def __init__(self, params: Region, lr: float, weight_decay: float = 0.0):
         if not isinstance(params, Region):
             raise TypeError("Adam steps the region of a model's flat buffers that its "
@@ -194,7 +198,9 @@ class Adam:
         self.weight_decay = weight_decay
         self.t = 0
         self.m, self.v, self._tmp = np.zeros((3, self._value.size))  # one allocation
+        self._finite = math.isfinite(self._value @ self._value)  # the values' L2 norm
 
+    @np.errstate(over="ignore", invalid="ignore")  # what overflows is named below
     def step(self, lr_scale: float = 1.0, max_norm: float | None = None) -> float:
         """One update at ``lr_scale`` times the rate, the gradients first scaled
         down to a global L2 norm of ``max_norm`` when over it; returns their norm."""
@@ -231,6 +237,11 @@ class Adam:
             np.multiply(lr * self.weight_decay, value, out=grad)
             value -= grad
         grad.fill(0.0)
+        finite, self._finite = self._finite, math.isfinite(value @ value)
+        if finite and not self._finite:
+            name = next((n for n, w, _ in self.params if not math.isfinite(np.vdot(w, w))),
+                        "the parameters")
+            raise FloatingPointError(f"the update made the L2 norm of {name} non-finite")
         return norm
 
 
@@ -384,7 +395,8 @@ def train_fold(config: TrainConfig, train_examples, val_examples, vocab_size: in
     row bound when the model has no encoder) whose gradients add up to the
     mini-batch mean.  Fully deterministic for a fixed seed.  A non-finite
     gradient raises NonFiniteGradientError naming the parameter, and a
-    non-finite loss FloatingPointError naming the step's first such example.
+    non-finite loss or an update that makes a parameter's L2 norm
+    non-finite FloatingPointError naming the first such example or tensor.
     These, and any FloatingPointError or RuntimeWarning raised as an error,
     carry "fold f, epoch e, step s: " or "fold f, validation: " in front.
 

@@ -11,6 +11,7 @@ from stancemoe.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from stancemoe.model import ModelParams
 from stancemoe.text import Vocab
 from stancemoe.train import TrainConfig, ensemble_forward, evaluate_ensemble, run_kfold
 from conftest import nan_in_tensor
@@ -93,15 +94,26 @@ class TestRoundtrip:
         path = tmp_path / "model.smck"
         save_checkpoint(path, ensemble, cfg, vocab, lexicon)
         ckpt = load_checkpoint(path)
-        for ens in (ensemble, ckpt.ensemble):
-            stacked = ens.stacked
+        def operands(stacked):
+            """(array, the product operand read from it) of every linear map's
+            weight and every CNN tap's filters."""
             lins = [stacked.classifier, stacked.gate, stacked.bank.cnn_proj,
                     *stacked.bank.proj.values()]
             if stacked.encoder is not None:
                 lins += [stacked.encoder.query, stacked.encoder.key, stacked.encoder.value]
-            operands = [(lin.weight, lin.weight.swapaxes(-1, -2)) for lin in lins]
-            for weight, operand in operands:
-                assert np.shares_memory(operand, weight)
+            kernels = stacked.bank.cnn_kernels
+            return ([(lin.weight, lin.weight.swapaxes(-1, -2)) for lin in lins]
+                    + [(kernels, kernels[..., j, s:, :].swapaxes(-1, -2))
+                       for j, s in enumerate(stacked.bank.tap_starts)])
+
+        # a stack built again from folds that are views of the loaded stack
+        restacked = ModelParams.stack([art.params for art in load_checkpoint(path).ensemble.folds])
+        for stacked in (ensemble.stacked, ckpt.ensemble.stacked, restacked):
+            for array, operand in operands(stacked):
+                assert operand.strides[-1] == operand.itemsize  # read row-major
+                assert np.shares_memory(operand, array)
+        for ens in (ensemble, ckpt.ensemble):
+            stacked = ens.stacked
             kernels = stacked.bank.cnn_kernels
             for j, art in enumerate(ens.folds):
                 assert np.shares_memory(art.params.classifier.weight, stacked.classifier.weight)

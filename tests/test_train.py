@@ -228,6 +228,34 @@ class TestAdam:
         assert opt.t == 0 and not opt.m.any() and not opt.v.any()
         assert not any(value.any() for _, value, _ in triples)
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.5])
+    def test_an_update_that_overflows_names_the_tensor(self, weight_decay):
+        """lr 1e308 takes p1 to about -1e308: finite, but its square is not;
+        with weight decay it overflows to inf.  No warning escapes the step,
+        so a RuntimeWarning raised as an error, as tier-1 runs, does not
+        pre-empt the name.  A later step does not raise again."""
+        grads = packed(np.zeros(3), np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones(4))
+        values = packed(np.zeros(3), np.zeros((2, 2)), np.zeros(4))
+        opt = Adam(packed_region(values, grads), lr=1e308, weight_decay=weight_decay)
+        with pytest.raises(FloatingPointError,
+                           match=r"^the update made the L2 norm of p1 non-finite$"):
+            opt.step()
+        assert abs(values[1][0, 1]) > 1e307
+        opt.step()
+
+    def test_values_whose_norm_overflows_only_together_name_the_parameters(self):
+        grads = packed(np.ones(1), np.ones(1))
+        opt = Adam(packed_region(packed(np.zeros(1), np.zeros(1)), grads), lr=1e154)
+        with pytest.raises(FloatingPointError,
+                           match=r"^the update made the L2 norm of the parameters non-finite$"):
+            opt.step()
+
+    def test_values_that_overflow_before_the_step_are_not_named(self):
+        values = packed(np.array([1e308]), np.zeros(2))
+        opt = Adam(packed_region(values, packed(np.zeros(1), np.ones(2))), lr=0.1)
+        opt.step()
+        assert values[0][0] == 1e308
+
     # the squares of the gradients overflow, and numpy warns
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("max_norm", [None, 1.0])
