@@ -76,6 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a config key (JSON-parsed value); repeatable")
 
     p = sub.add_parser("train", help="K-fold training + F1-weighted ensembling")
+    p.set_defaults(run=_cmd_train)
     add_config_opts(p)
     p.add_argument("--data", required=True, help="training JSONL")
     p.add_argument("--out", required=True, help="checkpoint output path")
@@ -85,18 +86,21 @@ def build_parser() -> argparse.ArgumentParser:
                         "at most k; 1 is the serial run)")
 
     p = sub.add_parser("predict", help="ensemble inference over a JSONL file")
+    p.set_defaults(run=_cmd_predict)
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--data", required=True, help="input JSONL (labels optional)")
     p.add_argument("--out", required=True, help="predictions JSONL path")
     p.add_argument("--embeddings", help="SMEB1 store (precomputed-encoder models)")
 
     p = sub.add_parser("eval", help="metrics of a checkpoint on labeled data")
+    p.set_defaults(run=_cmd_eval)
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--data", required=True, help="labeled JSONL")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--embeddings", help="SMEB1 store (precomputed-encoder models)")
 
     p = sub.add_parser("ablate", help="leave-one-expert-out study (7 retrained variants)")
+    p.set_defaults(run=_cmd_ablate)
     add_config_opts(p)
     p.add_argument("--data", required=True, help="training JSONL")
     p.add_argument("--test", required=True, help="held-out labeled JSONL")
@@ -107,6 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the full model "
                                          "(hidden_dim 8 by default)")
+    p.set_defaults(run=_cmd_gradcheck)
     add_config_opts(p)
     p.add_argument("--length", type=_int_at_least(2), default=6,
                    help="probe sequence length, CLS included")
@@ -119,7 +124,7 @@ def _resolve_config(args, **defaults) -> TrainConfig:
     """TrainConfig from a command's ``defaults``, then --config, then each --set."""
     raw: dict = {}
     if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
+        with open(args.config, encoding="utf-8-sig") as fh:
             try:
                 raw = json.load(fh)
             except ValueError as exc:  # bytes that are not UTF-8, or text that is not JSON
@@ -169,7 +174,10 @@ def _stage(path, staged: list, made: bool = False) -> str:
     it reads an input.  Rejects a directory, which no file replaces, a path
     whose parent exists but is not a directory, or does not exist and is not
     ``made`` by the command, and a path staged already, whose first output
-    the second would replace."""
+    the second would replace.  A command writes and removes only files it
+    made, so it also rejects a path whose ``.tmp`` exists already, and a
+    path that is another output's ``.tmp`` or whose ``.tmp`` is another
+    output."""
     if os.path.isdir(path):
         raise IsADirectoryError(f"output path {path} is a directory")
     parent = os.path.dirname(path)
@@ -177,10 +185,20 @@ def _stage(path, staged: list, made: bool = False) -> str:
         raise NotADirectoryError(f"output path {parent} is not a directory")
     if not (made or os.path.isdir(parent or os.curdir)):
         raise FileNotFoundError(f"output path {path}: directory {parent} does not exist")
-    if os.path.realpath(path) in map(os.path.realpath, staged):
-        raise ValueError(f"output path {path} is named twice")
+    tmp = f"{path}.tmp"
+    if os.path.lexists(tmp):
+        raise FileExistsError(f"output path {path}: its staging file {tmp} exists already")
+    real, real_tmp = os.path.realpath(path), os.path.realpath(tmp)
+    for other in staged:
+        if real == os.path.realpath(other):
+            raise ValueError(f"output path {path} is named twice")
+        if real == os.path.realpath(f"{other}.tmp"):
+            raise ValueError(f"output path {path} is the staging file of output path {other}")
+        if real_tmp == os.path.realpath(other):
+            raise ValueError(f"the staging file {tmp} of output path {path} "
+                             f"is output path {other}")
     staged.append(path)
-    return f"{path}.tmp"
+    return tmp
 
 
 def _write_text(path, text: str) -> None:
@@ -311,15 +329,6 @@ def _cmd_gradcheck(args, staged: list) -> int:
     return 1
 
 
-_COMMANDS = {
-    "train": _cmd_train,
-    "predict": _cmd_predict,
-    "eval": _cmd_eval,
-    "ablate": _cmd_ablate,
-    "gradcheck": _cmd_gradcheck,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING,
@@ -328,7 +337,7 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "out", None) == "":
             raise ValueError("--out is an empty path; name the output")
-        status = _COMMANDS[args.command](args, staged)
+        status = args.run(args, staged)
         for path in staged:
             os.replace(f"{path}.tmp", path)
         return status

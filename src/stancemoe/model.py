@@ -3,7 +3,7 @@ hand-derived backward pass from classifier logits down to the embeddings."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -84,12 +84,17 @@ class ModelParams(ParamSet):
         forward pass on one example or a list gives the K models' outputs
         along a leading fold axis.  Each tensor is held once, as a (K, ...)
         array; the models' tensors become views into it, and neither the
-        stack nor the models keep gradient buffers.  Rejects models
-        that differ in a setting or in the path or shape of a tensor, naming
-        the model's index."""
+        stack nor the models keep gradient buffers.  Rejects models that
+        differ in any setting, ``freeze_encoder`` included, naming the
+        model's index and the setting; the settings fix every tensor's
+        shape."""
         if not models:
             raise ValueError("cannot stack zero models")
-        _check_same_architecture(models)
+        for j, m in enumerate(models[1:], start=1):
+            for f in fields(cls):
+                value, ref = getattr(m, f.name), getattr(models[0], f.name)
+                if value != ref:
+                    raise ValueError(f"fold {j}: {f.name} is {value!r}, but {ref!r} in fold 0")
         return fold_stack(models)
 
     @property
@@ -108,28 +113,6 @@ class ModelParams(ParamSet):
         """named_params minus the encoder when it is frozen, as the
         :class:`~stancemoe.ops.Region` of the flat buffers they fill."""
         return self.named_params(self.encoder if self.freeze_encoder else None)
-
-
-def _settings(params: ModelParams) -> dict:
-    return {"head": params.head, "active experts": params.active_experts,
-            "max_len": params.max_len, "contrast_scale": params.bank.contrast_scale,
-            "eps": params.bank.eps}
-
-
-def _check_same_architecture(models) -> None:
-    ref_settings = _settings(models[0])
-    ref_shapes = models[0].shapes()
-    for j, m in enumerate(models[1:], start=1):
-        for what, value in _settings(m).items():
-            if value != ref_settings[what]:
-                raise ValueError(f"fold {j}: {what} is {value!r}, "
-                                 f"but {ref_settings[what]!r} in fold 0")
-        shapes = m.shapes()
-        for name in [*ref_shapes, *(shapes.keys() - ref_shapes.keys())]:
-            if shapes.get(name) != ref_shapes.get(name):
-                raise ValueError(
-                    f"fold {j}: parameter {name} has shape {shapes.get(name, 'none')}, "
-                    f"but {ref_shapes.get(name, 'none')} in fold 0")
 
 
 @dataclass

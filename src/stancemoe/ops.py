@@ -55,26 +55,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "Region",
-    "ParamSet",
-    "LinearParams",
-    "fold_stack",
-    "param_affine",
-    "affine",
-    "affine_backward",
-    "softmax",
-    "softmax_backward",
-    "log_softmax",
-    "Padded",
-    "conv1d",
-    "conv1d_backward",
-    "grad_check",
-    "GradCheckReport",
-    "GradCheckError",
-]
-
 
 class Tensor(NamedTuple):
     """One declared tensor: its path below its set, its shape and its init

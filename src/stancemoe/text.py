@@ -113,12 +113,13 @@ class CueLexicon:
 
 @contextmanager
 def _open_utf8(path):
-    """``path`` open as UTF-8; a byte that is not UTF-8 fails naming its line."""
+    """``path`` open as UTF-8, past a leading byte-order mark; a byte that is
+    not UTF-8 fails naming its line."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:  # the decoder runs a block ahead of the lines
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
             lineno = next((n for n, line in enumerate(fh, start=1)
                            if any("\udc80" <= c <= "\udcff" for c in line)), "?")
         raise DatasetFormatError(f"{path}:{lineno}: not UTF-8: byte "

@@ -378,7 +378,11 @@ def predict_logits(params: ModelParams, examples, store=None) -> np.ndarray:
 
 
 def evaluate_model(params: ModelParams, examples, store=None) -> MetricsReport:
-    """Metrics of a single model's argmax predictions on labeled examples."""
+    """Metrics of a single model's argmax predictions on labeled examples.
+    Rejects a fold stack, whose folds an ensemble weights."""
+    if params.n_folds:
+        raise ValueError(f"evaluate_model scores one model, not a stack of {params.n_folds} "
+                         f"folds; use evaluate_ensemble on the ensemble")
     logits = predict_logits(params, examples, store)
     preds = logits.argmax(axis=1)
     golds = [ex.label for ex in examples]

@@ -111,6 +111,14 @@ class TestTrain:
         assert error_lines(capsys.readouterr().err) == [f"error: {message.format(config=config)}"]
         assert not out.exists()
 
+    def test_a_config_file_may_start_with_a_byte_order_mark(self, tmp_path):
+        cfg_path = tmp_path / "bom-config.json"
+        cfg_path.write_text(json.dumps({"epochs": 3, "seed": 7}), encoding="utf-8-sig")
+        args = cli.build_parser().parse_args(["train", "--config", str(cfg_path),
+                                              "--data", "in.jsonl", "--out", "m.smck"])
+        config = cli._resolve_config(args)
+        assert (config.epochs, config.seed) == (3, 7)
+
     def test_config_file_and_set_precedence(self, data_dir):
         cfg_path = data_dir / "cfg.json"
         cfg_path.write_text(json.dumps({"epochs": 1, "k": 2, "hidden_dim": 10,
@@ -329,7 +337,7 @@ class TestOutputsAreCheckedBeforeAnyWork:
     """Every command stages all its outputs before it reads an input: an
     output path that cannot be written fails by name before any file is
     loaded, any fold trained or any example predicted, and leaves every path
-    as it was, with no .tmp file."""
+    as it was, with no new .tmp file."""
 
     @pytest.mark.parametrize("argv, error", [
         (["train", "--data", "in.jsonl", "--out", "outdir"],
@@ -361,11 +369,25 @@ class TestOutputsAreCheckedBeforeAnyWork:
          "--out is an empty path; name the output"),
         (["ablate", "--data", "in.jsonl", "--test", "in.jsonl", "--out", ""],
          "--out is an empty path; name the output"),
+        (["train", "--data", "in.jsonl", "--out", "m.smck"],
+         "output path m.smck: its staging file m.smck.tmp exists already"),
+        (["predict", "--model", "m.smck", "--data", "in.jsonl", "--out", "p.jsonl"],
+         "output path p.jsonl: its staging file p.jsonl.tmp exists already"),
+        (["eval", "--model", "m.smck", "--data", "in.jsonl", "--out", "evaldir"],
+         "output path evaldir/report.txt: its staging file evaldir/report.txt.tmp "
+         "exists already"),
+        (["train", "--data", "in.jsonl", "--out", "m2.smck", "--report", "m2.smck.tmp"],
+         "output path m2.smck.tmp is the staging file of output path m2.smck"),
+        (["train", "--data", "in.jsonl", "--out", "r.json.tmp", "--report", "r.json"],
+         "the staging file r.json.tmp of output path r.json is output path r.json.tmp"),
     ], ids=["train-out-directory", "train-report-directory", "train-named-twice",
             "predict-out-directory", "eval-out-file", "eval-output-directory",
             "ablate-out-file", "ablate-output-directory", "train-out-missing-directory",
             "train-report-missing-directory", "predict-out-missing-directory",
-            "train-out-empty", "predict-out-empty", "eval-out-empty", "ablate-out-empty"])
+            "train-out-empty", "predict-out-empty", "eval-out-empty", "ablate-out-empty",
+            "train-out-staging-file-exists", "predict-out-staging-file-exists",
+            "eval-output-staging-file-exists", "train-report-is-the-out-staging-file",
+            "train-out-is-the-report-staging-file"])
     def test_a_bad_output_path_fails_before_any_work(self, tmp_path, monkeypatch, capsys,
                                                      argv, error):
         def refuse(name):
@@ -380,7 +402,10 @@ class TestOutputsAreCheckedBeforeAnyWork:
         monkeypatch.chdir(tmp_path)
         os.makedirs("outdir/confusion.csv")
         os.makedirs("outdir/confusion_stancemoe.csv")
-        (tmp_path / "afile").write_text("old")
+        os.makedirs("evaldir")
+        kept = ["afile", "m.smck.tmp", "p.jsonl.tmp", "evaldir/report.txt.tmp"]
+        for name in kept:  # files no command made, which none may replace or remove
+            (tmp_path / name).write_text(f"old {name}")
 
         def tree():
             return sorted((root, sorted(dirs), sorted(files))
@@ -390,7 +415,7 @@ class TestOutputsAreCheckedBeforeAnyWork:
         assert main(argv) == 1
         assert error_lines(capsys.readouterr().err) == [f"error: {error}"]
         assert tree() == before
-        assert (tmp_path / "afile").read_text() == "old"
+        assert [(tmp_path / name).read_text() for name in kept] == [f"old {n}" for n in kept]
 
 
 class TestPrecomputedMode:

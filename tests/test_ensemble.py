@@ -11,7 +11,7 @@ from stancemoe.experts import EXPERT_NAMES
 from stancemoe.metrics import metrics_from_labels
 from stancemoe.model import ModelParams, model_backward, model_forward
 from stancemoe.train import (EnsembleModel, FoldArtifact, TrainConfig, ensemble_forward,
-                             train_fold)
+                             evaluate_model, train_fold)
 from conftest import random_example, toy_example
 
 VOCAB, D, MAX_LEN = 20, 6, 16
@@ -176,8 +176,7 @@ class TestEnsembleRejects:
         rng = np.random.default_rng(3)
         params = [ModelParams.init(VOCAB, D, MAX_LEN, rng, n_filters=n) for n in (2, 2, 3)]
         folds = [FoldArtifact(j, p, REPORT) for j, p in enumerate(params)]
-        with pytest.raises(ValueError, match=r"^fold 2: parameter experts/cnn/k2/kernels "
-                                             r"has shape \(3, 2, 6\)"):
+        with pytest.raises(ValueError, match=r"^fold 2: n_filters is 3, but 2 in fold 0$"):
             EnsembleModel(folds=folds, weights=[0.4, 0.3, 0.3])
 
     def test_folds_with_and_without_encoder(self):
@@ -185,7 +184,8 @@ class TestEnsembleRejects:
         params = [ModelParams.init(VOCAB, D, MAX_LEN, rng, encoder_mode=mode)
                   for mode in ("toy", "precomputed")]
         folds = [FoldArtifact(j, p, REPORT) for j, p in enumerate(params)]
-        with pytest.raises(ValueError, match="^fold 1: parameter encoder/embedding"):
+        with pytest.raises(ValueError,
+                           match="^fold 1: encoder_mode is 'precomputed', but 'toy' in fold 0$"):
             EnsembleModel(folds=folds, weights=[0.5, 0.5])
 
     def test_folds_with_different_experts(self):
@@ -194,5 +194,27 @@ class TestEnsembleRejects:
                                    active_experts=[n for n in EXPERT_NAMES if n != drop])
                   for drop in ("mean", "max")]
         folds = [FoldArtifact(j, p, REPORT) for j, p in enumerate(params)]
-        with pytest.raises(ValueError, match="^fold 1: active experts"):
+        with pytest.raises(ValueError, match="^fold 1: active_experts is "):
             EnsembleModel(folds=folds, weights=[0.5, 0.5])
+
+    # fold 1's value of each setting, against fold 0's defaults
+    CHANGED = {"vocab_size": VOCAB + 1, "d": D + 2, "max_len": MAX_LEN + 1, "n_filters": 3,
+               "contrast_scale": 2.0, "eps": 1e-6, "head": "stacked",
+               "active_experts": EXPERT_NAMES[1:], "encoder_mode": "precomputed",
+               "freeze_encoder": True}
+
+    @pytest.mark.parametrize("setting", [f.name for f in dataclasses.fields(ModelParams)])
+    def test_folds_that_differ_in_one_setting_name_it(self, setting):
+        rng = np.random.default_rng(6)
+        fold0 = ModelParams.init(VOCAB, D, MAX_LEN, rng, n_filters=2)
+        fold1 = dataclasses.replace(fold0, **{setting: self.CHANGED[setting]}).draw(rng)
+        with pytest.raises(ValueError, match=f"^fold 1: {setting} is "):
+            ModelParams.stack([fold0, fold1])
+
+
+def test_evaluate_model_rejects_a_fold_stack_by_name():
+    ensemble = make_ensemble(3)
+    examples = probe_examples(np.random.default_rng(7))
+    with pytest.raises(ValueError, match="^evaluate_model scores one model, not a stack of 3 "
+                                         "folds; use evaluate_ensemble"):
+        evaluate_model(ensemble.stacked, examples)

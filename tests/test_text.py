@@ -134,6 +134,11 @@ class TestLexicons:
                            match=rf"^{re.escape(str(p))}:5: not UTF-8: byte 0xff"):
             read_lexicon_file(p)
 
+    def test_a_leading_byte_order_mark_is_not_part_of_the_first_entry(self, tmp_path):
+        p = tmp_path / "lex.txt"
+        p.write_text("claims\nsays\n", encoding="utf-8-sig")
+        assert read_lexicon_file(p) == {"claims", "says"}
+
     def test_a_file_with_no_entries_is_named(self, tmp_path):
         p = tmp_path / "lex.txt"
         p.write_text("# only a comment\n\n")
@@ -226,6 +231,13 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError,
                            match=rf"^{re.escape(str(p))}:{bad_line}: not UTF-8: byte 0xff"):
             load_dataset(p, lexicon)
+
+    def test_a_leading_byte_order_mark_is_skipped(self, tmp_path, lexicon):
+        p = tmp_path / "data.jsonl"
+        p.write_text(json.dumps({"id": "a", "text": "officials say talks", "label": "neutral"})
+                     + "\n", encoding="utf-8-sig")
+        examples, _ = load_dataset(p, lexicon)
+        assert [(ex.id, ex.label) for ex in examples] == [("a", 2)]
 
     def test_repeated_id_names_both_lines(self, tmp_path, lexicon):
         p = self.write(tmp_path, [
